@@ -297,20 +297,27 @@ class MonteCarloStats:
         }
 
 
+# Draws of a perturbed initial state before an instance is given up: the jitter
+# box of the ego then lies (almost) wholly inside another vehicle.
+MAX_INSTANCE_DRAWS = 1000
+
+
 def _mc_instance(args):
     cfg, seed = args
     rng = np.random.default_rng(seed)
     base = cfg.initial_world()
     e = base.ego_index
-    resampled = 0
-    while True:
+    for draws in range(1, MAX_INSTANCE_DRAWS + 1):
         states = base.states.copy()
         states[e, 0] += rng.uniform(-cfg.montecarlo.position_jitter, cfg.montecarlo.position_jitter)
         states[e, 3] = max(0.0, states[e, 3] + rng.uniform(-cfg.montecarlo.speed_jitter,
                                                            cfg.montecarlo.speed_jitter))
         if not _ego_hits_anyone(states, base):
             break
-        resampled += 1
+    else:
+        raise ValueError(f"Monte Carlo instance seed {seed}: the ego overlapped another "
+                         f"vehicle in all {MAX_INSTANCE_DRAWS} draws of its initial state")
+    resampled = draws - 1
     world = WorldSnapshot(base.ids, states, base.params, base.v_des, cfg.lanes, e)
     beliefs = {vid: Belief(cfg.beliefs.initial_assert, 1.0 - cfg.beliefs.initial_assert)
                for vid in cfg.sv_ids}

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .actions import DecisionSequence, SvAction
-from .dynamics import rect_distance_arrays
+from .dynamics import near_pair_steps, rect_distance_arrays
 from .forward_sim import BatchRollout, TrajectorySet
 from .world import WorldSnapshot, interaction_partner
 
@@ -136,32 +136,29 @@ class GameMatrix:
 def _pair_band_penalties(states, half_len, half_wid, weights: CostWeights):
     """Per-vehicle safety penalty sums for stacked trajectories.
 
-    states (K, V, S, 4) -> (K, V). Distances farther than d_hi plus the two
-    circumradii are culled before any exact rectangle distance is computed.
+    states (K, V, S, 4) -> (K, V). Only the entries where two centers lie
+    within d_hi plus the two circumradii get an exact rectangle distance
+    (dynamics.near_pair_steps). Every other entry adds exactly 0.0, since its
+    rectangles are farther apart than d_hi, so a pair whose bounding boxes over
+    all K rows never come within that reach is skipped outright. A pair of two
+    vehicles whose trajectories are equal in every row is scored on one row,
+    and that sum is added to all K rows.
     """
-    K, V, S, _ = states.shape
+    K, V = states.shape[:2]
     radius = np.hypot(half_len, half_wid)
     out = np.zeros((K, V))
-    for i in range(V):
-        for j in range(i + 1, V):
-            dx = states[:, i, :, 0] - states[:, j, :, 0]
-            dy = states[:, i, :, 1] - states[:, j, :, 1]
-            reach = weights.d_hi + radius[i] + radius[j]
-            near = dx * dx + dy * dy <= reach * reach
-            if not near.any():
-                continue
-            ks, ts = np.nonzero(near)
-            d = rect_distance_arrays(
-                states[ks, i, ts, 0], states[ks, i, ts, 1], states[ks, i, ts, 2],
-                half_len[i], half_wid[i],
-                states[ks, j, ts, 0], states[ks, j, ts, 1], states[ks, j, ts, 2],
-                half_len[j], half_wid[j],
-            )
-            p = np.where(d < weights.d_lo, weights.w_saf1,
-                         np.where(d <= weights.d_hi, weights.w_saf2, 0.0))
-            per_k = np.bincount(ks, weights=p, minlength=K)
-            out[:, i] += per_k
-            out[:, j] += per_k
+    for i, j, block, ks, ts in near_pair_steps(states, radius, weights.d_hi):
+        d = rect_distance_arrays(
+            block[ks, i, ts, 0], block[ks, i, ts, 1], block[ks, i, ts, 2],
+            half_len[i], half_wid[i],
+            block[ks, j, ts, 0], block[ks, j, ts, 1], block[ks, j, ts, 2],
+            half_len[j], half_wid[j],
+        )
+        p = np.where(d < weights.d_lo, weights.w_saf1,
+                     np.where(d <= weights.d_hi, weights.w_saf2, 0.0))
+        per_k = np.bincount(ks, weights=p, minlength=len(block))
+        out[:, i] += per_k
+        out[:, j] += per_k
     return out
 
 
@@ -230,15 +227,10 @@ def _structure_tuples(tuples) -> tuple[tuple[SvAction, ...], tuple[DecisionSeque
     return tuple(rows), cols
 
 
-def _column_beliefs(cols, world: WorldSnapshot, beliefs: Mapping[str, Belief]):
+def _column_beliefs(partners, beliefs: Mapping[str, Belief]):
     """Belief of each column's interaction partner; uniform when a column has none."""
-    gaps = world.resolve_gaps()
-    partners = tuple(interaction_partner(seq, gaps) for seq in cols)
-    per_col = tuple(
-        beliefs.get(p, Belief.uniform()) if p is not None else Belief.uniform()
-        for p in partners
-    )
-    return partners, per_col
+    return tuple(beliefs.get(p, Belief.uniform()) if p is not None else Belief.uniform()
+                 for p in partners)
 
 
 def _weight_rows(sv_raw, rows, per_col_beliefs):
@@ -285,8 +277,9 @@ def build_game(tuples: Sequence[tuple[SvAction, DecisionSequence]],
         ev[r, c] = vehicle_cost(ts, ego, weights, world,
                                 v_des=world.v_des_of(ego), y_des=y_des_ego).total
 
-    partners, per_col = _column_beliefs(cols, world, beliefs)
-    sv_weighted = _weight_rows(sv_raw, rows, per_col)
+    gaps = world.resolve_gaps()
+    partners = tuple(interaction_partner(seq, gaps) for seq in cols)
+    sv_weighted = _weight_rows(sv_raw, rows, _column_beliefs(partners, beliefs))
     return GameMatrix(rows, cols, sv_weighted, ev, sv_raw=sv_raw, col_partners=partners)
 
 
@@ -325,8 +318,9 @@ def build_game_from_batch(rollout: BatchRollout, world: WorldSnapshot,
     shape = (len(rows), len(cols))
     sv_raw = sv_agg.reshape(shape)
     ev = ev_flat.reshape(shape)
-    partners, per_col = _column_beliefs(cols, world, beliefs)
-    sv_weighted = _weight_rows(sv_raw, rows, per_col)
+    # the rollout resolved each tuple's partner; row 0 holds the columns in order
+    partners = rollout.partner_ids[:len(cols)]
+    sv_weighted = _weight_rows(sv_raw, rows, _column_beliefs(partners, beliefs))
     return GameMatrix(rows, cols, sv_weighted, ev, sv_raw=sv_raw, col_partners=partners)
 
 

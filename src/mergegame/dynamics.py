@@ -23,6 +23,7 @@ __all__ = [
     "rect_corners",
     "rect_distance_arrays",
     "rect_overlap_arrays",
+    "near_pair_steps",
 ]
 
 
@@ -223,6 +224,45 @@ def rect_distance_arrays(ax, ay, ath, ahl, ahw, bx, by, bth, bhl, bhw):
     rx2, ry2, cr2, sr2 = _relative_frame(bx, by, bth, ax, ay, ath)
     d2 = np.minimum(d2, _corner_box_dist2(rx2, ry2, cr2, sr2, bhl, bhw, ahl, ahw))
     return np.where(overlap, 0.0, np.sqrt(d2))
+
+
+# Widens the reach of the bounding-box cull in near_pair_steps (m), so that no
+# rounding in the box bound can cull a pair the exact per-entry test keeps.
+CULL_MARGIN = 1.0
+
+
+def near_pair_steps(states, radius, pad):
+    """Vehicle pairs and the (row, step) entries where their centers come near.
+
+    states (K, V, S, >=3) holds x, y, theta of K stacked rollouts. For every
+    pair i < j, in order, with at least one entry where
+    dx*dx + dy*dy <= reach*reach, reach = pad + radius[i] + radius[j], yields
+    (i, j, block, ks, ts): the entries are block[ks, :, ts]. These are exactly
+    the entries an all-pairs, all-rows test keeps, found with less work:
+
+    - a pair whose per-step bounding boxes over all K rows lie farther apart
+      than reach + CULL_MARGIN at every step has no entry, and is skipped;
+    - when both vehicles' (x, y, theta) trajectories are equal in every row,
+      block is row 0 alone, and its entries stand for all K rows.
+    """
+    V = states.shape[1]
+    lo = states.min(axis=0)[..., :3]   # (V, S, 3); reducing whole rows is the fast path
+    hi = states.max(axis=0)[..., :3]
+    row_constant = (lo == hi).all(axis=(1, 2))
+    iu, ju = np.triu_indices(V, 1)
+    gx = np.maximum(np.maximum(lo[ju, :, 0] - hi[iu, :, 0], lo[iu, :, 0] - hi[ju, :, 0]), 0.0)
+    gy = np.maximum(np.maximum(lo[ju, :, 1] - hi[iu, :, 1], lo[iu, :, 1] - hi[ju, :, 1]), 0.0)
+    box_reach = pad + radius[iu] + radius[ju] + CULL_MARGIN
+    within = (gx * gx + gy * gy <= (box_reach * box_reach)[:, None]).any(axis=1)
+    for i, j in zip(iu[within].tolist(), ju[within].tolist()):
+        block = states[:1] if row_constant[i] and row_constant[j] else states
+        dx = block[:, i, :, 0] - block[:, j, :, 0]
+        dy = block[:, i, :, 1] - block[:, j, :, 1]
+        reach = pad + radius[i] + radius[j]
+        near = dx * dx + dy * dy <= reach * reach
+        if near.any():
+            ks, ts = np.nonzero(near)
+            yield i, j, block, ks, ts
 
 
 def rect_distance(a: FootprintRect, b: FootprintRect) -> float:

@@ -15,7 +15,8 @@ import numpy as np
 
 from .actions import DecisionSequence, LateralDecision, SvAction
 from .control import IdmSettings, PdGains, PurePursuitParams
-from .dynamics import ControlInput, VehicleState, rect_overlap_arrays, step_bicycle_arrays
+from .dynamics import (ControlInput, VehicleState, near_pair_steps, rect_overlap_arrays,
+                       step_bicycle_arrays)
 from .world import WorldSnapshot, interaction_partner
 
 __all__ = [
@@ -130,27 +131,74 @@ class BatchRollout:
 
 
 def _no_overlap_flags(states, lengths, widths):
-    """True per rollout when no two footprints intersect at any step."""
-    K, V = states.shape[0], states.shape[1]
+    """True per rollout when no two footprints intersect at any step.
+
+    Footprints can touch only where their centers lie within the two
+    circumradii (dynamics.near_pair_steps); only those entries are tested.
+    """
+    K = states.shape[0]
     radius = 0.5 * np.hypot(lengths, widths)
     collided = np.zeros(K, dtype=bool)
-    for i in range(V):
-        for j in range(i + 1, V):
-            dx = states[:, i, :, 0] - states[:, j, :, 0]
-            dy = states[:, i, :, 1] - states[:, j, :, 1]
-            near = dx * dx + dy * dy <= (radius[i] + radius[j]) ** 2
-            if not near.any():
-                continue
-            ks, ts = np.nonzero(near)
-            hit = rect_overlap_arrays(
-                states[ks, i, ts, 0], states[ks, i, ts, 1], states[ks, i, ts, 2],
-                0.5 * lengths[i], 0.5 * widths[i],
-                states[ks, j, ts, 0], states[ks, j, ts, 1], states[ks, j, ts, 2],
-                0.5 * lengths[j], 0.5 * widths[j],
-            )
-            if hit.any():
-                collided |= np.bincount(ks[hit], minlength=K) > 0
+    for i, j, block, ks, ts in near_pair_steps(states, radius, 0.0):
+        hit = rect_overlap_arrays(
+            block[ks, i, ts, 0], block[ks, i, ts, 1], block[ks, i, ts, 2],
+            0.5 * lengths[i], 0.5 * widths[i],
+            block[ks, j, ts, 0], block[ks, j, ts, 1], block[ks, j, ts, 2],
+            0.5 * lengths[j], 0.5 * widths[j],
+        )
+        if hit.any():
+            collided |= np.bincount(ks[hit], minlength=len(block)) > 0
     return ~collided
+
+
+def _influence_set(leader_idx, ego, partner_idx) -> np.ndarray:
+    """Vehicles whose trajectory can differ between the rollouts of one cycle.
+
+    The ego, every interaction partner, and every vehicle whose leader is in
+    the set: a fixed point reached within V rounds. Any other vehicle always
+    takes kappa_assert, never has the ego as a leader, and follows only
+    vehicles outside the set, so it moves identically in every rollout.
+    """
+    influenced = np.zeros(len(leader_idx), dtype=bool)
+    influenced[ego] = True
+    influenced[partner_idx[partner_idx >= 0]] = True
+    has_leader = leader_idx >= 0
+    for _ in range(len(leader_idx)):
+        grown = influenced | (has_leader & influenced[leader_idx])
+        if np.array_equal(grown, influenced):
+            break
+        influenced = grown
+    return influenced
+
+
+def _idm_block(X, Y, TH, VS, rows, lead, kappa, ego_watch, v_des, a_max, idm: IdmSettings):
+    """Modified-IDM accelerations of the surrounding vehicles in row slice rows.
+
+    X, Y, TH, VS (V, R) hold R rollouts of every vehicle, the ego in row 0.
+    lead (n,) is each vehicle's leader row (-1 for none) and kappa its lateral
+    discount, a scalar or (n, R); v_des and a_max are (n, 1). Where ego_watch
+    holds and the ego is level or ahead, the ego is a second, virtual leader,
+    and the nearer of the two governs.
+    """
+    x, y, v = X[rows], Y[rows], VS[rows]
+    has_phys = (lead >= 0)[:, None]
+    li = np.where(lead >= 0, lead, 0)
+    d_phys = np.where(has_phys, np.abs(X[li] - x) * np.exp(kappa * np.abs(Y[li] - y)), np.inf)
+    v_phys = np.where(has_phys, VS[li], 0.0)
+    d_ego = np.abs(X[:1] - x) * np.exp(kappa * np.abs(Y[:1] - y))
+    use_ego = ego_watch & (X[:1] >= x) & (d_ego < d_phys)
+    d_lead = np.where(use_ego, d_ego, d_phys)
+    v_lead = np.where(use_ego, VS[:1] * np.cos(TH[:1]), v_phys)
+    has_lead = has_phys | use_ego
+
+    free = 1.0 - (v / v_des) ** 4
+    safe_d = np.where(d_lead > 0.0, d_lead, 1.0)
+    sqrt_ab = 2.0 * np.sqrt(idm.a_acc * idm.b_dec)
+    s_star = idm.s0 + v * idm.time_headway + v * (v - v_lead) / sqrt_ab
+    a_follow = idm.a_acc * (free - (s_star / safe_d) ** 2)
+    a = np.where(has_lead, a_follow, idm.a_acc * free)
+    a = np.where(has_lead & (d_lead <= 0.0), -idm.b_emergency, a)
+    return np.clip(np.clip(a, -idm.b_emergency, idm.a_acc), -a_max, a_max)
 
 
 def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
@@ -160,6 +208,12 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
     Deterministic: no randomness enters the rollouts, and identical inputs
     produce identical arrays. Collisions never abort a rollout; they only
     clear its feasibility flag (the evaluator penalizes them).
+
+    A surrounding vehicle outside the influence set (_influence_set) sees
+    only kappa_assert and leaders that are themselves outside the set, from
+    the same initial state in every rollout. Its trajectory is therefore the
+    same in all K rollouts, so it is stepped on one row and broadcast into
+    states and inputs; the results are those of stepping it on every row.
     """
     tuples = list(tuples)
     if not tuples:
@@ -170,7 +224,8 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
         if len(seq) != cfg.horizon:
             raise ValueError("decision sequence length must equal the decision horizon")
 
-    gaps_map = world.resolve_gaps()
+    leader_idx = world.leader_indices(include_ego=True)
+    gaps_map = world.resolve_gaps(leader_idx)
     partner_ids = tuple(interaction_partner(seq, gaps_map) for _, seq in tuples)
     partner_idx = np.array([world.index_of(p) if p is not None else -1 for p in partner_ids])
     sv_is_yield = np.array([sv == SvAction.YIELD for sv, _ in tuples])
@@ -179,49 +234,63 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
     lat_seq = np.array([[int(s.lateral) for s in seq] for _, seq in tuples])   # (K, H)
 
     wheelbase, lengths, widths, a_max, delta_max = world.params_arrays()
-    v_des = world.v_des
     lanes = world.lanes
     w_lane = lanes.width
     idm = model.idm
     kappa_assert = 2.0 * np.log(idm.beta_assert) / w_lane
     kappa_yield = 2.0 * np.log(idm.beta_yield) / w_lane
-    sqrt_ab = 2.0 * np.sqrt(idm.a_acc * idm.b_dec)
+
+    # working rows, one per vehicle: [ego | other influenced vehicles | shared
+    # vehicles], so that each block is a slice; each row holds the K rollouts
+    influenced = _influence_set(leader_idx, e, partner_idx)
+    order = np.concatenate(([e], np.flatnonzero(influenced & (np.arange(V) != e)),
+                            np.flatnonzero(~influenced)))
+    n_inf = int(influenced.sum())
+    row_of = np.empty(V + 1, dtype=int)  # vehicle index -> working row; the extra -1 keeps "none"
+    row_of[order] = np.arange(V)
+    row_of[-1] = -1
 
     # gap bounds and leader chain resolved once per cycle; positions stay live
-    front_by_gap = np.array([
-        world.index_of(gaps_map[g].front_id) if gaps_map[g].front_id is not None else -1
-        for g in sorted(gaps_map)])
-    rear_by_gap = np.array([
-        world.index_of(gaps_map[g].rear_id) if gaps_map[g].rear_id is not None else -1
-        for g in sorted(gaps_map)])
-    leader_idx = world.leader_indices(include_ego=True)
+    front_by_gap = row_of[[world.index_of(gaps_map[g].front_id)
+                           if gaps_map[g].front_id is not None else -1 for g in sorted(gaps_map)]]
+    rear_by_gap = row_of[[world.index_of(gaps_map[g].rear_id)
+                          if gaps_map[g].rear_id is not None else -1 for g in sorted(gaps_map)]]
+    lead = row_of[leader_idx[order]]
+    lead_cur = lead[0]
+    wb, a_lim, v_des = wheelbase[order, None], a_max[order, None], world.v_des[order, None]
 
     ego_lane_center = lanes.nearest_center(float(world.states[e, 1]))
     # indexed by LateralDecision value: LANE_KEEP, LEFT_CHANGE, LEFT_PROBE
     line_by_lat = np.array([ego_lane_center, lanes.target_center, lanes.probe_line])
-    lead_cur = leader_idx[e]
 
+    sv_inf = slice(1, n_inf)
+    is_partner = np.arange(1, n_inf)[:, None] == row_of[partner_idx][None, :]   # (n_inf - 1, K)
+    kappa_inf = np.where(is_partner & sv_is_yield[None, :], kappa_yield, kappa_assert)
+
+    # shared vehicles are written into every rollout once, after the loop
+    inf_ids, shared_ids = order[:n_inf], order[n_inf:]
     states = np.empty((K, V, T + 1, 4))
-    inputs = np.empty((K, V, T, 2))
-    X = np.tile(world.states[:, 0], (K, 1))
-    Y = np.tile(world.states[:, 1], (K, 1))
-    TH = np.tile(world.states[:, 2], (K, 1))
-    VS = np.tile(world.states[:, 3], (K, 1))
-    rows = np.arange(K)
-    sv_indices = [i for i in range(V) if i != e]
+    inputs = np.zeros((K, V, T, 2))
+    shared_states = np.empty((V - n_inf, T + 1, 4))
+    shared_inputs = np.zeros((V - n_inf, T, 2))
+    X, Y, TH, VS = (np.repeat(world.states[order, c, None], K, axis=1) for c in range(4))
+    cols = np.arange(K)
 
-    for t in range(T):
-        states[:, :, t, 0], states[:, :, t, 1] = X, Y
-        states[:, :, t, 2], states[:, :, t, 3] = TH, VS
+    for t in range(T + 1):
+        for c, arr in enumerate((X, Y, TH, VS)):
+            states[:, inf_ids, t, c] = arr[:n_inf].T
+            shared_states[:, t, c] = arr[n_inf:, 0]
+        if t == T:
+            break
 
         d = t // cfg.substeps
         gap_t = gap_seq[:, d]
         lat_t = lat_seq[:, d]
 
         # --- ego lateral: pure pursuit onto the decision's target line
-        lookahead = np.maximum(model.pursuit.kpp * VS[:, e], model.pursuit.min_lookahead)
-        sin_los = np.clip((line_by_lat[lat_t] - Y[:, e]) / lookahead, -1.0, 1.0)
-        gamma = np.arcsin(sin_los) - TH[:, e]
+        lookahead = np.maximum(model.pursuit.kpp * VS[0], model.pursuit.min_lookahead)
+        sin_los = np.clip((line_by_lat[lat_t] - Y[0]) / lookahead, -1.0, 1.0)
+        gamma = np.arcsin(sin_los) - TH[0]
         delta_e = np.clip(np.arctan(2.0 * wheelbase[e] * np.sin(gamma) / lookahead),
                           -delta_max[e], delta_max[e])
 
@@ -229,74 +298,59 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
         fi = front_by_gap[gap_t]
         ri = rear_by_gap[gap_t]
         has_f, has_r = fi >= 0, ri >= 0
-        xf = X[rows, np.where(has_f, fi, 0)]
-        vf = VS[rows, np.where(has_f, fi, 0)]
-        xr = X[rows, np.where(has_r, ri, 0)]
-        v_tgt = np.where(has_f, np.minimum(vf, v_des[e]), v_des[e])
+        xf = X[np.where(has_f, fi, 0), cols]
+        vf = VS[np.where(has_f, fi, 0), cols]
+        xr = X[np.where(has_r, ri, 0), cols]
+        v_tgt = np.where(has_f, np.minimum(vf, world.v_des[e]), world.v_des[e])
         x_tgt = np.where(has_r & has_f,
                          0.5 * ((xr + model.d_safe) + (xf - model.d_safe)),
                          xf - model.follow_distance)
-        a_pd = model.gains.kp_pos * (x_tgt - X[:, e]) + model.gains.kd_pos * (v_tgt - VS[:, e])
-        a_free = model.gains.kp_vel * (v_des[e] - VS[:, e])
+        a_pd = model.gains.kp_pos * (x_tgt - X[0]) + model.gains.kd_pos * (v_tgt - VS[0])
+        a_free = model.gains.kp_vel * (world.v_des[e] - VS[0])
         a_e = np.where(has_f, a_pd, a_free)
 
         # until the ego has mostly crossed, its command may not drive it into
         # the leader of the lane it is still occupying; the governor engages
         # once that leader is within the follow point plus a time headroom
         if lead_cur >= 0:
-            still_on_lane = np.abs(lanes.target_center - Y[:, e]) > 0.25 * w_lane
-            slack = X[:, lead_cur] - X[:, e] - model.follow_distance
+            still_on_lane = np.abs(lanes.target_center - Y[0]) > 0.25 * w_lane
+            slack = X[lead_cur] - X[0] - model.follow_distance
             engaged = still_on_lane & \
-                (slack <= model.keep_engage_time * np.maximum(VS[:, e], 1.0))
-            a_keep = model.gains.kp_pos * (X[:, lead_cur] - model.follow_distance - X[:, e]) \
-                + model.gains.kd_pos * (np.minimum(VS[:, lead_cur], v_des[e]) - VS[:, e])
+                (slack <= model.keep_engage_time * np.maximum(VS[0], 1.0))
+            a_keep = model.gains.kp_pos * (X[lead_cur] - model.follow_distance - X[0]) \
+                + model.gains.kd_pos * (np.minimum(VS[lead_cur], world.v_des[e]) - VS[0])
             a_e = np.where(engaged, np.minimum(a_e, a_keep), a_e)
         a_e = np.clip(a_e, -a_max[e], a_max[e])
 
-        A = np.empty((K, V))
-        D = np.zeros((K, V))
-        A[:, e] = a_e
-        D[:, e] = delta_e
-
-        # --- surrounding vehicles: modified IDM, partner beta set by the group action
+        # --- surrounding vehicles: modified IDM, partner beta set by the group
+        # action; the shared block is evaluated on one rollout
         ego_probing = (lat_t == int(LateralDecision.LEFT_CHANGE)) | \
                       (lat_t == int(LateralDecision.LEFT_PROBE))
-        v_ego_long = VS[:, e] * np.cos(TH[:, e])
-        for i in sv_indices:
-            v = VS[:, i]
-            kappa = np.where(sv_is_yield & (partner_idx == i), kappa_yield, kappa_assert)
+        A = np.empty((n_inf, K))
+        A[0] = a_e
+        A[sv_inf] = _idm_block(X, Y, TH, VS, sv_inf, lead[sv_inf], kappa_inf,
+                               is_partner & ego_probing[None, :], v_des[sv_inf], a_lim[sv_inf],
+                               idm)
+        a_shared = _idm_block(X[:, :1], Y[:, :1], TH[:, :1], VS[:, :1], slice(n_inf, V),
+                              lead[n_inf:], kappa_assert, False, v_des[n_inf:], a_lim[n_inf:],
+                              idm)
+        inputs[:, inf_ids, t, 0] = A.T
+        inputs[:, e, t, 1] = delta_e
+        shared_inputs[:, t, 0] = a_shared[:, 0]
 
-            li = leader_idx[i]
-            if li >= 0:
-                d_phys = np.abs(X[:, li] - X[:, i]) * np.exp(kappa * np.abs(Y[:, li] - Y[:, i]))
-                v_phys = VS[:, li]
-                has_phys = np.ones(K, dtype=bool)
-            else:
-                d_phys = np.full(K, np.inf)
-                v_phys = np.zeros(K)
-                has_phys = np.zeros(K, dtype=bool)
+        D = np.zeros((n_inf, K))
+        D[0] = delta_e
+        stepped_inf = step_bicycle_arrays(X[:n_inf], Y[:n_inf], TH[:n_inf], VS[:n_inf],
+                                          A, D, cfg.dt, wb[:n_inf])
+        stepped_shared = step_bicycle_arrays(X[n_inf:, :1], Y[n_inf:, :1], TH[n_inf:, :1],
+                                             VS[n_inf:, :1], a_shared, 0.0, cfg.dt, wb[n_inf:])
+        X, Y, TH, VS = (np.empty((V, K)) for _ in range(4))
+        for arr, a_inf, a_sh in zip((X, Y, TH, VS), stepped_inf, stepped_shared):
+            arr[:n_inf] = a_inf
+            arr[n_inf:] = a_sh
 
-            cand = (partner_idx == i) & ego_probing & (X[:, e] >= X[:, i])
-            d_ego = np.abs(X[:, e] - X[:, i]) * np.exp(kappa * np.abs(Y[:, e] - Y[:, i]))
-            use_ego = cand & (d_ego < d_phys)
-
-            d_lead = np.where(use_ego, d_ego, d_phys)
-            v_lead = np.where(use_ego, v_ego_long, v_phys)
-            has_lead = has_phys | use_ego
-
-            free = 1.0 - (v / v_des[i]) ** 4
-            safe_d = np.where(d_lead > 0.0, d_lead, 1.0)
-            s_star = idm.s0 + v * idm.time_headway + v * (v - v_lead) / sqrt_ab
-            a_follow = idm.a_acc * (free - (s_star / safe_d) ** 2)
-            a_i = np.where(has_lead, a_follow, idm.a_acc * free)
-            a_i = np.where(has_lead & (d_lead <= 0.0), -idm.b_emergency, a_i)
-            A[:, i] = np.clip(np.clip(a_i, -idm.b_emergency, idm.a_acc), -a_max[i], a_max[i])
-
-        inputs[:, :, t, 0], inputs[:, :, t, 1] = A, D
-        X, Y, TH, VS = step_bicycle_arrays(X, Y, TH, VS, A, D, cfg.dt, wheelbase[None, :])
-
-    states[:, :, T, 0], states[:, :, T, 1] = X, Y
-    states[:, :, T, 2], states[:, :, T, 3] = TH, VS
+    states[:, shared_ids] = shared_states
+    inputs[:, shared_ids] = shared_inputs
 
     return BatchRollout(tuples, world.ids, states, inputs, lengths, widths,
                         partner_ids, cfg.dt)

@@ -108,36 +108,33 @@ class WorldSnapshot:
         ego through its own reaction gate instead).
         """
         n = self.n_vehicles
-        out = np.full(n, -1, dtype=int)
-        centers = [self.lane_center_of(k) for k in range(n)]
-        for i in range(n):
-            best = -1
-            best_dx = np.inf
-            for j in range(n):
-                if j == i or (not include_ego and j == self.ego_index):
-                    continue
-                if centers[j] != centers[i]:
-                    continue
-                dx = self.states[j, 0] - self.states[i, 0]
-                if dx > 0.0 and dx < best_dx:
-                    best, best_dx = j, dx
-            out[i] = best
-        return out
+        centers = np.array([self.lanes.nearest_center(y) for y in self.states[:, 1].tolist()])
+        x = self.states[:, 0]
+        dx = x - x[:, None]  # dx[i, j]: how far j is ahead of i
+        ahead = (dx > 0.0) & (centers == centers[:, None])
+        if not include_ego:
+            ahead[:, self.ego_index] = False
+        # column 0 stands for "no leader": its +inf loses to any vehicle ahead,
+        # and argmin keeps the first of equal distances, so the lowest index wins a tie
+        dist = np.full((n, n + 1), np.inf)
+        np.copyto(dist[:, 1:], dx, where=ahead)
+        return dist.argmin(axis=1) - 1
 
-    def resolve_gaps(self) -> dict[GapChoice, GapBounds]:
+    def resolve_gaps(self, leaders: np.ndarray | None = None) -> dict[GapChoice, GapBounds]:
         """Identify the bounding vehicles of the three semantic gaps.
 
         GAP_0 is the ego's current lane behind its leader. On the target lane,
         GAP_1 is bounded at the rear by the nearest vehicle ahead of the ego
         and GAP_2 by the nearest vehicle behind it, so the rear bound of the
-        chosen gap is always the vehicle that would have to open it.
+        chosen gap is always the vehicle that would have to open it. A caller
+        that already holds leader_indices() (ego included) passes it as leaders.
         """
         e = self.ego_index
         x_ego = float(self.states[e, 0])
         ego_lane = self.lane_center_of(e)
         target = self.lanes.target_center
 
-        lead = self.leader_indices()[e]
+        lead = (self.leader_indices() if leaders is None else leaders)[e]
         gap0 = GapBounds(self.ids[lead] if lead >= 0 else None, None)
 
         on_target = [k for k in range(self.n_vehicles)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import signal
 from dataclasses import replace
 
 from mergegame.actions import DecisionSequence, EgoDecision, GapChoice, LateralDecision, SvAction
@@ -194,3 +195,22 @@ def test_monte_carlo_reproducible():
     s1 = run_monte_carlo(cfg, n=20, seed=9)
     s2 = run_monte_carlo(cfg, n=20, seed=9)
     assert s1 == s2
+
+
+def test_monte_carlo_gives_up_when_every_draw_overlaps():
+    # the ego's jitter box lies inside sv0, so no draw can clear it
+    cfg = default_merge_scenario(5.0)
+    cfg.vehicles[1].x = 2.0
+    cfg.montecarlo = MonteCarloSettings(position_jitter=1.0)
+
+    def too_slow(signum, frame):
+        raise TimeoutError("resampling did not stop")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        with pytest.raises(ValueError, match=r"seed \d+.* 1000 draws"):
+            run_monte_carlo(cfg, n=1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -11,10 +11,12 @@ from mergegame.actions import (
     SvAction,
     build_action_tuples,
 )
+from mergegame.closed_loop import run_episode
 from mergegame.costs import (
     Belief,
     CostWeights,
     GameMatrix,
+    _pair_band_penalties,
     build_game,
     build_game_from_batch,
     comfort_cost,
@@ -24,9 +26,10 @@ from mergegame.costs import (
     update_belief,
     vehicle_cost,
 )
-from mergegame.dynamics import VehicleParams
+from mergegame.dynamics import VehicleParams, rect_distance_arrays
 from mergegame.forward_sim import PlannerModel, SimConfig, TrajectorySet, simulate_batch, simulate_tuple
-from mergegame.scenario import default_merge_scenario
+from mergegame.planner import plan_cycle
+from mergegame.scenario import default_merge_scenario, packed_lane_scenario
 from mergegame.world import LaneGeometry, WorldSnapshot
 
 W = CostWeights(w_saf1=400.0, w_saf2=4.0, d_lo=1.0, d_hi=3.0,
@@ -81,6 +84,105 @@ def test_safety_band_boundaries():
     assert safety_cost(beyond, "a", W, world) == 0.0
     touching = make_traj(np.zeros(1), np.array([4.5]))
     assert safety_cost(touching, "a", W, world) == W.w_saf1
+
+
+# --- culled pairwise scoring against the all-pairs reference -------------------------
+
+def reference_pair_band_penalties(states, half_len, half_wid, weights):
+    """Every vehicle pair on every row: the scoring loop before culling."""
+    K, V, S, _ = states.shape
+    radius = np.hypot(half_len, half_wid)
+    out = np.zeros((K, V))
+    for i in range(V):
+        for j in range(i + 1, V):
+            dx = states[:, i, :, 0] - states[:, j, :, 0]
+            dy = states[:, i, :, 1] - states[:, j, :, 1]
+            reach = weights.d_hi + radius[i] + radius[j]
+            near = dx * dx + dy * dy <= reach * reach
+            if not near.any():
+                continue
+            ks, ts = np.nonzero(near)
+            d = rect_distance_arrays(
+                states[ks, i, ts, 0], states[ks, i, ts, 1], states[ks, i, ts, 2],
+                half_len[i], half_wid[i],
+                states[ks, j, ts, 0], states[ks, j, ts, 1], states[ks, j, ts, 2],
+                half_len[j], half_wid[j],
+            )
+            p = np.where(d < weights.d_lo, weights.w_saf1,
+                         np.where(d <= weights.d_hi, weights.w_saf2, 0.0))
+            per_k = np.bincount(ks, weights=p, minlength=K)
+            out[:, i] += per_k
+            out[:, j] += per_k
+    return out
+
+
+def assert_matches_reference(states, half_len, half_wid, weights):
+    got = _pair_band_penalties(states, half_len, half_wid, weights)
+    want = reference_pair_band_penalties(states, half_len, half_wid, weights)
+    assert np.array_equal(got, want)
+    return got
+
+
+def mid_episode_world(cfg, cycles):
+    """The world as the closed loop leaves it after `cycles` planning cycles."""
+    cfg.episode.max_cycles = cycles
+    trace = run_episode(cfg)
+    base = cfg.initial_world()
+    last = {row[2]: row[3:7] for row in trace.steps[-base.n_vehicles:]}
+    states = np.array([last[vid] for vid in base.ids])
+    return WorldSnapshot(base.ids, states, base.params, base.v_des, base.lanes, base.ego_index)
+
+
+def planner_rollout(cfg, world):
+    beliefs = {vid: Belief.uniform() for vid in cfg.sv_ids}
+    root = EgoDecision(GapChoice.GAP_0, LateralDecision.LANE_KEEP)
+    return plan_cycle(world, beliefs, cfg, root).rollout
+
+
+@pytest.mark.parametrize("case", ["packed", "packed-mid", "merge5", "merge10"])
+def test_pair_band_penalties_match_reference_on_rollouts(case):
+    if case.startswith("packed"):
+        cfg = packed_lane_scenario(6.0)
+        world = mid_episode_world(cfg, 6) if case == "packed-mid" else cfg.initial_world()
+    else:
+        cfg = default_merge_scenario(5.0 if case == "merge5" else 10.0)
+        world = cfg.initial_world()
+    rollout = planner_rollout(cfg, world)
+    _, lengths, widths, _, _ = world.params_arrays()
+    got = assert_matches_reference(rollout.states, 0.5 * lengths, 0.5 * widths, cfg.weights)
+    assert got.any()
+
+
+def test_pair_band_penalties_reach_boundary():
+    # footprints turned so that corners face each other across the center line:
+    # at a center distance of exactly d_hi + r_i + r_j the corners are d_hi apart
+    hl, hw = 2.0, 1.5                       # circumradius 2.5
+    reach = W.d_hi + 2.0 * np.hypot(hl, hw)
+    turn = -np.arctan2(hw, hl)
+    states = np.zeros((1, 4, 1, 4))
+    states[0, :, 0, 2] = turn
+    states[0, 1, 0, 0] = reach                                   # kept by <=
+    states[0, 2, 0, 1] = 50.0
+    states[0, 3, 0, :2] = np.nextafter(reach, np.inf), 50.0      # just beyond
+    half_len, half_wid = np.full(4, hl), np.full(4, hw)
+    got = assert_matches_reference(states, half_len, half_wid, W)
+    assert got[0, 0] == got[0, 1] == W.w_saf2
+    assert got[0, 2] == got[0, 3] == 0.0
+
+
+@pytest.mark.parametrize("column, step", [(0, 0), (0, 3), (2, 0), (2, 3)])
+def test_pair_band_penalties_row_constant_and_single_row_pairs(column, step):
+    # a and b hold the same trajectory in every row; c, 1.1 m ahead of b, moves
+    # 0.5 m back or turns by 0.6 rad in row 2 at one step, entering w_saf1's band
+    K, S = 5, 4
+    states = np.zeros((K, 3, S, 4))
+    states[:, 1, :, 0] = 6.0
+    states[:, 2, :, 0] = 11.6
+    states[2, 2, step, column] += -0.5 if column == 0 else 0.6
+    half_len, half_wid = np.full(3, 2.25), np.full(3, 1.0)
+    got = assert_matches_reference(states, half_len, half_wid, W)
+    assert np.all(got[:, 0] == got[0, 0]) and got[0, 0] > 0.0
+    assert got[2, 2] == got[0, 2] + W.w_saf1 - W.w_saf2
 
 
 def test_efficiency_cost_direct_sum():

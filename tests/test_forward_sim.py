@@ -10,15 +10,25 @@ from mergegame.actions import (
     build_action_tuples,
 )
 from mergegame.control import IdmSettings
-from mergegame.dynamics import ControlInput, VehicleParams, VehicleState, step_bicycle
+from mergegame.dynamics import (
+    ControlInput,
+    VehicleParams,
+    VehicleState,
+    rect_overlap_arrays,
+    step_bicycle,
+)
 from mergegame.forward_sim import (
     PlannerModel,
     SimConfig,
+    _influence_set,
     active_decision_index,
     simulate_batch,
     simulate_tuple,
 )
-from mergegame.scenario import default_merge_scenario
+from mergegame.costs import Belief
+from mergegame.planner import plan_cycle
+from mergegame.scenario import default_merge_scenario, packed_lane_scenario
+from mergegame.world import interaction_partner
 from mergegame.world import LaneGeometry, WorldSnapshot
 
 G0, G1, G2 = GapChoice.GAP_0, GapChoice.GAP_1, GapChoice.GAP_2
@@ -177,3 +187,85 @@ def test_wrong_horizon_rejected():
     world = default_merge_scenario(5.0).initial_world()
     with pytest.raises(ValueError):
         simulate_tuple(world, (SvAction.ASSERT, const_seq(G0, LK, h=3)), CFG, MODEL)
+
+
+# --- vehicles shared by every rollout -----------------------------------------------
+
+def planner_rollout(cfg):
+    """The rollout of the planner's first cycle: every tuple from the root 0LK."""
+    beliefs = {vid: Belief.uniform() for vid in cfg.sv_ids}
+    return plan_cycle(cfg.initial_world(), beliefs, cfg, EgoDecision(G0, LK)).rollout
+
+
+def shared_ids(world, tuples):
+    gaps = world.resolve_gaps()
+    partners = np.array([world.index_of(p) if p is not None else -1
+                         for p in (interaction_partner(seq, gaps) for _, seq in tuples)])
+    shared = ~_influence_set(world.leader_indices(), world.ego_index, partners)
+    return {world.ids[i] for i in np.flatnonzero(shared)}, partners
+
+
+def test_packed_shared_set_is_the_stream_ahead_of_the_gap():
+    cfg = packed_lane_scenario(6.0)
+    world = cfg.initial_world()
+    shared, partners = shared_ids(world, planner_rollout(cfg).tuples)
+    gap1_partner = world.resolve_gaps()[G1].partner_id
+    x = world.states[:, 0]
+    ahead = {vid for i, vid in enumerate(world.ids)
+             if vid.startswith("pack") and x[i] > x[world.index_of(gap1_partner)]}
+    assert shared == {"sv0"} | ahead
+    assert world.ego_id not in shared
+    assert not shared & {world.ids[p] for p in partners if p >= 0}
+
+
+def test_default_merge_shared_set_is_the_truck():
+    cfg = default_merge_scenario(5.0)
+    shared, _ = shared_ids(cfg.initial_world(), planner_rollout(cfg).tuples)
+    assert shared == {"sv0"}
+
+
+def test_packed_batch_rows_match_single_tuple_sim():
+    cfg = packed_lane_scenario(6.0)
+    world = cfg.initial_world()
+    batch = planner_rollout(cfg)
+    samples = [(SvAction.ASSERT, const_seq(G0, LK)), (SvAction.ASSERT, const_seq(G1, LP))]
+    samples += [(sv, const_seq(gap, LC)) for gap in (G1, G2)
+                for sv in (SvAction.ASSERT, SvAction.YIELD)]
+    for action in samples:
+        k = batch.tuples.index(action)
+        single = simulate_tuple(world, action, cfg.sim, cfg.planner_model())
+        assert np.array_equal(single.states, batch.states[k])
+        assert np.array_equal(single.inputs, batch.inputs[k])
+
+
+def reference_no_overlap_flags(states, lengths, widths):
+    """Every vehicle pair on every row: the overlap check before culling."""
+    K, V = states.shape[:2]
+    radius = 0.5 * np.hypot(lengths, widths)
+    collided = np.zeros(K, dtype=bool)
+    for i in range(V):
+        for j in range(i + 1, V):
+            dx = states[:, i, :, 0] - states[:, j, :, 0]
+            dy = states[:, i, :, 1] - states[:, j, :, 1]
+            ks, ts = np.nonzero(dx * dx + dy * dy <= (radius[i] + radius[j]) ** 2)
+            hit = rect_overlap_arrays(
+                states[ks, i, ts, 0], states[ks, i, ts, 1], states[ks, i, ts, 2],
+                0.5 * lengths[i], 0.5 * widths[i],
+                states[ks, j, ts, 0], states[ks, j, ts, 1], states[ks, j, ts, 2],
+                0.5 * lengths[j], 0.5 * widths[j],
+            )
+            collided[ks[hit]] = True
+    return ~collided
+
+
+@pytest.mark.parametrize("scenario", ["packed", "merge10"])
+def test_feasibility_flags_match_reference(scenario):
+    cfg = packed_lane_scenario(6.0) if scenario == "packed" else default_merge_scenario(10.0)
+    batch = planner_rollout(cfg)
+    flags = batch.feasible
+    assert np.array_equal(flags, reference_no_overlap_flags(batch.states, batch.lengths,
+                                                            batch.widths))
+    if scenario == "packed":
+        assert not flags.any()   # the pack's bumpers touch in every rollout
+    else:
+        assert flags.any() and not flags.all()

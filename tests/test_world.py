@@ -3,6 +3,7 @@ import pytest
 
 from mergegame.actions import DecisionSequence, EgoDecision, GapChoice, LateralDecision
 from mergegame.dynamics import VehicleParams
+from mergegame.scenario import packed_lane_scenario
 from mergegame.world import GapBounds, LaneGeometry, WorldSnapshot, interaction_partner
 
 G0, G1, G2 = GapChoice.GAP_0, GapChoice.GAP_1, GapChoice.GAP_2
@@ -86,6 +87,44 @@ def test_leader_indices_can_exclude_ego():
     without = w.leader_indices(include_ego=False)
     assert with_ego[1] == 0       # rear vehicle follows the ego
     assert without[1] == 2        # or the front vehicle when the ego is invisible
+
+
+def brute_force_leaders(world, include_ego):
+    """The nearest same-lane vehicle strictly ahead; the lowest index wins a tie."""
+    n = world.n_vehicles
+    centers = [world.lane_center_of(k) for k in range(n)]
+    out = np.full(n, -1, dtype=int)
+    for i in range(n):
+        best, best_dx = -1, np.inf
+        for j in range(n):
+            if j == i or (not include_ego and j == world.ego_index) or centers[j] != centers[i]:
+                continue
+            dx = world.states[j, 0] - world.states[i, 0]
+            if 0.0 < dx < best_dx:
+                best, best_dx = j, dx
+        out[i] = best
+    return out
+
+
+@pytest.mark.parametrize("include_ego", [True, False])
+def test_leader_indices_match_brute_force(include_ego):
+    packed = packed_lane_scenario().initial_world()
+    # equal-dx ties on both lanes; a vehicle exactly between the two lane
+    # centers belongs to the current lane; a level vehicle is never a leader
+    ties = make_world([
+        ("a", 10.0, 3.5, 8.0), ("b", 10.0, 3.5, 8.0), ("ego", 0.0, 0.0, 8.0),
+        ("c", 10.0, 0.0, 8.0), ("mid", 10.0, 1.75, 8.0), ("d", 0.0, 3.5, 8.0),
+        ("e", -5.0, 1.75, 8.0), ("f", 0.0, 0.0, 8.0),
+    ])
+    for world in (packed, ties):
+        got = world.leader_indices(include_ego=include_ego)
+        assert got.dtype == brute_force_leaders(world, include_ego).dtype
+        assert np.array_equal(got, brute_force_leaders(world, include_ego))
+    leaders = ties.leader_indices(include_ego=include_ego)
+    ids = list(ties.ids)
+    assert leaders[ids.index("d")] == ids.index("a")
+    assert leaders[ids.index("f")] == ids.index("c")
+    assert leaders[ids.index("e")] == (ids.index("ego") if include_ego else ids.index("f"))
 
 
 def test_interaction_partner_last_gap_rule():
