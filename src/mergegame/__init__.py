@@ -22,8 +22,6 @@ from .closed_loop import (
     write_trace_csv,
 )
 from .control import (
-    GapReference,
-    IdmParams,
     IdmSettings,
     PdGains,
     PurePursuitParams,
@@ -33,28 +31,8 @@ from .control import (
     pure_pursuit,
     virtual_gap_distance,
 )
-from .costs import (
-    Belief,
-    CostBreakdown,
-    CostWeights,
-    GameMatrix,
-    build_game,
-    comfort_cost,
-    efficiency_cost,
-    navigation_cost,
-    safety_cost,
-    update_belief,
-    vehicle_cost,
-)
-from .dynamics import (
-    ControlInput,
-    FootprintRect,
-    VehicleParams,
-    VehicleState,
-    footprint_of,
-    rect_distance,
-    step_bicycle,
-)
+from .costs import Belief, CostWeights, GameMatrix, update_belief
+from .dynamics import VehicleParams, step_bicycle
 from .forward_sim import SimConfig, PlannerModel, TrajectorySet, simulate_batch, simulate_tuple
 from .game import (
     Equilibrium,

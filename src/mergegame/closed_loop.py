@@ -5,12 +5,12 @@ The truth model differs from the planner's rollout model on purpose: real
 surrounding vehicles anticipate the ego with a constant-velocity projection and
 react only once it comes laterally close, with the reaction range set by their
 behavior mode (polite vehicles react to a probing ego, selfish ones only once
-it is nearly on their lane).
+it is nearly on their lane). Their car following is the planner's modified IDM
+(control.idm_accel) with no lateral discount.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -18,9 +18,9 @@ from enum import Enum
 import numpy as np
 
 from .actions import EgoDecision, GapChoice, LateralDecision
-from .control import IdmParams, idm_accel
+from .control import IdmSettings, idm_accel, virtual_gap_distance
 from .costs import Belief, GameMatrix, update_belief
-from .dynamics import ControlInput, VehicleState, rect_overlap_arrays, step_bicycle
+from .dynamics import rect_overlap_arrays, step_bicycle
 from .planner import CycleResult, plan_cycle
 from .scenario import ScenarioConfig
 from .world import WorldSnapshot
@@ -52,23 +52,31 @@ class Outcome(Enum):
     TIMEOUT = "timeout"
 
 
-def truth_sv_accel(sv: VehicleState, ego: VehicleState, mode: BehaviorMode,
-                   params: IdmParams, lane_center_y: float,
-                   leader: VehicleState | None = None,
-                   polite_frac: float = 0.75, selfish_frac: float = 0.25) -> float:
-    """Ground-truth acceleration of one surrounding vehicle.
+def truth_sv_accel(states: np.ndarray, sv: np.ndarray, leader_idx: np.ndarray, ego: int,
+                   v0: np.ndarray, lane_y: np.ndarray, reach: np.ndarray,
+                   idm: IdmSettings) -> np.ndarray:
+    """Ground-truth accelerations of the surrounding vehicles sv, all at once.
 
-    Plain car following against the physical leader; when the ego is ahead and
-    laterally within the mode's reaction range of this vehicle's lane center,
-    the vehicle also brakes for the ego's constant-velocity projection onto its
-    lane and the more cautious of the two commands wins.
+    states (V, 4) holds every vehicle; leader_idx (V,) each vehicle's physical
+    leader (-1 for none); v0, lane_y and reach (n,) each vehicle's desired
+    speed, lane center and lateral reaction range (its mode's fraction of the
+    lane width). Plain car following against the physical leader, with
+    kappa = 0; when the ego is level or ahead and within the reaction range of
+    a vehicle's lane center, that vehicle also brakes for the ego's
+    constant-velocity projection onto its lane and the more cautious of the
+    two commands wins.
     """
-    frac = polite_frac if mode == BehaviorMode.POLITE else selfish_frac
-    a = idm_accel(sv, leader, params)
-    if abs(ego.y - lane_center_y) <= frac * params.w_lane and ego.x >= sv.x:
-        projected = VehicleState(ego.x, lane_center_y, 0.0, ego.v * math.cos(ego.theta))
-        a = min(a, idm_accel(sv, projected, params))
-    return a
+    x, y, v = states[sv, 0], states[sv, 1], states[sv, 3]
+    lead = leader_idx[sv]
+    has_lead = lead >= 0
+    li = np.where(has_lead, lead, 0)
+    d_lead = virtual_gap_distance(states[li, 0], states[li, 1], x, y, 0.0)
+    a = idm_accel(v, states[li, 3], d_lead, has_lead, v0, idm)
+    ex, ey, eth, ev = states[ego]
+    d_ego = virtual_gap_distance(ex, lane_y, x, y, 0.0)
+    a_ego = idm_accel(v, ev * np.cos(eth), d_ego, True, v0, idm)
+    reacts = (np.abs(ey - lane_y) <= reach) & (ex >= x)
+    return np.where(reacts, np.minimum(a, a_ego), a)
 
 
 @dataclass
@@ -139,15 +147,14 @@ def run_episode(cfg: ScenarioConfig, planner: str | None = None,
     ids, e = base.ids, base.ego_index
     dt, substeps = cfg.sim.dt, cfg.sim.substeps
     lanes = cfg.lanes
-    modes = {v.vehicle_id: BehaviorMode(v.mode) for v in cfg.vehicles if v.role != "ego"}
-    lane_center = {v.vehicle_id: cfg.lane_center(v.lane) for v in cfg.vehicles}
-    idm_params = {
-        v.vehicle_id: IdmParams(
-            v0=v.v_des, time_headway=cfg.idm.time_headway, s0=cfg.idm.s0,
-            a_acc=cfg.idm.a_acc, b_dec=cfg.idm.b_dec, beta=1.0,
-            w_lane=lanes.width, b_emergency=cfg.idm.b_emergency)
-        for v in cfg.vehicles if v.role != "ego"
-    }
+    svs = [v for v in cfg.vehicles if v.role != "ego"]
+    sv = np.array([base.index_of(v.vehicle_id) for v in svs])
+    sv_v0 = np.array([v.v_des for v in svs])
+    sv_lane_y = np.array([cfg.lane_center(v.lane) for v in svs])
+    frac = {BehaviorMode.POLITE: cfg.episode.polite_lateral_frac,
+            BehaviorMode.SELFISH: cfg.episode.selfish_lateral_frac}
+    sv_reach = np.array([frac[BehaviorMode(v.mode)] for v in svs]) * lanes.width
+    wheelbase, _, _, a_max, delta_max = base.params_arrays()
     beliefs = {vid: Belief(cfg.beliefs.initial_assert, 1.0 - cfg.beliefs.initial_assert)
                for vid in cfg.sv_ids}
 
@@ -185,25 +192,19 @@ def run_episode(cfg: ScenarioConfig, planner: str | None = None,
             a_cmd = np.zeros(len(ids))
             d_cmd = np.zeros(len(ids))
             a_cmd[e], d_cmd[e] = ego_inputs[s]
-            ego_state = VehicleState(*states[e])
-            for i, vid in enumerate(ids):
-                if i == e:
-                    continue
-                leader = VehicleState(*states[leader_idx[i]]) if leader_idx[i] >= 0 else None
-                a_cmd[i] = truth_sv_accel(
-                    VehicleState(*states[i]), ego_state, modes[vid], idm_params[vid],
-                    lane_center[vid], leader,
-                    cfg.episode.polite_lateral_frac, cfg.episode.selfish_lateral_frac)
+            a_cmd[sv] = truth_sv_accel(states, sv, leader_idx, e, sv_v0, sv_lane_y, sv_reach,
+                                       cfg.idm)
             if res.partner_id is not None:
                 partner_obs.append(float(a_cmd[base.index_of(res.partner_id)]))
             if record_steps:
                 for i, vid in enumerate(ids):
                     rows.append((cycle, t, vid, states[i, 0], states[i, 1], states[i, 2],
                                  states[i, 3], a_cmd[i], d_cmd[i]))
-            for i in range(len(ids)):
-                nxt = step_bicycle(VehicleState(*states[i]), ControlInput(a_cmd[i], d_cmd[i]),
-                                   dt, base.params[i])
-                states[i] = (nxt.x, nxt.y, nxt.theta, nxt.v)
+            # the commands are recorded as issued, and saturated to the actuation limits here
+            states = np.column_stack(step_bicycle(
+                states[:, 0], states[:, 1], states[:, 2], states[:, 3],
+                np.clip(a_cmd, -a_max, a_max), np.clip(d_cmd, -delta_max, delta_max),
+                dt, wheelbase))
             t += dt
             if _ego_hits_anyone(states, base):
                 terminal = Outcome.COLLISION

@@ -1,47 +1,37 @@
 """Continuous control laws: gap reference, PD tracking, pure pursuit, modified IDM.
 
+Every law here operates on numpy arrays (broadcasting), so one implementation
+serves both callers: the planner's rollouts (forward_sim.simulate_batch), which
+evaluate it on all action tuples at once, and the truth world
+(closed_loop.truth_sv_accel), which evaluates it on all surrounding vehicles
+at once. A scalar call is just a broadcast.
+
 The modified IDM treats a laterally offset leader as farther away than it is:
 the spacing input is inflated by exp(kappa * |dy|) with kappa = 2 ln(beta) / w_lane,
 so a large beta makes a follower ignore a merging vehicle (assert) while a beta
-near one makes it brake for it early (yield).
+near one makes it brake for it early (yield). The truth world is this IDM with
+kappa = 0 (beta = 1, no lateral discount), plus its reaction gate: a vehicle
+also brakes for the ego's projection onto its lane once the ego is level or
+ahead and laterally within the vehicle's reaction range.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import GapChoice
-from .dynamics import VehicleState
-
 __all__ = [
-    "GapReference",
     "PdGains",
     "PurePursuitParams",
-    "IdmParams",
+    "IdmSettings",
     "gap_reference",
-    "gap_reference_from_bounds",
     "pd_longitudinal",
     "pure_pursuit",
+    "lateral_discount",
     "virtual_gap_distance",
     "idm_accel",
 ]
-
-
-@dataclass(frozen=True)
-class GapReference:
-    """Longitudinal target for the ego within the chosen gap.
-
-    x_target is None when only a desired speed applies (open road ahead).
-    infeasible marks a gap whose boundaries leave no room; the forward
-    simulation still runs and the safety cost penalizes the outcome.
-    """
-
-    x_target: float | None
-    v_target: float
-    infeasible: bool = False
 
 
 @dataclass(frozen=True)
@@ -58,40 +48,17 @@ class PdGains:
 @dataclass(frozen=True)
 class PurePursuitParams:
     kpp: float = 1.8          # lookahead gain (s); lookahead distance is kpp * v
-    wheelbase: float = 2.7
     min_lookahead: float = 4.0  # floor keeping the lookahead finite near standstill
 
     def __post_init__(self):
-        if self.kpp <= 0.0 or self.min_lookahead <= 0.0 or self.wheelbase <= 0.0:
+        if self.kpp <= 0.0 or self.min_lookahead <= 0.0:
             raise ValueError("pure-pursuit parameters must be > 0")
 
 
 @dataclass(frozen=True)
-class IdmParams:
-    """Modified-IDM parameters for one follower.
-
-    beta > 1 discounts laterally offset leaders; b_emergency caps braking.
-    """
-
-    v0: float = 10.0
-    time_headway: float = 1.2
-    s0: float = 6.0
-    a_acc: float = 1.5
-    b_dec: float = 2.0
-    beta: float = 1.0
-    w_lane: float = 3.5
-    b_emergency: float = 6.0
-
-    def __post_init__(self):
-        for name in ("v0", "time_headway", "s0", "a_acc", "b_dec", "beta", "w_lane", "b_emergency"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"IdmParams.{name} must be > 0")
-
-
-@dataclass(frozen=True)
 class IdmSettings:
-    """Scenario-wide car-following settings; per-follower IdmParams are derived
-    by filling in the follower's desired speed and behavior-mode beta."""
+    """Scenario-wide modified-IDM settings. Each follower adds its own desired
+    speed v0 and, in the planner's model, a behavior-mode beta."""
 
     time_headway: float = 1.2
     s0: float = 6.0
@@ -102,101 +69,80 @@ class IdmSettings:
     beta_yield: float = 2.0
 
     def __post_init__(self):
+        for name in ("time_headway", "s0", "a_acc", "b_dec", "b_emergency"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"IdmSettings.{name} must be > 0")
         if not self.beta_assert > self.beta_yield >= 1.0:
             raise ValueError("requires beta_assert > beta_yield >= 1")
 
-    def params_for(self, v0: float, beta: float, w_lane: float) -> IdmParams:
-        return IdmParams(v0=v0, time_headway=self.time_headway, s0=self.s0,
-                         a_acc=self.a_acc, b_dec=self.b_dec, beta=beta,
-                         w_lane=w_lane, b_emergency=self.b_emergency)
 
+def gap_reference(x_front, v_front, has_front, x_rear, has_rear, v_des, d_safe,
+                  follow_distance):
+    """Rule-based target (x_target, v_target) inside a gap given its bounding vehicles.
 
-def gap_reference_from_bounds(front: VehicleState | None, rear: VehicleState | None,
-                              v_des: float, d_safe: float,
-                              follow_distance: float | None = None) -> GapReference:
-    """Rule-based target inside a gap given its bounding vehicles.
-
-    Both bounds  -> midpoint of [x_rear + d_safe, x_front - d_safe], flagged
-    infeasible when the bounds are closer than 2 * d_safe.
-    Front only   -> follow point behind the front vehicle.
-    No front     -> speed tracking at the lane desired speed.
+    Both bounds  -> midpoint of [x_rear + d_safe, x_front - d_safe].
+    Front only   -> follow point follow_distance behind the front vehicle.
+    No front     -> speed tracking at v_des; x_target is then meaningless, and
+                    pd_longitudinal is called with has_target = has_front.
+    The speed target is min(v_front, v_des) wherever a front vehicle exists.
     """
-    if follow_distance is None:
-        follow_distance = 2.0 * d_safe
-    if front is None:
-        return GapReference(x_target=None, v_target=v_des)
-    v_target = min(front.v, v_des)
-    if rear is None:
-        return GapReference(x_target=front.x - follow_distance, v_target=v_target)
-    infeasible = (front.x - rear.x) < 2.0 * d_safe
-    x_target = 0.5 * ((rear.x + d_safe) + (front.x - d_safe))
-    return GapReference(x_target=x_target, v_target=v_target, infeasible=infeasible)
+    v_target = np.where(has_front, np.minimum(v_front, v_des), v_des)
+    x_target = np.where(has_rear & has_front,
+                        0.5 * ((x_rear + d_safe) + (x_front - d_safe)),
+                        x_front - follow_distance)
+    return x_target, v_target
 
 
-def gap_reference(gap: GapChoice, world, ego_id: str, d_safe: float = 6.0) -> GapReference:
-    """Resolve the gap bounds in `world` (a WorldSnapshot) and build the reference."""
-    bounds = world.resolve_gaps()[GapChoice(gap)]
-    front = world.state_of(bounds.front_id) if bounds.front_id is not None else None
-    rear = world.state_of(bounds.rear_id) if bounds.rear_id is not None else None
-    return gap_reference_from_bounds(front, rear, world.v_des_of(ego_id), d_safe)
+def pd_longitudinal(x, v, x_target, v_target, has_target, gains: PdGains, a_max):
+    """PD acceleration toward (x_target, v_target), saturated to [-a_max, a_max].
 
-
-def pd_longitudinal(state: VehicleState, ref: GapReference, gains: PdGains,
-                    a_max: float = math.inf) -> float:
-    """PD acceleration toward the gap reference, saturated to [-a_max, a_max].
-
-    Falls back to pure speed tracking when the reference has no position target.
+    Pure speed tracking where has_target is false.
     """
-    if ref.x_target is None:
-        a = gains.kp_vel * (ref.v_target - state.v)
-    else:
-        a = gains.kp_pos * (ref.x_target - state.x) + gains.kd_pos * (ref.v_target - state.v)
-    return float(np.clip(a, -a_max, a_max))
+    a_pd = gains.kp_pos * (x_target - x) + gains.kd_pos * (v_target - v)
+    a_free = gains.kp_vel * (v_target - v)
+    return np.clip(np.where(has_target, a_pd, a_free), -a_max, a_max)
 
 
-def pure_pursuit(state: VehicleState, target_line_y: float, params: PurePursuitParams,
-                 delta_max: float = 0.5 * math.pi) -> float:
-    """Steering command tracking a lateral line y = target_line_y.
+def pure_pursuit(y, theta, v, line_y, wheelbase, params: PurePursuitParams, delta_max):
+    """Steering command tracking a lateral line y = line_y.
 
     The lookahead point sits on the target line at distance
     max(kpp * v, min_lookahead); gamma is the angle from the heading to that
-    point and the command is atan(2 L sin(gamma) / lookahead), saturated.
+    point and the command is atan(2 L sin(gamma) / lookahead) for the
+    vehicle's own wheelbase L, saturated to [-delta_max, delta_max].
     """
-    lookahead = max(params.kpp * state.v, params.min_lookahead)
-    sin_los = np.clip((target_line_y - state.y) / lookahead, -1.0, 1.0)
-    gamma = math.asin(float(sin_los)) - state.theta
-    delta = math.atan(2.0 * params.wheelbase * math.sin(gamma) / lookahead)
-    return float(np.clip(delta, -delta_max, delta_max))
+    lookahead = np.maximum(params.kpp * v, params.min_lookahead)
+    sin_los = np.clip((line_y - y) / lookahead, -1.0, 1.0)
+    gamma = np.arcsin(sin_los) - theta
+    return np.clip(np.arctan(2.0 * wheelbase * np.sin(gamma) / lookahead),
+                   -delta_max, delta_max)
 
 
-def virtual_gap_distance(leader: VehicleState, follower: VehicleState,
-                         params: IdmParams) -> float:
+def lateral_discount(beta, w_lane):
+    """kappa = 2 ln(beta) / w_lane: one full lane of offset scales the distance by beta^2."""
+    return 2.0 * np.log(beta) / w_lane
+
+
+def virtual_gap_distance(x_lead, y_lead, x, y, kappa):
     """Longitudinal distance inflated by the lateral offset: |dx| * exp(kappa |dy|).
 
-    kappa = 2 ln(beta) / w_lane, so one full lane of offset scales the distance
-    by beta^2 and zero offset reproduces the true distance.
+    Zero offset, or kappa = 0, reproduces the true distance.
     """
-    kappa = 2.0 * math.log(params.beta) / params.w_lane
-    return abs(leader.x - follower.x) * math.exp(kappa * abs(leader.y - follower.y))
+    return np.abs(x_lead - x) * np.exp(kappa * np.abs(y_lead - y))
 
 
-def idm_accel(follower: VehicleState, virtual_leader: VehicleState | None,
-              params: IdmParams) -> float:
-    """Intelligent-driver-model acceleration with the virtual distance as spacing input.
+def idm_accel(v, v_lead, d, has_lead, v0, idm: IdmSettings):
+    """Intelligent-driver-model acceleration with the (virtual) distance d as spacing input.
 
-    Free-road term only when no leader; a vanishing spacing returns full
-    emergency braking (imminent collision, not a fault). Output saturated to
-    [-b_emergency, a_acc].
+    Free-road term only where has_lead is false; a vanishing spacing returns
+    full emergency braking (imminent collision, not a fault). Output saturated
+    to [-b_emergency, a_acc].
     """
-    v = follower.v
-    free = 1.0 - (v / params.v0) ** 4
-    if virtual_leader is None:
-        a = params.a_acc * free
-    else:
-        d = virtual_gap_distance(virtual_leader, follower, params)
-        if d <= 0.0:
-            return -params.b_emergency
-        dv = v - virtual_leader.v
-        s_star = params.s0 + v * params.time_headway + v * dv / (2.0 * math.sqrt(params.a_acc * params.b_dec))
-        a = params.a_acc * (free - (s_star / d) ** 2)
-    return float(np.clip(a, -params.b_emergency, params.a_acc))
+    free = 1.0 - (v / v0) ** 4
+    safe_d = np.where(d > 0.0, d, 1.0)
+    sqrt_ab = 2.0 * np.sqrt(idm.a_acc * idm.b_dec)
+    s_star = idm.s0 + v * idm.time_headway + v * (v - v_lead) / sqrt_ab
+    a_follow = idm.a_acc * (free - (s_star / safe_d) ** 2)
+    a = np.where(has_lead, a_follow, idm.a_acc * free)
+    a = np.where(has_lead & (d <= 0.0), -idm.b_emergency, a)
+    return np.clip(a, -idm.b_emergency, idm.a_acc)

@@ -18,22 +18,15 @@ import numpy as np
 
 from .actions import DecisionSequence, SvAction
 from .dynamics import near_pair_steps, rect_distance_arrays
-from .forward_sim import BatchRollout, TrajectorySet
-from .world import WorldSnapshot, interaction_partner
+from .forward_sim import BatchRollout
+from .world import WorldSnapshot
 
 log = logging.getLogger(__name__)
 
 __all__ = [
     "CostWeights",
-    "CostBreakdown",
     "Belief",
     "GameMatrix",
-    "safety_cost",
-    "efficiency_cost",
-    "comfort_cost",
-    "navigation_cost",
-    "vehicle_cost",
-    "build_game",
     "build_game_from_batch",
     "update_belief",
 ]
@@ -57,19 +50,6 @@ class CostWeights:
             raise ValueError("requires 0 <= d_lo < d_hi")
         if min(self.w_eff, self.w_com, self.w_nav) < 0.0:
             raise ValueError("cost weights must be >= 0")
-
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    safety: float
-    efficiency: float
-    comfort: float
-    navigation: float
-    info: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.safety + self.efficiency + self.comfort + self.navigation + self.info
 
 
 @dataclass(frozen=True)
@@ -162,70 +142,7 @@ def _pair_band_penalties(states, half_len, half_wid, weights: CostWeights):
     return out
 
 
-def _half_dims(traj: TrajectorySet, world: WorldSnapshot):
-    order = [world.index_of(v) for v in traj.vehicle_ids]
-    _, lengths, widths, _, _ = world.params_arrays()
-    return 0.5 * lengths[order], 0.5 * widths[order]
-
-
-def safety_cost(traj: TrajectorySet, vehicle_id: str, weights: CostWeights,
-                world: WorldSnapshot) -> float:
-    """Sum over steps and other vehicles of the piecewise distance penalty."""
-    hl, hw = _half_dims(traj, world)
-    per_vehicle = _pair_band_penalties(traj.states[None, ...], hl, hw, weights)
-    return float(per_vehicle[0, traj.index_of(vehicle_id)])
-
-
-def efficiency_cost(traj: TrajectorySet, vehicle_id: str, weights: CostWeights,
-                    v_des: float) -> float:
-    v = traj.states[traj.index_of(vehicle_id), :, 3]
-    return float(weights.w_eff * np.sum((v - v_des) ** 2))
-
-
-def comfort_cost(traj: TrajectorySet, vehicle_id: str, weights: CostWeights) -> float:
-    """Squared jerk, approximated by finite differences of the commanded acceleration."""
-    a = traj.inputs[traj.index_of(vehicle_id), :, 0]
-    return float(weights.w_com * np.sum(np.diff(a) ** 2) / traj.dt ** 2)
-
-
-def navigation_cost(traj: TrajectorySet, vehicle_id: str, weights: CostWeights,
-                    y_des: float) -> float:
-    y = traj.states[traj.index_of(vehicle_id), :, 1]
-    return float(weights.w_nav * np.sum((y - y_des) ** 2))
-
-
-def vehicle_cost(traj: TrajectorySet, vehicle_id: str, weights: CostWeights,
-                 world: WorldSnapshot, v_des: float, y_des: float,
-                 info: float = 0.0) -> CostBreakdown:
-    return CostBreakdown(
-        safety=safety_cost(traj, vehicle_id, weights, world),
-        efficiency=efficiency_cost(traj, vehicle_id, weights, v_des),
-        comfort=comfort_cost(traj, vehicle_id, weights),
-        navigation=navigation_cost(traj, vehicle_id, weights, y_des),
-        info=info,
-    )
-
-
 # --- matrix assembly ----------------------------------------------------------
-
-def _structure_tuples(tuples) -> tuple[tuple[SvAction, ...], tuple[DecisionSequence, ...]]:
-    rows = list(dict.fromkeys(sv for sv, _ in tuples))
-    n_cols, rem = divmod(len(tuples), len(rows))
-    cols = tuple(seq for _, seq in tuples[:n_cols])
-    ok = rem == 0 and n_cols > 0
-    if ok:
-        for r, sv in enumerate(rows):
-            block = tuples[r * n_cols:(r + 1) * n_cols]
-            if any(s is not sv and s != sv for s, _ in block):
-                ok = False
-                break
-            if any(a is not b and a != b for (_, a), b in zip(block, cols)):
-                ok = False
-                break
-    if not ok:
-        raise ValueError("action tuples must form a row-major cross product")
-    return tuple(rows), cols
-
 
 def _column_beliefs(partners, beliefs: Mapping[str, Belief]):
     """Belief of each column's interaction partner; uniform when a column has none."""
@@ -238,60 +155,20 @@ def _weight_rows(sv_raw, rows, per_col_beliefs):
     return w * sv_raw
 
 
-def build_game(tuples: Sequence[tuple[SvAction, DecisionSequence]],
-               trajectory_sets: Sequence[TrajectorySet],
-               beliefs: Mapping[str, Belief],
-               weights: CostWeights,
-               world: WorldSnapshot,
-               y_des_ego: float | None = None) -> GameMatrix:
-    """Assemble the belief-weighted cost matrix from per-tuple trajectory sets.
-
-    Entry (i, j) holds ((1 - b(row_i)) * sum of surrounding-vehicle costs, ego cost)
-    where the belief is the one tracked for the interaction partner implied by
-    column j. Raises when a tuple is missing its trajectory set.
-    """
-    tuples = list(tuples)
-    if len(trajectory_sets) != len(tuples):
-        raise ValueError("one trajectory set per action tuple is required")
-    for tup, ts in zip(tuples, trajectory_sets):
-        if ts.action != tup:
-            raise ValueError(f"trajectory set does not match its action tuple: {tup}")
-    rows, cols = _structure_tuples(tuples)
-    if y_des_ego is None:
-        y_des_ego = world.lanes.target_center
-
-    ego = world.ego_id
-    sv_ids = [v for v in world.ids if v != ego]
-    sv_raw = np.empty((len(rows), len(cols)))
-    ev = np.empty((len(rows), len(cols)))
-    for k, ts in enumerate(trajectory_sets):
-        r, c = divmod(k, len(cols))
-        total_sv = 0.0
-        for vid in sv_ids:
-            total_sv += vehicle_cost(
-                ts, vid, weights, world,
-                v_des=world.v_des_of(vid),
-                y_des=world.lanes.nearest_center(ts.states[ts.index_of(vid), 0, 1]),
-            ).total
-        sv_raw[r, c] = total_sv
-        ev[r, c] = vehicle_cost(ts, ego, weights, world,
-                                v_des=world.v_des_of(ego), y_des=y_des_ego).total
-
-    gaps = world.resolve_gaps()
-    partners = tuple(interaction_partner(seq, gaps) for seq in cols)
-    sv_weighted = _weight_rows(sv_raw, rows, _column_beliefs(partners, beliefs))
-    return GameMatrix(rows, cols, sv_weighted, ev, sv_raw=sv_raw, col_partners=partners)
-
-
 def build_game_from_batch(rollout: BatchRollout, world: WorldSnapshot,
                           beliefs: Mapping[str, Belief], weights: CostWeights,
+                          rows: Sequence[SvAction], cols: Sequence[DecisionSequence],
                           y_des_ego: float | None = None,
                           ev_extra: np.ndarray | None = None) -> GameMatrix:
-    """Vectorized equivalent of build_game operating on a stacked rollout.
+    """Assemble the belief-weighted cost matrix from a stacked rollout.
 
-    ev_extra, when given, is added to the ego entries (information-gain term).
+    The rollout holds the row-major cross product of the group actions rows
+    and the ego sequences cols. Entry (i, j) holds ((1 - b(row_i)) * sum of
+    surrounding-vehicle costs, ego cost), where the belief is the one tracked
+    for the interaction partner of column j. ev_extra, when given, is added
+    to the ego entries (information-gain term).
     """
-    rows, cols = _structure_tuples(rollout.tuples)
+    rows, cols = tuple(rows), tuple(cols)
     if y_des_ego is None:
         y_des_ego = world.lanes.target_center
     e = world.ego_index

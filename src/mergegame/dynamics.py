@@ -1,8 +1,8 @@
 """Kinematic bicycle integration and rectangle-footprint geometry.
 
 All functions here are pure and operate on either scalars or numpy arrays
-(broadcasting), so the forward simulator can batch many rollouts through the
-same code path that single-step callers use.
+(broadcasting), so the planner's batched rollouts and the truth world's
+all-vehicle step go through the same code.
 """
 
 from __future__ import annotations
@@ -12,37 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "VehicleState",
-    "ControlInput",
     "VehicleParams",
-    "FootprintRect",
     "step_bicycle",
-    "step_bicycle_arrays",
-    "footprint_of",
-    "rect_distance",
-    "rect_corners",
     "rect_distance_arrays",
     "rect_overlap_arrays",
     "near_pair_steps",
 ]
-
-
-@dataclass(frozen=True)
-class VehicleState:
-    """Pose and speed of one vehicle: footprint-center position (m), heading (rad), speed (m/s)."""
-
-    x: float
-    y: float
-    theta: float
-    v: float
-
-
-@dataclass(frozen=True)
-class ControlInput:
-    """Acceleration (m/s^2) and front steering angle (rad)."""
-
-    a: float
-    delta: float
 
 
 @dataclass(frozen=True)
@@ -59,25 +34,6 @@ class VehicleParams:
         for name in ("wheelbase", "length", "width", "a_max", "delta_max"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"VehicleParams.{name} must be > 0")
-
-
-@dataclass(frozen=True)
-class FootprintRect:
-    """Rectangle with center pose (x, y, theta) and half dimensions."""
-
-    x: float
-    y: float
-    theta: float
-    half_length: float
-    half_width: float
-
-    def __post_init__(self):
-        if self.half_length <= 0.0 or self.half_width <= 0.0:
-            raise ValueError("half dimensions must be > 0")
-
-
-def footprint_of(state: VehicleState, params: VehicleParams) -> FootprintRect:
-    return FootprintRect(state.x, state.y, state.theta, params.length / 2.0, params.width / 2.0)
 
 
 def _wrap_angle(theta):
@@ -101,11 +57,12 @@ def _bicycle_rhs(x, y, theta, v, a, delta, wheelbase):
     )
 
 
-def step_bicycle_arrays(x, y, theta, v, a, delta, dt, wheelbase):
+def step_bicycle(x, y, theta, v, a, delta, dt, wheelbase):
     """One Kutta third-order step of the bicycle ODE on array (or scalar) state.
 
     Stages at 0, 1/2, 1 with weights 1/6, 2/3, 1/6. Returns (x, y, theta, v)
-    with v clamped at zero and theta wrapped to (-pi, pi].
+    with v clamped at zero and theta wrapped to (-pi, pi]. The inputs are
+    used as given: callers saturate them to the actuation limits.
     """
     k1 = _bicycle_rhs(x, y, theta, v, a, delta, wheelbase)
     k2 = _bicycle_rhs(
@@ -130,37 +87,7 @@ def step_bicycle_arrays(x, y, theta, v, a, delta, dt, wheelbase):
     return x_n, y_n, th_n, v_n
 
 
-def step_bicycle(state: VehicleState, control: ControlInput, dt: float,
-                 params: VehicleParams) -> VehicleState:
-    """Advance one vehicle by dt. Inputs are saturated to the actuation limits, never rejected."""
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
-    a = float(np.clip(control.a, -params.a_max, params.a_max))
-    delta = float(np.clip(control.delta, -params.delta_max, params.delta_max))
-    x, y, th, v = step_bicycle_arrays(
-        np.float64(state.x), np.float64(state.y), np.float64(state.theta), np.float64(state.v),
-        np.float64(a), np.float64(delta), np.float64(dt), np.float64(params.wheelbase),
-    )
-    return VehicleState(float(x), float(y), float(th), float(v))
-
-
 # --- rectangle geometry -----------------------------------------------------
-
-# perimeter corner order: front-left, front-right, rear-right, rear-left
-_CORNER_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [-1.0, 1.0]])
-
-
-def rect_corners(x, y, theta, half_length, half_width):
-    """Corner coordinates, shape (..., 4, 2), for array or scalar rectangle parameters."""
-    x, y, theta = np.asarray(x, float), np.asarray(y, float), np.asarray(theta, float)
-    hl, hw = np.asarray(half_length, float), np.asarray(half_width, float)
-    c, s = np.cos(theta), np.sin(theta)
-    lx = _CORNER_SIGNS[:, 0] * hl[..., None]
-    ly = _CORNER_SIGNS[:, 1] * hw[..., None]
-    cx = x[..., None] + c[..., None] * lx - s[..., None] * ly
-    cy = y[..., None] + s[..., None] * lx + c[..., None] * ly
-    return np.stack([cx, cy], axis=-1)
-
 
 def _relative_frame(ax, ay, ath, bx, by, bth):
     """Pose of rectangle B expressed in A's body frame: center (rx, ry), cos/sin
@@ -197,7 +124,7 @@ def _corner_box_dist2(rx, ry, cr, sr, ahl, ahw, bhl, bhw):
 def rect_overlap_arrays(ax, ay, ath, ahl, ahw, bx, by, bth, bhl, bhw, strict=False):
     """Separating-axis intersection test for batches of rectangle pairs.
 
-    With strict=False touching counts as overlap (matches rect_distance == 0);
+    With strict=False touching counts as overlap (matches rect_distance_arrays == 0);
     with strict=True only positive-area penetration counts.
     """
     rx, ry, cr, sr = _relative_frame(ax, ay, ath, bx, by, bth)
@@ -264,11 +191,3 @@ def near_pair_steps(states, radius, pad):
             ks, ts = np.nonzero(near)
             yield i, j, block, ks, ts
 
-
-def rect_distance(a: FootprintRect, b: FootprintRect) -> float:
-    """Separation distance between two (possibly rotated) rectangles; 0 if they intersect or touch."""
-    d = rect_distance_arrays(
-        np.float64(a.x), np.float64(a.y), np.float64(a.theta), np.float64(a.half_length), np.float64(a.half_width),
-        np.float64(b.x), np.float64(b.y), np.float64(b.theta), np.float64(b.half_length), np.float64(b.half_width),
-    )
-    return float(d)

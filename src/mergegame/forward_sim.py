@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actions import DecisionSequence, LateralDecision, SvAction
-from .control import IdmSettings, PdGains, PurePursuitParams
-from .dynamics import (ControlInput, VehicleState, near_pair_steps, rect_overlap_arrays,
-                       step_bicycle_arrays)
+from .control import (IdmSettings, PdGains, PurePursuitParams, gap_reference, idm_accel,
+                      lateral_discount, pd_longitudinal, pure_pursuit, virtual_gap_distance)
+from .dynamics import near_pair_steps, rect_overlap_arrays, step_bicycle
 from .world import WorldSnapshot, interaction_partner
 
 __all__ = [
@@ -89,14 +89,6 @@ class TrajectorySet:
 
     def index_of(self, vehicle_id: str) -> int:
         return self.vehicle_ids.index(vehicle_id)
-
-    def state(self, vehicle_id: str, t: int) -> VehicleState:
-        x, y, th, v = self.states[self.index_of(vehicle_id), t]
-        return VehicleState(float(x), float(y), float(th), float(v))
-
-    def input(self, vehicle_id: str, t: int) -> ControlInput:
-        a, d = self.inputs[self.index_of(vehicle_id), t]
-        return ControlInput(float(a), float(d))
 
 
 @dataclass
@@ -178,27 +170,19 @@ def _idm_block(X, Y, TH, VS, rows, lead, kappa, ego_watch, v_des, a_max, idm: Id
     lead (n,) is each vehicle's leader row (-1 for none) and kappa its lateral
     discount, a scalar or (n, R); v_des and a_max are (n, 1). Where ego_watch
     holds and the ego is level or ahead, the ego is a second, virtual leader,
-    and the nearer of the two governs.
+    and the nearer of the two governs. The law itself is control.idm_accel.
     """
     x, y, v = X[rows], Y[rows], VS[rows]
     has_phys = (lead >= 0)[:, None]
     li = np.where(lead >= 0, lead, 0)
-    d_phys = np.where(has_phys, np.abs(X[li] - x) * np.exp(kappa * np.abs(Y[li] - y)), np.inf)
+    d_phys = np.where(has_phys, virtual_gap_distance(X[li], Y[li], x, y, kappa), np.inf)
     v_phys = np.where(has_phys, VS[li], 0.0)
-    d_ego = np.abs(X[:1] - x) * np.exp(kappa * np.abs(Y[:1] - y))
+    d_ego = virtual_gap_distance(X[:1], Y[:1], x, y, kappa)
     use_ego = ego_watch & (X[:1] >= x) & (d_ego < d_phys)
     d_lead = np.where(use_ego, d_ego, d_phys)
     v_lead = np.where(use_ego, VS[:1] * np.cos(TH[:1]), v_phys)
     has_lead = has_phys | use_ego
-
-    free = 1.0 - (v / v_des) ** 4
-    safe_d = np.where(d_lead > 0.0, d_lead, 1.0)
-    sqrt_ab = 2.0 * np.sqrt(idm.a_acc * idm.b_dec)
-    s_star = idm.s0 + v * idm.time_headway + v * (v - v_lead) / sqrt_ab
-    a_follow = idm.a_acc * (free - (s_star / safe_d) ** 2)
-    a = np.where(has_lead, a_follow, idm.a_acc * free)
-    a = np.where(has_lead & (d_lead <= 0.0), -idm.b_emergency, a)
-    return np.clip(np.clip(a, -idm.b_emergency, idm.a_acc), -a_max, a_max)
+    return np.clip(idm_accel(v, v_lead, d_lead, has_lead, v_des, idm), -a_max, a_max)
 
 
 def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
@@ -237,8 +221,8 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
     lanes = world.lanes
     w_lane = lanes.width
     idm = model.idm
-    kappa_assert = 2.0 * np.log(idm.beta_assert) / w_lane
-    kappa_yield = 2.0 * np.log(idm.beta_yield) / w_lane
+    kappa_assert = lateral_discount(idm.beta_assert, w_lane)
+    kappa_yield = lateral_discount(idm.beta_yield, w_lane)
 
     # working rows, one per vehicle: [ego | other influenced vehicles | shared
     # vehicles], so that each block is a slice; each row holds the K rollouts
@@ -288,26 +272,18 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
         lat_t = lat_seq[:, d]
 
         # --- ego lateral: pure pursuit onto the decision's target line
-        lookahead = np.maximum(model.pursuit.kpp * VS[0], model.pursuit.min_lookahead)
-        sin_los = np.clip((line_by_lat[lat_t] - Y[0]) / lookahead, -1.0, 1.0)
-        gamma = np.arcsin(sin_los) - TH[0]
-        delta_e = np.clip(np.arctan(2.0 * wheelbase[e] * np.sin(gamma) / lookahead),
-                          -delta_max[e], delta_max[e])
+        delta_e = pure_pursuit(Y[0], TH[0], VS[0], line_by_lat[lat_t], wheelbase[e],
+                               model.pursuit, delta_max[e])
 
         # --- ego longitudinal: PD on the rule-based gap reference
         fi = front_by_gap[gap_t]
         ri = rear_by_gap[gap_t]
         has_f, has_r = fi >= 0, ri >= 0
-        xf = X[np.where(has_f, fi, 0), cols]
-        vf = VS[np.where(has_f, fi, 0), cols]
-        xr = X[np.where(has_r, ri, 0), cols]
-        v_tgt = np.where(has_f, np.minimum(vf, world.v_des[e]), world.v_des[e])
-        x_tgt = np.where(has_r & has_f,
-                         0.5 * ((xr + model.d_safe) + (xf - model.d_safe)),
-                         xf - model.follow_distance)
-        a_pd = model.gains.kp_pos * (x_tgt - X[0]) + model.gains.kd_pos * (v_tgt - VS[0])
-        a_free = model.gains.kp_vel * (world.v_des[e] - VS[0])
-        a_e = np.where(has_f, a_pd, a_free)
+        x_tgt, v_tgt = gap_reference(X[np.where(has_f, fi, 0), cols],
+                                     VS[np.where(has_f, fi, 0), cols], has_f,
+                                     X[np.where(has_r, ri, 0), cols], has_r,
+                                     world.v_des[e], model.d_safe, model.follow_distance)
+        a_e = pd_longitudinal(X[0], VS[0], x_tgt, v_tgt, has_f, model.gains, a_max[e])
 
         # until the ego has mostly crossed, its command may not drive it into
         # the leader of the lane it is still occupying; the governor engages
@@ -317,10 +293,10 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
             slack = X[lead_cur] - X[0] - model.follow_distance
             engaged = still_on_lane & \
                 (slack <= model.keep_engage_time * np.maximum(VS[0], 1.0))
-            a_keep = model.gains.kp_pos * (X[lead_cur] - model.follow_distance - X[0]) \
-                + model.gains.kd_pos * (np.minimum(VS[lead_cur], world.v_des[e]) - VS[0])
+            a_keep = pd_longitudinal(X[0], VS[0], X[lead_cur] - model.follow_distance,
+                                     np.minimum(VS[lead_cur], world.v_des[e]), True,
+                                     model.gains, a_max[e])
             a_e = np.where(engaged, np.minimum(a_e, a_keep), a_e)
-        a_e = np.clip(a_e, -a_max[e], a_max[e])
 
         # --- surrounding vehicles: modified IDM, partner beta set by the group
         # action; the shared block is evaluated on one rollout
@@ -340,10 +316,10 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
 
         D = np.zeros((n_inf, K))
         D[0] = delta_e
-        stepped_inf = step_bicycle_arrays(X[:n_inf], Y[:n_inf], TH[:n_inf], VS[:n_inf],
-                                          A, D, cfg.dt, wb[:n_inf])
-        stepped_shared = step_bicycle_arrays(X[n_inf:, :1], Y[n_inf:, :1], TH[n_inf:, :1],
-                                             VS[n_inf:, :1], a_shared, 0.0, cfg.dt, wb[n_inf:])
+        stepped_inf = step_bicycle(X[:n_inf], Y[:n_inf], TH[:n_inf], VS[:n_inf],
+                                   A, D, cfg.dt, wb[:n_inf])
+        stepped_shared = step_bicycle(X[n_inf:, :1], Y[n_inf:, :1], TH[n_inf:, :1],
+                                      VS[n_inf:, :1], a_shared, 0.0, cfg.dt, wb[n_inf:])
         X, Y, TH, VS = (np.empty((V, K)) for _ in range(4))
         for arr, a_inf, a_sh in zip((X, Y, TH, VS), stepped_inf, stepped_shared):
             arr[:n_inf] = a_inf

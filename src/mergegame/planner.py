@@ -114,13 +114,15 @@ def plan_cycle(world: WorldSnapshot, beliefs: Mapping[str, Belief],
     seqs = enumerate_ego_sequences(_prune_rules(cfg, root), cfg.sim.horizon)
     if not seqs:
         raise ValueError(f"no decision sequences reachable from root {root}")
-    tuples = build_action_tuples(seqs, [SvAction.ASSERT, SvAction.YIELD])
+    rows = (SvAction.ASSERT, SvAction.YIELD)
+    tuples = build_action_tuples(seqs, rows)
     rollout = simulate_batch(world, tuples, cfg.sim, cfg.planner_model())
 
     extra = None
     if cfg.weights.w_info != 0.0:
         extra = _info_gain_extra(rollout, world, beliefs, cfg)
-    game = build_game_from_batch(rollout, world, beliefs, cfg.weights, ev_extra=extra)
+    game = build_game_from_batch(rollout, world, beliefs, cfg.weights, rows, seqs,
+                                 ev_extra=extra)
 
     nash_cells = find_pure_nash(game)
     se_ev = stackelberg(game, Player.EV)

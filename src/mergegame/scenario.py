@@ -49,6 +49,13 @@ class BeliefSettings:
     initial_assert: float = 0.5
     sigma_accel: float = 0.8
 
+    def __post_init__(self):
+        # update_belief never moves a prior of exactly 0 or 1
+        if not 0.0 < self.initial_assert < 1.0:
+            raise ValueError("BeliefSettings.initial_assert must lie in (0, 1)")
+        if self.sigma_accel <= 0.0:
+            raise ValueError("BeliefSettings.sigma_accel must be > 0")
+
 
 @dataclass
 class PruneSettings:
@@ -182,12 +189,6 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 # --- canonical scenarios --------------------------------------------------------
-
-def equilibrium_gap(v: float, idm: IdmSettings, v0: float) -> float:
-    """Spacing at which the IDM holds speed v exactly against an equal-speed leader."""
-    s_star = idm.s0 + v * idm.time_headway
-    return s_star / np.sqrt(1.0 - (v / v0) ** 4)
-
 
 def default_merge_scenario(traffic_speed: float = 5.0, planner: str = "nash",
                            seed: int = 0, stream_gap: float | None = None,

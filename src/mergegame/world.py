@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actions import DecisionSequence, GapChoice
-from .dynamics import VehicleParams, VehicleState
+from .dynamics import VehicleParams
 
 __all__ = ["LaneGeometry", "GapBounds", "WorldSnapshot", "interaction_partner"]
 
@@ -83,13 +83,6 @@ class WorldSnapshot:
 
     def index_of(self, vehicle_id: str) -> int:
         return self._index[vehicle_id]
-
-    def state_of(self, vehicle_id: str) -> VehicleState:
-        x, y, th, v = self.states[self.index_of(vehicle_id)]
-        return VehicleState(float(x), float(y), float(th), float(v))
-
-    def v_des_of(self, vehicle_id: str) -> float:
-        return float(self.v_des[self.index_of(vehicle_id)])
 
     def lane_center_of(self, k: int) -> float:
         return self.lanes.nearest_center(float(self.states[k, 1]))

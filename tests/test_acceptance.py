@@ -8,9 +8,9 @@ import pytest
 
 from mergegame.cli import main
 from mergegame.closed_loop import aggregate_episodes, run_episode_batch, run_monte_carlo
-from mergegame.control import IdmParams, virtual_gap_distance
+from mergegame.control import lateral_discount, virtual_gap_distance
 from mergegame.costs import Belief, GameMatrix
-from mergegame.dynamics import ControlInput, VehicleParams, VehicleState, step_bicycle
+from mergegame.dynamics import VehicleParams, step_bicycle
 from mergegame.game import Player, check_prop1_assumptions, find_pure_nash, stackelberg
 from mergegame.scenario import BeliefSettings, default_merge_scenario, save_scenario
 
@@ -205,10 +205,10 @@ def test_criterion_7_integrator_order():
     errs = []
     dts = [0.2, 0.1, 0.05, 0.025]
     for dt in dts:
-        s = VehicleState(0, 0, 0, 5.0)
+        s = (0.0, 0.0, 0.0, 5.0)
         for _ in range(int(round(4.0 / dt))):
-            s = step_bicycle(s, ControlInput(0.4, 0.08), dt, PARAMS)
-        errs.append(np.linalg.norm(np.array([s.x, s.y, s.theta, s.v]) - ref))
+            s = step_bicycle(*s, 0.4, 0.08, dt, PARAMS.wheelbase)
+        errs.append(np.linalg.norm(np.array(s) - ref))
     slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
     report(7, "integrator convergence order", 2.7 <= slope <= 3.3, f"(slope={slope:.3f})")
 
@@ -223,8 +223,7 @@ def test_criterion_8_virtual_gap_closed_form():
         dy = float(rng.uniform(0.0, 7.0))
         beta = float(rng.uniform(1.0, 8.0))
         w = float(rng.uniform(3.0, 4.0))
-        params = IdmParams(beta=beta, w_lane=w)
-        got = virtual_gap_distance(VehicleState(dx, dy, 0, 5), VehicleState(0, 0, 0, 5), params)
+        got = virtual_gap_distance(dx, dy, 0.0, 0.0, lateral_discount(beta, w))
         want = dx * beta ** (2.0 * dy / w)
         worst = max(worst, abs(got - want))
     report(8, "virtual gap distance closed form", worst <= 1e-9, f"(worst={worst:.2e})")

@@ -1,8 +1,10 @@
+import math
+import signal
+from collections import namedtuple
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
-
-import signal
-from dataclasses import replace
 
 from mergegame.actions import DecisionSequence, EgoDecision, GapChoice, LateralDecision, SvAction
 from mergegame.closed_loop import (
@@ -15,54 +17,236 @@ from mergegame.closed_loop import (
     truth_sv_accel,
     write_trace_csv,
 )
-from mergegame.control import IdmParams, idm_accel
-from mergegame.dynamics import VehicleState
+from mergegame.control import IdmSettings, idm_accel
+from mergegame.dynamics import VehicleParams, step_bicycle
 from mergegame.forward_sim import SimConfig, simulate_tuple
 from mergegame.scenario import (
     MonteCarloSettings,
+    ScenarioConfig,
+    VehicleSpec,
     default_merge_scenario,
     empty_lane_scenario,
     packed_lane_scenario,
 )
+from mergegame.world import WorldSnapshot
 
-PARAMS = IdmParams(v0=10.0, w_lane=3.5)
+IDM = IdmSettings()
+POLITE_REACH, SELFISH_REACH = 0.75 * 3.5, 0.25 * 3.5
+
+
+def truth_of_sv(ego, sv, reach, leader=None):
+    """truth_sv_accel of one surrounding vehicle in the world [ego, sv, leader]."""
+    rows = [ego, sv] + ([leader] if leader is not None else [])
+    leader_idx = np.array([-1, 2 if leader is not None else -1, -1][:len(rows)])
+    return truth_sv_accel(np.array(rows, dtype=float), np.array([1]), leader_idx, 0,
+                          np.array([10.0]), np.array([3.5]), np.array([reach]), IDM)[0]
+
+
+def plain_idm(sv, leader=None):
+    """Car following alone: no leader, or a same-lane physical leader."""
+    if leader is None:
+        return idm_accel(sv[3], 0.0, np.inf, False, 10.0, IDM)
+    return idm_accel(sv[3], leader[3], abs(leader[0] - sv[0]), True, 10.0, IDM)
 
 
 def test_truth_sv_ignores_distant_ego():
-    sv = VehicleState(0, 3.5, 0, 8)
-    leader = VehicleState(30, 3.5, 0, 8)
-    far_ego = VehicleState(10, -3.5, 0, 8)  # two lanes away
-    a = truth_sv_accel(sv, far_ego, BehaviorMode.SELFISH, PARAMS, 3.5, leader)
-    assert a == idm_accel(sv, leader, PARAMS)
-    a2 = truth_sv_accel(sv, far_ego, BehaviorMode.POLITE, PARAMS, 3.5, leader)
-    assert a2 == idm_accel(sv, leader, PARAMS)
+    sv = (0, 3.5, 0, 8)
+    leader = (30, 3.5, 0, 8)
+    far_ego = (10, -3.5, 0, 8)  # two lanes away
+    assert truth_of_sv(far_ego, sv, SELFISH_REACH, leader) == plain_idm(sv, leader)
+    assert truth_of_sv(far_ego, sv, POLITE_REACH, leader) == plain_idm(sv, leader)
 
 
 def test_truth_mode_thresholds_at_boundary():
-    sv = VehicleState(0, 3.5, 0, 8)
-    ego = VehicleState(12, 1.75, 0, 5)  # straddling: half a lane from the sv lane center
-    polite = truth_sv_accel(sv, ego, BehaviorMode.POLITE, PARAMS, 3.5)
-    selfish = truth_sv_accel(sv, ego, BehaviorMode.SELFISH, PARAMS, 3.5)
+    sv = (0, 3.5, 0, 8)
+    ego = (12, 1.75, 0, 5)  # straddling: half a lane from the sv lane center
+    polite = truth_of_sv(ego, sv, POLITE_REACH)
+    selfish = truth_of_sv(ego, sv, SELFISH_REACH)
     assert polite < 0.0
-    assert selfish == idm_accel(sv, None, PARAMS)
+    assert selfish == plain_idm(sv)
 
 
 def test_truth_modes_identical_for_on_lane_ego():
-    sv = VehicleState(0, 3.5, 0, 8)
-    ego = VehicleState(12, 3.5, 0, 5)
-    polite = truth_sv_accel(sv, ego, BehaviorMode.POLITE, PARAMS, 3.5)
-    selfish = truth_sv_accel(sv, ego, BehaviorMode.SELFISH, PARAMS, 3.5)
+    sv = (0, 3.5, 0, 8)
+    ego = (12, 3.5, 0, 5)
+    polite = truth_of_sv(ego, sv, POLITE_REACH)
+    selfish = truth_of_sv(ego, sv, SELFISH_REACH)
     assert polite == selfish
-    projected = VehicleState(12, 3.5, 0, 5)
-    assert polite == min(idm_accel(sv, None, PARAMS), idm_accel(sv, projected, PARAMS))
+    assert polite == min(plain_idm(sv), plain_idm(sv, ego))
 
 
 def test_truth_sv_never_rams_its_leader():
-    sv = VehicleState(0, 3.5, 0, 10)
-    leader = VehicleState(8, 3.5, 0, 2)
-    ego = VehicleState(40, 3.5, 0, 12)  # ahead but irrelevant
-    a = truth_sv_accel(sv, ego, BehaviorMode.SELFISH, PARAMS, 3.5, leader)
-    assert a <= idm_accel(sv, leader, PARAMS)
+    sv = (0, 3.5, 0, 10)
+    leader = (8, 3.5, 0, 2)
+    ego = (40, 3.5, 0, 12)  # ahead but irrelevant
+    assert truth_of_sv(ego, sv, SELFISH_REACH, leader) <= plain_idm(sv, leader)
+
+
+# --- the array truth step against the per-vehicle scalar truth model -------------------
+
+State = namedtuple("State", "x y theta v")
+
+
+@dataclass(frozen=True)
+class IdmParams:
+    """Modified-IDM parameters of one follower, as the scalar truth model takes them."""
+
+    v0: float
+    time_headway: float
+    s0: float
+    a_acc: float
+    b_dec: float
+    beta: float
+    w_lane: float
+    b_emergency: float
+
+
+def reference_idm_accel(follower, virtual_leader, params):
+    v = follower.v
+    free = 1.0 - (v / params.v0) ** 4
+    if virtual_leader is None:
+        a = params.a_acc * free
+    else:
+        kappa = 2.0 * math.log(params.beta) / params.w_lane
+        d = abs(virtual_leader.x - follower.x) * math.exp(kappa * abs(virtual_leader.y - follower.y))
+        if d <= 0.0:
+            return -params.b_emergency
+        dv = v - virtual_leader.v
+        s_star = params.s0 + v * params.time_headway \
+            + v * dv / (2.0 * math.sqrt(params.a_acc * params.b_dec))
+        a = params.a_acc * (free - (s_star / d) ** 2)
+    return float(np.clip(a, -params.b_emergency, params.a_acc))
+
+
+def reference_truth_sv_accel(sv, ego, mode, params, lane_center_y, leader,
+                             polite_frac, selfish_frac):
+    """One surrounding vehicle: car following, and braking for the ego's
+    projection once the ego is level or ahead and within the mode's range."""
+    frac = polite_frac if mode == BehaviorMode.POLITE else selfish_frac
+    a = reference_idm_accel(sv, leader, params)
+    if abs(ego.y - lane_center_y) <= frac * params.w_lane and ego.x >= sv.x:
+        projected = State(ego.x, lane_center_y, 0.0, ego.v * math.cos(ego.theta))
+        a = min(a, reference_idm_accel(sv, projected, params))
+    return a
+
+
+def reference_step(state, a, delta, dt, params: VehicleParams):
+    """One vehicle, inputs saturated to its actuation limits."""
+    a = float(np.clip(a, -params.a_max, params.a_max))
+    delta = float(np.clip(delta, -params.delta_max, params.delta_max))
+    return np.array([float(c) for c in step_bicycle(
+        np.float64(state.x), np.float64(state.y), np.float64(state.theta), np.float64(state.v),
+        np.float64(a), np.float64(delta), np.float64(dt), np.float64(params.wheelbase))])
+
+
+def assert_close(got, want, what):
+    err = np.abs(np.asarray(got) - want) / np.maximum(np.abs(want), 1.0)
+    assert np.all(err <= 1e-12), f"{what}: {got} vs reference {want}"
+
+
+def assert_trace_matches_reference(cfg, trace):
+    """Every recorded truth command, and every recorded step from one state to
+    the next, equals the scalar truth model within 1e-12 relative."""
+    base = cfg.initial_world()
+    V, e = base.n_vehicles, base.ego_index
+    rows = np.array([r[3:] for r in trace.steps], dtype=float).reshape(-1, V, 6)
+    cycle_of = [r[0] for r in trace.steps[::V]]
+    params = {v.vehicle_id: IdmParams(v.v_des, cfg.idm.time_headway, cfg.idm.s0, cfg.idm.a_acc,
+                                      cfg.idm.b_dec, 1.0, cfg.lanes.width, cfg.idm.b_emergency)
+              for v in cfg.vehicles if v.role != "ego"}
+    for n in range(len(rows)):
+        states = rows[n, :, :4]
+        if n == 0 or cycle_of[n] != cycle_of[n - 1]:
+            # the truth world resolves the leaders once per cycle
+            leader_idx = WorldSnapshot(base.ids, states.copy(), base.params, base.v_des,
+                                       base.lanes, e).leader_indices(include_ego=False)
+        ego = State(*states[e])
+        for i, spec in enumerate(cfg.vehicles):
+            if i == e:
+                continue
+            leader = State(*states[leader_idx[i]]) if leader_idx[i] >= 0 else None
+            want = reference_truth_sv_accel(
+                State(*states[i]), ego, BehaviorMode(spec.mode), params[spec.vehicle_id],
+                cfg.lane_center(spec.lane), leader,
+                cfg.episode.polite_lateral_frac, cfg.episode.selfish_lateral_frac)
+            assert_close(rows[n, i, 4], want, f"step {n} {spec.vehicle_id} command")
+        if n + 1 < len(rows):
+            for i in range(V):
+                want = reference_step(State(*states[i]), rows[n, i, 4], rows[n, i, 5],
+                                      cfg.sim.dt, base.params[i])
+                assert_close(rows[n + 1, i, :4], want, f"step {n} {base.ids[i]} state")
+    return rows
+
+
+@pytest.mark.parametrize("case", ["merge5-seed4", "merge10-seed1", "packed"])
+def test_truth_step_matches_scalar_reference_on_episodes(case):
+    if case == "packed":
+        cfg = packed_lane_scenario(seed=0)
+        cfg.episode.max_cycles = 4
+    else:
+        speed, seed = (5.0, 4) if case == "merge5-seed4" else (10.0, 1)
+        cfg = default_merge_scenario(speed, seed=seed)
+    rows = assert_trace_matches_reference(cfg, run_episode(cfg))
+    assert len(rows) > 10
+    if case == "packed":
+        # bumper-to-bumper followers brake at b_emergency, beyond a_max, and the
+        # step saturates that command
+        assert rows[0, :, 4].min() == -IDM.b_emergency < -VehicleParams().a_max
+
+
+def hand_world(ego_x, ego_y, svs):
+    """The ego on the merge lane plus surrounding vehicles (id, lane, x, v, mode)."""
+    vehicles = [VehicleSpec("ego", role="ego", x=ego_x, y=ego_y, v=5.0, v_des=7.0)]
+    vehicles += [VehicleSpec(vid, lane=lane, x=x, v=v, v_des=10.0, mode=mode)
+                 for vid, lane, x, v, mode in svs]
+    cfg = ScenarioConfig(vehicles=vehicles, seed=0)
+    cfg.episode.speed_jitter = 0.0
+    cfg.episode.max_cycles = 1
+    return cfg
+
+
+TRUTH_CASES = {
+    # no leader, the ego far behind: free road only
+    "no-leader": (hand_world(-40.0, 0.0, [("a", "target", 0.0, 8.0, "selfish")]),
+                  {"a": "plain"}),
+    # ego half a lane from the target lane: the polite vehicle reacts, the selfish one not
+    "polite-reacts": (hand_world(12.0, 1.75, [("a", "target", 0.0, 8.0, "polite"),
+                                              ("b", "target", -25.0, 8.0, "selfish")]),
+                      {"a": "brakes", "b": "plain"}),
+    # ego nearly on the target lane: the selfish vehicle reacts too
+    "selfish-reacts": (hand_world(12.0, 2.8, [("a", "target", 0.0, 8.0, "selfish"),
+                                              ("b", "target", 30.0, 8.0, "polite")]),
+                       {"a": "brakes", "b": "plain"}),
+    # ego exactly at the selfish reaction range (0.875 m from the lane center): it reacts
+    "selfish-boundary": (hand_world(12.0, 2.625, [("a", "target", 0.0, 8.0, "selfish")]),
+                         {"a": "brakes"}),
+    # ego exactly level with a polite vehicle in range: zero gap, emergency braking
+    "ego-level": (hand_world(0.0, 1.2, [("a", "target", 0.0, 8.0, "polite"),
+                                        ("b", "target", -20.0, 8.0, "selfish")]),
+                  {"a": "emergency", "b": "plain"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRUTH_CASES))
+def test_truth_step_matches_scalar_reference_cases(case):
+    cfg, expect = TRUTH_CASES[case]
+    rows = assert_trace_matches_reference(cfg, run_episode(cfg))
+    assert len(rows) >= 2
+    world = cfg.initial_world()
+    for vid, kind in expect.items():
+        i = world.index_of(vid)
+        leader = world.leader_indices(include_ego=False)[i]
+        plain = plain_idm(world.states[i], world.states[leader] if leader >= 0 else None)
+        a = rows[0, i, 4]
+        if kind == "plain":
+            assert a == plain
+        elif kind == "brakes":
+            assert a < plain
+        else:
+            a_max = world.params[i].a_max
+            assert a == -IDM.b_emergency < -a_max
+            # the step applied -a_max: the speed fell by a_max * dt
+            assert rows[1, i, 3] == pytest.approx(rows[0, i, 3] - a_max * cfg.sim.dt, abs=1e-12)
 
 
 # --- episodes ---------------------------------------------------------------------

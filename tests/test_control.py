@@ -4,113 +4,114 @@ import numpy as np
 import pytest
 
 from mergegame.control import (
-    GapReference,
-    IdmParams,
     IdmSettings,
     PdGains,
     PurePursuitParams,
-    gap_reference_from_bounds,
+    gap_reference,
     idm_accel,
+    lateral_discount,
     pd_longitudinal,
     pure_pursuit,
     virtual_gap_distance,
 )
-from mergegame.dynamics import VehicleState
 
-
-def vs(x=0.0, y=0.0, theta=0.0, v=0.0):
-    return VehicleState(x, y, theta, v)
+IDM = IdmSettings()
+HALF_PI = 0.5 * math.pi
 
 
 # --- gap reference ------------------------------------------------------------
 
+def ref(x_front=0.0, v_front=0.0, has_front=True, x_rear=0.0, has_rear=True,
+        v_des=10.0, d_safe=6.0, follow_distance=12.0):
+    return gap_reference(x_front, v_front, has_front, x_rear, has_rear, v_des, d_safe,
+                         follow_distance)
+
+
 def test_midpoint_rule():
-    ref = gap_reference_from_bounds(front=vs(x=30, v=8), rear=vs(x=0, v=8),
-                                    v_des=10.0, d_safe=6.0)
-    assert ref.x_target == pytest.approx(15.0)
-    assert ref.v_target == pytest.approx(8.0)
-    assert not ref.infeasible
+    x_target, v_target = ref(x_front=30, v_front=8, x_rear=0)
+    assert x_target == pytest.approx(15.0)
+    assert v_target == pytest.approx(8.0)
 
 
 def test_leading_gap_tracks_lane_speed():
-    ref = gap_reference_from_bounds(front=None, rear=vs(x=-10, v=9), v_des=10.0, d_safe=6.0)
-    assert ref.x_target is None
-    assert ref.v_target == 10.0
-
-
-def test_narrow_gap_flagged_infeasible():
-    ref = gap_reference_from_bounds(front=vs(x=10, v=8), rear=vs(x=0, v=8),
-                                    v_des=10.0, d_safe=6.0)
-    assert ref.infeasible
+    _, v_target = ref(has_front=False, x_rear=-10, v_des=10.0)
+    assert v_target == 10.0
 
 
 def test_front_only_follow_point():
-    ref = gap_reference_from_bounds(front=vs(x=40, v=6), rear=None, v_des=10.0,
-                                    d_safe=6.0, follow_distance=12.0)
-    assert ref.x_target == pytest.approx(28.0)
-    assert ref.v_target == pytest.approx(6.0)
+    x_target, v_target = ref(x_front=40, v_front=6, has_rear=False, follow_distance=12.0)
+    assert x_target == pytest.approx(28.0)
+    assert v_target == pytest.approx(6.0)
+    # the follow distance is a parameter of its own, not a multiple of d_safe
+    x_target, _ = ref(x_front=40, v_front=6, has_rear=False, d_safe=6.0, follow_distance=9.0)
+    assert x_target == pytest.approx(31.0)
 
 
 # --- PD longitudinal ----------------------------------------------------------
 
 def test_pd_zero_error_zero_command():
-    ref = GapReference(x_target=50.0, v_target=8.0)
-    assert pd_longitudinal(vs(x=50, v=8), ref, PdGains()) == 0.0
+    assert pd_longitudinal(50.0, 8.0, 50.0, 8.0, True, PdGains(), np.inf) == 0.0
 
 
 def test_pd_linear_law():
     gains = PdGains(kp_pos=0.5, kd_pos=1.0)
-    ref = GapReference(x_target=10.0, v_target=8.0)
-    a = pd_longitudinal(vs(x=0, v=10), ref, gains)
+    a = pd_longitudinal(0.0, 10.0, 10.0, 8.0, True, gains, np.inf)
     assert a == pytest.approx(0.5 * 10 + 1.0 * (-2.0))
 
 
 def test_pd_saturation():
     gains = PdGains(kp_pos=0.5, kd_pos=1.0)
-    ref = GapReference(x_target=24.0, v_target=8.0)  # raw command 12
-    assert pd_longitudinal(vs(x=0, v=8), ref, gains, a_max=4.0) == 4.0
+    # raw command 12
+    assert pd_longitudinal(0.0, 8.0, 24.0, 8.0, True, gains, 4.0) == 4.0
+    assert pd_longitudinal(24.0, 8.0, 0.0, 8.0, True, gains, 4.0) == -4.0
 
 
 def test_pd_speed_only_mode():
     gains = PdGains(kp_vel=1.0)
-    ref = GapReference(x_target=None, v_target=10.0)
-    assert pd_longitudinal(vs(v=7), ref, gains) == pytest.approx(3.0)
+    # the position target is ignored without a front vehicle
+    assert pd_longitudinal(0.0, 7.0, 1e6, 10.0, False, gains, np.inf) == pytest.approx(3.0)
 
 
 # --- pure pursuit ---------------------------------------------------------------
 
+def steer(y=0.0, theta=0.0, v=0.0, line_y=0.0, wheelbase=2.7, params=PurePursuitParams(),
+          delta_max=HALF_PI):
+    return pure_pursuit(y, theta, v, line_y, wheelbase, params, delta_max)
+
+
 def test_pursuit_on_line_gives_zero():
-    assert pure_pursuit(vs(y=2.0, v=5), 2.0, PurePursuitParams()) == 0.0
+    assert steer(y=2.0, v=5, line_y=2.0) == 0.0
 
 
 def test_pursuit_antisymmetric_in_offset():
-    p = PurePursuitParams()
-    d1 = pure_pursuit(vs(y=-1.2, v=6), 0.0, p)
-    d2 = pure_pursuit(vs(y=1.2, v=6), 0.0, p)
+    d1 = steer(y=-1.2, v=6)
+    d2 = steer(y=1.2, v=6)
     assert d1 == -d2 and d1 > 0.0
 
 
 def test_pursuit_formula_value():
-    p = PurePursuitParams(kpp=1.0, wheelbase=2.7, min_lookahead=3.0)
+    p = PurePursuitParams(kpp=1.0, min_lookahead=3.0)
     # offset 1.75 m at 5 m/s: lookahead 5, sin(gamma) = 0.35
-    delta = pure_pursuit(vs(y=0.0, v=5.0), 1.75, p)
+    delta = steer(y=0.0, v=5.0, line_y=1.75, wheelbase=2.7, params=p)
     assert delta == pytest.approx(0.36139820965838354, abs=1e-12)
+    # the command scales with the vehicle's own wheelbase
+    short = steer(y=0.0, v=5.0, line_y=1.75, wheelbase=1.0, params=p)
+    assert short == pytest.approx(math.atan(2 * 1.0 * 0.35 / 5.0), abs=1e-12)
 
 
 def test_pursuit_bounded_by_delta_max():
-    p = PurePursuitParams()
     rng = np.random.default_rng(3)
-    for _ in range(200):
-        d = pure_pursuit(vs(y=float(rng.uniform(-8, 8)), theta=float(rng.uniform(-1, 1)),
-                            v=float(rng.uniform(0, 20))),
-                         float(rng.uniform(-4, 4)), p, delta_max=0.6)
-        assert abs(d) <= 0.6
+    n = 200
+    d = steer(y=rng.uniform(-8, 8, n), theta=rng.uniform(-1, 1, n), v=rng.uniform(0, 20, n),
+              line_y=rng.uniform(-4, 4, n), delta_max=0.6)
+    assert d.shape == (n,)
+    assert np.all(np.abs(d) <= 0.6)
 
 
 def test_pursuit_low_speed_uses_lookahead_floor():
     p = PurePursuitParams(kpp=1.0, min_lookahead=3.0)
     # at standstill the lookahead must not vanish
-    d = pure_pursuit(vs(y=0.0, v=0.0), 1.0, p)
+    d = steer(y=0.0, v=0.0, line_y=1.0, params=p)
     expected = math.atan(2 * 2.7 * (1.0 / 3.0) / 3.0)
     assert d == pytest.approx(expected)
 
@@ -118,77 +119,111 @@ def test_pursuit_low_speed_uses_lookahead_floor():
 # --- modified IDM ----------------------------------------------------------------
 
 def test_virtual_distance_reduces_to_true_distance():
-    params = IdmParams(beta=4.0)
-    d = virtual_gap_distance(vs(x=12.0, y=1.0), vs(x=0.0, y=1.0), params)
+    d = virtual_gap_distance(12.0, 1.0, 0.0, 1.0, lateral_discount(4.0, 3.5))
     assert d == pytest.approx(12.0)
 
 
 def test_virtual_distance_beta_one_ignores_offset():
-    params = IdmParams(beta=1.0)
-    d = virtual_gap_distance(vs(x=12.0, y=3.0), vs(x=0.0, y=0.0), params)
-    assert d == pytest.approx(12.0)
+    kappa = lateral_discount(1.0, 3.5)
+    assert kappa == 0.0
+    assert virtual_gap_distance(12.0, 3.0, 0.0, 0.0, kappa) == 12.0
 
 
 def test_virtual_distance_full_lane_offset():
-    params = IdmParams(beta=2.0, w_lane=3.5)
-    d = virtual_gap_distance(vs(x=10.0, y=3.5), vs(x=0.0, y=0.0), params)
+    d = virtual_gap_distance(10.0, 3.5, 0.0, 0.0, lateral_discount(2.0, 3.5))
     assert d == pytest.approx(40.0, abs=1e-9)
 
 
 def test_virtual_distance_monotone_in_offset():
-    grown = IdmParams(beta=3.0)
-    flat = IdmParams(beta=1.0)
-    prev = 0.0
-    for dy in np.linspace(0.0, 5.0, 40):
-        d = virtual_gap_distance(vs(x=10.0, y=dy), vs(), grown)
-        assert d >= prev
-        prev = d
-        assert virtual_gap_distance(vs(x=10.0, y=dy), vs(), flat) == pytest.approx(10.0)
+    dy = np.linspace(0.0, 5.0, 40)
+    grown = virtual_gap_distance(10.0, dy, 0.0, 0.0, lateral_discount(3.0, 3.5))
+    assert np.all(np.diff(grown) >= 0.0) and grown[0] == 10.0
+    flat = virtual_gap_distance(10.0, dy, 0.0, 0.0, lateral_discount(1.0, 3.5))
+    assert np.all(flat == 10.0)
 
 
 def test_assert_sees_merger_farther_than_yield():
-    settings = IdmSettings()
-    asserting = settings.params_for(v0=10, beta=settings.beta_assert, w_lane=3.5)
-    yielding = settings.params_for(v0=10, beta=settings.beta_yield, w_lane=3.5)
-    leader, follower = vs(x=15.0, y=1.75), vs(x=0.0, y=0.0)
-    assert virtual_gap_distance(leader, follower, asserting) >= \
-        virtual_gap_distance(leader, follower, yielding)
+    asserting = lateral_discount(IDM.beta_assert, 3.5)
+    yielding = lateral_discount(IDM.beta_yield, 3.5)
+    assert virtual_gap_distance(15.0, 1.75, 0.0, 0.0, asserting) >= \
+        virtual_gap_distance(15.0, 1.75, 0.0, 0.0, yielding)
 
 
 def test_idm_free_flow_equilibrium():
-    params = IdmParams(v0=10.0)
-    assert idm_accel(vs(v=10.0), None, params) == 0.0
-    assert idm_accel(vs(v=0.0), None, params) == params.a_acc
+    assert idm_accel(10.0, 0.0, np.inf, False, 10.0, IDM) == 0.0
+    assert idm_accel(0.0, 0.0, np.inf, False, 10.0, IDM) == IDM.a_acc
 
 
 def test_idm_formula_value():
-    params = IdmParams(v0=10.0, time_headway=1.5, s0=2.0, a_acc=1.5, b_dec=2.0, beta=1.0)
+    idm = IdmSettings(time_headway=1.5, s0=2.0, a_acc=1.5, b_dec=2.0)
     # a_acc * (1 - 1 - (17/20)^2) = -1.08375
-    a = idm_accel(vs(x=0, v=10.0), vs(x=20.0, v=10.0), params)
+    a = idm_accel(10.0, 10.0, 20.0, True, 10.0, idm)
     assert a == pytest.approx(-1.08375, abs=1e-9)
 
 
 def test_idm_zero_distance_emergency_brakes():
-    params = IdmParams()
-    assert idm_accel(vs(x=0, v=5), vs(x=0, v=5), params) == -params.b_emergency
+    assert idm_accel(5.0, 5.0, 0.0, True, 10.0, IDM) == -IDM.b_emergency
 
 
 def test_idm_monotone_in_speed_and_distance():
-    params = IdmParams(v0=12.0)
-    leader = vs(x=30.0, v=8.0)
     # closing-speed regime (follower at least as fast as the leader)
-    accels = [idm_accel(vs(x=0, v=v), leader, params) for v in np.linspace(8, 16, 30)]
-    assert all(a >= b for a, b in zip(accels, accels[1:]))
-    gaps = [idm_accel(vs(x=30.0 - d, v=8.0), leader, params) for d in np.linspace(2, 40, 30)]
-    assert all(a <= b for a, b in zip(gaps, gaps[1:]))
+    accels = idm_accel(np.linspace(8, 16, 30), 8.0, 30.0, True, 12.0, IDM)
+    assert np.all(np.diff(accels) <= 0.0)
+    gaps = idm_accel(8.0, 8.0, np.linspace(2, 40, 30), True, 12.0, IDM)
+    assert np.all(np.diff(gaps) >= 0.0)
 
 
 def test_idm_saturation_bounds():
-    params = IdmParams()
     rng = np.random.default_rng(5)
-    for _ in range(200):
-        a = idm_accel(vs(x=0, v=float(rng.uniform(0, 20))),
-                      vs(x=float(rng.uniform(0.1, 60)), y=float(rng.uniform(-4, 4)),
-                         v=float(rng.uniform(0, 20))),
-                      params)
-        assert -params.b_emergency <= a <= params.a_acc
+    n = 200
+    d = virtual_gap_distance(rng.uniform(0.1, 60, n), rng.uniform(-4, 4, n), 0.0, 0.0,
+                             lateral_discount(IDM.beta_yield, 3.5))
+    a = idm_accel(rng.uniform(0, 20, n), rng.uniform(0, 20, n), d, True, 10.0, IDM)
+    assert np.all((-IDM.b_emergency <= a) & (a <= IDM.a_acc))
+
+
+def test_idm_settings_reject_nonpositive_fields():
+    with pytest.raises(ValueError):
+        IdmSettings(s0=0.0)
+    with pytest.raises(ValueError):
+        IdmSettings(beta_assert=2.0, beta_yield=2.0)
+
+
+# --- array calls are element-wise scalar calls --------------------------------------
+
+def test_row_vector_call_matches_scalar_calls():
+    rng = np.random.default_rng(21)
+    n = 64
+    x, y = rng.uniform(-20, 20, n), rng.uniform(-4, 4, n)
+    theta, v = rng.uniform(-0.5, 0.5, n), rng.uniform(0, 15, n)
+    xl, yl, vl = x + rng.uniform(-2, 30, n), rng.uniform(-4, 4, n), rng.uniform(0, 15, n)
+    has_f, has_r = rng.uniform(size=n) < 0.7, rng.uniform(size=n) < 0.7
+    kappa = lateral_discount(rng.uniform(1.0, 8.0, n), 3.5)
+    v0, line_y = rng.uniform(5, 15, n), rng.uniform(-4, 4, n)
+    wheelbase, a_max = rng.uniform(2, 4, n), rng.uniform(2, 5, n)
+    delta_max = rng.uniform(0.3, 0.7, n)
+    gains, pursuit = PdGains(), PurePursuitParams()
+
+    x_tgt, v_tgt = gap_reference(xl, vl, has_f, x - 8.0, has_r, v0, 6.0, 12.0)
+    d = virtual_gap_distance(xl, yl, x, y, kappa)
+    laws = {
+        "x_target": (x_tgt, lambda k: gap_reference(xl[k], vl[k], has_f[k], x[k] - 8.0, has_r[k],
+                                                    v0[k], 6.0, 12.0)[0]),
+        "v_target": (v_tgt, lambda k: gap_reference(xl[k], vl[k], has_f[k], x[k] - 8.0, has_r[k],
+                                                    v0[k], 6.0, 12.0)[1]),
+        "pd": (pd_longitudinal(x, v, x_tgt, v_tgt, has_f, gains, a_max),
+               lambda k: pd_longitudinal(x[k], v[k], x_tgt[k], v_tgt[k], has_f[k], gains,
+                                         a_max[k])),
+        "pursuit": (pure_pursuit(y, theta, v, line_y, wheelbase, pursuit, delta_max),
+                    lambda k: pure_pursuit(y[k], theta[k], v[k], line_y[k], wheelbase[k],
+                                           pursuit, delta_max[k])),
+        "virtual_gap": (d, lambda k: virtual_gap_distance(xl[k], yl[k], x[k], y[k], kappa[k])),
+        "idm": (idm_accel(v, vl, d, has_f, v0, IDM),
+                lambda k: idm_accel(v[k], vl[k], d[k], has_f[k], v0[k], IDM)),
+    }
+    for name, (row, scalar) in laws.items():
+        assert row.shape == (n,), name
+        each = np.array([float(scalar(k)) for k in range(n)])
+        # numpy's vector loop for ** rounds differently from its scalar path in
+        # the last bit for some inputs (the IDM's (v / v0) ** 4)
+        np.testing.assert_allclose(row, each, rtol=1e-15, atol=0.0, err_msg=name)

@@ -1,4 +1,5 @@
 import logging
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,20 +18,14 @@ from mergegame.costs import (
     CostWeights,
     GameMatrix,
     _pair_band_penalties,
-    build_game,
     build_game_from_batch,
-    comfort_cost,
-    efficiency_cost,
-    navigation_cost,
-    safety_cost,
     update_belief,
-    vehicle_cost,
 )
 from mergegame.dynamics import VehicleParams, rect_distance_arrays
 from mergegame.forward_sim import PlannerModel, SimConfig, TrajectorySet, simulate_batch, simulate_tuple
 from mergegame.planner import plan_cycle
 from mergegame.scenario import default_merge_scenario, packed_lane_scenario
-from mergegame.world import LaneGeometry, WorldSnapshot
+from mergegame.world import LaneGeometry, WorldSnapshot, interaction_partner
 
 W = CostWeights(w_saf1=400.0, w_saf2=4.0, d_lo=1.0, d_hi=3.0,
                 w_eff=1.0, w_com=1.0, w_nav=1.0)
@@ -57,6 +52,93 @@ def make_traj(xa, xb, dt=0.2):
     inputs = np.zeros((2, n - 1, 2))
     seq = DecisionSequence((EgoDecision(GapChoice.GAP_0, LateralDecision.LANE_KEEP),))
     return TrajectorySet(("a", "b"), states, inputs, (SvAction.ASSERT, seq), dt, True)
+
+
+# --- per-tuple reference: one trajectory set and one vehicle at a time ---------------
+
+@dataclass(frozen=True)
+class CostBreakdown:
+    safety: float
+    efficiency: float
+    comfort: float
+    navigation: float
+    info: float = 0.0
+
+    @property
+    def total(self) -> float:
+        return self.safety + self.efficiency + self.comfort + self.navigation + self.info
+
+
+def _half_dims(traj: TrajectorySet, world: WorldSnapshot):
+    order = [world.index_of(v) for v in traj.vehicle_ids]
+    _, lengths, widths, _, _ = world.params_arrays()
+    return 0.5 * lengths[order], 0.5 * widths[order]
+
+
+def safety_cost(traj, vehicle_id, weights, world):
+    """Sum over steps and other vehicles of the piecewise distance penalty."""
+    hl, hw = _half_dims(traj, world)
+    per_vehicle = _pair_band_penalties(traj.states[None, ...], hl, hw, weights)
+    return float(per_vehicle[0, traj.index_of(vehicle_id)])
+
+
+def efficiency_cost(traj, vehicle_id, weights, v_des):
+    v = traj.states[traj.index_of(vehicle_id), :, 3]
+    return float(weights.w_eff * np.sum((v - v_des) ** 2))
+
+
+def comfort_cost(traj, vehicle_id, weights):
+    """Squared jerk, approximated by finite differences of the commanded acceleration."""
+    a = traj.inputs[traj.index_of(vehicle_id), :, 0]
+    return float(weights.w_com * np.sum(np.diff(a) ** 2) / traj.dt ** 2)
+
+
+def navigation_cost(traj, vehicle_id, weights, y_des):
+    y = traj.states[traj.index_of(vehicle_id), :, 1]
+    return float(weights.w_nav * np.sum((y - y_des) ** 2))
+
+
+def vehicle_cost(traj, vehicle_id, weights, world, v_des, y_des, info=0.0):
+    return CostBreakdown(
+        safety=safety_cost(traj, vehicle_id, weights, world),
+        efficiency=efficiency_cost(traj, vehicle_id, weights, v_des),
+        comfort=comfort_cost(traj, vehicle_id, weights),
+        navigation=navigation_cost(traj, vehicle_id, weights, y_des),
+        info=info,
+    )
+
+
+def build_game(tuples, trajectory_sets, beliefs, weights, world):
+    """The belief-weighted cost matrix from per-tuple trajectory sets, scored
+    vehicle by vehicle. Raises when a tuple is missing its trajectory set."""
+    tuples = list(tuples)
+    if len(trajectory_sets) != len(tuples):
+        raise ValueError("one trajectory set per action tuple is required")
+    for tup, ts in zip(tuples, trajectory_sets):
+        if ts.action != tup:
+            raise ValueError(f"trajectory set does not match its action tuple: {tup}")
+    rows = tuple(dict.fromkeys(sv for sv, _ in tuples))
+    cols = tuple(seq for _, seq in tuples[:len(tuples) // len(rows)])
+
+    ego = world.ego_id
+    v_des = {vid: float(world.v_des[world.index_of(vid)]) for vid in world.ids}
+    sv_raw = np.empty((len(rows), len(cols)))
+    ev = np.empty((len(rows), len(cols)))
+    for k, ts in enumerate(trajectory_sets):
+        r, c = divmod(k, len(cols))
+        sv_raw[r, c] = sum(
+            vehicle_cost(ts, vid, weights, world, v_des=v_des[vid],
+                         y_des=world.lanes.nearest_center(ts.states[ts.index_of(vid), 0, 1])).total
+            for vid in world.ids if vid != ego)
+        ev[r, c] = vehicle_cost(ts, ego, weights, world, v_des=v_des[ego],
+                                y_des=world.lanes.target_center).total
+
+    gaps = world.resolve_gaps()
+    partners = tuple(interaction_partner(seq, gaps) for seq in cols)
+    col_beliefs = [beliefs.get(p, Belief.uniform()) if p is not None else Belief.uniform()
+                   for p in partners]
+    weight = np.array([[1.0 - b.of(row) for b in col_beliefs] for row in rows])
+    return GameMatrix(rows, cols, weight * sv_raw, ev, sv_raw=sv_raw, col_partners=partners)
 
 
 def test_safety_cost_counting_oracle():
@@ -217,16 +299,18 @@ def test_breakdown_total():
 
 # --- matrix assembly ------------------------------------------------------------
 
+ROWS = (SvAction.ASSERT, SvAction.YIELD)
+SEQS = (
+    DecisionSequence((EgoDecision(GapChoice.GAP_0, LateralDecision.LANE_KEEP),) * 5),
+    DecisionSequence((EgoDecision(GapChoice.GAP_2, LateralDecision.LEFT_CHANGE),) * 5),
+    DecisionSequence((EgoDecision(GapChoice.GAP_1, LateralDecision.LEFT_PROBE),) * 5),
+)
+
+
 def planning_setup():
     cfg = default_merge_scenario(5.0)
     world = cfg.initial_world()
-    seqs = [
-        DecisionSequence((EgoDecision(GapChoice.GAP_0, LateralDecision.LANE_KEEP),) * 5),
-        DecisionSequence((EgoDecision(GapChoice.GAP_2, LateralDecision.LEFT_CHANGE),) * 5),
-        DecisionSequence((EgoDecision(GapChoice.GAP_1, LateralDecision.LEFT_PROBE),) * 5),
-    ]
-    tuples = build_action_tuples(seqs, [SvAction.ASSERT, SvAction.YIELD])
-    return cfg, world, tuples
+    return cfg, world, build_action_tuples(list(SEQS), list(ROWS))
 
 
 def test_build_game_matches_batch_path():
@@ -236,7 +320,7 @@ def test_build_game_matches_batch_path():
     sets = [simulate_tuple(world, t, sim, model) for t in tuples]
     g1 = build_game(tuples, sets, beliefs, cfg.weights, world)
     rollout = simulate_batch(world, tuples, sim, model)
-    g2 = build_game_from_batch(rollout, world, beliefs, cfg.weights)
+    g2 = build_game_from_batch(rollout, world, beliefs, cfg.weights, ROWS, SEQS)
     assert np.allclose(g1.sv_weighted, g2.sv_weighted, atol=1e-9)
     assert np.allclose(g1.ev, g2.ev, atol=1e-9)
     assert g1.col_partners == g2.col_partners
@@ -246,7 +330,8 @@ def test_belief_weighting_rule():
     cfg, world, tuples = planning_setup()
     rollout = simulate_batch(world, tuples, SimConfig(), PlannerModel())
     b = Belief(0.7, 0.3)
-    g = build_game_from_batch(rollout, world, {"sv1": b, "sv2": b, "sv3": b}, cfg.weights)
+    g = build_game_from_batch(rollout, world, {"sv1": b, "sv2": b, "sv3": b}, cfg.weights,
+                              ROWS, SEQS)
     for j, partner in enumerate(g.col_partners):
         weight = (1.0 - b.p_assert, 1.0 - b.p_yield) if partner is not None else (0.5, 0.5)
         assert g.sv_weighted[0, j] == pytest.approx(weight[0] * g.sv_raw[0, j])
@@ -257,7 +342,7 @@ def test_uniform_belief_halves_rows():
     cfg, world, tuples = planning_setup()
     rollout = simulate_batch(world, tuples, SimConfig(), PlannerModel())
     beliefs = {vid: Belief.uniform() for vid in cfg.sv_ids}
-    g = build_game_from_batch(rollout, world, beliefs, cfg.weights)
+    g = build_game_from_batch(rollout, world, beliefs, cfg.weights, ROWS, SEQS)
     assert np.allclose(g.sv_weighted, 0.5 * g.sv_raw)
     # the ego's best-response map is unchanged by the row scaling
     assert np.array_equal(np.argmin(g.ev, axis=1), np.argmin(g.ev, axis=1))
@@ -267,7 +352,7 @@ def test_degenerate_belief_zeroes_assert_row():
     cfg, world, tuples = planning_setup()
     rollout = simulate_batch(world, tuples, SimConfig(), PlannerModel())
     beliefs = {vid: Belief(1.0, 0.0) for vid in cfg.sv_ids}
-    g = build_game_from_batch(rollout, world, beliefs, cfg.weights)
+    g = build_game_from_batch(rollout, world, beliefs, cfg.weights, ROWS, SEQS)
     partnered = [j for j, p in enumerate(g.col_partners) if p is not None]
     assert np.allclose(g.sv_weighted[0, partnered], 0.0)
     assert np.allclose(g.sv_weighted[1, partnered], g.sv_raw[1, partnered])

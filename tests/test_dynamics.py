@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
-from mergegame.dynamics import (
-    ControlInput,
-    FootprintRect,
-    VehicleParams,
-    VehicleState,
-    footprint_of,
-    rect_distance,
-    step_bicycle,
-)
+from mergegame.dynamics import VehicleParams, rect_distance_arrays, step_bicycle
 
 PARAMS = VehicleParams()
+
+
+def step(state, a, delta, dt):
+    """One bicycle step of a single vehicle (x, y, theta, v)."""
+    return np.array(step_bicycle(*state, a, delta, dt, PARAMS.wheelbase))
 
 
 def rk4_reference(state, a, delta, dt, substeps, wheelbase=PARAMS.wheelbase):
@@ -22,7 +19,7 @@ def rk4_reference(state, a, delta, dt, substeps, wheelbase=PARAMS.wheelbase):
         vf = max(v, 0.0)
         return np.array([vf * np.cos(th), vf * np.sin(th), vf * np.tan(delta) / wheelbase, a])
 
-    s = np.array([state.x, state.y, state.theta, state.v], dtype=float)
+    s = np.array(state, dtype=float)
     h = dt / substeps
     for _ in range(substeps):
         k1 = rhs(s)
@@ -35,34 +32,34 @@ def rk4_reference(state, a, delta, dt, substeps, wheelbase=PARAMS.wheelbase):
 
 def rollout(state, a, delta, dt, n):
     for _ in range(n):
-        state = step_bicycle(state, ControlInput(a, delta), dt, PARAMS)
-    return np.array([state.x, state.y, state.theta, state.v])
+        state = step(state, a, delta, dt)
+    return state
 
 
 def test_straight_line_zero_input():
-    s = step_bicycle(VehicleState(0, 0, 0, 10), ControlInput(0, 0), 0.2, PARAMS)
-    assert (s.x, s.y, s.theta, s.v) == pytest.approx((2.0, 0.0, 0.0, 10.0), abs=1e-12)
+    s = step((0.0, 0.0, 0.0, 10.0), 0.0, 0.0, 0.2)
+    assert tuple(s) == pytest.approx((2.0, 0.0, 0.0, 10.0), abs=1e-12)
 
 
 def test_constant_acceleration_straight():
-    s = step_bicycle(VehicleState(0, 0, 0, 10), ControlInput(1.0, 0.0), 0.2, PARAMS)
-    assert s.v == pytest.approx(10.2, abs=1e-12)
+    x, y, theta, v = step((0.0, 0.0, 0.0, 10.0), 1.0, 0.0, 0.2)
+    assert v == pytest.approx(10.2, abs=1e-12)
     # position integral of a linear speed profile; the stage quadrature is exact here
-    assert s.x == pytest.approx(2.02, abs=1e-9)
-    assert s.y == 0.0 and s.theta == 0.0
+    assert x == pytest.approx(2.02, abs=1e-9)
+    assert y == 0.0 and theta == 0.0
 
 
 def test_single_step_matches_fine_integrator():
-    ref = rk4_reference(VehicleState(0, 0, 0, 5), 0.0, 0.1, 0.2, 10000)
-    s = step_bicycle(VehicleState(0, 0, 0, 5), ControlInput(0.0, 0.1), 0.2, PARAMS)
-    assert np.abs(np.array([s.x, s.y, s.theta, s.v]) - ref).max() < 1e-8
+    ref = rk4_reference((0, 0, 0, 5), 0.0, 0.1, 0.2, 10000)
+    s = step((0.0, 0.0, 0.0, 5.0), 0.0, 0.1, 0.2)
+    assert np.abs(s - ref).max() < 1e-8
 
 
 def test_third_order_convergence():
     # smooth (constant-input) curved maneuver; reference from the fine oracle
-    ref = rk4_reference(VehicleState(0, 0, 0, 5), 0.4, 0.08, 4.0, 2 ** 16)
+    ref = rk4_reference((0, 0, 0, 5), 0.4, 0.08, 4.0, 2 ** 16)
     dts = [0.2, 0.1, 0.05, 0.025]
-    errs = [np.linalg.norm(rollout(VehicleState(0, 0, 0, 5), 0.4, 0.08, dt, int(round(4.0 / dt))) - ref)
+    errs = [np.linalg.norm(rollout((0.0, 0.0, 0.0, 5.0), 0.4, 0.08, dt, int(round(4.0 / dt))) - ref)
             for dt in dts]
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert 2.7 <= slope <= 3.3
@@ -70,43 +67,42 @@ def test_third_order_convergence():
 
 def test_zero_steering_keeps_lane_and_heading():
     rng = np.random.default_rng(0)
-    s = VehicleState(0, 0, 0, 8.0)
+    s = (0.0, 0.0, 0.0, 8.0)
     for _ in range(50):
-        s = step_bicycle(s, ControlInput(float(rng.uniform(-4, 4)), 0.0), 0.2, PARAMS)
-        assert s.y == 0.0
-        assert s.theta == 0.0
+        s = step(s, float(rng.uniform(-4, 4)), 0.0, 0.2)
+        assert s[1] == 0.0
+        assert s[2] == 0.0
 
 
 def test_speed_never_negative():
     rng = np.random.default_rng(1)
-    s = VehicleState(0, 0, 0, 1.0)
+    s = (0.0, 0.0, 0.0, 1.0)
     for _ in range(200):
-        s = step_bicycle(s, ControlInput(float(rng.uniform(-6, 2)), float(rng.uniform(-0.5, 0.5))), 0.2, PARAMS)
-        assert s.v >= 0.0
+        s = step(s, float(rng.uniform(-6, 2)), float(rng.uniform(-0.5, 0.5)), 0.2)
+        assert s[3] >= 0.0
     # braking at standstill must not creep backwards
-    stopped = step_bicycle(VehicleState(5.0, 0, 0, 0.0), ControlInput(-3.0, 0.0), 0.2, PARAMS)
-    assert stopped.v == 0.0 and stopped.x == 5.0
-
-
-def test_inputs_are_saturated_not_rejected():
-    s = step_bicycle(VehicleState(0, 0, 0, 5), ControlInput(100.0, 0.0), 0.2, PARAMS)
-    expected = step_bicycle(VehicleState(0, 0, 0, 5), ControlInput(PARAMS.a_max, 0.0), 0.2, PARAMS)
-    assert s == expected
+    stopped = step((5.0, 0.0, 0.0, 0.0), -3.0, 0.0, 0.2)
+    assert stopped[3] == 0.0 and stopped[0] == 5.0
 
 
 # --- rectangle distances ------------------------------------------------------
+# a rectangle is (x, y, theta, half_length, half_width)
 
-def boundary_sample(rect: FootprintRect, per_edge=600):
+def separation(a, b):
+    return float(rect_distance_arrays(*a, *b))
+
+
+def boundary_sample(rect, per_edge=600):
     # corners included exactly so vertex-vertex minima are not missed
-    hl, hw = rect.half_length, rect.half_width
+    x, y, theta, hl, hw = rect
     corners = np.array([(-hl, -hw), (hl, -hw), (hl, hw), (-hl, hw)])
     t = np.linspace(0.0, 1.0, per_edge, endpoint=False)[:, None]
     pts = np.concatenate([
         corners[k] + t * (corners[(k + 1) % 4] - corners[k]) for k in range(4)
     ])
-    c, s = np.cos(rect.theta), np.sin(rect.theta)
+    c, s = np.cos(theta), np.sin(theta)
     rot = np.array([[c, -s], [s, c]])
-    return pts @ rot.T + np.array([rect.x, rect.y])
+    return pts @ rot.T + np.array([x, y])
 
 
 def sampled_distance(a, b):
@@ -116,33 +112,33 @@ def sampled_distance(a, b):
 
 
 def test_overlapping_rectangles_distance_zero():
-    a = FootprintRect(0, 0, 0.3, 2.0, 1.0)
-    assert rect_distance(a, a) == 0.0
+    a = (0, 0, 0.3, 2.0, 1.0)
+    assert separation(a, a) == 0.0
 
 
 def test_axis_aligned_gap():
-    a = FootprintRect(0, 0, 0, 2.0, 1.0)
-    b = FootprintRect(10, 0, 0, 2.0, 1.0)
-    assert rect_distance(a, b) == pytest.approx(6.0, abs=1e-12)
+    a = (0, 0, 0, 2.0, 1.0)
+    b = (10, 0, 0, 2.0, 1.0)
+    assert separation(a, b) == pytest.approx(6.0, abs=1e-12)
 
 
 def test_rotated_case_matches_boundary_sampling():
-    a = FootprintRect(0.0, 0.0, 0.0, 2.0, 1.0)
-    b = FootprintRect(4.0, 3.0, np.pi / 4, 2.0, 1.0)
-    assert rect_distance(a, b) == pytest.approx(sampled_distance(a, b), abs=1e-3)
+    a = (0.0, 0.0, 0.0, 2.0, 1.0)
+    b = (4.0, 3.0, np.pi / 4, 2.0, 1.0)
+    assert separation(a, b) == pytest.approx(sampled_distance(a, b), abs=1e-3)
 
 
 def test_distance_symmetry_and_translation_invariance():
     rng = np.random.default_rng(7)
     for _ in range(50):
-        a = FootprintRect(*rng.uniform(-5, 5, 2), rng.uniform(-np.pi, np.pi), 2.0, 1.0)
-        b = FootprintRect(*rng.uniform(-5, 5, 2), rng.uniform(-np.pi, np.pi), 1.5, 0.8)
-        d = rect_distance(a, b)
-        assert d == rect_distance(b, a)
+        a = (*rng.uniform(-5, 5, 2), rng.uniform(-np.pi, np.pi), 2.0, 1.0)
+        b = (*rng.uniform(-5, 5, 2), rng.uniform(-np.pi, np.pi), 1.5, 0.8)
+        d = separation(a, b)
+        assert d == separation(b, a)
         tx, ty = rng.uniform(-20, 20, 2)
-        a2 = FootprintRect(a.x + tx, a.y + ty, a.theta, a.half_length, a.half_width)
-        b2 = FootprintRect(b.x + tx, b.y + ty, b.theta, b.half_length, b.half_width)
-        assert rect_distance(a2, b2) == pytest.approx(d, abs=1e-9)
+        a2 = (a[0] + tx, a[1] + ty, *a[2:])
+        b2 = (b[0] + tx, b[1] + ty, *b[2:])
+        assert separation(a2, b2) == pytest.approx(d, abs=1e-9)
         assert d >= 0.0
 
 
@@ -151,10 +147,10 @@ def test_random_cases_match_boundary_sampling():
     rng = np.random.default_rng(11)
     checked = 0
     while checked < 10:
-        a = FootprintRect(*rng.uniform(-3, 3, 2), rng.uniform(-np.pi, np.pi), 2.0, 1.0)
-        b = FootprintRect(*(rng.uniform(-3, 3, 2) + np.array([8.0, 0.0])),
-                          rng.uniform(-np.pi, np.pi), 2.25, 1.0)
-        d = rect_distance(a, b)
+        a = (*rng.uniform(-3, 3, 2), rng.uniform(-np.pi, np.pi), 2.0, 1.0)
+        b = (*(rng.uniform(-3, 3, 2) + np.array([8.0, 0.0])),
+             rng.uniform(-np.pi, np.pi), 2.25, 1.0)
+        d = separation(a, b)
         if d < 0.3:
             continue
         assert d == pytest.approx(sampled_distance(a, b), abs=1e-3)
@@ -162,12 +158,7 @@ def test_random_cases_match_boundary_sampling():
 
 
 def test_contained_rectangle_distance_zero():
-    outer = FootprintRect(0, 0, 0.2, 4.0, 3.0)
-    inner = FootprintRect(0.3, -0.2, 1.0, 0.5, 0.3)
-    assert rect_distance(outer, inner) == 0.0
+    outer = (0, 0, 0.2, 4.0, 3.0)
+    inner = (0.3, -0.2, 1.0, 0.5, 0.3)
+    assert separation(outer, inner) == 0.0
 
-
-def test_footprint_of_uses_vehicle_dimensions():
-    fp = footprint_of(VehicleState(1, 2, 0.5, 3), PARAMS)
-    assert (fp.x, fp.y, fp.theta) == (1, 2, 0.5)
-    assert fp.half_length == PARAMS.length / 2 and fp.half_width == PARAMS.width / 2

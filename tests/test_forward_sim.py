@@ -10,13 +10,7 @@ from mergegame.actions import (
     build_action_tuples,
 )
 from mergegame.control import IdmSettings
-from mergegame.dynamics import (
-    ControlInput,
-    VehicleParams,
-    VehicleState,
-    rect_overlap_arrays,
-    step_bicycle,
-)
+from mergegame.dynamics import VehicleParams, rect_overlap_arrays, step_bicycle
 from mergegame.forward_sim import (
     PlannerModel,
     SimConfig,
@@ -116,12 +110,12 @@ def test_batch_matches_single_tuple_sim():
 def test_replay_consistency():
     world = default_merge_scenario(5.0).initial_world()
     ts = simulate_tuple(world, (SvAction.YIELD, const_seq(G2, LC)), CFG, MODEL)
-    for i, vid in enumerate(ts.vehicle_ids):
-        state = ts.state(vid, 0)
+    for i in range(len(ts.vehicle_ids)):
+        state = ts.states[i, 0]
         for t in range(ts.n_steps):
-            state = step_bicycle(state, ts.input(vid, t), CFG.dt, world.params[i])
-            rec = ts.state(vid, t + 1)
-            assert (state.x, state.y, state.theta, state.v) == (rec.x, rec.y, rec.theta, rec.v)
+            a, delta = ts.inputs[i, t]
+            state = np.array(step_bicycle(*state, a, delta, CFG.dt, world.params[i].wheelbase))
+            assert np.array_equal(state, ts.states[i, t + 1])
 
 
 def test_surrounding_vehicles_stay_in_lane():

@@ -1,6 +1,8 @@
 import pytest
+import yaml
 
 from mergegame.scenario import (
+    BeliefSettings,
     ScenarioConfig,
     VehicleSpec,
     default_merge_scenario,
@@ -61,3 +63,26 @@ def test_truth_mode_variants():
     selfish = default_merge_scenario(6.0, truth_modes="selfish")
     assert all(v.mode == "polite" for v in polite.vehicles if v.role != "ego")
     assert all(v.mode == "selfish" for v in selfish.vehicles if v.role != "ego")
+
+
+def test_yaml_rejects_pursuit_wheelbase(tmp_path):
+    # the steering law uses each vehicle's own wheelbase; the old pursuit field did nothing
+    path = tmp_path / "scenario.yaml"
+    save_scenario(default_merge_scenario(5.0), path)
+    data = yaml.safe_load(path.read_text())
+    data["pursuit"]["wheelbase"] = 2.7
+    path.write_text(yaml.safe_dump(data, sort_keys=False))
+    with pytest.raises(TypeError, match="wheelbase"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("initial_assert", [0.0, 1.0, -0.1, 1.5])
+def test_belief_settings_reject_degenerate_prior(initial_assert):
+    with pytest.raises(ValueError, match="initial_assert"):
+        BeliefSettings(initial_assert=initial_assert)
+
+
+@pytest.mark.parametrize("sigma_accel", [0.0, -0.8])
+def test_belief_settings_reject_nonpositive_sigma(sigma_accel):
+    with pytest.raises(ValueError, match="sigma_accel"):
+        BeliefSettings(sigma_accel=sigma_accel)
