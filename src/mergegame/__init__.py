@@ -33,7 +33,7 @@ from .control import (
 )
 from .costs import Belief, CostWeights, GameMatrix, update_belief
 from .dynamics import VehicleParams, step_bicycle
-from .forward_sim import SimConfig, PlannerModel, TrajectorySet, simulate_batch, simulate_tuple
+from .forward_sim import SimConfig, PlannerModel, simulate_batch
 from .game import (
     Equilibrium,
     EquilibriumKind,

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import IntEnum
+from typing import Sequence
 
 __all__ = [
     "GapChoice",
@@ -131,22 +133,24 @@ class PruneRules:
             raise ValueError("max_decision_changes must be >= 0")
 
 
-def enumerate_ego_sequences(rules: PruneRules, horizon: int) -> list[DecisionSequence]:
+@functools.lru_cache(maxsize=64)
+def enumerate_ego_sequences(rules: PruneRules, horizon: int) -> tuple[DecisionSequence, ...]:
     """Enumerate all decision sequences of length `horizon` reachable from the root.
 
     A sequence is kept when every adjacent pair (including root -> first step)
     avoids the forbidden transitions and the total number of step-to-step
     changes stays within the budget. Output order is deterministic:
     lexicographic over step index with decisions in (gap, lateral) enum order.
-    Returns [] when the root itself is invalid, which signals a configuration
-    error upstream.
+    Returns () when the root itself is invalid, which signals a configuration
+    error upstream. The result depends only on (rules, horizon), so it is
+    cached per pair; it is a tuple because every caller shares it.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     try:
         root = EgoDecision(rules.root.gap, rules.root.lateral)
     except ValueError:
-        return []
+        return ()
 
     out: list[DecisionSequence] = []
     prefix: list[EgoDecision] = []
@@ -167,10 +171,10 @@ def enumerate_ego_sequences(rules: PruneRules, horizon: int) -> list[DecisionSeq
             prefix.pop()
 
     walk(root, 0)
-    return out
+    return tuple(out)
 
 
-def build_action_tuples(ego_seqs: list[DecisionSequence],
+def build_action_tuples(ego_seqs: Sequence[DecisionSequence],
                         sv_actions: list[SvAction]) -> list[tuple[SvAction, DecisionSequence]]:
     """Cartesian product of group actions and ego sequences, row-major over the group action."""
     if not ego_seqs or not sv_actions:

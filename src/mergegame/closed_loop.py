@@ -113,19 +113,20 @@ class EpisodeSummary:
     seed: int
 
 
-def _ego_hits_anyone(states: np.ndarray, world: WorldSnapshot) -> bool:
-    e = world.ego_index
-    _, lengths, widths, _, _ = world.params_arrays()
-    for i in range(world.n_vehicles):
-        if i == e:
-            continue
-        if rect_overlap_arrays(
-            states[e, 0], states[e, 1], states[e, 2], 0.5 * lengths[e], 0.5 * widths[e],
-            states[i, 0], states[i, 1], states[i, 2], 0.5 * lengths[i], 0.5 * widths[i],
-            strict=True,
-        ):
-            return True
-    return False
+def _ego_hits_anyone(states: np.ndarray, ego: int, half_len: np.ndarray,
+                     half_wid: np.ndarray) -> bool:
+    """Whether the ego's footprint penetrates any other vehicle's; touching does not count.
+
+    One separating-axis test of the ego against every other vehicle at once;
+    half_len and half_wid (V,) are the footprints' half dimensions.
+    """
+    others = np.arange(len(states)) != ego
+    ex, ey, eth = states[ego, :3]
+    return bool(rect_overlap_arrays(
+        ex, ey, eth, half_len[ego], half_wid[ego],
+        states[others, 0], states[others, 1], states[others, 2], half_len[others],
+        half_wid[others], strict=True,
+    ).any())
 
 
 def run_episode(cfg: ScenarioConfig, planner: str | None = None,
@@ -154,7 +155,8 @@ def run_episode(cfg: ScenarioConfig, planner: str | None = None,
     frac = {BehaviorMode.POLITE: cfg.episode.polite_lateral_frac,
             BehaviorMode.SELFISH: cfg.episode.selfish_lateral_frac}
     sv_reach = np.array([frac[BehaviorMode(v.mode)] for v in svs]) * lanes.width
-    wheelbase, _, _, a_max, delta_max = base.params_arrays()
+    wheelbase, lengths, widths, a_max, delta_max = base.params_arrays()
+    half_len, half_wid = 0.5 * lengths, 0.5 * widths
     beliefs = {vid: Belief(cfg.beliefs.initial_assert, 1.0 - cfg.beliefs.initial_assert)
                for vid in cfg.sv_ids}
 
@@ -206,7 +208,7 @@ def run_episode(cfg: ScenarioConfig, planner: str | None = None,
                 np.clip(a_cmd, -a_max, a_max), np.clip(d_cmd, -delta_max, delta_max),
                 dt, wheelbase))
             t += dt
-            if _ego_hits_anyone(states, base):
+            if _ego_hits_anyone(states, e, half_len, half_wid):
                 terminal = Outcome.COLLISION
                 break
             if abs(states[e, 1] - lanes.target_center) <= cfg.episode.success_lateral_tol \
@@ -308,12 +310,14 @@ def _mc_instance(args):
     rng = np.random.default_rng(seed)
     base = cfg.initial_world()
     e = base.ego_index
+    _, lengths, widths, _, _ = base.params_arrays()
+    half_len, half_wid = 0.5 * lengths, 0.5 * widths
     for draws in range(1, MAX_INSTANCE_DRAWS + 1):
         states = base.states.copy()
         states[e, 0] += rng.uniform(-cfg.montecarlo.position_jitter, cfg.montecarlo.position_jitter)
         states[e, 3] = max(0.0, states[e, 3] + rng.uniform(-cfg.montecarlo.speed_jitter,
                                                            cfg.montecarlo.speed_jitter))
-        if not _ego_hits_anyone(states, base):
+        if not _ego_hits_anyone(states, e, half_len, half_wid):
             break
     else:
         raise ValueError(f"Monte Carlo instance seed {seed}: the ego overlapped another "

@@ -5,6 +5,16 @@ stacked numpy arrays: the ego follows its decision sequence through the gap
 reference / PD / pure-pursuit stack, surrounding vehicles follow the modified
 IDM with zero heading and steering, and the tuple's group action sets the
 interaction partner's willingness to yield.
+
+The tuples form a search tree over the ego's decisions, and simulate_batch
+walks it one decision period per depth. At depth d a column stands for every
+tuple with the same key (group action, interaction partner, decisions 0..d):
+those tuples have had the same inputs so far, so they are stepped once. The
+partner is part of the key from the root on, because the partner is fixed
+by the whole sequence and acts from t = 0 (yield discount, watching a probing
+ego). At each depth boundary the columns split where the next decision
+differs, each copying its parent's state, and the finished period is
+gathered into the per-tuple outputs.
 """
 
 from __future__ import annotations
@@ -22,10 +32,8 @@ from .world import WorldSnapshot, interaction_partner
 __all__ = [
     "SimConfig",
     "PlannerModel",
-    "TrajectorySet",
     "BatchRollout",
     "active_decision_index",
-    "simulate_tuple",
     "simulate_batch",
 ]
 
@@ -72,26 +80,6 @@ def active_decision_index(step: int, cfg: SimConfig) -> int:
 
 
 @dataclass
-class TrajectorySet:
-    """Simulated state/input histories of all vehicles under one action tuple."""
-
-    vehicle_ids: tuple[str, ...]
-    states: np.ndarray  # (V, T+1, 4) columns x, y, theta, v
-    inputs: np.ndarray  # (V, T, 2) columns a, delta (already saturated)
-    action: tuple[SvAction, DecisionSequence]
-    dt: float
-    feasible: bool
-    partner_id: str | None = None
-
-    @property
-    def n_steps(self) -> int:
-        return self.inputs.shape[1]
-
-    def index_of(self, vehicle_id: str) -> int:
-        return self.vehicle_ids.index(vehicle_id)
-
-
-@dataclass
 class BatchRollout:
     """Rollouts of many action tuples stacked along the first axis."""
 
@@ -115,11 +103,6 @@ class BatchRollout:
         if self._feasible is None:
             self._feasible = _no_overlap_flags(self.states, self.lengths, self.widths)
         return self._feasible
-
-    def to_trajectory_set(self, k: int) -> TrajectorySet:
-        return TrajectorySet(self.vehicle_ids, self.states[k].copy(), self.inputs[k].copy(),
-                             self.tuples[k], self.dt, bool(self.feasible[k]),
-                             self.partner_ids[k])
 
 
 def _no_overlap_flags(states, lengths, widths):
@@ -185,37 +168,74 @@ def _idm_block(X, Y, TH, VS, rows, lead, kappa, ego_watch, v_des, a_max, idm: Id
     return np.clip(idm_accel(v, v_lead, d_lead, has_lead, v_des, idm), -a_max, a_max)
 
 
+def _dense_rank(code, n_codes):
+    """Distinct values of code (ints in [0, n_codes)), ranked in increasing order.
+
+    Returns (member, rank): member[r] is the index of one element holding the
+    r-th distinct value, and rank[i] the rank of code[i]. This is
+    np.unique(code, return_index=True, return_inverse=True) up to which
+    member stands for a value, found through a table of every possible value
+    instead of by sorting; sorting would also map numpy's sort code into
+    memory, about 0.4 MB of resident memory that the planner needs nowhere else.
+    """
+    present = np.zeros(n_codes, dtype=bool)
+    present[code] = True
+    member = np.empty(n_codes, dtype=np.intp)
+    member[code] = np.arange(len(code))
+    return member[present], (np.cumsum(present) - 1)[code]
+
+
 def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
                    model: PlannerModel) -> BatchRollout:
     """Roll out every action tuple from the shared initial world state.
 
     Deterministic: no randomness enters the rollouts, and identical inputs
     produce identical arrays. Collisions never abort a rollout; they only
-    clear its feasibility flag (the evaluator penalizes them).
+    clear its feasibility flag (the evaluator penalizes them). Returns states
+    (K, V, T+1, 4) and inputs (K, V, T, 2) in the order of tuples.
+
+    The rollouts are stepped as a tree, one decision period per depth. During
+    period d the working arrays hold one column per distinct key (group
+    action, interaction partner, decisions 0..d): tuples with equal keys have
+    equal states up to the end of period d, so they share a column until
+    their decisions part. The partner belongs in the key although it is taken
+    from the last lane-change step of the whole sequence: from t = 0 on it
+    gets the yield discount under the YIELD action and watches a probing ego
+    as a virtual leader. At each depth boundary every column of period d
+    starts from its parent column of period d-1. Every step is elementwise
+    over the columns, so each tuple's values are those of stepping it alone.
 
     A surrounding vehicle outside the influence set (_influence_set) sees
     only kappa_assert and leaders that are themselves outside the set, from
     the same initial state in every rollout. Its trajectory is therefore the
-    same in all K rollouts, so it is stepped on one row and broadcast into
-    states and inputs; the results are those of stepping it on every row.
+    same in all K rollouts, so it is stepped on one column and broadcast into
+    states and inputs.
     """
     tuples = list(tuples)
     if not tuples:
         raise ValueError("need at least one action tuple")
-    K, V, T = len(tuples), world.n_vehicles, cfg.steps
+    K, V, T, S = len(tuples), world.n_vehicles, cfg.steps, cfg.substeps
     e = world.ego_index
-    for _, seq in tuples:
-        if len(seq) != cfg.horizon:
-            raise ValueError("decision sequence length must equal the decision horizon")
+
+    # partner and decision codes once per sequence object: the planner pairs
+    # each sequence with both group actions
+    by_id = {id(seq): seq for _, seq in tuples}
+    pos = {key: m for m, key in enumerate(by_id)}
+    seq_of = np.array([pos[id(seq)] for _, seq in tuples])
+    seqs = list(by_id.values())
+    if any(len(seq) != cfg.horizon for seq in seqs):
+        raise ValueError("decision sequence length must equal the decision horizon")
 
     leader_idx = world.leader_indices(include_ego=True)
     gaps_map = world.resolve_gaps(leader_idx)
-    partner_ids = tuple(interaction_partner(seq, gaps_map) for _, seq in tuples)
-    partner_idx = np.array([world.index_of(p) if p is not None else -1 for p in partner_ids])
-    sv_is_yield = np.array([sv == SvAction.YIELD for sv, _ in tuples])
-
-    gap_seq = np.array([[int(s.gap) for s in seq] for _, seq in tuples])       # (K, H)
-    lat_seq = np.array([[int(s.lateral) for s in seq] for _, seq in tuples])   # (K, H)
+    seq_partners = [interaction_partner(seq, gaps_map) for seq in seqs]
+    partner_ids = tuple(seq_partners[m] for m in seq_of.tolist())
+    partner_idx = np.array([world.index_of(p) if p is not None else -1
+                            for p in seq_partners])[seq_of]
+    # decision code 3 * gap + lateral per tuple and period, (K, H)
+    dec = np.array([[3 * step.gap + step.lateral for step in seq] for seq in seqs])[seq_of]
+    sv_code = np.array([int(sv) for sv, _ in tuples])
+    sv_is_yield = sv_code == SvAction.YIELD
 
     wheelbase, lengths, widths, a_max, delta_max = world.params_arrays()
     lanes = world.lanes
@@ -225,7 +245,7 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
     kappa_yield = lateral_discount(idm.beta_yield, w_lane)
 
     # working rows, one per vehicle: [ego | other influenced vehicles | shared
-    # vehicles], so that each block is a slice; each row holds the K rollouts
+    # vehicles], so that each block is a slice; each row holds one entry per column
     influenced = _influence_set(leader_idx, e, partner_idx)
     order = np.concatenate(([e], np.flatnonzero(influenced & (np.arange(V) != e)),
                             np.flatnonzero(~influenced)))
@@ -248,8 +268,7 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
     line_by_lat = np.array([ego_lane_center, lanes.target_center, lanes.probe_line])
 
     sv_inf = slice(1, n_inf)
-    is_partner = np.arange(1, n_inf)[:, None] == row_of[partner_idx][None, :]   # (n_inf - 1, K)
-    kappa_inf = np.where(is_partner & sv_is_yield[None, :], kappa_yield, kappa_assert)
+    sv_rows = np.arange(1, n_inf)[:, None]
 
     # shared vehicles are written into every rollout once, after the loop
     inf_ids, shared_ids = order[:n_inf], order[n_inf:]
@@ -257,82 +276,103 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
     inputs = np.zeros((K, V, T, 2))
     shared_states = np.empty((V - n_inf, T + 1, 4))
     shared_inputs = np.zeros((V - n_inf, T, 2))
-    X, Y, TH, VS = (np.repeat(world.states[order, c, None], K, axis=1) for c in range(4))
-    cols = np.arange(K)
+    # one decision period of the influenced vehicles, per column; allocated once
+    # at its largest size (never more columns than tuples), since fresh buffers
+    # at every depth fragment the heap and raise the peak resident memory
+    seg_states_buf = np.empty((K, n_inf, S, 4))
+    seg_inputs_buf = np.zeros((K, n_inf, S, 2))
 
-    for t in range(T + 1):
-        for c, arr in enumerate((X, Y, TH, VS)):
-            states[:, inf_ids, t, c] = arr[:n_inf].T
-            shared_states[:, t, c] = arr[n_inf:, 0]
-        if t == T:
-            break
+    # before the first decision the key is (group action, partner); all such
+    # columns start from the initial state
+    inv = _dense_rank(sv_code * (V + 1) + partner_idx + 1, 2 * (V + 1))[1]
+    X, Y, TH, VS = (np.repeat(world.states[order, c, None], inv.max() + 1, axis=1)
+                    for c in range(4))
 
-        d = t // cfg.substeps
-        gap_t = gap_seq[:, d]
-        lat_t = lat_seq[:, d]
+    for d in range(cfg.horizon):
+        rep, inv_d = _dense_rank(inv * 9 + dec[:, d], 9 * (inv.max() + 1))
+        parent = inv[rep]
+        inv = inv_d
+        X, Y, TH, VS = (arr[:, parent] for arr in (X, Y, TH, VS))
 
-        # --- ego lateral: pure pursuit onto the decision's target line
-        delta_e = pure_pursuit(Y[0], TH[0], VS[0], line_by_lat[lat_t], wheelbase[e],
-                               model.pursuit, delta_max[e])
-
-        # --- ego longitudinal: PD on the rule-based gap reference
+        # the column's decision, partner and group action, from its representative tuple
+        n_cols = len(rep)
+        cols = np.arange(n_cols)
+        gap_t, lat_t = np.divmod(dec[rep, d], 3)
+        line = line_by_lat[lat_t]
         fi = front_by_gap[gap_t]
         ri = rear_by_gap[gap_t]
         has_f, has_r = fi >= 0, ri >= 0
-        x_tgt, v_tgt = gap_reference(X[np.where(has_f, fi, 0), cols],
-                                     VS[np.where(has_f, fi, 0), cols], has_f,
-                                     X[np.where(has_r, ri, 0), cols], has_r,
-                                     world.v_des[e], model.d_safe, model.follow_distance)
-        a_e = pd_longitudinal(X[0], VS[0], x_tgt, v_tgt, has_f, model.gains, a_max[e])
-
-        # until the ego has mostly crossed, its command may not drive it into
-        # the leader of the lane it is still occupying; the governor engages
-        # once that leader is within the follow point plus a time headroom
-        if lead_cur >= 0:
-            still_on_lane = np.abs(lanes.target_center - Y[0]) > 0.25 * w_lane
-            slack = X[lead_cur] - X[0] - model.follow_distance
-            engaged = still_on_lane & \
-                (slack <= model.keep_engage_time * np.maximum(VS[0], 1.0))
-            a_keep = pd_longitudinal(X[0], VS[0], X[lead_cur] - model.follow_distance,
-                                     np.minimum(VS[lead_cur], world.v_des[e]), True,
-                                     model.gains, a_max[e])
-            a_e = np.where(engaged, np.minimum(a_e, a_keep), a_e)
-
-        # --- surrounding vehicles: modified IDM, partner beta set by the group
-        # action; the shared block is evaluated on one rollout
+        fi, ri = np.where(has_f, fi, 0), np.where(has_r, ri, 0)
+        is_partner = sv_rows == row_of[partner_idx[rep]][None, :]   # (n_inf - 1, n_cols)
+        kappa_inf = np.where(is_partner & sv_is_yield[rep][None, :], kappa_yield, kappa_assert)
         ego_probing = (lat_t == int(LateralDecision.LEFT_CHANGE)) | \
                       (lat_t == int(LateralDecision.LEFT_PROBE))
-        A = np.empty((n_inf, K))
-        A[0] = a_e
-        A[sv_inf] = _idm_block(X, Y, TH, VS, sv_inf, lead[sv_inf], kappa_inf,
-                               is_partner & ego_probing[None, :], v_des[sv_inf], a_lim[sv_inf],
-                               idm)
-        a_shared = _idm_block(X[:, :1], Y[:, :1], TH[:, :1], VS[:, :1], slice(n_inf, V),
-                              lead[n_inf:], kappa_assert, False, v_des[n_inf:], a_lim[n_inf:],
-                              idm)
-        inputs[:, inf_ids, t, 0] = A.T
-        inputs[:, e, t, 1] = delta_e
-        shared_inputs[:, t, 0] = a_shared[:, 0]
+        ego_watch = is_partner & ego_probing[None, :]
 
-        D = np.zeros((n_inf, K))
-        D[0] = delta_e
-        stepped_inf = step_bicycle(X[:n_inf], Y[:n_inf], TH[:n_inf], VS[:n_inf],
-                                   A, D, cfg.dt, wb[:n_inf])
-        stepped_shared = step_bicycle(X[n_inf:, :1], Y[n_inf:, :1], TH[n_inf:, :1],
-                                      VS[n_inf:, :1], a_shared, 0.0, cfg.dt, wb[n_inf:])
-        X, Y, TH, VS = (np.empty((V, K)) for _ in range(4))
-        for arr, a_inf, a_sh in zip((X, Y, TH, VS), stepped_inf, stepped_shared):
-            arr[:n_inf] = a_inf
-            arr[n_inf:] = a_sh
+        seg_states = seg_states_buf[:n_cols]
+        seg_inputs = seg_inputs_buf[:n_cols]
+        for s in range(S):
+            t = d * S + s
+            for c, arr in enumerate((X, Y, TH, VS)):
+                seg_states[:, :, s, c] = arr[:n_inf].T
+                shared_states[:, t, c] = arr[n_inf:, 0]
 
+            # --- ego lateral: pure pursuit onto the decision's target line
+            delta_e = pure_pursuit(Y[0], TH[0], VS[0], line, wheelbase[e],
+                                   model.pursuit, delta_max[e])
+
+            # --- ego longitudinal: PD on the rule-based gap reference
+            x_tgt, v_tgt = gap_reference(X[fi, cols], VS[fi, cols], has_f, X[ri, cols], has_r,
+                                         world.v_des[e], model.d_safe, model.follow_distance)
+            a_e = pd_longitudinal(X[0], VS[0], x_tgt, v_tgt, has_f, model.gains, a_max[e])
+
+            # until the ego has mostly crossed, its command may not drive it into
+            # the leader of the lane it is still occupying; the governor engages
+            # once that leader is within the follow point plus a time headroom
+            if lead_cur >= 0:
+                still_on_lane = np.abs(lanes.target_center - Y[0]) > 0.25 * w_lane
+                slack = X[lead_cur] - X[0] - model.follow_distance
+                engaged = still_on_lane & \
+                    (slack <= model.keep_engage_time * np.maximum(VS[0], 1.0))
+                a_keep = pd_longitudinal(X[0], VS[0], X[lead_cur] - model.follow_distance,
+                                         np.minimum(VS[lead_cur], world.v_des[e]), True,
+                                         model.gains, a_max[e])
+                a_e = np.where(engaged, np.minimum(a_e, a_keep), a_e)
+
+            # --- surrounding vehicles: modified IDM, partner beta set by the group
+            # action; the shared block is evaluated on one column
+            A = np.empty((n_inf, n_cols))
+            A[0] = a_e
+            A[sv_inf] = _idm_block(X, Y, TH, VS, sv_inf, lead[sv_inf], kappa_inf, ego_watch,
+                                   v_des[sv_inf], a_lim[sv_inf], idm)
+            a_shared = _idm_block(X[:, :1], Y[:, :1], TH[:, :1], VS[:, :1], slice(n_inf, V),
+                                  lead[n_inf:], kappa_assert, False, v_des[n_inf:],
+                                  a_lim[n_inf:], idm)
+            seg_inputs[:, :, s, 0] = A.T
+            seg_inputs[:, 0, s, 1] = delta_e
+            shared_inputs[:, t, 0] = a_shared[:, 0]
+
+            D = np.zeros((n_inf, n_cols))
+            D[0] = delta_e
+            stepped_inf = step_bicycle(X[:n_inf], Y[:n_inf], TH[:n_inf], VS[:n_inf],
+                                       A, D, cfg.dt, wb[:n_inf])
+            stepped_shared = step_bicycle(X[n_inf:, :1], Y[n_inf:, :1], TH[n_inf:, :1],
+                                          VS[n_inf:, :1], a_shared, 0.0, cfg.dt, wb[n_inf:])
+            X, Y, TH, VS = (np.empty((V, n_cols)) for _ in range(4))
+            for arr, a_inf, a_sh in zip((X, Y, TH, VS), stepped_inf, stepped_shared):
+                arr[:n_inf] = a_inf
+                arr[n_inf:] = a_sh
+
+        # each tuple takes the period from its column
+        for j, v in enumerate(inf_ids.tolist()):
+            states[:, v, d * S:(d + 1) * S] = seg_states[:, j].take(inv, axis=0)
+            inputs[:, v, d * S:(d + 1) * S] = seg_inputs[:, j].take(inv, axis=0)
+
+    for c, arr in enumerate((X, Y, TH, VS)):
+        states[:, inf_ids, T, c] = arr[:n_inf, inv].T
+        shared_states[:, T, c] = arr[n_inf:, 0]
     states[:, shared_ids] = shared_states
     inputs[:, shared_ids] = shared_inputs
 
     return BatchRollout(tuples, world.ids, states, inputs, lengths, widths,
                         partner_ids, cfg.dt)
-
-
-def simulate_tuple(world: WorldSnapshot, action: tuple[SvAction, DecisionSequence],
-                   cfg: SimConfig, model: PlannerModel) -> TrajectorySet:
-    """Roll out a single action tuple (same engine as the batched planner path)."""
-    return simulate_batch(world, [action], cfg, model).to_trajectory_set(0)

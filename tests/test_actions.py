@@ -53,7 +53,7 @@ def test_universe_size():
 def test_zero_change_budget_keeps_only_root():
     rules = PruneRules(root=EgoDecision(G1, LP), max_decision_changes=0)
     seqs = enumerate_ego_sequences(rules, horizon=5)
-    assert seqs == [DecisionSequence((EgoDecision(G1, LP),) * 5)]
+    assert seqs == (DecisionSequence((EgoDecision(G1, LP),) * 5),)
 
 
 def test_single_step_horizon_counts_every_decision():
@@ -79,6 +79,14 @@ def test_enumeration_is_deterministic():
     assert a == b
 
 
+def test_enumeration_is_cached_and_immutable():
+    seqs = enumerate_ego_sequences(PruneRules(root=EgoDecision(G0, LK)), 5)
+    assert isinstance(seqs, tuple) and len(seqs) == 371
+    # an equal, separately built rule set hits the same cache entry
+    assert enumerate_ego_sequences(PruneRules(root=EgoDecision(G0, LK)), 5) is seqs
+    assert enumerate_ego_sequences(PruneRules(root=EgoDecision(G1, LK)), 5) is not seqs
+
+
 def test_first_step_reachable_and_budget_respected():
     rules = PruneRules(root=EgoDecision(G2, LP), max_decision_changes=2)
     for seq in enumerate_ego_sequences(rules, horizon=5):
@@ -92,7 +100,7 @@ def test_matches_brute_force_oracle():
     for root, budget in [(EgoDecision(G0, LK), 2), (EgoDecision(G1, LC), 3),
                          (EgoDecision(G2, LK), 1)]:
         rules = PruneRules(root=root, max_decision_changes=budget)
-        assert enumerate_ego_sequences(rules, 4) == brute_sequences(rules, 4)
+        assert list(enumerate_ego_sequences(rules, 4)) == brute_sequences(rules, 4)
 
 
 def test_unpruned_tree_is_full_product():

@@ -10,6 +10,7 @@ from mergegame.actions import DecisionSequence, EgoDecision, GapChoice, LateralD
 from mergegame.closed_loop import (
     BehaviorMode,
     Outcome,
+    _ego_hits_anyone,
     aggregate_episodes,
     run_episode,
     run_episode_batch,
@@ -18,8 +19,8 @@ from mergegame.closed_loop import (
     write_trace_csv,
 )
 from mergegame.control import IdmSettings, idm_accel
-from mergegame.dynamics import VehicleParams, step_bicycle
-from mergegame.forward_sim import SimConfig, simulate_tuple
+from mergegame.dynamics import VehicleParams, rect_overlap_arrays, step_bicycle
+from mergegame.forward_sim import SimConfig, simulate_batch
 from mergegame.scenario import (
     MonteCarloSettings,
     ScenarioConfig,
@@ -256,10 +257,10 @@ def unobstructed_change_time(cfg):
     world = cfg.initial_world()
     sim = SimConfig(steps=60, dt=0.2, horizon=12, decision_period=1.0)
     seq = DecisionSequence((EgoDecision(GapChoice.GAP_1, LateralDecision.LEFT_CHANGE),) * 12)
-    ts = simulate_tuple(world, (SvAction.ASSERT, seq), sim, cfg.planner_model())
+    states = simulate_batch(world, [(SvAction.ASSERT, seq)], sim, cfg.planner_model()).states[0]
     e = world.ego_index
-    ok = (np.abs(ts.states[e, :, 1] - cfg.lanes.target_center) <= cfg.episode.success_lateral_tol) \
-        & (np.abs(ts.states[e, :, 2]) <= cfg.episode.success_heading_tol)
+    ok = (np.abs(states[e, :, 1] - cfg.lanes.target_center) <= cfg.episode.success_lateral_tol) \
+        & (np.abs(states[e, :, 2]) <= cfg.episode.success_heading_tol)
     settle = int(np.argmax(ok))
     assert ok[settle]
     return settle * sim.dt
@@ -311,6 +312,61 @@ def test_success_trace_has_no_overlap_steps():
             assert not rect_overlap_arrays(ex, ey, eth, lengths[i] / 2, widths[i] / 2,
                                            x, y, th, lengths[j] / 2, widths[j] / 2,
                                            strict=True)
+
+
+def reference_ego_hits_anyone(states, world):
+    """One separating-axis test per other vehicle: the truth world's check before
+    it tested all vehicles at once."""
+    e = world.ego_index
+    _, lengths, widths, _, _ = world.params_arrays()
+    for i in range(world.n_vehicles):
+        if i == e:
+            continue
+        if rect_overlap_arrays(
+            states[e, 0], states[e, 1], states[e, 2], 0.5 * lengths[e], 0.5 * widths[e],
+            states[i, 0], states[i, 1], states[i, 2], 0.5 * lengths[i], 0.5 * widths[i],
+            strict=True,
+        ):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("scenario", ["packed", "merge5", "merge10"])
+def test_ego_overlap_matches_per_vehicle_loop(scenario):
+    cfg = {"packed": lambda: packed_lane_scenario(6.0),
+           "merge5": lambda: default_merge_scenario(5.0),
+           "merge10": lambda: default_merge_scenario(10.0, seed=234448712)}[scenario]()
+    world = cfg.initial_world()
+    e = world.ego_index
+    _, lengths, widths, _, _ = world.params_arrays()
+    half_len, half_wid = 0.5 * lengths, 0.5 * widths
+
+    def hits(states):
+        got = _ego_hits_anyone(states, e, half_len, half_wid)
+        assert got == reference_ego_hits_anyone(states, world)
+        return got
+
+    assert not hits(world.states)
+    # every truth step of the first cycles
+    cfg.episode.max_cycles = 4
+    trace = run_episode(cfg)
+    by_t = {}
+    for (cycle, t, vid, x, y, th, v, a, d) in trace.steps:
+        by_t.setdefault((cycle, t), {})[vid] = (x, y, th, v)
+    for poses in by_t.values():
+        hits(np.array([poses[vid] for vid in world.ids]))
+    # the ego right beside each other vehicle, on its side away from the other
+    # lane: touching sides do not count, an ulp closer does
+    for i in range(world.n_vehicles):
+        if i == e:
+            continue
+        y = world.states[i, 1]
+        side = 1.0 if y > world.lanes.probe_line else -1.0
+        states = world.states.copy()
+        states[e] = states[i, 0], y + side * (half_wid[e] + half_wid[i]), 0.0, 0.0
+        assert not hits(states)
+        states[e, 1] = np.nextafter(states[e, 1], y)
+        assert hits(states)
 
 
 def test_selected_nash_cells_verify_post_hoc():

@@ -22,7 +22,7 @@ from mergegame.costs import (
     update_belief,
 )
 from mergegame.dynamics import VehicleParams, rect_distance_arrays
-from mergegame.forward_sim import PlannerModel, SimConfig, TrajectorySet, simulate_batch, simulate_tuple
+from mergegame.forward_sim import PlannerModel, SimConfig, simulate_batch
 from mergegame.planner import plan_cycle
 from mergegame.scenario import default_merge_scenario, packed_lane_scenario
 from mergegame.world import LaneGeometry, WorldSnapshot, interaction_partner
@@ -42,6 +42,25 @@ def two_vehicle_world():
     )
 
 
+@dataclass
+class TrajectorySet:
+    """One action tuple's rollout of every vehicle: what the per-tuple reference scores."""
+
+    vehicle_ids: tuple[str, ...]
+    states: np.ndarray  # (V, T+1, 4)
+    inputs: np.ndarray  # (V, T, 2)
+    action: tuple
+    dt: float
+
+    def index_of(self, vehicle_id: str) -> int:
+        return self.vehicle_ids.index(vehicle_id)
+
+
+def simulate_one(world, action, sim, model) -> TrajectorySet:
+    batch = simulate_batch(world, [action], sim, model)
+    return TrajectorySet(batch.vehicle_ids, batch.states[0], batch.inputs[0], action, batch.dt)
+
+
 def make_traj(xa, xb, dt=0.2):
     """Two same-lane vehicles at given longitudinal positions per step."""
     n = len(xa)
@@ -51,7 +70,7 @@ def make_traj(xa, xb, dt=0.2):
     states[:, :, 3] = 10.0
     inputs = np.zeros((2, n - 1, 2))
     seq = DecisionSequence((EgoDecision(GapChoice.GAP_0, LateralDecision.LANE_KEEP),))
-    return TrajectorySet(("a", "b"), states, inputs, (SvAction.ASSERT, seq), dt, True)
+    return TrajectorySet(("a", "b"), states, inputs, (SvAction.ASSERT, seq), dt)
 
 
 # --- per-tuple reference: one trajectory set and one vehicle at a time ---------------
@@ -317,7 +336,7 @@ def test_build_game_matches_batch_path():
     cfg, world, tuples = planning_setup()
     model, sim = PlannerModel(), SimConfig()
     beliefs = {"sv2": Belief(0.7, 0.3), "sv1": Belief(0.4, 0.6)}
-    sets = [simulate_tuple(world, t, sim, model) for t in tuples]
+    sets = [simulate_one(world, t, sim, model) for t in tuples]
     g1 = build_game(tuples, sets, beliefs, cfg.weights, world)
     rollout = simulate_batch(world, tuples, sim, model)
     g2 = build_game_from_batch(rollout, world, beliefs, cfg.weights, ROWS, SEQS)
@@ -361,7 +380,7 @@ def test_degenerate_belief_zeroes_assert_row():
 def test_build_game_rejects_mismatched_sets():
     cfg, world, tuples = planning_setup()
     model, sim = PlannerModel(), SimConfig()
-    sets = [simulate_tuple(world, t, sim, model) for t in tuples]
+    sets = [simulate_one(world, t, sim, model) for t in tuples]
     with pytest.raises(ValueError):
         build_game(tuples, sets[:-1], {}, cfg.weights, world)
     with pytest.raises(ValueError):

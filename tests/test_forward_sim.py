@@ -1,27 +1,37 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mergegame.actions import (
+    ALL_EGO_DECISIONS,
     DecisionSequence,
     EgoDecision,
     GapChoice,
     LateralDecision,
+    PruneRules,
     SvAction,
     build_action_tuples,
+    enumerate_ego_sequences,
 )
-from mergegame.control import IdmSettings
+from mergegame import forward_sim
+from mergegame.closed_loop import run_episode
+from mergegame.control import (IdmSettings, gap_reference, lateral_discount, pd_longitudinal,
+                               pure_pursuit)
 from mergegame.dynamics import VehicleParams, rect_overlap_arrays, step_bicycle
 from mergegame.forward_sim import (
+    BatchRollout,
     PlannerModel,
     SimConfig,
+    _dense_rank,
+    _idm_block,
     _influence_set,
     active_decision_index,
     simulate_batch,
-    simulate_tuple,
 )
 from mergegame.costs import Belief
 from mergegame.planner import plan_cycle
-from mergegame.scenario import default_merge_scenario, packed_lane_scenario
+from mergegame.scenario import default_merge_scenario, empty_lane_scenario, packed_lane_scenario
 from mergegame.world import interaction_partner
 from mergegame.world import LaneGeometry, WorldSnapshot
 
@@ -34,6 +44,11 @@ MODEL = PlannerModel()
 
 def const_seq(gap, lat, h=5):
     return DecisionSequence((EgoDecision(gap, lat),) * h)
+
+
+def simulate_one(world, action, cfg=CFG, model=MODEL):
+    """A batch of one tuple; its rows [0] are that tuple's rollout."""
+    return simulate_batch(world, [action], cfg, model)
 
 
 def test_sim_config_validation():
@@ -75,13 +90,14 @@ def equilibrium_world():
 
 def test_equilibrium_rollout_is_steady():
     world = equilibrium_world()
-    ts = simulate_tuple(world, (SvAction.ASSERT, const_seq(G0, LK)), CFG, MODEL)
-    speeds = ts.states[:, :, 3]
+    ts = simulate_one(world, (SvAction.ASSERT, const_seq(G0, LK)))
+    states, inputs = ts.states[0], ts.inputs[0]
+    speeds = states[:, :, 3]
     assert np.allclose(speeds, 8.0, atol=1e-9)
-    assert np.allclose(ts.states[:, :, 1], ts.states[:, [0], 1], atol=1e-12)
-    assert np.allclose(ts.inputs[:, :, 0], 0.0, atol=1e-9)
+    assert np.allclose(states[:, :, 1], states[:, [0], 1], atol=1e-12)
+    assert np.allclose(inputs[:, :, 0], 0.0, atol=1e-9)
     # positions advance linearly at 8 m/s
-    x = ts.states[0, :, 0]
+    x = states[0, :, 0]
     assert np.allclose(np.diff(x), 8.0 * CFG.dt, atol=1e-9)
 
 
@@ -102,32 +118,34 @@ def test_batch_matches_single_tuple_sim():
         [SvAction.ASSERT, SvAction.YIELD])
     batch = simulate_batch(world, tuples, CFG, MODEL)
     for k, action in enumerate(tuples):
-        single = simulate_tuple(world, action, CFG, MODEL)
-        assert np.array_equal(single.states, batch.states[k])
-        assert np.array_equal(single.inputs, batch.inputs[k])
+        single = simulate_one(world, action)
+        assert np.array_equal(single.states[0], batch.states[k])
+        assert np.array_equal(single.inputs[0], batch.inputs[k])
 
 
 def test_replay_consistency():
     world = default_merge_scenario(5.0).initial_world()
-    ts = simulate_tuple(world, (SvAction.YIELD, const_seq(G2, LC)), CFG, MODEL)
+    ts = simulate_one(world, (SvAction.YIELD, const_seq(G2, LC)))
+    states, inputs = ts.states[0], ts.inputs[0]
     for i in range(len(ts.vehicle_ids)):
-        state = ts.states[i, 0]
-        for t in range(ts.n_steps):
-            a, delta = ts.inputs[i, t]
+        state = states[i, 0]
+        for t in range(CFG.steps):
+            a, delta = inputs[i, t]
             state = np.array(step_bicycle(*state, a, delta, CFG.dt, world.params[i].wheelbase))
-            assert np.array_equal(state, ts.states[i, t + 1])
+            assert np.array_equal(state, states[i, t + 1])
 
 
 def test_surrounding_vehicles_stay_in_lane():
     world = default_merge_scenario(10.0).initial_world()
-    ts = simulate_tuple(world, (SvAction.YIELD, const_seq(G2, LC)), CFG, MODEL)
+    ts = simulate_one(world, (SvAction.YIELD, const_seq(G2, LC)))
+    states, inputs = ts.states[0], ts.inputs[0]
     e = world.ego_index
     for i in range(world.n_vehicles):
         if i == e:
             continue
-        assert np.all(ts.states[i, :, 1] == ts.states[i, 0, 1])
-        assert np.all(ts.states[i, :, 2] == 0.0)
-        assert np.all(ts.inputs[i, :, 1] == 0.0)
+        assert np.all(states[i, :, 1] == states[i, 0, 1])
+        assert np.all(states[i, :, 2] == 0.0)
+        assert np.all(inputs[i, :, 1] == 0.0)
 
 
 def test_yield_opens_larger_gap_than_assert():
@@ -138,21 +156,21 @@ def test_yield_opens_larger_gap_than_assert():
     front = gaps[G2].front_id
     out = {}
     for sv in (SvAction.ASSERT, SvAction.YIELD):
-        ts = simulate_tuple(world, (sv, seq), CFG, MODEL)
-        out[sv] = ts.states[world.index_of(front), -1, 0] - ts.states[world.index_of(partner), -1, 0]
+        states = simulate_one(world, (sv, seq)).states[0]
+        out[sv] = states[world.index_of(front), -1, 0] - states[world.index_of(partner), -1, 0]
     assert out[SvAction.YIELD] > out[SvAction.ASSERT]
 
 
 def test_sv_action_only_touches_partner_directly():
     world = default_merge_scenario(5.0).initial_world()
     seq = const_seq(G2, LC)
-    a = simulate_tuple(world, (SvAction.ASSERT, seq), CFG, MODEL)
-    y = simulate_tuple(world, (SvAction.YIELD, seq), CFG, MODEL)
-    assert a.partner_id == y.partner_id == world.resolve_gaps()[G2].rear_id
+    a = simulate_one(world, (SvAction.ASSERT, seq))
+    y = simulate_one(world, (SvAction.YIELD, seq))
+    assert a.partner_ids == y.partner_ids == (world.resolve_gaps()[G2].rear_id,)
     # vehicles upstream of the partner never feel the action switch
     for vid in ("sv0", "sv1"):
         i = world.index_of(vid)
-        assert np.array_equal(a.inputs[i], y.inputs[i])
+        assert np.array_equal(a.inputs[0, i], y.inputs[0, i])
 
 
 def test_partner_resolution_per_tuple():
@@ -170,17 +188,17 @@ def test_feasibility_flag():
                           states=np.array([[0.0, 0.0, 0.0, 8.0], [2.0, 0.0, 0.0, 2.0]]),
                           params=(VehicleParams(), VehicleParams()),
                           v_des=np.array([10.0, 2.0]), lanes=LaneGeometry(), ego_index=0)
-    ts = simulate_tuple(world, (SvAction.ASSERT, const_seq(G0, LK)), CFG, MODEL)
-    assert not ts.feasible
+    ts = simulate_one(world, (SvAction.ASSERT, const_seq(G0, LK)))
+    assert not ts.feasible[0]
     clear = equilibrium_world()
-    ts2 = simulate_tuple(clear, (SvAction.ASSERT, const_seq(G0, LK)), CFG, MODEL)
-    assert ts2.feasible
+    ts2 = simulate_one(clear, (SvAction.ASSERT, const_seq(G0, LK)))
+    assert ts2.feasible[0]
 
 
 def test_wrong_horizon_rejected():
     world = default_merge_scenario(5.0).initial_world()
     with pytest.raises(ValueError):
-        simulate_tuple(world, (SvAction.ASSERT, const_seq(G0, LK, h=3)), CFG, MODEL)
+        simulate_one(world, (SvAction.ASSERT, const_seq(G0, LK, h=3)))
 
 
 # --- vehicles shared by every rollout -----------------------------------------------
@@ -227,9 +245,9 @@ def test_packed_batch_rows_match_single_tuple_sim():
                 for sv in (SvAction.ASSERT, SvAction.YIELD)]
     for action in samples:
         k = batch.tuples.index(action)
-        single = simulate_tuple(world, action, cfg.sim, cfg.planner_model())
-        assert np.array_equal(single.states, batch.states[k])
-        assert np.array_equal(single.inputs, batch.inputs[k])
+        single = simulate_one(world, action, cfg.sim, cfg.planner_model())
+        assert np.array_equal(single.states[0], batch.states[k])
+        assert np.array_equal(single.inputs[0], batch.inputs[k])
 
 
 def reference_no_overlap_flags(states, lengths, widths):
@@ -263,3 +281,238 @@ def test_feasibility_flags_match_reference(scenario):
         assert not flags.any()   # the pack's bumpers touch in every rollout
     else:
         assert flags.any() and not flags.all()
+
+
+# --- the tree rollout against the flat reference loop ---------------------------------
+
+def reference_simulate_batch(world, tuples, cfg, model):
+    """The flat rollout loop: every tuple stepped over the whole horizon, one
+    row each, with no prefix shared between tuples."""
+    tuples = list(tuples)
+    if not tuples:
+        raise ValueError("need at least one action tuple")
+    K, V, T = len(tuples), world.n_vehicles, cfg.steps
+    e = world.ego_index
+    for _, seq in tuples:
+        if len(seq) != cfg.horizon:
+            raise ValueError("decision sequence length must equal the decision horizon")
+
+    leader_idx = world.leader_indices(include_ego=True)
+    gaps_map = world.resolve_gaps(leader_idx)
+    partner_ids = tuple(interaction_partner(seq, gaps_map) for _, seq in tuples)
+    partner_idx = np.array([world.index_of(p) if p is not None else -1 for p in partner_ids])
+    sv_is_yield = np.array([sv == SvAction.YIELD for sv, _ in tuples])
+
+    gap_seq = np.array([[int(s.gap) for s in seq] for _, seq in tuples])       # (K, H)
+    lat_seq = np.array([[int(s.lateral) for s in seq] for _, seq in tuples])   # (K, H)
+
+    wheelbase, lengths, widths, a_max, delta_max = world.params_arrays()
+    lanes = world.lanes
+    w_lane = lanes.width
+    idm = model.idm
+    kappa_assert = lateral_discount(idm.beta_assert, w_lane)
+    kappa_yield = lateral_discount(idm.beta_yield, w_lane)
+
+    # working rows, one per vehicle: [ego | other influenced vehicles | shared
+    # vehicles], so that each block is a slice; each row holds the K rollouts
+    influenced = _influence_set(leader_idx, e, partner_idx)
+    order = np.concatenate(([e], np.flatnonzero(influenced & (np.arange(V) != e)),
+                            np.flatnonzero(~influenced)))
+    n_inf = int(influenced.sum())
+    row_of = np.empty(V + 1, dtype=int)  # vehicle index -> working row; the extra -1 keeps "none"
+    row_of[order] = np.arange(V)
+    row_of[-1] = -1
+
+    # gap bounds and leader chain resolved once per cycle; positions stay live
+    front_by_gap = row_of[[world.index_of(gaps_map[g].front_id)
+                           if gaps_map[g].front_id is not None else -1 for g in sorted(gaps_map)]]
+    rear_by_gap = row_of[[world.index_of(gaps_map[g].rear_id)
+                          if gaps_map[g].rear_id is not None else -1 for g in sorted(gaps_map)]]
+    lead = row_of[leader_idx[order]]
+    lead_cur = lead[0]
+    wb, a_lim, v_des = wheelbase[order, None], a_max[order, None], world.v_des[order, None]
+
+    ego_lane_center = lanes.nearest_center(float(world.states[e, 1]))
+    # indexed by LateralDecision value: LANE_KEEP, LEFT_CHANGE, LEFT_PROBE
+    line_by_lat = np.array([ego_lane_center, lanes.target_center, lanes.probe_line])
+
+    sv_inf = slice(1, n_inf)
+    is_partner = np.arange(1, n_inf)[:, None] == row_of[partner_idx][None, :]   # (n_inf - 1, K)
+    kappa_inf = np.where(is_partner & sv_is_yield[None, :], kappa_yield, kappa_assert)
+
+    # shared vehicles are written into every rollout once, after the loop
+    inf_ids, shared_ids = order[:n_inf], order[n_inf:]
+    states = np.empty((K, V, T + 1, 4))
+    inputs = np.zeros((K, V, T, 2))
+    shared_states = np.empty((V - n_inf, T + 1, 4))
+    shared_inputs = np.zeros((V - n_inf, T, 2))
+    X, Y, TH, VS = (np.repeat(world.states[order, c, None], K, axis=1) for c in range(4))
+    cols = np.arange(K)
+
+    for t in range(T + 1):
+        for c, arr in enumerate((X, Y, TH, VS)):
+            states[:, inf_ids, t, c] = arr[:n_inf].T
+            shared_states[:, t, c] = arr[n_inf:, 0]
+        if t == T:
+            break
+
+        d = t // cfg.substeps
+        gap_t = gap_seq[:, d]
+        lat_t = lat_seq[:, d]
+
+        # --- ego lateral: pure pursuit onto the decision's target line
+        delta_e = pure_pursuit(Y[0], TH[0], VS[0], line_by_lat[lat_t], wheelbase[e],
+                               model.pursuit, delta_max[e])
+
+        # --- ego longitudinal: PD on the rule-based gap reference
+        fi = front_by_gap[gap_t]
+        ri = rear_by_gap[gap_t]
+        has_f, has_r = fi >= 0, ri >= 0
+        x_tgt, v_tgt = gap_reference(X[np.where(has_f, fi, 0), cols],
+                                     VS[np.where(has_f, fi, 0), cols], has_f,
+                                     X[np.where(has_r, ri, 0), cols], has_r,
+                                     world.v_des[e], model.d_safe, model.follow_distance)
+        a_e = pd_longitudinal(X[0], VS[0], x_tgt, v_tgt, has_f, model.gains, a_max[e])
+
+        # until the ego has mostly crossed, its command may not drive it into
+        # the leader of the lane it is still occupying; the governor engages
+        # once that leader is within the follow point plus a time headroom
+        if lead_cur >= 0:
+            still_on_lane = np.abs(lanes.target_center - Y[0]) > 0.25 * w_lane
+            slack = X[lead_cur] - X[0] - model.follow_distance
+            engaged = still_on_lane & \
+                (slack <= model.keep_engage_time * np.maximum(VS[0], 1.0))
+            a_keep = pd_longitudinal(X[0], VS[0], X[lead_cur] - model.follow_distance,
+                                     np.minimum(VS[lead_cur], world.v_des[e]), True,
+                                     model.gains, a_max[e])
+            a_e = np.where(engaged, np.minimum(a_e, a_keep), a_e)
+
+        # --- surrounding vehicles: modified IDM, partner beta set by the group
+        # action; the shared block is evaluated on one rollout
+        ego_probing = (lat_t == int(LateralDecision.LEFT_CHANGE)) | \
+                      (lat_t == int(LateralDecision.LEFT_PROBE))
+        A = np.empty((n_inf, K))
+        A[0] = a_e
+        A[sv_inf] = _idm_block(X, Y, TH, VS, sv_inf, lead[sv_inf], kappa_inf,
+                               is_partner & ego_probing[None, :], v_des[sv_inf], a_lim[sv_inf],
+                               idm)
+        a_shared = _idm_block(X[:, :1], Y[:, :1], TH[:, :1], VS[:, :1], slice(n_inf, V),
+                              lead[n_inf:], kappa_assert, False, v_des[n_inf:], a_lim[n_inf:],
+                              idm)
+        inputs[:, inf_ids, t, 0] = A.T
+        inputs[:, e, t, 1] = delta_e
+        shared_inputs[:, t, 0] = a_shared[:, 0]
+
+        D = np.zeros((n_inf, K))
+        D[0] = delta_e
+        stepped_inf = step_bicycle(X[:n_inf], Y[:n_inf], TH[:n_inf], VS[:n_inf],
+                                   A, D, cfg.dt, wb[:n_inf])
+        stepped_shared = step_bicycle(X[n_inf:, :1], Y[n_inf:, :1], TH[n_inf:, :1],
+                                      VS[n_inf:, :1], a_shared, 0.0, cfg.dt, wb[n_inf:])
+        X, Y, TH, VS = (np.empty((V, K)) for _ in range(4))
+        for arr, a_inf, a_sh in zip((X, Y, TH, VS), stepped_inf, stepped_shared):
+            arr[:n_inf] = a_inf
+            arr[n_inf:] = a_sh
+
+    states[:, shared_ids] = shared_states
+    inputs[:, shared_ids] = shared_inputs
+
+    return BatchRollout(tuples, world.ids, states, inputs, lengths, widths,
+                        partner_ids, cfg.dt)
+
+
+def assert_matches_reference(world, tuples, cfg, model):
+    got = simulate_batch(world, tuples, cfg, model)
+    want = reference_simulate_batch(world, tuples, cfg, model)
+    assert np.array_equal(got.states, want.states)
+    assert np.array_equal(got.inputs, want.inputs)
+    assert got.partner_ids == want.partner_ids
+    assert np.array_equal(got.feasible, want.feasible)
+
+
+def root_tuples(root, horizon=5):
+    seqs = enumerate_ego_sequences(PruneRules(root=root), horizon)
+    return build_action_tuples(seqs, [SvAction.ASSERT, SvAction.YIELD])
+
+
+def mid_episode_world(cfg, cycles):
+    """The world as the closed loop leaves it after `cycles` planning cycles."""
+    cfg.episode.max_cycles = cycles
+    trace = run_episode(cfg)
+    base = cfg.initial_world()
+    last = {row[2]: row[3:7] for row in trace.steps[-base.n_vehicles:]}
+    states = np.array([last[vid] for vid in base.ids])
+    return WorldSnapshot(base.ids, states, base.params, base.v_des, base.lanes, base.ego_index)
+
+
+SCENARIOS = {
+    "merge5": lambda: default_merge_scenario(5.0),
+    "merge10": lambda: default_merge_scenario(10.0),
+    "empty": lambda: empty_lane_scenario(8.0),
+    "packed": lambda: packed_lane_scenario(6.0),
+}
+
+
+@pytest.mark.parametrize("when", ["start", "after6"])
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_tree_rollout_matches_reference_from_every_root(scenario, when):
+    cfg = SCENARIOS[scenario]()
+    world = cfg.initial_world() if when == "start" else mid_episode_world(cfg, 6)
+    for root in ALL_EGO_DECISIONS:
+        assert_matches_reference(world, root_tuples(root), cfg.sim, cfg.planner_model())
+
+
+@pytest.mark.parametrize("scenario", ["merge10", "packed"])
+def test_tree_rollout_matches_reference_on_small_tuple_sets(scenario):
+    cfg = SCENARIOS[scenario]()
+    world, model = cfg.initial_world(), cfg.planner_model()
+    lane_keep = [(SvAction.ASSERT, const_seq(G0, LK)), (SvAction.YIELD, const_seq(G0, LK))]
+    assert_matches_reference(world, lane_keep, CFG, model)
+    assert_matches_reference(world, lane_keep[:1], CFG, model)
+    assert_matches_reference(world, [(SvAction.YIELD, const_seq(G2, LP))], CFG, model)
+    for h in (1, 6):
+        sim = SimConfig(steps=5 * h, dt=0.2, horizon=h, decision_period=1.0)
+        assert_matches_reference(world, root_tuples(EgoDecision(G0, LK), h), sim, model)
+
+
+ROOT_TUPLES = [root_tuples(root) for root in ALL_EGO_DECISIONS]
+TUPLE_POOL = [t for tuples in ROOT_TUPLES for t in tuples]
+POOL_WORLDS = [SCENARIOS[name]().initial_world() for name in ("merge5", "merge10", "packed")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(world=st.sampled_from(POOL_WORLDS), root=st.integers(0, len(ROOT_TUPLES) - 1),
+       picks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=60),
+       strays=st.lists(st.integers(0, len(TUPLE_POOL) - 1), max_size=5), data=st.data())
+def test_tree_rollout_matches_reference_on_any_tuple_list(world, root, picks, strays, data):
+    # tuples of one root share long prefixes; strays from any root add equal
+    # sequences that are distinct objects; any order, repeats included
+    own = ROOT_TUPLES[root]
+    tuples = [own[k % len(own)] for k in picks] + [TUPLE_POOL[k] for k in strays]
+    assert_matches_reference(world, data.draw(st.permutations(tuples)), CFG, MODEL)
+
+
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=200))
+def test_dense_rank_matches_unique(codes):
+    code = np.array(codes)
+    member, rank = _dense_rank(code, 41)
+    values, inverse = np.unique(code, return_inverse=True)
+    assert np.array_equal(rank, inverse)
+    assert np.array_equal(code[member], values)
+
+
+def test_tree_shares_each_prefix_once(monkeypatch):
+    # from the root 0LK the default merge has 30 / 122 / 282 / 510 / 742 distinct
+    # (group action, partner, decision prefix) columns in periods 0..4
+    cfg = default_merge_scenario(5.0)
+    widths = []
+
+    def counting_step(x, *args):
+        if x.shape[0] > 1:   # the influenced block; the shared truck is one row
+            widths.append(x.shape[1])
+        return step_bicycle(x, *args)
+
+    monkeypatch.setattr(forward_sim, "step_bicycle", counting_step)
+    simulate_batch(cfg.initial_world(), root_tuples(EgoDecision(G0, LK)), cfg.sim,
+                   cfg.planner_model())
+    assert widths == [w for w in (30, 122, 282, 510, 742) for _ in range(cfg.sim.substeps)]
