@@ -31,7 +31,7 @@ from .control import (
     pure_pursuit,
     virtual_gap_distance,
 )
-from .costs import Belief, CostWeights, GameMatrix, update_belief
+from .costs import Belief, CostWeights, GameMatrix, belief_entropy, update_belief
 from .dynamics import VehicleParams, step_bicycle
 from .forward_sim import SimConfig, PlannerModel, simulate_batch
 from .game import (

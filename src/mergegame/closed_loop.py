@@ -161,7 +161,7 @@ def run_episode(cfg: ScenarioConfig, planner: str | None = None,
                for vid in cfg.sv_ids}
 
     root = EgoDecision(GapChoice.GAP_0, LateralDecision.LANE_KEEP)
-    pending = None  # (partner_id, per-mode predictions, observed accels)
+    pending = None  # (partner_id, (assert, yield) predictions, observed accels)
     outcome, ttm = Outcome.TIMEOUT, None
     t = 0.0
     cycles: list[CycleRecord] = []
@@ -170,9 +170,11 @@ def run_episode(cfg: ScenarioConfig, planner: str | None = None,
     for cycle in range(cfg.episode.max_cycles):
         world = WorldSnapshot(ids, states.copy(), base.params, base.v_des, lanes, e)
         if pending is not None:
-            pid, preds, observed = pending
-            beliefs[pid] = update_belief(beliefs[pid], np.asarray(observed), preds,
-                                         cfg.beliefs.sigma_accel)
+            pid, (pred_assert, pred_yield), observed = pending
+            b = beliefs[pid]
+            pa, py = update_belief(b.p_assert, b.p_yield, observed, pred_assert, pred_yield,
+                                   cfg.beliefs.sigma_accel)
+            beliefs[pid] = Belief(float(pa), float(py))
         res: CycleResult = plan_cycle(world, beliefs, cfg, root, planner)
         cycles.append(CycleRecord(
             cycle=cycle, t0=t,

@@ -10,7 +10,6 @@ row's group action.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -27,7 +26,9 @@ __all__ = [
     "CostWeights",
     "Belief",
     "GameMatrix",
+    "belief_entropy",
     "build_game_from_batch",
+    "column_priors",
     "update_belief",
 ]
 
@@ -68,16 +69,6 @@ class Belief:
     @classmethod
     def uniform(cls) -> "Belief":
         return cls(0.5, 0.5)
-
-    def of(self, action: SvAction) -> float:
-        return self.p_assert if action == SvAction.ASSERT else self.p_yield
-
-    def entropy(self) -> float:
-        h = 0.0
-        for p in (self.p_assert, self.p_yield):
-            if p > 0.0:
-                h -= p * math.log(p)
-        return h
 
 
 @dataclass
@@ -144,19 +135,18 @@ def _pair_band_penalties(states, half_len, half_wid, weights: CostWeights):
 
 # --- matrix assembly ----------------------------------------------------------
 
-def _column_beliefs(partners, beliefs: Mapping[str, Belief]):
-    """Belief of each column's interaction partner; uniform when a column has none."""
-    return tuple(beliefs.get(p, Belief.uniform()) if p is not None else Belief.uniform()
-                 for p in partners)
-
-
-def _weight_rows(sv_raw, rows, per_col_beliefs):
-    w = np.array([[1.0 - b.of(r) for b in per_col_beliefs] for r in rows])
-    return w * sv_raw
+def column_priors(partners: Sequence[str | None],
+                  beliefs: Mapping[str, Belief]) -> np.ndarray:
+    """(2, M) belief in each column's interaction partner, row r holding the
+    probability of SvAction(r); uniform where a column has no partner or the
+    partner has no tracked belief."""
+    uniform = Belief.uniform()
+    per_col = [beliefs.get(p, uniform) for p in partners]
+    return np.array([[b.p_assert for b in per_col], [b.p_yield for b in per_col]])
 
 
 def build_game_from_batch(rollout: BatchRollout, world: WorldSnapshot,
-                          beliefs: Mapping[str, Belief], weights: CostWeights,
+                          prior: np.ndarray, weights: CostWeights,
                           rows: Sequence[SvAction], cols: Sequence[DecisionSequence],
                           y_des_ego: float | None = None,
                           ev_extra: np.ndarray | None = None) -> GameMatrix:
@@ -164,9 +154,10 @@ def build_game_from_batch(rollout: BatchRollout, world: WorldSnapshot,
 
     The rollout holds the row-major cross product of the group actions rows
     and the ego sequences cols. Entry (i, j) holds ((1 - b(row_i)) * sum of
-    surrounding-vehicle costs, ego cost), where the belief is the one tracked
-    for the interaction partner of column j. ev_extra, when given, is added
-    to the ego entries (information-gain term).
+    surrounding-vehicle costs, ego cost), where b is the belief in column j's
+    interaction partner: prior is column_priors of the rollout's column
+    partners. ev_extra, when given, is added to the ego entries
+    (information-gain term).
     """
     rows, cols = tuple(rows), tuple(cols)
     if y_des_ego is None:
@@ -197,39 +188,58 @@ def build_game_from_batch(rollout: BatchRollout, world: WorldSnapshot,
     ev = ev_flat.reshape(shape)
     # the rollout resolved each tuple's partner; row 0 holds the columns in order
     partners = rollout.partner_ids[:len(cols)]
-    sv_weighted = _weight_rows(sv_raw, rows, _column_beliefs(partners, beliefs))
+    sv_weighted = (1.0 - prior[[int(r) for r in rows]]) * sv_raw
     return GameMatrix(rows, cols, sv_weighted, ev, sv_raw=sv_raw, col_partners=partners)
 
 
 # --- belief update -------------------------------------------------------------
 
-def update_belief(prior: Belief, observed: np.ndarray,
-                  predicted: Mapping[SvAction, np.ndarray],
-                  sigma_a: float = 0.8) -> Belief:
-    """Bayes update of the assert/yield belief from an observed acceleration trace.
+def update_belief(p_assert, p_yield, observed, pred_assert, pred_yield,
+                  sigma_a: float = 0.8) -> tuple[np.ndarray, np.ndarray]:
+    """Bayes update of assert/yield beliefs from observed acceleration traces.
 
-    The likelihood of each mode is a product of per-step Gaussians centered on
-    the mode's predicted acceleration. A numerically vacuous likelihood (all
-    modes zero / non-finite) leaves the prior unchanged and is logged.
+    The priors (...) and the traces (..., T) broadcast over their leading
+    axes. The likelihood of each mode is a product of per-step Gaussians
+    centred on the mode's predicted acceleration, taken in log space. Returns
+    the posterior (p_assert, p_yield) arrays. An entry whose log-posterior is
+    not finite for any mode (its likelihoods vanished, so its mass cannot be
+    normalised) keeps its prior, and one warning per call gives their count.
+    A prior of exactly 0 or 1 is never moved.
     """
     observed = np.asarray(observed, dtype=float)
-    logliks = []
-    for action in (SvAction.ASSERT, SvAction.YIELD):
-        pred = np.asarray(predicted[action], dtype=float)
-        if pred.shape != observed.shape:
-            raise ValueError("observed and predicted traces must cover the same window")
-        logliks.append(-0.5 * float(np.sum(((observed - pred) / sigma_a) ** 2)))
+    pred_assert = np.asarray(pred_assert, dtype=float)
+    pred_yield = np.asarray(pred_yield, dtype=float)
+    if not observed.shape[-1:] == pred_assert.shape[-1:] == pred_yield.shape[-1:]:
+        raise ValueError("observed and predicted traces must cover the same window")
+    p_assert = np.asarray(p_assert, dtype=float)
+    p_yield = np.asarray(p_yield, dtype=float)
 
-    with np.errstate(divide="ignore"):
-        log_post = np.array(logliks) + np.log([prior.p_assert, prior.p_yield])
-    if not np.any(np.isfinite(log_post)):
-        log.warning("belief update skipped: likelihoods vanished for every mode")
-        return prior
-    log_post = log_post - np.nanmax(log_post[np.isfinite(log_post)])
-    post = np.exp(np.where(np.isfinite(log_post), log_post, -np.inf))
-    z = post.sum()
-    if not np.isfinite(z) or z <= 0.0:
-        log.warning("belief update skipped: posterior mass is not normalizable")
-        return prior
-    post = post / z
-    return Belief(float(post[0]), float(post[1]))
+    # a residual too large to square makes its mode's likelihood vanish
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ll_assert = -0.5 * np.sum(((observed - pred_assert) / sigma_a) ** 2, axis=-1)
+        ll_yield = -0.5 * np.sum(((observed - pred_yield) / sigma_a) ** 2, axis=-1)
+        lp_assert = ll_assert + np.log(p_assert)
+        lp_yield = ll_yield + np.log(p_yield)
+    fin_assert, fin_yield = np.isfinite(lp_assert), np.isfinite(lp_yield)
+    ok = fin_assert | fin_yield
+    lp_assert = np.where(fin_assert, lp_assert, -np.inf)
+    lp_yield = np.where(fin_yield, lp_yield, -np.inf)
+    # shifting by the larger finite log-posterior gives that mode weight
+    # exactly 1, so the normaliser lies in [1, 2] wherever ok holds
+    top = np.where(ok, np.maximum(lp_assert, lp_yield), 0.0)
+    w_assert, w_yield = np.exp(lp_assert - top), np.exp(lp_yield - top)
+    z = np.where(ok, w_assert + w_yield, 1.0)
+
+    n_skipped = ok.size - np.count_nonzero(ok)
+    if n_skipped:
+        log.warning("belief update skipped for %d of %d entries: likelihoods vanished "
+                    "for every mode", n_skipped, ok.size)
+    return np.where(ok, w_assert / z, p_assert), np.where(ok, w_yield / z, p_yield)
+
+
+def belief_entropy(p_assert, p_yield) -> np.ndarray:
+    """Shannon entropy in nats of assert/yield beliefs, elementwise (0 log 0 = 0)."""
+    h = 0.0
+    for p in (np.asarray(p_assert, dtype=float), np.asarray(p_yield, dtype=float)):
+        h = h - np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+    return h

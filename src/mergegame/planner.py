@@ -16,7 +16,14 @@ from .actions import (
     default_forbidden_transitions,
     enumerate_ego_sequences,
 )
-from .costs import Belief, GameMatrix, build_game_from_batch, update_belief
+from .costs import (
+    Belief,
+    GameMatrix,
+    belief_entropy,
+    build_game_from_batch,
+    column_priors,
+    update_belief,
+)
 from .forward_sim import BatchRollout, simulate_batch
 from .game import Equilibrium, EquilibriumKind, Player, find_pure_nash, select_action, stackelberg
 from .scenario import ScenarioConfig
@@ -61,17 +68,15 @@ class CycleResult:
         return trace if n_steps is None else trace[:n_steps]
 
     def partner_accel_predictions(self, world: WorldSnapshot,
-                                  n_steps: int) -> dict[SvAction, np.ndarray] | None:
-        """Per-mode predicted partner accelerations over the execution window."""
+                                  n_steps: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """Predicted partner accelerations (assert, yield) over the execution window."""
         pid = self.partner_id
         if pid is None:
             return None
         p = world.index_of(pid)
         m = len(self.game.cols)
-        return {
-            SvAction.ASSERT: self.rollout.inputs[self.col, p, :n_steps, 0].copy(),
-            SvAction.YIELD: self.rollout.inputs[m + self.col, p, :n_steps, 0].copy(),
-        }
+        return (self.rollout.inputs[self.col, p, :n_steps, 0].copy(),
+                self.rollout.inputs[m + self.col, p, :n_steps, 0].copy())
 
 
 def _prune_rules(cfg: ScenarioConfig, root: EgoDecision) -> PruneRules:
@@ -80,25 +85,29 @@ def _prune_rules(cfg: ScenarioConfig, root: EgoDecision) -> PruneRules:
                       forbidden_transitions=forbidden)
 
 
-def _info_gain_extra(rollout: BatchRollout, world: WorldSnapshot,
-                     beliefs: Mapping[str, Belief], cfg: ScenarioConfig) -> np.ndarray:
-    """Ego cost addend rewarding rollouts expected to sharpen the belief."""
-    k_total = len(rollout.tuples)
-    m = k_total // 2
-    extra = np.zeros(k_total)
-    for k in range(k_total):
-        pid = rollout.partner_ids[k]
-        if pid is None:
-            continue
-        prior = beliefs.get(pid, Belief.uniform())
-        p = world.index_of(pid)
-        col = k % m
-        trace = rollout.inputs[k, p, :, 0]
-        predicted = {SvAction.ASSERT: rollout.inputs[col, p, :, 0],
-                     SvAction.YIELD: rollout.inputs[m + col, p, :, 0]}
-        posterior = update_belief(prior, trace, predicted, cfg.beliefs.sigma_accel)
-        extra[k] = cfg.weights.w_info * (posterior.entropy() - prior.entropy())
-    return extra
+def _info_gain_extra(rollout: BatchRollout, world: WorldSnapshot, prior: np.ndarray,
+                     cfg: ScenarioConfig) -> np.ndarray:
+    """Ego cost addend rewarding rollouts expected to sharpen the belief.
+
+    Tuple (r, j) observes its partner's acceleration trace and updates the
+    column prior against the traces predicted by (assert, j) and (yield, j);
+    the addend is w_info times the change in entropy. prior is column_priors
+    of the rollout's column partners.
+    """
+    m = len(rollout.tuples) // 2
+    partners = rollout.partner_ids[:m]
+    cols = np.array([j for j, pid in enumerate(partners) if pid is not None], dtype=int)
+    p = np.array([world.index_of(partners[j]) for j in cols], dtype=int)
+    accel = rollout.inputs[..., 0]
+    pred_assert, pred_yield = accel[cols, p], accel[m + cols, p]      # (n, T)
+    observed = np.stack([pred_assert, pred_yield])                    # (2, n, T)
+    pa, py = prior[0, cols], prior[1, cols]
+    post_a, post_y = update_belief(pa, py, observed, pred_assert, pred_yield,
+                                   cfg.beliefs.sigma_accel)
+    extra = np.zeros((2, m))
+    extra[:, cols] = cfg.weights.w_info * (belief_entropy(post_a, post_y)
+                                           - belief_entropy(pa, py))
+    return extra.ravel()
 
 
 def plan_cycle(world: WorldSnapshot, beliefs: Mapping[str, Belief],
@@ -117,11 +126,12 @@ def plan_cycle(world: WorldSnapshot, beliefs: Mapping[str, Belief],
     rows = (SvAction.ASSERT, SvAction.YIELD)
     tuples = build_action_tuples(seqs, rows)
     rollout = simulate_batch(world, tuples, cfg.sim, cfg.planner_model())
+    prior = column_priors(rollout.partner_ids[:len(seqs)], beliefs)
 
     extra = None
     if cfg.weights.w_info != 0.0:
-        extra = _info_gain_extra(rollout, world, beliefs, cfg)
-    game = build_game_from_batch(rollout, world, beliefs, cfg.weights, rows, seqs,
+        extra = _info_gain_extra(rollout, world, prior, cfg)
+    game = build_game_from_batch(rollout, world, prior, cfg.weights, rows, seqs,
                                  ev_extra=extra)
 
     nash_cells = find_pure_nash(game)
@@ -138,12 +148,9 @@ def plan_cycle(world: WorldSnapshot, beliefs: Mapping[str, Belief],
         kind = EquilibriumKind.STACKELBERG_EV_LEADER.value
         fallback = False
     elif kind_cfg == "lowest-cost":
-        per_col = [beliefs.get(p, Belief.uniform()) if p is not None else Belief.uniform()
-                   for p in game.col_partners]
-        prob = np.array([[bel.of(r) for bel in per_col] for r in game.rows])
-        expected = (prob * game.ev).sum(axis=0)
+        expected = (prior * game.ev).sum(axis=0)
         col = int(np.argmin(expected))
-        row = 0 if per_col[col].p_assert >= 0.5 else 1
+        row = 0 if prior[0, col] >= 0.5 else 1
         kind = "lowest-cost"
         fallback = False
     else:

@@ -1,29 +1,39 @@
 import logging
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mergegame.actions import (
     DecisionSequence,
     EgoDecision,
     GapChoice,
     LateralDecision,
+    PruneRules,
     SvAction,
     build_action_tuples,
+    enumerate_ego_sequences,
 )
+from mergegame import costs
 from mergegame.closed_loop import run_episode
 from mergegame.costs import (
     Belief,
     CostWeights,
     GameMatrix,
     _pair_band_penalties,
+    belief_entropy,
     build_game_from_batch,
+    column_priors,
     update_belief,
 )
 from mergegame.dynamics import VehicleParams, rect_distance_arrays
 from mergegame.forward_sim import PlannerModel, SimConfig, simulate_batch
-from mergegame.planner import plan_cycle
+from mergegame.game import Player, find_pure_nash, select_action, stackelberg
+from mergegame.planner import _info_gain_extra, plan_cycle
 from mergegame.scenario import default_merge_scenario, packed_lane_scenario
 from mergegame.world import LaneGeometry, WorldSnapshot, interaction_partner
 
@@ -156,7 +166,8 @@ def build_game(tuples, trajectory_sets, beliefs, weights, world):
     partners = tuple(interaction_partner(seq, gaps) for seq in cols)
     col_beliefs = [beliefs.get(p, Belief.uniform()) if p is not None else Belief.uniform()
                    for p in partners]
-    weight = np.array([[1.0 - b.of(row) for b in col_beliefs] for row in rows])
+    weight = np.array([[1.0 - (b.p_assert, b.p_yield)[row] for b in col_beliefs]
+                       for row in rows])
     return GameMatrix(rows, cols, weight * sv_raw, ev, sv_raw=sv_raw, col_partners=partners)
 
 
@@ -326,6 +337,11 @@ SEQS = (
 )
 
 
+def priors_of(rollout, beliefs):
+    """column_priors of a rollout's column partners (row 0 holds the columns in order)."""
+    return column_priors(rollout.partner_ids[:len(rollout.tuples) // 2], beliefs)
+
+
 def planning_setup():
     cfg = default_merge_scenario(5.0)
     world = cfg.initial_world()
@@ -339,7 +355,8 @@ def test_build_game_matches_batch_path():
     sets = [simulate_one(world, t, sim, model) for t in tuples]
     g1 = build_game(tuples, sets, beliefs, cfg.weights, world)
     rollout = simulate_batch(world, tuples, sim, model)
-    g2 = build_game_from_batch(rollout, world, beliefs, cfg.weights, ROWS, SEQS)
+    g2 = build_game_from_batch(rollout, world, priors_of(rollout, beliefs), cfg.weights,
+                               ROWS, SEQS)
     assert np.allclose(g1.sv_weighted, g2.sv_weighted, atol=1e-9)
     assert np.allclose(g1.ev, g2.ev, atol=1e-9)
     assert g1.col_partners == g2.col_partners
@@ -349,8 +366,8 @@ def test_belief_weighting_rule():
     cfg, world, tuples = planning_setup()
     rollout = simulate_batch(world, tuples, SimConfig(), PlannerModel())
     b = Belief(0.7, 0.3)
-    g = build_game_from_batch(rollout, world, {"sv1": b, "sv2": b, "sv3": b}, cfg.weights,
-                              ROWS, SEQS)
+    prior = priors_of(rollout, {"sv1": b, "sv2": b, "sv3": b})
+    g = build_game_from_batch(rollout, world, prior, cfg.weights, ROWS, SEQS)
     for j, partner in enumerate(g.col_partners):
         weight = (1.0 - b.p_assert, 1.0 - b.p_yield) if partner is not None else (0.5, 0.5)
         assert g.sv_weighted[0, j] == pytest.approx(weight[0] * g.sv_raw[0, j])
@@ -361,7 +378,8 @@ def test_uniform_belief_halves_rows():
     cfg, world, tuples = planning_setup()
     rollout = simulate_batch(world, tuples, SimConfig(), PlannerModel())
     beliefs = {vid: Belief.uniform() for vid in cfg.sv_ids}
-    g = build_game_from_batch(rollout, world, beliefs, cfg.weights, ROWS, SEQS)
+    g = build_game_from_batch(rollout, world, priors_of(rollout, beliefs), cfg.weights,
+                              ROWS, SEQS)
     assert np.allclose(g.sv_weighted, 0.5 * g.sv_raw)
     # the ego's best-response map is unchanged by the row scaling
     assert np.array_equal(np.argmin(g.ev, axis=1), np.argmin(g.ev, axis=1))
@@ -371,7 +389,8 @@ def test_degenerate_belief_zeroes_assert_row():
     cfg, world, tuples = planning_setup()
     rollout = simulate_batch(world, tuples, SimConfig(), PlannerModel())
     beliefs = {vid: Belief(1.0, 0.0) for vid in cfg.sv_ids}
-    g = build_game_from_batch(rollout, world, beliefs, cfg.weights, ROWS, SEQS)
+    g = build_game_from_batch(rollout, world, priors_of(rollout, beliefs), cfg.weights,
+                              ROWS, SEQS)
     partnered = [j for j, p in enumerate(g.col_partners) if p is not None]
     assert np.allclose(g.sv_weighted[0, partnered], 0.0)
     assert np.allclose(g.sv_weighted[1, partnered], g.sv_raw[1, partnered])
@@ -399,61 +418,195 @@ def worked_bayes(prior, lik):
     return post / post.sum()
 
 
+def reference_update_belief(prior, observed, pred_assert, pred_yield, sigma_a):
+    """Scalar Bayes rule on one (p_assert, p_yield) entry, in log space; None
+    when no mode has a finite log-posterior, so the prior must stay."""
+    with np.errstate(over="ignore"):
+        logliks = [-0.5 * float(np.sum(((observed - pred) / sigma_a) ** 2))
+                   for pred in (pred_assert, pred_yield)]
+    with np.errstate(divide="ignore"):
+        log_post = np.array(logliks) + np.log(prior)
+    finite = np.isfinite(log_post)
+    if not finite.any():
+        return None
+    post = np.exp(np.where(finite, log_post - log_post[finite].max(), -np.inf))
+    post = post / post.sum()
+    return float(post[0]), float(post[1])
+
+
 def test_update_belief_bayes_rule():
     sigma = 0.8
     # residuals chosen so the likelihood ratio assert:yield is exactly 4:1
     delta = sigma * np.sqrt(2.0 * np.log(4.0))
-    observed = np.zeros(1)
-    predicted = {SvAction.ASSERT: np.zeros(1), SvAction.YIELD: np.full(1, delta)}
-    post = update_belief(Belief(0.5, 0.5), observed, predicted, sigma)
+    post_a, post_y = update_belief(0.5, 0.5, np.zeros(1), np.zeros(1), np.full(1, delta), sigma)
     expected = worked_bayes([0.5, 0.5], [0.8, 0.2])
-    assert post.p_assert == pytest.approx(expected[0], abs=1e-12)
-    assert post.p_yield == pytest.approx(expected[1], abs=1e-12)
+    assert post_a == pytest.approx(expected[0], abs=1e-12)
+    assert post_y == pytest.approx(expected[1], abs=1e-12)
 
 
 def test_update_belief_identical_predictions_keep_prior():
-    prior = Belief(0.6, 0.4)
     tr = np.array([0.1, -0.2, 0.3])
-    post = update_belief(prior, tr, {SvAction.ASSERT: tr + 0.5, SvAction.YIELD: tr + 0.5})
-    assert post.p_assert == pytest.approx(0.6)
+    post_a, _ = update_belief(0.6, 0.4, tr, tr + 0.5, tr + 0.5)
+    assert post_a == pytest.approx(0.6)
 
 
 def test_update_belief_flat_likelihood_keeps_skewed_prior():
-    prior = Belief(0.9, 0.1)
     obs = np.zeros(3)
-    post = update_belief(prior, obs, {SvAction.ASSERT: obs + 1.0, SvAction.YIELD: obs + 1.0})
-    assert post.p_assert == pytest.approx(0.9)
+    post_a, _ = update_belief(0.9, 0.1, obs, obs + 1.0, obs + 1.0)
+    assert post_a == pytest.approx(0.9)
 
 
 def test_update_belief_simplex_and_relabel():
     rng = np.random.default_rng(9)
-    for _ in range(50):
-        p = float(rng.uniform(0.01, 0.99))
-        prior = Belief(p, 1.0 - p)
-        obs = rng.normal(0, 1, 5)
-        pa, py = rng.normal(0, 1, 5), rng.normal(0, 1, 5)
-        post = update_belief(prior, obs, {SvAction.ASSERT: pa, SvAction.YIELD: py})
-        assert 0.0 <= post.p_assert <= 1.0
-        assert post.p_assert + post.p_yield == pytest.approx(1.0, abs=1e-9)
-        flipped = update_belief(Belief(1.0 - p, p), obs,
-                                {SvAction.ASSERT: py, SvAction.YIELD: pa})
-        assert flipped.p_yield == pytest.approx(post.p_assert, abs=1e-9)
+    p = rng.uniform(0.01, 0.99, 50)
+    obs = rng.normal(0, 1, (50, 5))
+    pa, py = rng.normal(0, 1, (50, 5)), rng.normal(0, 1, (50, 5))
+    post_a, post_y = update_belief(p, 1.0 - p, obs, pa, py)
+    assert np.all((0.0 <= post_a) & (post_a <= 1.0))
+    np.testing.assert_allclose(post_a + post_y, 1.0, atol=1e-9)
+    _, flipped_y = update_belief(1.0 - p, p, obs, py, pa)
+    np.testing.assert_allclose(flipped_y, post_a, atol=1e-9)
 
 
 def test_update_belief_vacuous_likelihood_returns_prior(caplog):
-    prior = Belief(0.3, 0.7)
-    obs = np.array([np.inf])
+    # entry 0 observes an infinite acceleration: both likelihoods vanish
+    obs = np.array([[np.inf], [0.2]])
     with caplog.at_level(logging.WARNING):
-        post = update_belief(prior, obs, {SvAction.ASSERT: np.zeros(1),
-                                          SvAction.YIELD: np.zeros(1)})
-    assert post == prior
-    assert any("belief update skipped" in r.message for r in caplog.records)
+        post_a, post_y = update_belief(np.array([0.3, 0.3]), np.array([0.7, 0.7]), obs,
+                                       np.zeros(1), np.ones(1))
+    assert (post_a[0], post_y[0]) == (0.3, 0.7)
+    assert post_a[1] != 0.3
+    skipped = [r.getMessage() for r in caplog.records if "belief update skipped" in r.message]
+    assert skipped == ["belief update skipped for 1 of 2 entries: likelihoods vanished "
+                       "for every mode"]
 
 
 def test_update_belief_window_mismatch():
     with pytest.raises(ValueError):
-        update_belief(Belief(0.5, 0.5), np.zeros(3),
-                      {SvAction.ASSERT: np.zeros(2), SvAction.YIELD: np.zeros(3)})
+        update_belief(0.5, 0.5, np.zeros(3), np.zeros(2), np.zeros(3))
+
+
+def _belief_entry(kind, prior, n_steps):
+    """Strategy for one (prior, observed, pred_assert, pred_yield) entry."""
+    trace = st.lists(st.floats(-10.0, 10.0), min_size=n_steps, max_size=n_steps)
+    if kind == "random":
+        return st.tuples(st.just(prior), trace, trace, trace)
+    if kind == "flat":         # equal predictions: the likelihood carries no information
+        return trace.flatmap(lambda p: st.tuples(st.just(prior), trace, st.just(p), st.just(p)))
+    # observed so far from both predictions that both likelihoods underflow
+    far = st.lists(st.sampled_from([-1e200, 1e200]), min_size=n_steps, max_size=n_steps)
+    return st.tuples(st.just(prior), far, trace, trace)
+
+
+belief_priors = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0))
+belief_entries = st.integers(1, 8).flatmap(lambda t: st.lists(
+    st.tuples(st.sampled_from(["random", "flat", "vacuous"]), belief_priors).flatmap(
+        lambda kp: _belief_entry(kp[0], kp[1], t)),
+    min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=belief_entries, sigma=st.floats(0.1, 2.0))
+def test_update_belief_batched_matches_scalar_rule(entries, sigma):
+    p = np.array([e[0] for e in entries])
+    obs, pred_a, pred_y = (np.array([e[i] for e in entries]) for i in (1, 2, 3))
+    with mock.patch.object(costs.log, "warning") as warning:
+        post_a, post_y = update_belief(p, 1.0 - p, obs, pred_a, pred_y, sigma)
+    ref = [reference_update_belief((p[i], 1.0 - p[i]), obs[i], pred_a[i], pred_y[i], sigma)
+           for i in range(len(p))]
+    n_vacuous = sum(r is None for r in ref)
+    want = np.array([(p[i], 1.0 - p[i]) if r is None else r for i, r in enumerate(ref)])
+    np.testing.assert_allclose(post_a, want[:, 0], rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(post_y, want[:, 1], rtol=1e-15, atol=0.0)
+    # on the simplex
+    assert np.all((post_a >= 0.0) & (post_a <= 1.0) & (post_y >= 0.0) & (post_y <= 1.0))
+    assert np.all(np.abs(post_a + post_y - 1.0) <= 1e-15)
+    # a prior of exactly 0 or 1 is never moved
+    assert np.all(post_a[p == 1.0] == 1.0) and np.all(post_a[p == 0.0] == 0.0)
+    # vacuous entries keep their prior, reported in one warning
+    assert warning.call_count == (1 if n_vacuous else 0)
+    if n_vacuous:
+        assert warning.call_args.args[1:] == (n_vacuous, len(p))
+
+
+# --- information-gain term ----------------------------------------------------------
+
+def reference_entropy(p_assert, p_yield):
+    h = 0.0
+    for p in (p_assert, p_yield):
+        if p > 0.0:
+            h -= p * math.log(p)
+    return h
+
+
+def reference_info_gain_extra(rollout, world, beliefs, cfg):
+    """The information-gain addend tuple by tuple: one scalar Bayes update of
+    the partner's belief per tuple, from its own partner trace against the
+    traces its column predicts under each group action."""
+    k_total = len(rollout.tuples)
+    m = k_total // 2
+    extra = np.zeros(k_total)
+    for k in range(k_total):
+        pid = rollout.partner_ids[k]
+        if pid is None:
+            continue
+        b = beliefs.get(pid, Belief.uniform())
+        prior = (b.p_assert, b.p_yield)
+        p = world.index_of(pid)
+        col = k % m
+        post = reference_update_belief(prior, rollout.inputs[k, p, :, 0],
+                                       rollout.inputs[col, p, :, 0],
+                                       rollout.inputs[m + col, p, :, 0], cfg.beliefs.sigma_accel)
+        post = prior if post is None else post
+        extra[k] = cfg.weights.w_info * (reference_entropy(*post) - reference_entropy(*prior))
+    return extra
+
+
+INFO_ROOT = EgoDecision(GapChoice.GAP_0, LateralDecision.LANE_KEEP)
+
+
+def info_gain_cfg(case):
+    cfg = packed_lane_scenario() if case == "packed" else default_merge_scenario(
+        {"merge5": 5.0, "merge10": 10.0}[case])
+    return replace(cfg, weights=replace(cfg.weights, w_info=20.0))
+
+
+@pytest.mark.parametrize("p", [0.5, 0.8, 0.999])
+@pytest.mark.parametrize("case", ["merge5", "merge10", "packed"])
+def test_info_gain_matches_per_tuple_reference(case, p):
+    cfg = info_gain_cfg(case)
+    world = cfg.initial_world()
+    # alternate the skew so that a column given another partner's prior shows
+    beliefs = {vid: Belief(p, 1.0 - p) if i % 2 else Belief(1.0 - p, p)
+               for i, vid in enumerate(cfg.sv_ids)}
+    res = plan_cycle(world, beliefs, cfg, INFO_ROOT)
+    extra = reference_info_gain_extra(res.rollout, world, beliefs, cfg)
+    assert np.count_nonzero(extra) > 0
+    ref = build_game_from_batch(res.rollout, world, priors_of(res.rollout, beliefs),
+                                cfg.weights, res.game.rows, res.game.cols, ev_extra=extra)
+    np.testing.assert_allclose(res.game.ev, ref.ev, rtol=1e-12, atol=0.0)
+    assert np.array_equal(res.game.sv_weighted, ref.sv_weighted)
+    # the planner's choices are the reference game's
+    assert [eq.cell() for eq in res.nash_cells] == [eq.cell() for eq in find_pure_nash(ref)]
+    sel = select_action(ref)
+    assert (res.row, res.col, res.fallback_used) == (sel.chosen.row, sel.chosen.col,
+                                                     sel.fallback_used)
+    assert res.se_ev.cell() == stackelberg(ref, Player.EV).cell()
+    assert res.se_sv.cell() == stackelberg(ref, Player.SV).cell()
+
+
+def test_info_gain_is_zero_without_partner():
+    cfg = info_gain_cfg("merge5")
+    world = cfg.initial_world()
+    # the current-lane gap allows lane keeping only, and has no partner
+    seqs = [s for s in enumerate_ego_sequences(PruneRules(root=INFO_ROOT), cfg.sim.horizon)
+            if all(d.gap == GapChoice.GAP_0 for d in s)]
+    rollout = simulate_batch(world, build_action_tuples(seqs, ROWS), cfg.sim,
+                             cfg.planner_model())
+    assert seqs and all(pid is None for pid in rollout.partner_ids)
+    beliefs = {vid: Belief(0.8, 0.2) for vid in cfg.sv_ids}
+    extra = _info_gain_extra(rollout, world, priors_of(rollout, beliefs), cfg)
+    assert np.array_equal(extra, np.zeros(len(rollout.tuples)))
 
 
 def test_prop1_weighted_row_inequality():
@@ -472,5 +625,5 @@ def test_belief_validation():
         Belief(0.6, 0.6)
     with pytest.raises(ValueError):
         Belief(-0.1, 1.1)
-    assert Belief.uniform().entropy() == pytest.approx(np.log(2.0))
-    assert Belief(1.0, 0.0).entropy() == 0.0
+    assert belief_entropy(0.5, 0.5) == pytest.approx(np.log(2.0))
+    assert belief_entropy(1.0, 0.0) == 0.0
