@@ -39,7 +39,6 @@ from .game import (
     EquilibriumKind,
     Player,
     Selection,
-    check_prop1_assumptions,
     find_pure_nash,
     select_action,
     stackelberg,

@@ -16,7 +16,6 @@ from .closed_loop import (
     run_monte_carlo,
     write_trace_csv,
 )
-from .costs import Belief
 from .planner import plan_cycle
 from .scenario import PLANNER_KINDS, ScenarioConfig, default_merge_scenario, load_scenario
 
@@ -43,8 +42,7 @@ def _dump(data: dict, path) -> None:
 def cmd_plan(args) -> int:
     cfg = _load(args)
     world = cfg.initial_world()
-    beliefs = {vid: Belief(cfg.beliefs.initial_assert, 1.0 - cfg.beliefs.initial_assert)
-               for vid in cfg.sv_ids}
+    beliefs = cfg.initial_beliefs()
     root = EgoDecision(GapChoice.GAP_0, LateralDecision.LANE_KEEP)
     res = plan_cycle(world, beliefs, cfg, root)
     g = res.game

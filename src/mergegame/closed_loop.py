@@ -22,7 +22,7 @@ from .control import IdmSettings, idm_accel, virtual_gap_distance
 from .costs import Belief, GameMatrix, update_belief
 from .dynamics import rect_overlap_arrays, step_bicycle
 from .planner import CycleResult, plan_cycle
-from .scenario import ScenarioConfig
+from .scenario import BehaviorMode, ScenarioConfig
 from .world import WorldSnapshot
 
 __all__ = [
@@ -39,11 +39,6 @@ __all__ = [
     "run_monte_carlo",
     "write_trace_csv",
 ]
-
-
-class BehaviorMode(Enum):
-    POLITE = "polite"
-    SELFISH = "selfish"
 
 
 class Outcome(Enum):
@@ -157,8 +152,7 @@ def run_episode(cfg: ScenarioConfig, planner: str | None = None,
     sv_reach = np.array([frac[BehaviorMode(v.mode)] for v in svs]) * lanes.width
     wheelbase, lengths, widths, a_max, delta_max = base.params_arrays()
     half_len, half_wid = 0.5 * lengths, 0.5 * widths
-    beliefs = {vid: Belief(cfg.beliefs.initial_assert, 1.0 - cfg.beliefs.initial_assert)
-               for vid in cfg.sv_ids}
+    beliefs = cfg.initial_beliefs()
 
     root = EgoDecision(GapChoice.GAP_0, LateralDecision.LANE_KEEP)
     pending = None  # (partner_id, (assert, yield) predictions, observed accels)
@@ -235,6 +229,18 @@ def run_episode(cfg: ScenarioConfig, planner: str | None = None,
 
 # --- batches -------------------------------------------------------------------
 
+def _map_seeded(worker, cfg: ScenarioConfig, seed: int, n: int, workers: int, *extra) -> list:
+    """worker((cfg, s, *extra)) for n seeds s spawned from seed, in seed order,
+    across worker processes when workers > 1."""
+    seeds = [int(s.generate_state(1)[0] % (2 ** 31)) for s in
+             np.random.SeedSequence(seed).spawn(n)]
+    jobs = [(cfg, s, *extra) for s in seeds]
+    if workers and workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(worker, jobs, chunksize=max(1, n // (workers * 8))))
+    return [worker(j) for j in jobs]
+
+
 def _episode_worker(args) -> EpisodeSummary:
     cfg, seed, planner = args
     trace = run_episode(replace(cfg, seed=seed), planner=planner, record_steps=False)
@@ -245,13 +251,7 @@ def run_episode_batch(cfg: ScenarioConfig, n: int, planner: str | None = None,
                       base_seed: int | None = None, workers: int = 0) -> list[EpisodeSummary]:
     """n independent episodes with per-episode seeds derived from base_seed."""
     base_seed = cfg.seed if base_seed is None else base_seed
-    seeds = [int(s.generate_state(1)[0] % (2 ** 31)) for s in
-             np.random.SeedSequence(base_seed).spawn(n)]
-    jobs = [(cfg, s, planner) for s in seeds]
-    if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_episode_worker, jobs, chunksize=max(1, n // (workers * 8))))
-    return [_episode_worker(j) for j in jobs]
+    return _map_seeded(_episode_worker, cfg, base_seed, n, workers, planner)
 
 
 def aggregate_episodes(summaries: list[EpisodeSummary]) -> dict:
@@ -326,10 +326,8 @@ def _mc_instance(args):
                          f"vehicle in all {MAX_INSTANCE_DRAWS} draws of its initial state")
     resampled = draws - 1
     world = WorldSnapshot(base.ids, states, base.params, base.v_des, cfg.lanes, e)
-    beliefs = {vid: Belief(cfg.beliefs.initial_assert, 1.0 - cfg.beliefs.initial_assert)
-               for vid in cfg.sv_ids}
     root = EgoDecision(GapChoice.GAP_0, LateralDecision.LANE_KEEP)
-    res = plan_cycle(world, beliefs, cfg, root, planner="nash")
+    res = plan_cycle(world, cfg.initial_beliefs(), cfg, root, planner="nash")
     has_nash = len(res.nash_cells) > 0
     sel = (res.row, res.col)
     return {
@@ -348,14 +346,7 @@ def run_monte_carlo(cfg: ScenarioConfig, n: int | None = None,
     concepts. Initial states that overlap are resampled and counted."""
     n = cfg.montecarlo.n if n is None else n
     seed = cfg.seed if seed is None else seed
-    seeds = [int(s.generate_state(1)[0] % (2 ** 31)) for s in
-             np.random.SeedSequence(seed).spawn(n)]
-    jobs = [(cfg, s) for s in seeds]
-    if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_mc_instance, jobs, chunksize=max(1, n // (workers * 8))))
-    else:
-        results = [_mc_instance(j) for j in jobs]
+    results = _map_seeded(_mc_instance, cfg, seed, n, workers)
 
     with_nash = [r for r in results if r["has_nash"]]
     def frac(pred, pool):

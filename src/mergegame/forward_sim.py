@@ -40,26 +40,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Horizon discretization: steps * dt of trajectory time split into
-    horizon decision slots of decision_period each."""
+    """Horizon discretization: horizon decision slots of decision_period
+    each, stepped every dt, so steps * dt of trajectory time."""
 
-    steps: int = 25
     dt: float = 0.2
     horizon: int = 5
     decision_period: float = 1.0
 
     def __post_init__(self):
-        if self.steps < 1 or self.horizon < 1 or self.dt <= 0.0 or self.decision_period <= 0.0:
+        if self.horizon < 1 or self.dt <= 0.0 or self.decision_period <= 0.0:
             raise ValueError("SimConfig fields must be positive")
         ratio = self.decision_period / self.dt
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ValueError("decision_period must be a positive integer multiple of dt")
-        if abs(self.horizon * self.decision_period - self.steps * self.dt) > 1e-9:
-            raise ValueError("decision sequence must span the trajectory horizon exactly")
 
     @property
     def substeps(self) -> int:
         return int(round(self.decision_period / self.dt))
+
+    @property
+    def steps(self) -> int:
+        return self.horizon * self.substeps
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .costs import Belief, GameMatrix
+from .costs import GameMatrix
 
 __all__ = [
     "Player",
@@ -22,7 +22,6 @@ __all__ = [
     "find_pure_nash",
     "stackelberg",
     "select_action",
-    "check_prop1_assumptions",
 ]
 
 
@@ -66,73 +65,42 @@ def find_pure_nash(game: GameMatrix) -> list[Equilibrium]:
     ]
 
 
-def _best_response_row(game: GameMatrix, col: int) -> int:
-    """Group's best row against a fixed column; ties favor the leader (lower ego
-    cost), then the lower index."""
-    sv, ev = game.sv_weighted[:, col], game.ev[:, col]
-    candidates = np.flatnonzero(sv <= sv.min())
-    return int(candidates[np.argmin(ev[candidates])])
-
-
-def _best_response_col(game: GameMatrix, row: int) -> int:
-    """Ego's best column against a fixed row; ties favor the leader (lower group
-    cost), then the lower index."""
-    sv, ev = game.sv_weighted[row, :], game.ev[row, :]
-    candidates = np.flatnonzero(ev <= ev.min())
-    return int(candidates[np.argmin(sv[candidates])])
-
-
 def stackelberg(game: GameMatrix, leader: Player) -> Equilibrium:
     """Leader commits first, follower best-responds; the leader minimizes its own
-    cost over its actions given the follower's response map."""
-    n_rows, n_cols = game.shape
-    if leader == Player.EV:
-        responses = [_best_response_row(game, c) for c in range(n_cols)]
-        leader_costs = np.array([game.ev[responses[c], c] for c in range(n_cols)])
-        c = int(np.argmin(leader_costs))
-        r = responses[c]
-        kind = EquilibriumKind.STACKELBERG_EV_LEADER
-    else:
-        responses = [_best_response_col(game, r) for r in range(n_rows)]
-        leader_costs = np.array([game.sv_weighted[r, responses[r]] for r in range(n_rows)])
-        r = int(np.argmin(leader_costs))
-        c = responses[r]
-        kind = EquilibriumKind.STACKELBERG_SV_LEADER
-    return Equilibrium(r, c, kind, float(game.sv_weighted[r, c] + game.ev[r, c]))
+    cost over its actions given the follower's response map.
 
-
-def select_action(game: GameMatrix) -> Selection:
-    """Lowest-social-cost Nash equilibrium when one exists; otherwise the
-    Stackelberg equilibrium with the ego as the follower, flagged as fallback."""
-    equilibria = find_pure_nash(game)
-    if equilibria:
-        best = min(equilibria, key=lambda e: (e.social_cost, e.row, e.col))
-        return Selection(best, fallback_used=False)
-    return Selection(stackelberg(game, Player.SV), fallback_used=True)
-
-
-def check_prop1_assumptions(sv_costs, ev_costs, belief: Belief,
-                            feasible_cols=None) -> bool:
-    """Monotonicity preconditions for the assert-row equilibrium guarantee.
-
-    Over every feasible column of a 2-row game (row 0 assert, row 1 yield):
-    0 <= sv[0, m] <= sv[1, m] (politeness costs the group more) and
-    ev[0, m] >= ev[1, m] >= 0 (the ego benefits from politeness), together with
-    an assert belief of at least one half.
+    The follower's response to each leader action is its lowest own cost, ties
+    going to the lower leader cost, then to the lower index; the leader's ties
+    go to the lower index. Entries are finite (GameMatrix checks), so the
+    infinite mask never wins over a best response.
     """
-    sv = np.asarray(sv_costs, dtype=float)
-    ev = np.asarray(ev_costs, dtype=float)
-    if sv.shape[0] != 2 or ev.shape != sv.shape:
-        raise ValueError("expected matching 2-row cost arrays")
-    if feasible_cols is None:
-        mask = np.ones(sv.shape[1], dtype=bool)
+    sv, ev = game.sv_weighted, game.ev
+    # leader's cost and follower's cost, one leader action per row
+    lead, follow = (ev.T, sv.T) if leader == Player.EV else (sv, ev)
+    replies = np.where(follow == follow.min(axis=1, keepdims=True), lead, np.inf).argmin(axis=1)
+    mine = int(np.argmin(lead[np.arange(len(replies)), replies]))
+    reply = int(replies[mine])
+    if leader == Player.EV:
+        row, col, kind = reply, mine, EquilibriumKind.STACKELBERG_EV_LEADER
     else:
-        mask = np.asarray(feasible_cols, dtype=bool)
-    if belief.p_assert < 0.5:
-        return False
-    if not mask.any():
-        return True
-    sv, ev = sv[:, mask], ev[:, mask]
-    sv_ok = np.all(0.0 <= sv[0]) and np.all(sv[0] <= sv[1])
-    ev_ok = np.all(ev[1] >= 0.0) and np.all(ev[0] >= ev[1])
-    return bool(sv_ok and ev_ok)
+        row, col, kind = mine, reply, EquilibriumKind.STACKELBERG_SV_LEADER
+    return Equilibrium(row, col, kind, float(sv[row, col] + ev[row, col]))
+
+
+def select_action(game: GameMatrix, *, nash_cells: list[Equilibrium] | None = None,
+                  se_sv: Equilibrium | None = None) -> Selection:
+    """Lowest-social-cost Nash equilibrium when one exists; otherwise the
+    Stackelberg equilibrium with the ego as the follower, flagged as fallback.
+
+    nash_cells and se_sv are find_pure_nash(game) and stackelberg(game,
+    Player.SV); a caller that has solved the game already passes them in, and
+    whichever is missing is solved here.
+    """
+    if nash_cells is None:
+        nash_cells = find_pure_nash(game)
+    if nash_cells:
+        best = min(nash_cells, key=lambda e: (e.social_cost, e.row, e.col))
+        return Selection(best, fallback_used=False)
+    if se_sv is None:
+        se_sv = stackelberg(game, Player.SV)
+    return Selection(se_sv, fallback_used=True)

@@ -139,7 +139,7 @@ def plan_cycle(world: WorldSnapshot, beliefs: Mapping[str, Belief],
     se_sv = stackelberg(game, Player.SV)
 
     if kind_cfg == "nash":
-        sel = select_action(game)
+        sel = select_action(game, nash_cells=nash_cells, se_sv=se_sv)
         row, col = sel.chosen.row, sel.chosen.col
         kind = sel.chosen.kind.value
         fallback = sel.fallback_used

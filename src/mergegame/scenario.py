@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from enum import Enum
 
 import numpy as np
 import yaml
 
 from .control import IdmSettings, PdGains, PurePursuitParams
-from .costs import CostWeights
+from .costs import Belief, CostWeights
 from .dynamics import VehicleParams
 from .forward_sim import PlannerModel, SimConfig
 from .world import LaneGeometry, WorldSnapshot
 
 __all__ = [
+    "BehaviorMode",
     "VehicleSpec",
     "BeliefSettings",
     "PruneSettings",
@@ -28,20 +30,41 @@ __all__ = [
 ]
 
 PLANNER_KINDS = ("nash", "stackelberg-ev", "lowest-cost")
+ROLES = ("ego", "traffic")
+LANES = ("current", "target")
+MONTE_CARLO_MODES = ("open-loop", "closed-loop")
+
+
+class BehaviorMode(Enum):
+    """Truth behavior of a surrounding vehicle (closed_loop.truth_sv_accel)."""
+
+    POLITE = "polite"
+    SELFISH = "selfish"
+
+
+def _check_choice(name: str, value, allowed: tuple) -> None:
+    if value not in allowed:
+        raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
 
 
 @dataclass
 class VehicleSpec:
     vehicle_id: str
-    role: str = "traffic"        # "ego" or "traffic"
-    lane: str = "current"        # "current" or "target"
+    role: str = "traffic"        # one of ROLES
+    lane: str = "current"        # one of LANES
     x: float = 0.0
     y: float | None = None       # defaults to the lane center
     theta: float = 0.0
     v: float = 0.0
     v_des: float = 10.0
-    mode: str = "selfish"        # truth behavior: "polite" or "selfish"
+    mode: str = "selfish"        # truth behavior, a BehaviorMode value
     params: VehicleParams = field(default_factory=VehicleParams)
+
+    def __post_init__(self):
+        where = f"vehicle {self.vehicle_id!r}"
+        _check_choice(f"{where} role", self.role, ROLES)
+        _check_choice(f"{where} lane", self.lane, LANES)
+        _check_choice(f"{where} mode", self.mode, tuple(m.value for m in BehaviorMode))
 
 
 @dataclass
@@ -75,10 +98,13 @@ class EpisodeSettings:
 
 @dataclass
 class MonteCarloSettings:
-    mode: str = "open-loop"   # "open-loop" or "closed-loop"
+    mode: str = "open-loop"   # one of MONTE_CARLO_MODES
     n: int = 500
     position_jitter: float = 10.0
     speed_jitter: float = 5.0
+
+    def __post_init__(self):
+        _check_choice("montecarlo mode", self.mode, MONTE_CARLO_MODES)
 
 
 @dataclass
@@ -90,8 +116,8 @@ class ScenarioConfig:
     idm: IdmSettings = field(default_factory=IdmSettings)
     gains: PdGains = field(default_factory=PdGains)
     pursuit: PurePursuitParams = field(default_factory=PurePursuitParams)
-    d_safe: float = 6.0
-    follow_distance: float = 12.0
+    d_safe: float = PlannerModel.d_safe
+    follow_distance: float = PlannerModel.follow_distance
     beliefs: BeliefSettings = field(default_factory=BeliefSettings)
     prune: PruneSettings = field(default_factory=PruneSettings)
     episode: EpisodeSettings = field(default_factory=EpisodeSettings)
@@ -100,8 +126,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.planner not in PLANNER_KINDS:
-            raise ValueError(f"planner must be one of {PLANNER_KINDS}")
+        _check_choice("planner", self.planner, PLANNER_KINDS)
         roles = [v.role for v in self.vehicles]
         if roles.count("ego") != 1:
             raise ValueError("exactly one vehicle must have role 'ego'")
@@ -136,6 +161,11 @@ class ScenarioConfig:
             ego_index=[v.role for v in self.vehicles].index("ego"),
         )
 
+    def initial_beliefs(self) -> dict[str, Belief]:
+        """Every surrounding vehicle's prior, as beliefs.initial_assert sets it."""
+        p = self.beliefs.initial_assert
+        return {vid: Belief(p, 1.0 - p) for vid in self.sv_ids}
+
     def planner_model(self) -> PlannerModel:
         return PlannerModel(gains=self.gains, pursuit=self.pursuit, idm=self.idm,
                             d_safe=self.d_safe, follow_distance=self.follow_distance)
@@ -154,33 +184,17 @@ def save_scenario(cfg: ScenarioConfig, path) -> None:
         yaml.safe_dump(_to_dict(cfg), fh, sort_keys=False)
 
 
-def _build(cls, data: dict):
-    return cls(**data) if data else cls()
-
-
 def from_dict(data: dict) -> ScenarioConfig:
-    vehicles = []
-    for vd in data.get("vehicles", []):
-        vd = dict(vd)
-        vd["params"] = _build(VehicleParams, vd.get("params", {}))
-        vehicles.append(VehicleSpec(**vd))
-    return ScenarioConfig(
-        lanes=_build(LaneGeometry, data.get("lanes", {})),
-        vehicles=vehicles,
-        sim=_build(SimConfig, data.get("sim", {})),
-        weights=_build(CostWeights, data.get("weights", {})),
-        idm=_build(IdmSettings, data.get("idm", {})),
-        gains=_build(PdGains, data.get("gains", {})),
-        pursuit=_build(PurePursuitParams, data.get("pursuit", {})),
-        d_safe=data.get("d_safe", 6.0),
-        follow_distance=data.get("follow_distance", 12.0),
-        beliefs=_build(BeliefSettings, data.get("beliefs", {})),
-        prune=_build(PruneSettings, data.get("prune", {})),
-        episode=_build(EpisodeSettings, data.get("episode", {})),
-        montecarlo=_build(MonteCarloSettings, data.get("montecarlo", {})),
-        planner=data.get("planner", "nash"),
-        seed=data.get("seed", 0),
-    )
+    """Inverse of _to_dict. Keys left out take ScenarioConfig's defaults, and an
+    unknown key anywhere raises TypeError naming it."""
+    kwargs = dict(data)
+    vehicles = [VehicleSpec(**{**vd, "params": VehicleParams(**(vd.get("params") or {}))})
+                for vd in kwargs.pop("vehicles", None) or []]
+    # every other nested section is a field whose default is its class
+    for f in fields(ScenarioConfig):
+        if f.name in kwargs and f.default_factory is not MISSING:
+            kwargs[f.name] = f.default_factory(**(kwargs[f.name] or {}))
+    return ScenarioConfig(vehicles=vehicles, **kwargs)
 
 
 def load_scenario(path) -> ScenarioConfig:

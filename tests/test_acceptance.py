@@ -6,12 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from game_oracles import brute_nash, brute_stackelberg, check_prop1_assumptions
 from mergegame.cli import main
 from mergegame.closed_loop import aggregate_episodes, run_episode_batch, run_monte_carlo
 from mergegame.control import lateral_discount, virtual_gap_distance
 from mergegame.costs import Belief, GameMatrix
 from mergegame.dynamics import VehicleParams, step_bicycle
-from mergegame.game import Player, check_prop1_assumptions, find_pure_nash, stackelberg
+from mergegame.game import Player, find_pure_nash, stackelberg
 from mergegame.scenario import BeliefSettings, default_merge_scenario, save_scenario
 
 PARAMS = VehicleParams()
@@ -23,29 +24,6 @@ def report(num, name, ok, detail=""):
 
 
 # --- 1. equilibrium solvers agree with brute-force enumeration ---------------------
-
-def brute_nash(sv, ev):
-    rows, cols = sv.shape
-    return [(r, c) for r in range(rows) for c in range(cols)
-            if all(sv[r, c] <= sv[r2, c] for r2 in range(rows))
-            and all(ev[r, c] <= ev[r, c2] for c2 in range(cols))]
-
-
-def brute_stackelberg(sv, ev, leader):
-    rows, cols = sv.shape
-    best = None
-    if leader == "ev":
-        for c in range(cols):
-            r = min(range(rows), key=lambda r: (sv[r, c], ev[r, c], r))
-            key = (ev[r, c], c)
-            best = (key, (r, c)) if best is None or key < best[0] else best
-    else:
-        for r in range(rows):
-            c = min(range(cols), key=lambda c: (ev[r, c], sv[r, c], c))
-            key = (sv[r, c], r)
-            best = (key, (r, c)) if best is None or key < best[0] else best
-    return best[1]
-
 
 def test_criterion_1_oracle_equivalence():
     rng = np.random.default_rng(101)

@@ -255,7 +255,7 @@ def test_truth_step_matches_scalar_reference_cases(case):
 def unobstructed_change_time(cfg):
     """Kinematic oracle: force a constant lane-change policy and time the settle."""
     world = cfg.initial_world()
-    sim = SimConfig(steps=60, dt=0.2, horizon=12, decision_period=1.0)
+    sim = SimConfig(dt=0.2, horizon=12, decision_period=1.0)
     seq = DecisionSequence((EgoDecision(GapChoice.GAP_1, LateralDecision.LEFT_CHANGE),) * 12)
     states = simulate_batch(world, [(SvAction.ASSERT, seq)], sim, cfg.planner_model()).states[0]
     e = world.ego_index

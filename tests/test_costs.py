@@ -588,7 +588,7 @@ def test_info_gain_matches_per_tuple_reference(case, p):
     assert np.array_equal(res.game.sv_weighted, ref.sv_weighted)
     # the planner's choices are the reference game's
     assert [eq.cell() for eq in res.nash_cells] == [eq.cell() for eq in find_pure_nash(ref)]
-    sel = select_action(ref)
+    sel = select_action(ref, nash_cells=find_pure_nash(ref), se_sv=stackelberg(ref, Player.SV))
     assert (res.row, res.col, res.fallback_used) == (sel.chosen.row, sel.chosen.col,
                                                      sel.fallback_used)
     assert res.se_ev.cell() == stackelberg(ref, Player.EV).cell()

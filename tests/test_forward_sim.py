@@ -53,10 +53,9 @@ def simulate_one(world, action, cfg=CFG, model=MODEL):
 
 def test_sim_config_validation():
     with pytest.raises(ValueError):
-        SimConfig(steps=25, dt=0.2, horizon=5, decision_period=0.7)
-    with pytest.raises(ValueError):
-        SimConfig(steps=20, dt=0.2, horizon=5, decision_period=1.0)
+        SimConfig(dt=0.2, horizon=5, decision_period=0.7)
     assert CFG.substeps == 5
+    assert CFG.steps == 25
 
 
 def test_active_decision_index():
@@ -471,7 +470,7 @@ def test_tree_rollout_matches_reference_on_small_tuple_sets(scenario):
     assert_matches_reference(world, lane_keep[:1], CFG, model)
     assert_matches_reference(world, [(SvAction.YIELD, const_seq(G2, LP))], CFG, model)
     for h in (1, 6):
-        sim = SimConfig(steps=5 * h, dt=0.2, horizon=h, decision_period=1.0)
+        sim = SimConfig(dt=0.2, horizon=h, decision_period=1.0)
         assert_matches_reference(world, root_tuples(EgoDecision(G0, LK), h), sim, model)
 
 

@@ -1,51 +1,31 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from game_oracles import brute_nash, brute_selection, brute_stackelberg, check_prop1_assumptions
+from mergegame import planner
+from mergegame.actions import EgoDecision, GapChoice, LateralDecision
 from mergegame.costs import Belief, GameMatrix
 from mergegame.game import (
     EquilibriumKind,
     Player,
-    check_prop1_assumptions,
     find_pure_nash,
     select_action,
     stackelberg,
 )
+from mergegame.scenario import PLANNER_KINDS, default_merge_scenario
 
 
 def game(sv, ev):
     return GameMatrix.from_arrays(np.array(sv, float), np.array(ev, float))
 
 
-# independent brute-force oracles -----------------------------------------------
-
-def brute_nash_cells(sv, ev):
-    cells = []
-    rows, cols = sv.shape
-    for r in range(rows):
-        for c in range(cols):
-            if all(sv[r, c] <= sv[r2, c] for r2 in range(rows)) and \
-               all(ev[r, c] <= ev[r, c2] for c2 in range(cols)):
-                cells.append((r, c))
-    return cells
-
-
-def brute_stackelberg(sv, ev, leader):
-    rows, cols = sv.shape
-    if leader == "ev":
-        best = None
-        for c in range(cols):
-            r = min(range(rows), key=lambda r: (sv[r, c], ev[r, c], r))
-            key = (ev[r, c], c)
-            if best is None or key < best[0]:
-                best = (key, (r, c))
-        return best[1]
-    best = None
-    for r in range(rows):
-        c = min(range(cols), key=lambda c: (ev[r, c], sv[r, c], c))
-        key = (sv[r, c], r)
-        if best is None or key < best[0]:
-            best = (key, (r, c))
-    return best[1]
+def select(g):
+    """The selection policy on cells solved beforehand, as plan_cycle calls it."""
+    return select_action(g, nash_cells=find_pure_nash(g), se_sv=stackelberg(g, Player.SV))
 
 
 # worked examples ------------------------------------------------------------------
@@ -87,15 +67,15 @@ def test_selection_policy():
     g = game([[1, 5], [5, 2]], [[6, 9], [9, 3]])
     eqs = find_pure_nash(g)
     assert {e.cell() for e in eqs} == {(0, 0), (1, 1)}
-    sel = select_action(g)
+    sel = select(g)
     assert sel.chosen.cell() == (1, 1) and not sel.fallback_used
 
     g2 = game([[0, 1], [1, 0]], [[1, 0], [0, 1]])
-    sel2 = select_action(g2)
+    sel2 = select(g2)
     assert sel2.fallback_used
     assert sel2.chosen.kind == EquilibriumKind.STACKELBERG_SV_LEADER
 
-    sel3 = select_action(game(EX_SV, EX_EV))
+    sel3 = select(game(EX_SV, EX_EV))
     assert sel3.chosen.cell() == (0, 0) and not sel3.fallback_used
 
 
@@ -106,7 +86,7 @@ def test_nash_matches_brute_force_oracle():
         sv = rng.uniform(0, 100, (2, cols))
         ev = rng.uniform(0, 100, (2, cols))
         got = [e.cell() for e in find_pure_nash(game(sv, ev))]
-        assert got == brute_nash_cells(sv, ev)
+        assert got == brute_nash(sv, ev)
 
 
 def test_stackelberg_matches_brute_force_oracle():
@@ -145,8 +125,62 @@ def test_select_action_total_and_deterministic():
         sv = rng.uniform(0, 10, (2, cols))
         ev = rng.uniform(0, 10, (2, cols))
         g = game(sv, ev)
-        s1, s2 = select_action(g), select_action(g)
+        s1, s2 = select(g), select(g)
         assert s1 == s2
+
+
+# small cost sets tie almost everywhere; 0.0 and -0.0 compare equal
+TIED_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, 2.0, 2.5])
+
+
+@st.composite
+def tied_games(draw):
+    rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 50))
+    cells = st.lists(TIED_ENTRIES, min_size=rows * cols, max_size=rows * cols)
+    return (np.array(draw(cells)).reshape(rows, cols),
+            np.array(draw(cells)).reshape(rows, cols))
+
+
+# ties this dense seldom leave a game without a pure Nash cell, so one such game
+# is always run: the ego's -0.0/0.0 tie in row 1 goes to the lower group cost
+@settings(max_examples=500, deadline=None)
+@given(tied_games())
+@example((np.array([[-0.0, 0.0, 2.0], [1.0, 2.0, -0.0]]),
+          np.array([[2.0, 2.0, -0.0], [-0.0, 0.0, 1.0]])))
+def test_solvers_match_oracles_on_tied_games(costs):
+    sv, ev = costs
+    g = game(sv, ev)
+    nash = find_pure_nash(g)
+    assert [e.cell() for e in nash] == brute_nash(sv, ev)
+    se_ev, se_sv = stackelberg(g, Player.EV), stackelberg(g, Player.SV)
+    assert se_ev.cell() == brute_stackelberg(sv, ev, "ev")
+    assert se_sv.cell() == brute_stackelberg(sv, ev, "sv")
+    want = brute_selection(sv, ev)
+    for sel in (select_action(g, nash_cells=nash, se_sv=se_sv), select_action(g)):
+        assert (sel.chosen.cell(), sel.fallback_used) == want
+
+
+@pytest.mark.parametrize("kind", PLANNER_KINDS)
+def test_plan_cycle_solves_the_game_once(kind, monkeypatch):
+    calls = []
+
+    def counted(name):
+        fn = getattr(planner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, *args[1:], *sorted(kwargs)))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(planner, name, wrapper)
+
+    for name in ("find_pure_nash", "stackelberg", "select_action"):
+        counted(name)
+    cfg = default_merge_scenario(5.0)
+    planner.plan_cycle(cfg.initial_world(), cfg.initial_beliefs(), cfg,
+                       EgoDecision(GapChoice.GAP_0, LateralDecision.LANE_KEEP), planner=kind)
+    want = [("find_pure_nash",), ("stackelberg", Player.EV), ("stackelberg", Player.SV)]
+    if kind == "nash":
+        want.append(("select_action", "nash_cells", "se_sv"))
+    assert Counter(calls) == Counter(want)
 
 
 # proposition preconditions ------------------------------------------------------

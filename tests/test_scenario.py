@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import pytest
 import yaml
 
+from mergegame.forward_sim import PlannerModel
 from mergegame.scenario import (
     BeliefSettings,
     ScenarioConfig,
@@ -11,6 +14,8 @@ from mergegame.scenario import (
     packed_lane_scenario,
     save_scenario,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_yaml_roundtrip(tmp_path):
@@ -86,3 +91,65 @@ def test_belief_settings_reject_degenerate_prior(initial_assert):
 def test_belief_settings_reject_nonpositive_sigma(sigma_accel):
     with pytest.raises(ValueError, match="sigma_accel"):
         BeliefSettings(sigma_accel=sigma_accel)
+
+
+def merge_yaml_dict(tmp_path):
+    path = tmp_path / "scenario.yaml"
+    save_scenario(default_merge_scenario(5.0), path)
+    return yaml.safe_load(path.read_text())
+
+
+def load_dict(tmp_path, data):
+    path = tmp_path / "edited.yaml"
+    path.write_text(yaml.safe_dump(data, sort_keys=False))
+    return load_scenario(path)
+
+
+def test_yaml_rejects_unknown_top_level_key(tmp_path):
+    # a misspelt key used to load silently and plan with the default "nash"
+    data = merge_yaml_dict(tmp_path)
+    data["plannr"] = data.pop("planner")
+    with pytest.raises(TypeError, match="plannr"):
+        load_dict(tmp_path, data)
+
+
+def test_yaml_rejects_sim_steps(tmp_path):
+    # steps is horizon * decision_period / dt, worked out rather than set
+    data = merge_yaml_dict(tmp_path)
+    data["sim"]["steps"] = 25
+    with pytest.raises(TypeError, match="steps"):
+        load_dict(tmp_path, data)
+
+
+def test_yaml_rejects_unknown_montecarlo_mode(tmp_path):
+    # the CLI used to run any mode other than "closed-loop" open-loop
+    data = merge_yaml_dict(tmp_path)
+    data["montecarlo"]["mode"] = "closedloop"
+    with pytest.raises(ValueError, match="montecarlo mode"):
+        load_dict(tmp_path, data)
+
+
+@pytest.mark.parametrize("field, value", [("lane", "targt"), ("role", "tarffic"),
+                                          ("mode", "poite")])
+def test_yaml_rejects_unknown_vehicle_choice(tmp_path, field, value):
+    # "targt" used to place the vehicle on the target lane, any role counted as
+    # traffic, and a bad mode raised only once an episode started
+    data = merge_yaml_dict(tmp_path)
+    data["vehicles"][1][field] = value
+    with pytest.raises(ValueError, match=f"vehicle 'sv0' {field}.*{value}"):
+        load_dict(tmp_path, data)
+
+
+def test_yaml_defaults_are_the_config_defaults(tmp_path):
+    cfg = default_merge_scenario(5.0)
+    data = merge_yaml_dict(tmp_path)
+    loaded = load_dict(tmp_path, {"vehicles": data["vehicles"]})
+    assert loaded == ScenarioConfig(vehicles=cfg.vehicles)
+    assert loaded.planner_model() == PlannerModel()
+
+
+@pytest.mark.parametrize("name", ["merge_low", "merge_high"])
+def test_shipped_configs_load(name):
+    cfg = load_scenario(CONFIGS / f"{name}.yaml")
+    assert cfg.sim.steps == cfg.sim.horizon * cfg.sim.substeps == 25
+    assert cfg.initial_world().n_vehicles == len(cfg.vehicles)
