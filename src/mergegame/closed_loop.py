@@ -20,7 +20,7 @@ import numpy as np
 from .actions import EgoDecision, GapChoice, LateralDecision
 from .control import IdmSettings, idm_accel, virtual_gap_distance
 from .costs import Belief, GameMatrix, update_belief
-from .dynamics import rect_overlap_arrays, step_bicycle
+from .dynamics import rects_penetrate, step_bicycle
 from .planner import CycleResult, plan_cycle
 from .scenario import BehaviorMode, ScenarioConfig
 from .world import WorldSnapshot
@@ -117,10 +117,10 @@ def _ego_hits_anyone(states: np.ndarray, ego: int, half_len: np.ndarray,
     """
     others = np.arange(len(states)) != ego
     ex, ey, eth = states[ego, :3]
-    return bool(rect_overlap_arrays(
+    return bool(rects_penetrate(
         ex, ey, eth, half_len[ego], half_wid[ego],
         states[others, 0], states[others, 1], states[others, 2], half_len[others],
-        half_wid[others], strict=True,
+        half_wid[others],
     ).any())
 
 

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .actions import DecisionSequence, SvAction
-from .dynamics import near_pair_steps, rect_distance_arrays
+from .dynamics import rect_distance_arrays
 from .forward_sim import BatchRollout
 from .world import WorldSnapshot
 
@@ -104,21 +104,45 @@ class GameMatrix:
 
 # --- per-trajectory cost terms ----------------------------------------------
 
+# Widens the reach of the bounding-box cull in _pair_band_penalties (m), so
+# that no rounding in the box bound can cull a pair the exact per-entry test keeps.
+CULL_MARGIN = 1.0
+
+
 def _pair_band_penalties(states, half_len, half_wid, weights: CostWeights):
     """Per-vehicle safety penalty sums for stacked trajectories.
 
-    states (K, V, S, 4) -> (K, V). Only the entries where two centers lie
-    within d_hi plus the two circumradii get an exact rectangle distance
-    (dynamics.near_pair_steps). Every other entry adds exactly 0.0, since its
-    rectangles are farther apart than d_hi, so a pair whose bounding boxes over
-    all K rows never come within that reach is skipped outright. A pair of two
-    vehicles whose trajectories are equal in every row is scored on one row,
-    and that sum is added to all K rows.
+    states (K, V, S, 4) -> (K, V). For every vehicle pair i < j, in order, only
+    the (row, step) entries where the two centers lie within reach = d_hi plus
+    the two circumradii get an exact rectangle distance. Every other entry adds
+    exactly 0.0, since its rectangles are farther apart than d_hi. The same
+    entries as an all-pairs, all-rows loop are scored, found with less work:
+
+    - a pair whose per-step bounding boxes over all K rows lie farther apart
+      than reach + CULL_MARGIN at every step is skipped outright;
+    - when both vehicles' (x, y, theta) trajectories are equal in every row,
+      the pair is scored on row 0 alone, and that sum is added to all K rows.
     """
     K, V = states.shape[:2]
     radius = np.hypot(half_len, half_wid)
     out = np.zeros((K, V))
-    for i, j, block, ks, ts in near_pair_steps(states, radius, weights.d_hi):
+    lo = states.min(axis=0)[..., :3]   # (V, S, 3); reducing whole rows is the fast path
+    hi = states.max(axis=0)[..., :3]
+    row_constant = (lo == hi).all(axis=(1, 2))
+    iu, ju = np.triu_indices(V, 1)
+    gx = np.maximum(np.maximum(lo[ju, :, 0] - hi[iu, :, 0], lo[iu, :, 0] - hi[ju, :, 0]), 0.0)
+    gy = np.maximum(np.maximum(lo[ju, :, 1] - hi[iu, :, 1], lo[iu, :, 1] - hi[ju, :, 1]), 0.0)
+    box_reach = weights.d_hi + radius[iu] + radius[ju] + CULL_MARGIN
+    within = (gx * gx + gy * gy <= (box_reach * box_reach)[:, None]).any(axis=1)
+    for i, j in zip(iu[within].tolist(), ju[within].tolist()):
+        block = states[:1] if row_constant[i] and row_constant[j] else states
+        dx = block[:, i, :, 0] - block[:, j, :, 0]
+        dy = block[:, i, :, 1] - block[:, j, :, 1]
+        reach = weights.d_hi + radius[i] + radius[j]
+        near = dx * dx + dy * dy <= reach * reach
+        if not near.any():
+            continue
+        ks, ts = np.nonzero(near)
         d = rect_distance_arrays(
             block[ks, i, ts, 0], block[ks, i, ts, 1], block[ks, i, ts, 2],
             half_len[i], half_wid[i],
@@ -148,7 +172,6 @@ def column_priors(partners: Sequence[str | None],
 def build_game_from_batch(rollout: BatchRollout, world: WorldSnapshot,
                           prior: np.ndarray, weights: CostWeights,
                           rows: Sequence[SvAction], cols: Sequence[DecisionSequence],
-                          y_des_ego: float | None = None,
                           ev_extra: np.ndarray | None = None) -> GameMatrix:
     """Assemble the belief-weighted cost matrix from a stacked rollout.
 
@@ -160,8 +183,6 @@ def build_game_from_batch(rollout: BatchRollout, world: WorldSnapshot,
     (information-gain term).
     """
     rows, cols = tuple(rows), tuple(cols)
-    if y_des_ego is None:
-        y_des_ego = world.lanes.target_center
     e = world.ego_index
     _, lengths, widths, _, _ = world.params_arrays()
 
@@ -172,7 +193,7 @@ def build_game_from_batch(rollout: BatchRollout, world: WorldSnapshot,
                                  axis=2) / rollout.dt ** 2
     y_des = np.array([world.lanes.nearest_center(float(world.states[k, 1]))
                       for k in range(world.n_vehicles)])
-    y_des[e] = y_des_ego
+    y_des[e] = world.lanes.target_center
     nav = weights.w_nav * np.sum((rollout.states[:, :, :, 1] - y_des[None, :, None]) ** 2, axis=2)
 
     total = safety + eff + com + nav

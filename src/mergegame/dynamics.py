@@ -15,8 +15,7 @@ __all__ = [
     "VehicleParams",
     "step_bicycle",
     "rect_distance_arrays",
-    "rect_overlap_arrays",
-    "near_pair_steps",
+    "rects_penetrate",
 ]
 
 
@@ -121,21 +120,20 @@ def _corner_box_dist2(rx, ry, cr, sr, ahl, ahw, bhl, bhw):
     return best
 
 
-def rect_overlap_arrays(ax, ay, ath, ahl, ahw, bx, by, bth, bhl, bhw, strict=False):
-    """Separating-axis intersection test for batches of rectangle pairs.
+def _frames_and_gaps(ax, ay, ath, ahl, ahw, bx, by, bth, bhl, bhw):
+    """Each rectangle's pose in the other's body frame, and the four
+    separating-axis gaps (B along A's two axes, then A along B's)."""
+    fa = _relative_frame(ax, ay, ath, bx, by, bth)
+    fb = _relative_frame(bx, by, bth, ax, ay, ath)
+    gaps = (*_gaps_in_frame(*fa, ahl, ahw, bhl, bhw), *_gaps_in_frame(*fb, bhl, bhw, ahl, ahw))
+    return fa, fb, gaps
 
-    With strict=False touching counts as overlap (matches rect_distance_arrays == 0);
-    with strict=True only positive-area penetration counts.
-    """
-    rx, ry, cr, sr = _relative_frame(ax, ay, ath, bx, by, bth)
-    gax, gay = _gaps_in_frame(rx, ry, cr, sr, ahl, ahw, bhl, bhw)
-    rx2, ry2, cr2, sr2 = _relative_frame(bx, by, bth, ax, ay, ath)
-    gbx, gby = _gaps_in_frame(rx2, ry2, cr2, sr2, bhl, bhw, ahl, ahw)
-    if strict:
-        sep = (gax >= 0.0) | (gay >= 0.0) | (gbx >= 0.0) | (gby >= 0.0)
-    else:
-        sep = (gax > 0.0) | (gay > 0.0) | (gbx > 0.0) | (gby > 0.0)
-    return ~sep
+
+def rects_penetrate(ax, ay, ath, ahl, ahw, bx, by, bth, bhl, bhw):
+    """Separating-axis test for batches of rectangle pairs: True where the two
+    share positive area. Touching is not penetration."""
+    _, _, (gax, gay, gbx, gby) = _frames_and_gaps(ax, ay, ath, ahl, ahw, bx, by, bth, bhl, bhw)
+    return ~((gax >= 0.0) | (gay >= 0.0) | (gbx >= 0.0) | (gby >= 0.0))
 
 
 def rect_distance_arrays(ax, ay, ath, ahl, ahw, bx, by, bth, bhl, bhw):
@@ -143,51 +141,13 @@ def rect_distance_arrays(ax, ay, ath, ahl, ahw, bx, by, bth, bhl, bhw):
 
     Exact for rectangles: between disjoint convex polygons the closest features
     are a vertex and an edge (or two vertices), so the minimum over corner-to-box
-    distances taken in both body frames is the true separation.
+    distances taken in both body frames is the true separation. The pair is
+    apart only where some separating-axis gap is positive.
     """
-    overlap = rect_overlap_arrays(ax, ay, ath, ahl, ahw, bx, by, bth, bhl, bhw)
-    rx, ry, cr, sr = _relative_frame(ax, ay, ath, bx, by, bth)
-    d2 = _corner_box_dist2(rx, ry, cr, sr, ahl, ahw, bhl, bhw)
-    rx2, ry2, cr2, sr2 = _relative_frame(bx, by, bth, ax, ay, ath)
-    d2 = np.minimum(d2, _corner_box_dist2(rx2, ry2, cr2, sr2, bhl, bhw, ahl, ahw))
-    return np.where(overlap, 0.0, np.sqrt(d2))
-
-
-# Widens the reach of the bounding-box cull in near_pair_steps (m), so that no
-# rounding in the box bound can cull a pair the exact per-entry test keeps.
-CULL_MARGIN = 1.0
-
-
-def near_pair_steps(states, radius, pad):
-    """Vehicle pairs and the (row, step) entries where their centers come near.
-
-    states (K, V, S, >=3) holds x, y, theta of K stacked rollouts. For every
-    pair i < j, in order, with at least one entry where
-    dx*dx + dy*dy <= reach*reach, reach = pad + radius[i] + radius[j], yields
-    (i, j, block, ks, ts): the entries are block[ks, :, ts]. These are exactly
-    the entries an all-pairs, all-rows test keeps, found with less work:
-
-    - a pair whose per-step bounding boxes over all K rows lie farther apart
-      than reach + CULL_MARGIN at every step has no entry, and is skipped;
-    - when both vehicles' (x, y, theta) trajectories are equal in every row,
-      block is row 0 alone, and its entries stand for all K rows.
-    """
-    V = states.shape[1]
-    lo = states.min(axis=0)[..., :3]   # (V, S, 3); reducing whole rows is the fast path
-    hi = states.max(axis=0)[..., :3]
-    row_constant = (lo == hi).all(axis=(1, 2))
-    iu, ju = np.triu_indices(V, 1)
-    gx = np.maximum(np.maximum(lo[ju, :, 0] - hi[iu, :, 0], lo[iu, :, 0] - hi[ju, :, 0]), 0.0)
-    gy = np.maximum(np.maximum(lo[ju, :, 1] - hi[iu, :, 1], lo[iu, :, 1] - hi[ju, :, 1]), 0.0)
-    box_reach = pad + radius[iu] + radius[ju] + CULL_MARGIN
-    within = (gx * gx + gy * gy <= (box_reach * box_reach)[:, None]).any(axis=1)
-    for i, j in zip(iu[within].tolist(), ju[within].tolist()):
-        block = states[:1] if row_constant[i] and row_constant[j] else states
-        dx = block[:, i, :, 0] - block[:, j, :, 0]
-        dy = block[:, i, :, 1] - block[:, j, :, 1]
-        reach = pad + radius[i] + radius[j]
-        near = dx * dx + dy * dy <= reach * reach
-        if near.any():
-            ks, ts = np.nonzero(near)
-            yield i, j, block, ks, ts
-
+    fa, fb, (gax, gay, gbx, gby) = _frames_and_gaps(ax, ay, ath, ahl, ahw,
+                                                    bx, by, bth, bhl, bhw)
+    apart = (gax > 0.0) | (gay > 0.0) | (gbx > 0.0) | (gby > 0.0)
+    del gax, gay, gbx, gby   # not held through the corner pass: it sets the peak memory
+    d2 = _corner_box_dist2(*fa, ahl, ahw, bhl, bhw)
+    d2 = np.minimum(d2, _corner_box_dist2(*fb, bhl, bhw, ahl, ahw))
+    return np.where(apart, np.sqrt(d2), 0.0)

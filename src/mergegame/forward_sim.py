@@ -26,14 +26,13 @@ import numpy as np
 from .actions import DecisionSequence, LateralDecision, SvAction
 from .control import (IdmSettings, PdGains, PurePursuitParams, gap_reference, idm_accel,
                       lateral_discount, pd_longitudinal, pure_pursuit, virtual_gap_distance)
-from .dynamics import near_pair_steps, rect_overlap_arrays, step_bicycle
+from .dynamics import step_bicycle
 from .world import WorldSnapshot, interaction_partner
 
 __all__ = [
     "SimConfig",
     "PlannerModel",
     "BatchRollout",
-    "active_decision_index",
     "simulate_batch",
 ]
 
@@ -72,12 +71,11 @@ class PlannerModel:
     idm: IdmSettings = field(default_factory=IdmSettings)
     d_safe: float = 6.0
     follow_distance: float = 12.0
-    keep_engage_time: float = 0.8  # time headroom before the keep-lane governor engages
 
 
-def active_decision_index(step: int, cfg: SimConfig) -> int:
-    """Decision slot governing trajectory step `step` (floor of t*dt/decision_period)."""
-    return min(step // cfg.substeps, cfg.horizon - 1)
+# Time headroom (s) of the ego's keep-lane governor: it engages once the gap
+# beyond the follow point is within this many seconds of ego travel
+KEEP_ENGAGE_TIME = 0.8
 
 
 @dataclass
@@ -85,46 +83,10 @@ class BatchRollout:
     """Rollouts of many action tuples stacked along the first axis."""
 
     tuples: list[tuple[SvAction, DecisionSequence]]
-    vehicle_ids: tuple[str, ...]
     states: np.ndarray  # (K, V, T+1, 4)
     inputs: np.ndarray  # (K, V, T, 2)
-    lengths: np.ndarray
-    widths: np.ndarray
     partner_ids: tuple[str | None, ...]
     dt: float
-    _feasible: np.ndarray | None = None
-
-    def __len__(self):
-        return len(self.tuples)
-
-    @property
-    def feasible(self) -> np.ndarray:
-        """Collision-free flags, computed on first use (the planner scores
-        collisions through the safety cost instead)."""
-        if self._feasible is None:
-            self._feasible = _no_overlap_flags(self.states, self.lengths, self.widths)
-        return self._feasible
-
-
-def _no_overlap_flags(states, lengths, widths):
-    """True per rollout when no two footprints intersect at any step.
-
-    Footprints can touch only where their centers lie within the two
-    circumradii (dynamics.near_pair_steps); only those entries are tested.
-    """
-    K = states.shape[0]
-    radius = 0.5 * np.hypot(lengths, widths)
-    collided = np.zeros(K, dtype=bool)
-    for i, j, block, ks, ts in near_pair_steps(states, radius, 0.0):
-        hit = rect_overlap_arrays(
-            block[ks, i, ts, 0], block[ks, i, ts, 1], block[ks, i, ts, 2],
-            0.5 * lengths[i], 0.5 * widths[i],
-            block[ks, j, ts, 0], block[ks, j, ts, 1], block[ks, j, ts, 2],
-            0.5 * lengths[j], 0.5 * widths[j],
-        )
-        if hit.any():
-            collided |= np.bincount(ks[hit], minlength=len(block)) > 0
-    return ~collided
 
 
 def _influence_set(leader_idx, ego, partner_idx) -> np.ndarray:
@@ -191,8 +153,8 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
     """Roll out every action tuple from the shared initial world state.
 
     Deterministic: no randomness enters the rollouts, and identical inputs
-    produce identical arrays. Collisions never abort a rollout; they only
-    clear its feasibility flag (the evaluator penalizes them). Returns states
+    produce identical arrays. Collisions never abort a rollout: the safety
+    cost of build_game_from_batch penalizes them. Returns states
     (K, V, T+1, 4) and inputs (K, V, T, 2) in the order of tuples.
 
     The rollouts are stepped as a tree, one decision period per depth. During
@@ -238,7 +200,7 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
     sv_code = np.array([int(sv) for sv, _ in tuples])
     sv_is_yield = sv_code == SvAction.YIELD
 
-    wheelbase, lengths, widths, a_max, delta_max = world.params_arrays()
+    wheelbase, _, _, a_max, delta_max = world.params_arrays()
     lanes = world.lanes
     w_lane = lanes.width
     idm = model.idm
@@ -334,7 +296,7 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
                 still_on_lane = np.abs(lanes.target_center - Y[0]) > 0.25 * w_lane
                 slack = X[lead_cur] - X[0] - model.follow_distance
                 engaged = still_on_lane & \
-                    (slack <= model.keep_engage_time * np.maximum(VS[0], 1.0))
+                    (slack <= KEEP_ENGAGE_TIME * np.maximum(VS[0], 1.0))
                 a_keep = pd_longitudinal(X[0], VS[0], X[lead_cur] - model.follow_distance,
                                          np.minimum(VS[lead_cur], world.v_des[e]), True,
                                          model.gains, a_max[e])
@@ -375,5 +337,4 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
     states[:, shared_ids] = shared_states
     inputs[:, shared_ids] = shared_inputs
 
-    return BatchRollout(tuples, world.ids, states, inputs, lengths, widths,
-                        partner_ids, cfg.dt)
+    return BatchRollout(tuples, states, inputs, partner_ids, cfg.dt)

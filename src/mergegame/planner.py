@@ -55,10 +55,6 @@ class CycleResult:
         return self.game.cols[self.col]
 
     @property
-    def chosen_sv_action(self) -> SvAction:
-        return self.game.rows[self.row]
-
-    @property
     def partner_id(self) -> str | None:
         return self.game.col_partners[self.col]
 

@@ -173,20 +173,15 @@ class ScenarioConfig:
 
 # --- YAML serialization -------------------------------------------------------
 
-def _to_dict(cfg: ScenarioConfig) -> dict:
-    d = asdict(cfg)
-    d["lanes"] = asdict(cfg.lanes)
-    return d
-
-
 def save_scenario(cfg: ScenarioConfig, path) -> None:
     with open(path, "w") as fh:
-        yaml.safe_dump(_to_dict(cfg), fh, sort_keys=False)
+        yaml.safe_dump(asdict(cfg), fh, sort_keys=False)
 
 
 def from_dict(data: dict) -> ScenarioConfig:
-    """Inverse of _to_dict. Keys left out take ScenarioConfig's defaults, and an
-    unknown key anywhere raises TypeError naming it."""
+    """Inverse of save_scenario's asdict(cfg). Keys left out take
+    ScenarioConfig's defaults, and an unknown key anywhere raises TypeError
+    naming it."""
     kwargs = dict(data)
     vehicles = [VehicleSpec(**{**vd, "params": VehicleParams(**(vd.get("params") or {}))})
                 for vd in kwargs.pop("vehicles", None) or []]

@@ -77,15 +77,8 @@ class WorldSnapshot:
     def n_vehicles(self) -> int:
         return len(self.ids)
 
-    @property
-    def ego_id(self) -> str:
-        return self.ids[self.ego_index]
-
     def index_of(self, vehicle_id: str) -> int:
         return self._index[vehicle_id]
-
-    def lane_center_of(self, k: int) -> float:
-        return self.lanes.nearest_center(float(self.states[k, 1]))
 
     def params_arrays(self):
         """Per-vehicle parameter vectors (wheelbase, length, width, a_max, delta_max)."""
@@ -124,14 +117,14 @@ class WorldSnapshot:
         """
         e = self.ego_index
         x_ego = float(self.states[e, 0])
-        ego_lane = self.lane_center_of(e)
+        centers = [self.lanes.nearest_center(y) for y in self.states[:, 1].tolist()]
         target = self.lanes.target_center
 
         lead = (self.leader_indices() if leaders is None else leaders)[e]
         gap0 = GapBounds(self.ids[lead] if lead >= 0 else None, None)
 
         on_target = [k for k in range(self.n_vehicles)
-                     if k != e and self.lane_center_of(k) == target]
+                     if k != e and centers[k] == target]
         ahead = sorted((k for k in on_target if self.states[k, 0] >= x_ego),
                        key=lambda k: self.states[k, 0])
         behind = sorted((k for k in on_target if self.states[k, 0] < x_ego),
@@ -146,7 +139,7 @@ class WorldSnapshot:
         else:
             gap1 = GapBounds(None, vid(behind, 0))
             gap2 = GapBounds(vid(behind, 0), vid(behind, 1))
-        if ego_lane == target:
+        if centers[e] == target:
             # already merged: the current-lane gap and the front target gap coincide
             gap0 = GapBounds(gap0.front_id, None)
         return {GapChoice.GAP_0: gap0, GapChoice.GAP_1: gap1, GapChoice.GAP_2: gap2}

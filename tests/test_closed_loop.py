@@ -19,7 +19,7 @@ from mergegame.closed_loop import (
     write_trace_csv,
 )
 from mergegame.control import IdmSettings, idm_accel
-from mergegame.dynamics import VehicleParams, rect_overlap_arrays, step_bicycle
+from mergegame.dynamics import VehicleParams, rects_penetrate, step_bicycle
 from mergegame.forward_sim import SimConfig, simulate_batch
 from mergegame.scenario import (
     MonteCarloSettings,
@@ -297,21 +297,19 @@ def test_success_trace_has_no_overlap_steps():
     trace = run_episode(cfg)
     assert trace.outcome == Outcome.SUCCESS
     world = cfg.initial_world()
-    from mergegame.dynamics import rect_overlap_arrays
     _, lengths, widths, _, _ = world.params_arrays()
     by_t = {}
     for (cycle, t, vid, x, y, th, v, a, d) in trace.steps:
         by_t.setdefault(t, {})[vid] = (x, y, th)
-    e = world.ego_id
+    e = world.ids[world.ego_index]
     for t, poses in by_t.items():
         ex, ey, eth = poses[e]
         for vid, (x, y, th) in poses.items():
             if vid == e:
                 continue
             i, j = world.index_of(e), world.index_of(vid)
-            assert not rect_overlap_arrays(ex, ey, eth, lengths[i] / 2, widths[i] / 2,
-                                           x, y, th, lengths[j] / 2, widths[j] / 2,
-                                           strict=True)
+            assert not rects_penetrate(ex, ey, eth, lengths[i] / 2, widths[i] / 2,
+                                       x, y, th, lengths[j] / 2, widths[j] / 2)
 
 
 def reference_ego_hits_anyone(states, world):
@@ -322,10 +320,9 @@ def reference_ego_hits_anyone(states, world):
     for i in range(world.n_vehicles):
         if i == e:
             continue
-        if rect_overlap_arrays(
+        if rects_penetrate(
             states[e, 0], states[e, 1], states[e, 2], 0.5 * lengths[e], 0.5 * widths[e],
             states[i, 0], states[i, 1], states[i, 2], 0.5 * lengths[i], 0.5 * widths[i],
-            strict=True,
         ):
             return True
     return False

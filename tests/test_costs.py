@@ -68,7 +68,7 @@ class TrajectorySet:
 
 def simulate_one(world, action, sim, model) -> TrajectorySet:
     batch = simulate_batch(world, [action], sim, model)
-    return TrajectorySet(batch.vehicle_ids, batch.states[0], batch.inputs[0], action, batch.dt)
+    return TrajectorySet(world.ids, batch.states[0], batch.inputs[0], action, batch.dt)
 
 
 def make_traj(xa, xb, dt=0.2):
@@ -149,7 +149,7 @@ def build_game(tuples, trajectory_sets, beliefs, weights, world):
     rows = tuple(dict.fromkeys(sv for sv, _ in tuples))
     cols = tuple(seq for _, seq in tuples[:len(tuples) // len(rows)])
 
-    ego = world.ego_id
+    ego = world.ids[world.ego_index]
     v_des = {vid: float(world.v_des[world.index_of(vid)]) for vid in world.ids}
     sv_raw = np.empty((len(rows), len(cols)))
     ev = np.empty((len(rows), len(cols)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mergegame.dynamics import VehicleParams, rect_distance_arrays, step_bicycle
+from mergegame.dynamics import VehicleParams, rect_distance_arrays, rects_penetrate, step_bicycle
 
 PARAMS = VehicleParams()
 
@@ -162,3 +162,55 @@ def test_contained_rectangle_distance_zero():
     inner = (0.3, -0.2, 1.0, 0.5, 0.3)
     assert separation(outer, inner) == 0.0
 
+
+
+# --- touching is distance 0.0 but not penetration ------------------------------------
+# Each pair is built so that one separating-axis gap is exactly 0.0; nudge moves
+# the second rectangle one ulp apart (+1) or one ulp into the first (-1).
+
+def nudged(value, nudge):
+    return value if nudge == 0 else float(np.nextafter(value, np.inf * nudge))
+
+
+EXACT_PAIRS = {
+    # side by side, both along the x axis
+    "side": lambda n: ((0.0, 0.0, 0.0, 2.25, 1.0), (1.5, nudged(2.0, n), 0.0, 2.25, 1.0)),
+    # side by side, both turned a quarter: sin(pi / 2) is exactly 1.0
+    "turned": lambda n: ((0.0, 0.0, np.pi / 2, 2.25, 1.0),
+                         (nudged(-2.0, -n), 0.0, np.pi / 2, 2.25, 1.0)),
+    # crossed: the second turned a quarter, its long side on the first's flank
+    "crossed": lambda n: ((0.0, 0.0, 0.0, 2.25, 1.0), (0.0, nudged(3.25, n), np.pi / 2, 2.25, 1.0)),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(EXACT_PAIRS))
+def test_touching_pair_is_distance_zero_and_not_penetrating(pair):
+    a, b = EXACT_PAIRS[pair](0)
+    assert separation(a, b) == 0.0
+    assert not rects_penetrate(*a, *b)
+
+
+@pytest.mark.parametrize("pair", sorted(EXACT_PAIRS))
+def test_pair_one_ulp_apart_is_positive_distance(pair):
+    a, b = EXACT_PAIRS[pair](1)
+    assert separation(a, b) > 0.0
+    assert not rects_penetrate(*a, *b)
+
+
+@pytest.mark.parametrize("pair", sorted(EXACT_PAIRS))
+def test_pair_one_ulp_overlapped_penetrates(pair):
+    a, b = EXACT_PAIRS[pair](-1)
+    assert separation(a, b) == 0.0
+    assert rects_penetrate(*a, *b)
+
+
+@pytest.mark.parametrize("rel", [0.1, 0.3, 0.5, 1.4])
+def test_zero_gap_at_any_angle_is_distance_zero(rel):
+    # a pair whose computed gap is exactly 0.0 at a general relative angle: the
+    # nearest corner's distance rounds to a few 1e-16 there, so the gap test
+    # alone must make the distance 0.0
+    hl, hw = 2.25, 1.0
+    a = (0.0, 0.0, 0.0, hl, hw)
+    b = (0.0, hw + (hl * abs(np.sin(rel)) + hw * abs(np.cos(rel))), rel, hl, hw)
+    assert separation(a, b) == 0.0
+    assert not rects_penetrate(*a, *b)

@@ -18,7 +18,7 @@ from mergegame import forward_sim
 from mergegame.closed_loop import run_episode
 from mergegame.control import (IdmSettings, gap_reference, lateral_discount, pd_longitudinal,
                                pure_pursuit)
-from mergegame.dynamics import VehicleParams, rect_overlap_arrays, step_bicycle
+from mergegame.dynamics import VehicleParams, step_bicycle
 from mergegame.forward_sim import (
     BatchRollout,
     PlannerModel,
@@ -26,10 +26,9 @@ from mergegame.forward_sim import (
     _dense_rank,
     _idm_block,
     _influence_set,
-    active_decision_index,
     simulate_batch,
 )
-from mergegame.costs import Belief
+from mergegame.costs import Belief, CostWeights, _pair_band_penalties
 from mergegame.planner import plan_cycle
 from mergegame.scenario import default_merge_scenario, empty_lane_scenario, packed_lane_scenario
 from mergegame.world import interaction_partner
@@ -56,14 +55,6 @@ def test_sim_config_validation():
         SimConfig(dt=0.2, horizon=5, decision_period=0.7)
     assert CFG.substeps == 5
     assert CFG.steps == 25
-
-
-def test_active_decision_index():
-    for t in range(CFG.steps):
-        assert active_decision_index(t, CFG) == t // 5
-    assert active_decision_index(CFG.steps, CFG) == CFG.horizon - 1
-    consumed = {active_decision_index(t, CFG) for t in range(CFG.steps)}
-    assert consumed == set(range(CFG.horizon))
 
 
 def equilibrium_world():
@@ -126,7 +117,7 @@ def test_replay_consistency():
     world = default_merge_scenario(5.0).initial_world()
     ts = simulate_one(world, (SvAction.YIELD, const_seq(G2, LC)))
     states, inputs = ts.states[0], ts.inputs[0]
-    for i in range(len(ts.vehicle_ids)):
+    for i in range(world.n_vehicles):
         state = states[i, 0]
         for t in range(CFG.steps):
             a, delta = inputs[i, t]
@@ -181,17 +172,24 @@ def test_partner_resolution_per_tuple():
     assert batch.partner_ids == (None, gaps[G1].rear_id, gaps[G2].rear_id)
 
 
-def test_feasibility_flag():
-    rows = [("ego", 0.0, 0.0, 8.0), ("sv", 2.0, 0.0, 2.0)]  # starts overlapped
-    world = WorldSnapshot(ids=("ego", "sv"),
+def ego_safety_cost(world, rollout):
+    _, lengths, widths, _, _ = world.params_arrays()
+    penalties = _pair_band_penalties(rollout.states, 0.5 * lengths, 0.5 * widths, CostWeights())
+    return penalties[:, world.ego_index]
+
+
+def test_collision_scored_by_safety_cost():
+    # a collision does not abort a rollout; the safety cost is its only record
+    world = WorldSnapshot(ids=("ego", "sv"),   # starts overlapped
                           states=np.array([[0.0, 0.0, 0.0, 8.0], [2.0, 0.0, 0.0, 2.0]]),
                           params=(VehicleParams(), VehicleParams()),
                           v_des=np.array([10.0, 2.0]), lanes=LaneGeometry(), ego_index=0)
     ts = simulate_one(world, (SvAction.ASSERT, const_seq(G0, LK)))
-    assert not ts.feasible[0]
+    assert ts.states.shape == (1, 2, CFG.steps + 1, 4)
+    assert ego_safety_cost(world, ts)[0] >= CostWeights().w_saf1
     clear = equilibrium_world()
     ts2 = simulate_one(clear, (SvAction.ASSERT, const_seq(G0, LK)))
-    assert ts2.feasible[0]
+    assert ego_safety_cost(clear, ts2)[0] == 0.0
 
 
 def test_wrong_horizon_rejected():
@@ -225,7 +223,7 @@ def test_packed_shared_set_is_the_stream_ahead_of_the_gap():
     ahead = {vid for i, vid in enumerate(world.ids)
              if vid.startswith("pack") and x[i] > x[world.index_of(gap1_partner)]}
     assert shared == {"sv0"} | ahead
-    assert world.ego_id not in shared
+    assert world.ids[world.ego_index] not in shared
     assert not shared & {world.ids[p] for p in partners if p >= 0}
 
 
@@ -247,39 +245,6 @@ def test_packed_batch_rows_match_single_tuple_sim():
         single = simulate_one(world, action, cfg.sim, cfg.planner_model())
         assert np.array_equal(single.states[0], batch.states[k])
         assert np.array_equal(single.inputs[0], batch.inputs[k])
-
-
-def reference_no_overlap_flags(states, lengths, widths):
-    """Every vehicle pair on every row: the overlap check before culling."""
-    K, V = states.shape[:2]
-    radius = 0.5 * np.hypot(lengths, widths)
-    collided = np.zeros(K, dtype=bool)
-    for i in range(V):
-        for j in range(i + 1, V):
-            dx = states[:, i, :, 0] - states[:, j, :, 0]
-            dy = states[:, i, :, 1] - states[:, j, :, 1]
-            ks, ts = np.nonzero(dx * dx + dy * dy <= (radius[i] + radius[j]) ** 2)
-            hit = rect_overlap_arrays(
-                states[ks, i, ts, 0], states[ks, i, ts, 1], states[ks, i, ts, 2],
-                0.5 * lengths[i], 0.5 * widths[i],
-                states[ks, j, ts, 0], states[ks, j, ts, 1], states[ks, j, ts, 2],
-                0.5 * lengths[j], 0.5 * widths[j],
-            )
-            collided[ks[hit]] = True
-    return ~collided
-
-
-@pytest.mark.parametrize("scenario", ["packed", "merge10"])
-def test_feasibility_flags_match_reference(scenario):
-    cfg = packed_lane_scenario(6.0) if scenario == "packed" else default_merge_scenario(10.0)
-    batch = planner_rollout(cfg)
-    flags = batch.feasible
-    assert np.array_equal(flags, reference_no_overlap_flags(batch.states, batch.lengths,
-                                                            batch.widths))
-    if scenario == "packed":
-        assert not flags.any()   # the pack's bumpers touch in every rollout
-    else:
-        assert flags.any() and not flags.all()
 
 
 # --- the tree rollout against the flat reference loop ---------------------------------
@@ -305,7 +270,7 @@ def reference_simulate_batch(world, tuples, cfg, model):
     gap_seq = np.array([[int(s.gap) for s in seq] for _, seq in tuples])       # (K, H)
     lat_seq = np.array([[int(s.lateral) for s in seq] for _, seq in tuples])   # (K, H)
 
-    wheelbase, lengths, widths, a_max, delta_max = world.params_arrays()
+    wheelbase, _, _, a_max, delta_max = world.params_arrays()
     lanes = world.lanes
     w_lane = lanes.width
     idm = model.idm
@@ -380,7 +345,7 @@ def reference_simulate_batch(world, tuples, cfg, model):
             still_on_lane = np.abs(lanes.target_center - Y[0]) > 0.25 * w_lane
             slack = X[lead_cur] - X[0] - model.follow_distance
             engaged = still_on_lane & \
-                (slack <= model.keep_engage_time * np.maximum(VS[0], 1.0))
+                (slack <= forward_sim.KEEP_ENGAGE_TIME * np.maximum(VS[0], 1.0))
             a_keep = pd_longitudinal(X[0], VS[0], X[lead_cur] - model.follow_distance,
                                      np.minimum(VS[lead_cur], world.v_des[e]), True,
                                      model.gains, a_max[e])
@@ -416,8 +381,7 @@ def reference_simulate_batch(world, tuples, cfg, model):
     states[:, shared_ids] = shared_states
     inputs[:, shared_ids] = shared_inputs
 
-    return BatchRollout(tuples, world.ids, states, inputs, lengths, widths,
-                        partner_ids, cfg.dt)
+    return BatchRollout(tuples, states, inputs, partner_ids, cfg.dt)
 
 
 def assert_matches_reference(world, tuples, cfg, model):
@@ -426,7 +390,6 @@ def assert_matches_reference(world, tuples, cfg, model):
     assert np.array_equal(got.states, want.states)
     assert np.array_equal(got.inputs, want.inputs)
     assert got.partner_ids == want.partner_ids
-    assert np.array_equal(got.feasible, want.feasible)
 
 
 def root_tuples(root, horizon=5):
@@ -459,6 +422,22 @@ def test_tree_rollout_matches_reference_from_every_root(scenario, when):
     world = cfg.initial_world() if when == "start" else mid_episode_world(cfg, 6)
     for root in ALL_EGO_DECISIONS:
         assert_matches_reference(world, root_tuples(root), cfg.sim, cfg.planner_model())
+
+
+@pytest.mark.parametrize("when", ["start", "after6"])
+@pytest.mark.parametrize("scenario", ["merge5", "merge10", "packed"])
+def test_planner_rollout_invariants(scenario, when):
+    # on every row the planner scores, from every root: speeds stay >= 0, and
+    # each surrounding vehicle keeps its lane and heading with zero steering
+    cfg = SCENARIOS[scenario]()
+    world = cfg.initial_world() if when == "start" else mid_episode_world(cfg, 6)
+    sv = np.arange(world.n_vehicles) != world.ego_index
+    for root in ALL_EGO_DECISIONS:
+        rollout = plan_cycle(world, cfg.initial_beliefs(), cfg, root).rollout
+        assert rollout.states[..., 3].min() >= 0.0
+        for col in (1, 2):
+            assert (rollout.states[:, sv][..., col] == world.states[sv, col][:, None]).all()
+        assert not rollout.inputs[:, sv][..., 1].any()
 
 
 @pytest.mark.parametrize("scenario", ["merge10", "packed"])

@@ -29,7 +29,7 @@ def test_yaml_roundtrip(tmp_path):
 def test_initial_world_layout():
     cfg = default_merge_scenario(5.0)
     world = cfg.initial_world()
-    assert world.ego_id == "ego"
+    assert world.ids[world.ego_index] == "ego"
     assert world.n_vehicles == 5
     e = world.ego_index
     assert world.states[e, 1] == cfg.lanes.current_center

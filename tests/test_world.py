@@ -92,7 +92,7 @@ def test_leader_indices_can_exclude_ego():
 def brute_force_leaders(world, include_ego):
     """The nearest same-lane vehicle strictly ahead; the lowest index wins a tie."""
     n = world.n_vehicles
-    centers = [world.lane_center_of(k) for k in range(n)]
+    centers = [world.lanes.nearest_center(float(world.states[k, 1])) for k in range(n)]
     out = np.full(n, -1, dtype=int)
     for i in range(n):
         best, best_dx = -1, np.inf
