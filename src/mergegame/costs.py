@@ -109,49 +109,52 @@ class GameMatrix:
 CULL_MARGIN = 1.0
 
 
-def _pair_band_penalties(states, half_len, half_wid, weights: CostWeights):
-    """Per-vehicle safety penalty sums for stacked trajectories.
+def _pair_band_penalties(traj_states, rows, block_start, half_len, half_wid,
+                         weights: CostWeights):
+    """Per-vehicle safety penalty sums of a trajectory table.
 
-    states (K, V, S, 4) -> (K, V). For every vehicle pair i < j, in order, only
-    the (row, step) entries where the two centers lie within reach = d_hi plus
-    the two circumradii get an exact rectangle distance. Every other entry adds
-    exactly 0.0, since its rectangles are farther apart than d_hi. The same
-    entries as an all-pairs, all-rows loop are scored, found with less work:
+    traj_states (R, S, 4) holds distinct vehicle trajectories, vehicle v's in
+    rows block_start[v]:block_start[v + 1]; rows (K, V) picks each stacked
+    rollout's row of each vehicle. Returns (K, V). For every vehicle pair
+    i < j, in order, only the (row, step) entries where the two centers lie
+    within reach = d_hi plus the two circumradii get an exact rectangle
+    distance. Every other entry adds exactly 0.0, since its rectangles are
+    farther apart than d_hi. The same entries as an all-pairs, all-rollouts
+    loop are scored, found with less work:
 
-    - a pair whose per-step bounding boxes over all K rows lie farther apart
-      than reach + CULL_MARGIN at every step is skipped outright;
-    - when both vehicles' (x, y, theta) trajectories are equal in every row,
-      the pair is scored on row 0 alone, and that sum is added to all K rows.
+    - a pair whose per-step bounding boxes over the two vehicles' blocks lie
+      farther apart than reach + CULL_MARGIN at every step is skipped outright;
+    - each distinct (row of i, row of j) combination among the K rollouts is
+      scored once, and its sum is added to every rollout that holds it.
     """
-    K, V = states.shape[:2]
+    K, V = rows.shape
     radius = np.hypot(half_len, half_wid)
     out = np.zeros((K, V))
-    lo = states.min(axis=0)[..., :3]   # (V, S, 3); reducing whole rows is the fast path
-    hi = states.max(axis=0)[..., :3]
-    row_constant = (lo == hi).all(axis=(1, 2))
+    lo = np.minimum.reduceat(traj_states, block_start[:-1], axis=0)[..., :3]   # (V, S, 3)
+    hi = np.maximum.reduceat(traj_states, block_start[:-1], axis=0)[..., :3]
     iu, ju = np.triu_indices(V, 1)
     gx = np.maximum(np.maximum(lo[ju, :, 0] - hi[iu, :, 0], lo[iu, :, 0] - hi[ju, :, 0]), 0.0)
     gy = np.maximum(np.maximum(lo[ju, :, 1] - hi[iu, :, 1], lo[iu, :, 1] - hi[ju, :, 1]), 0.0)
     box_reach = weights.d_hi + radius[iu] + radius[ju] + CULL_MARGIN
     within = (gx * gx + gy * gy <= (box_reach * box_reach)[:, None]).any(axis=1)
     for i, j in zip(iu[within].tolist(), ju[within].tolist()):
-        block = states[:1] if row_constant[i] and row_constant[j] else states
-        dx = block[:, i, :, 0] - block[:, j, :, 0]
-        dy = block[:, i, :, 1] - block[:, j, :, 1]
+        _, first, combo = np.unique(rows[:, i] * len(traj_states) + rows[:, j],
+                                    return_index=True, return_inverse=True)
+        a, b = traj_states[rows[first, i]], traj_states[rows[first, j]]
+        dx = a[:, :, 0] - b[:, :, 0]
+        dy = a[:, :, 1] - b[:, :, 1]
         reach = weights.d_hi + radius[i] + radius[j]
         near = dx * dx + dy * dy <= reach * reach
         if not near.any():
             continue
-        ks, ts = np.nonzero(near)
+        cs, ts = np.nonzero(near)
         d = rect_distance_arrays(
-            block[ks, i, ts, 0], block[ks, i, ts, 1], block[ks, i, ts, 2],
-            half_len[i], half_wid[i],
-            block[ks, j, ts, 0], block[ks, j, ts, 1], block[ks, j, ts, 2],
-            half_len[j], half_wid[j],
+            a[cs, ts, 0], a[cs, ts, 1], a[cs, ts, 2], half_len[i], half_wid[i],
+            b[cs, ts, 0], b[cs, ts, 1], b[cs, ts, 2], half_len[j], half_wid[j],
         )
         p = np.where(d < weights.d_lo, weights.w_saf1,
                      np.where(d <= weights.d_hi, weights.w_saf2, 0.0))
-        per_k = np.bincount(ks, weights=p, minlength=len(block))
+        per_k = np.bincount(cs, weights=p, minlength=len(first))[combo]
         out[:, i] += per_k
         out[:, j] += per_k
     return out
@@ -173,7 +176,7 @@ def build_game_from_batch(rollout: BatchRollout, world: WorldSnapshot,
                           prior: np.ndarray, weights: CostWeights,
                           rows: Sequence[SvAction], cols: Sequence[DecisionSequence],
                           ev_extra: np.ndarray | None = None) -> GameMatrix:
-    """Assemble the belief-weighted cost matrix from a stacked rollout.
+    """Assemble the belief-weighted cost matrix from a rollout's trajectory table.
 
     The rollout holds the row-major cross product of the group actions rows
     and the ego sequences cols. Entry (i, j) holds ((1 - b(row_i)) * sum of
@@ -186,15 +189,20 @@ def build_game_from_batch(rollout: BatchRollout, world: WorldSnapshot,
     e = world.ego_index
     _, lengths, widths, _, _ = world.params_arrays()
 
-    safety = _pair_band_penalties(rollout.states, 0.5 * lengths, 0.5 * widths, weights)
-    v_err = rollout.states[:, :, :, 3] - world.v_des[None, :, None]
-    eff = weights.w_eff * np.sum(v_err ** 2, axis=2)
-    com = weights.w_com * np.sum(np.diff(rollout.inputs[:, :, :, 0], axis=2) ** 2,
-                                 axis=2) / rollout.dt ** 2
+    safety = _pair_band_penalties(rollout.traj_states, rollout.rows, rollout.block_start,
+                                  0.5 * lengths, 0.5 * widths, weights)
+    # efficiency, comfort and navigation once per table row, gathered to the tuples
+    table = rollout.traj_states
+    vehicle = np.repeat(np.arange(world.n_vehicles), np.diff(rollout.block_start))
+    v_err = table[:, :, 3] - world.v_des[vehicle, None]
+    eff = (weights.w_eff * np.sum(v_err ** 2, axis=1))[rollout.rows]
+    com = (weights.w_com * np.sum(np.diff(rollout.traj_inputs[:, :, 0], axis=1) ** 2,
+                                  axis=1) / rollout.dt ** 2)[rollout.rows]
     y_des = np.array([world.lanes.nearest_center(float(world.states[k, 1]))
                       for k in range(world.n_vehicles)])
     y_des[e] = world.lanes.target_center
-    nav = weights.w_nav * np.sum((rollout.states[:, :, :, 1] - y_des[None, :, None]) ** 2, axis=2)
+    nav = (weights.w_nav * np.sum((table[:, :, 1] - y_des[vehicle, None]) ** 2,
+                                  axis=1))[rollout.rows]
 
     total = safety + eff + com + nav
     sv_mask = np.ones(world.n_vehicles, dtype=bool)

@@ -13,13 +13,19 @@ those tuples have had the same inputs so far, so they are stepped once. The
 partner is part of the key from the root on, because the partner is fixed
 by the whole sequence and acts from t = 0 (yield discount, watching a probing
 ego). At each depth boundary the columns split where the next decision
-differs, each copying its parent's state, and the finished period is
-gathered into the per-tuple outputs.
+differs, each copying its parent's state.
+
+Most vehicles move the same way in many columns, so the result is a table of
+distinct vehicle trajectories, built during the walk: at the end of each
+period a vehicle's row in a column is its row of the previous period plus
+its inputs over this one, and columns with equal keys share the row. A
+(K, V) index gives each tuple's row of each vehicle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -80,13 +86,34 @@ KEEP_ENGAGE_TIME = 0.8
 
 @dataclass
 class BatchRollout:
-    """Rollouts of many action tuples stacked along the first axis."""
+    """Rollouts of many action tuples, as a table of distinct vehicle trajectories.
+
+    traj_states (R, T+1, 4) and traj_inputs (R, T, 2) hold each distinct
+    trajectory of a vehicle once, grouped by vehicle: vehicle v owns rows
+    block_start[v]:block_start[v + 1]. rows[k, v] is the row that vehicle v
+    follows in tuple k. states (K, V, T+1, 4) and inputs (K, V, T, 2) build
+    the per-tuple arrays on first use and keep them; no planner path reads them.
+    """
 
     tuples: list[tuple[SvAction, DecisionSequence]]
-    states: np.ndarray  # (K, V, T+1, 4)
-    inputs: np.ndarray  # (K, V, T, 2)
+    traj_states: np.ndarray   # (R, T+1, 4)
+    traj_inputs: np.ndarray   # (R, T, 2)
+    rows: np.ndarray          # (K, V) table row of each tuple's vehicle
+    block_start: np.ndarray   # (V+1,) first row of each vehicle's block
     partner_ids: tuple[str | None, ...]
     dt: float
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        return self.traj_states[self.rows]
+
+    @cached_property
+    def inputs(self) -> np.ndarray:
+        return self.traj_inputs[self.rows]
+
+    def vehicle_inputs(self, k, v) -> np.ndarray:
+        """(..., T, 2) inputs of vehicle(s) v in tuple(s) k, read from the table."""
+        return self.traj_inputs[self.rows[k, v]]
 
 
 def _influence_set(leader_idx, ego, partner_idx) -> np.ndarray:
@@ -138,8 +165,8 @@ def _dense_rank(code, n_codes):
     r-th distinct value, and rank[i] the rank of code[i]. This is
     np.unique(code, return_index=True, return_inverse=True) up to which
     member stands for a value, found through a table of every possible value
-    instead of by sorting; sorting would also map numpy's sort code into
-    memory, about 0.4 MB of resident memory that the planner needs nowhere else.
+    instead of by sorting, which is faster for the small ranges of the
+    column keys.
     """
     present = np.zeros(n_codes, dtype=bool)
     present[code] = True
@@ -148,14 +175,50 @@ def _dense_rank(code, n_codes):
     return member[present], (np.cumsum(present) - 1)[code]
 
 
+_HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _key_hash(prev, values):
+    """64-bit hash of each key (prev[i], values[0][i], values[1][i], ...), over
+    the bits of the float values."""
+    h = prev.astype(np.uint64)
+    for v in values:
+        h = (h ^ v.view(np.uint64)) * _HASH_MUL
+        h ^= h >> np.uint64(31)
+    return h
+
+
+def _distinct_keys(prev, values):
+    """Group the keys (prev[i], values[0][i], values[1][i], ...) by bit equality.
+
+    prev (n,) holds ints and values (n,) float arrays. Returns (first, group):
+    group[i] numbers key i's group, in order of first occurrence, and first[g]
+    is the first key of group g. Keys are grouped by _key_hash, and every key
+    is then checked against its group's first key; if a hash collision put
+    unequal keys together, they are grouped by their bytes instead.
+    """
+    bits = [prev.astype(np.uint64)] + [v.view(np.uint64) for v in values]
+    _, first, group = np.unique(_key_hash(prev, values), return_index=True,
+                                return_inverse=True)
+    if not all(np.array_equal(b[first][group], b) for b in bits):
+        seen = {}
+        group = np.array([seen.setdefault(key.tobytes(), len(seen))
+                          for key in np.column_stack(bits)], dtype=np.intp)
+        return np.unique(group, return_index=True)[1], group
+    by_first = np.argsort(first)
+    renumber = np.empty_like(by_first)
+    renumber[by_first] = np.arange(len(first))
+    return first[by_first], renumber[group]
+
+
 def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
                    model: PlannerModel) -> BatchRollout:
     """Roll out every action tuple from the shared initial world state.
 
     Deterministic: no randomness enters the rollouts, and identical inputs
     produce identical arrays. Collisions never abort a rollout: the safety
-    cost of build_game_from_batch penalizes them. Returns states
-    (K, V, T+1, 4) and inputs (K, V, T, 2) in the order of tuples.
+    cost of build_game_from_batch penalizes them. Returns the trajectory
+    table of the tuples, indexed in their order.
 
     The rollouts are stepped as a tree, one decision period per depth. During
     period d the working arrays hold one column per distinct key (group
@@ -168,11 +231,17 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
     starts from its parent column of period d-1. Every step is elementwise
     over the columns, so each tuple's values are those of stepping it alone.
 
+    The table grows with the walk. At the end of period d, a vehicle's row
+    in a column is its row of period d-1 plus its inputs (a, delta) over
+    period d, and columns that agree on both, bit for bit, share the row:
+    a step is elementwise, so equal inputs from an equal state give equal
+    states. Only the rows of period d are gathered from the working arrays,
+    and each leaf row's trajectory is assembled from its ancestors' segments.
+
     A surrounding vehicle outside the influence set (_influence_set) sees
     only kappa_assert and leaders that are themselves outside the set, from
     the same initial state in every rollout. Its trajectory is therefore the
-    same in all K rollouts, so it is stepped on one column and broadcast into
-    states and inputs.
+    same in all K rollouts, so it is stepped on one column and has one row.
     """
     tuples = list(tuples)
     if not tuples:
@@ -233,29 +302,29 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
     sv_inf = slice(1, n_inf)
     sv_rows = np.arange(1, n_inf)[:, None]
 
-    # shared vehicles are written into every rollout once, after the loop
+    # each shared vehicle's one row, filled step by step
     inf_ids, shared_ids = order[:n_inf], order[n_inf:]
-    states = np.empty((K, V, T + 1, 4))
-    inputs = np.zeros((K, V, T, 2))
     shared_states = np.empty((V - n_inf, T + 1, 4))
     shared_inputs = np.zeros((V - n_inf, T, 2))
-    # one decision period of the influenced vehicles, per column; allocated once
-    # at its largest size (never more columns than tuples), since fresh buffers
-    # at every depth fragment the heap and raise the peak resident memory
-    seg_states_buf = np.empty((K, n_inf, S, 4))
-    seg_inputs_buf = np.zeros((K, n_inf, S, 2))
+    # per period: each of its distinct influenced-vehicle rows' (states, inputs)
+    # segment, and its row of the period before
+    segments = []
 
     # before the first decision the key is (group action, partner); all such
     # columns start from the initial state
     inv = _dense_rank(sv_code * (V + 1) + partner_idx + 1, 2 * (V + 1))[1]
     X, Y, TH, VS = (np.repeat(world.states[order, c, None], inv.max() + 1, axis=1)
                     for c in range(4))
+    # (n_inf, columns) row of each influenced vehicle; before period 0 a
+    # vehicle's row is the vehicle itself
+    group = np.repeat(np.arange(n_inf)[:, None], inv.max() + 1, axis=1)
 
     for d in range(cfg.horizon):
         rep, inv_d = _dense_rank(inv * 9 + dec[:, d], 9 * (inv.max() + 1))
         parent = inv[rep]
         inv = inv_d
         X, Y, TH, VS = (arr[:, parent] for arr in (X, Y, TH, VS))
+        prev = group[:, parent].ravel()
 
         # the column's decision, partner and group action, from its representative tuple
         n_cols = len(rep)
@@ -272,13 +341,12 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
                       (lat_t == int(LateralDecision.LEFT_PROBE))
         ego_watch = is_partner & ego_probing[None, :]
 
-        seg_states = seg_states_buf[:n_cols]
-        seg_inputs = seg_inputs_buf[:n_cols]
+        period_states, period_inputs = [], []
         for s in range(S):
             t = d * S + s
-            for c, arr in enumerate((X, Y, TH, VS)):
-                seg_states[:, :, s, c] = arr[:n_inf].T
-                shared_states[:, t, c] = arr[n_inf:, 0]
+            period_states.append((X, Y, TH, VS))
+            for k, arr in enumerate((X, Y, TH, VS)):
+                shared_states[:, t, k] = arr[n_inf:, 0]
 
             # --- ego lateral: pure pursuit onto the decision's target line
             delta_e = pure_pursuit(Y[0], TH[0], VS[0], line, wheelbase[e],
@@ -311,12 +379,11 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
             a_shared = _idm_block(X[:, :1], Y[:, :1], TH[:, :1], VS[:, :1], slice(n_inf, V),
                                   lead[n_inf:], kappa_assert, False, v_des[n_inf:],
                                   a_lim[n_inf:], idm)
-            seg_inputs[:, :, s, 0] = A.T
-            seg_inputs[:, 0, s, 1] = delta_e
-            shared_inputs[:, t, 0] = a_shared[:, 0]
-
             D = np.zeros((n_inf, n_cols))
             D[0] = delta_e
+            period_inputs.append((A, D))
+            shared_inputs[:, t, 0] = a_shared[:, 0]
+
             stepped_inf = step_bicycle(X[:n_inf], Y[:n_inf], TH[:n_inf], VS[:n_inf],
                                        A, D, cfg.dt, wb[:n_inf])
             stepped_shared = step_bicycle(X[n_inf:, :1], Y[n_inf:, :1], TH[n_inf:, :1],
@@ -326,15 +393,44 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
                 arr[:n_inf] = a_inf
                 arr[n_inf:] = a_sh
 
-        # each tuple takes the period from its column
-        for j, v in enumerate(inf_ids.tolist()):
-            states[:, v, d * S:(d + 1) * S] = seg_states[:, j].take(inv, axis=0)
-            inputs[:, v, d * S:(d + 1) * S] = seg_inputs[:, j].take(inv, axis=0)
+        # the period's rows, keyed by (row of period d-1, inputs over period d);
+        # only each row's first (vehicle, column) is gathered
+        first, group = _distinct_keys(prev, [u.ravel() for step in period_inputs
+                                             for u in step])
+        j, c = np.divmod(first, n_cols)
+        seg_states = np.empty((len(first), S, 4))
+        seg_inputs = np.empty((len(first), S, 2))
+        for s in range(S):
+            for k, arr in enumerate(period_states[s]):
+                seg_states[:, s, k] = arr[j, c]
+            for k, arr in enumerate(period_inputs[s]):
+                seg_inputs[:, s, k] = arr[j, c]
+        segments.append((seg_states, seg_inputs, prev[first]))
+        group = group.reshape(n_inf, n_cols)
 
-    for c, arr in enumerate((X, Y, TH, VS)):
-        states[:, inf_ids, T, c] = arr[:n_inf, inv].T
-        shared_states[:, T, c] = arr[n_inf:, 0]
-    states[:, shared_ids] = shared_states
-    inputs[:, shared_ids] = shared_inputs
+    # the table: vehicle blocks in vehicle order, a shared vehicle's block one
+    # row; the leaf rows come grouped by working row (first occurrence is j-major)
+    rows_per_vehicle = np.ones(V, dtype=np.intp)
+    rows_per_vehicle[inf_ids] = np.bincount(j, minlength=n_inf)
+    block_start = np.concatenate(([0], np.cumsum(rows_per_vehicle)))
+    leaf_start = np.concatenate(([0], np.cumsum(rows_per_vehicle[inf_ids])))
+    at = block_start[inf_ids[j]] + np.arange(len(j)) - leaf_start[j]   # leaf row -> table row
+    traj_states = np.empty((block_start[-1], T + 1, 4))
+    traj_inputs = np.empty((block_start[-1], T, 2))
+    for k, arr in enumerate((X, Y, TH, VS)):
+        shared_states[:, T, k] = arr[n_inf:, 0]
+        traj_states[at, T, k] = arr[j, c]
+    traj_states[block_start[shared_ids]] = shared_states
+    traj_inputs[block_start[shared_ids]] = shared_inputs
+    row = np.arange(len(j))   # each leaf row's row of period d, walking back
+    for d in reversed(range(cfg.horizon)):
+        seg_states, seg_inputs, prev_row = segments[d]
+        traj_states[at, d * S:(d + 1) * S] = seg_states[row]
+        traj_inputs[at, d * S:(d + 1) * S] = seg_inputs[row]
+        row = prev_row[row]
 
-    return BatchRollout(tuples, states, inputs, partner_ids, cfg.dt)
+    rows = np.empty((K, V), dtype=np.intp)
+    rows[:, shared_ids] = block_start[shared_ids]
+    rows[:, inf_ids] = at[group[:, inv]].T
+    return BatchRollout(tuples, traj_states, traj_inputs, rows, block_start, partner_ids,
+                        cfg.dt)

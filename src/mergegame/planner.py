@@ -60,7 +60,7 @@ class CycleResult:
 
     def ego_inputs(self, world: WorldSnapshot, n_steps: int | None = None) -> np.ndarray:
         """Planned ego (a, delta) trace of the selected rollout, first n_steps rows."""
-        trace = self.rollout.inputs[self.tuple_index, world.ego_index]
+        trace = self.rollout.vehicle_inputs(self.tuple_index, world.ego_index)
         return trace if n_steps is None else trace[:n_steps]
 
     def partner_accel_predictions(self, world: WorldSnapshot,
@@ -71,8 +71,8 @@ class CycleResult:
             return None
         p = world.index_of(pid)
         m = len(self.game.cols)
-        return (self.rollout.inputs[self.col, p, :n_steps, 0].copy(),
-                self.rollout.inputs[m + self.col, p, :n_steps, 0].copy())
+        return (self.rollout.vehicle_inputs(self.col, p)[:n_steps, 0].copy(),
+                self.rollout.vehicle_inputs(m + self.col, p)[:n_steps, 0].copy())
 
 
 def _prune_rules(cfg: ScenarioConfig, root: EgoDecision) -> PruneRules:
@@ -94,8 +94,8 @@ def _info_gain_extra(rollout: BatchRollout, world: WorldSnapshot, prior: np.ndar
     partners = rollout.partner_ids[:m]
     cols = np.array([j for j, pid in enumerate(partners) if pid is not None], dtype=int)
     p = np.array([world.index_of(partners[j]) for j in cols], dtype=int)
-    accel = rollout.inputs[..., 0]
-    pred_assert, pred_yield = accel[cols, p], accel[m + cols, p]      # (n, T)
+    pred_assert = rollout.vehicle_inputs(cols, p)[..., 0]             # (n, T)
+    pred_yield = rollout.vehicle_inputs(m + cols, p)[..., 0]
     observed = np.stack([pred_assert, pred_yield])                    # (2, n, T)
     pa, py = prior[0, cols], prior[1, cols]
     post_a, post_y = update_belief(pa, py, observed, pred_assert, pred_yield,

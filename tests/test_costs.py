@@ -83,6 +83,20 @@ def make_traj(xa, xb, dt=0.2):
     return TrajectorySet(("a", "b"), states, inputs, (SvAction.ASSERT, seq), dt)
 
 
+def trajectory_table(states):
+    """(traj_states, rows, block_start) of stacked per-tuple states (K, V, S, 4):
+    each vehicle's bit-distinct rows once, in vehicle blocks."""
+    K, V = states.shape[:2]
+    blocks, rows, start = [], np.empty((K, V), dtype=np.intp), [0]
+    for v in range(V):
+        flat = np.ascontiguousarray(states[:, v]).reshape(K, -1).view(np.uint64)
+        _, first, inverse = np.unique(flat, axis=0, return_index=True, return_inverse=True)
+        blocks.append(states[first, v])
+        rows[:, v] = start[-1] + inverse.reshape(-1)
+        start.append(start[-1] + len(first))
+    return np.concatenate(blocks), rows, np.array(start)
+
+
 # --- per-tuple reference: one trajectory set and one vehicle at a time ---------------
 
 @dataclass(frozen=True)
@@ -107,7 +121,7 @@ def _half_dims(traj: TrajectorySet, world: WorldSnapshot):
 def safety_cost(traj, vehicle_id, weights, world):
     """Sum over steps and other vehicles of the piecewise distance penalty."""
     hl, hw = _half_dims(traj, world)
-    per_vehicle = _pair_band_penalties(traj.states[None, ...], hl, hw, weights)
+    per_vehicle = _pair_band_penalties(*trajectory_table(traj.states[None, ...]), hl, hw, weights)
     return float(per_vehicle[0, traj.index_of(vehicle_id)])
 
 
@@ -228,9 +242,10 @@ def reference_pair_band_penalties(states, half_len, half_wid, weights):
     return out
 
 
-def assert_matches_reference(states, half_len, half_wid, weights):
-    got = _pair_band_penalties(states, half_len, half_wid, weights)
-    want = reference_pair_band_penalties(states, half_len, half_wid, weights)
+def assert_matches_reference(traj_states, rows, block_start, half_len, half_wid, weights):
+    """The table's penalties against the all-pairs loop over the per-tuple arrays."""
+    got = _pair_band_penalties(traj_states, rows, block_start, half_len, half_wid, weights)
+    want = reference_pair_band_penalties(traj_states[rows], half_len, half_wid, weights)
     assert np.array_equal(got, want)
     return got
 
@@ -261,7 +276,8 @@ def test_pair_band_penalties_match_reference_on_rollouts(case):
         world = cfg.initial_world()
     rollout = planner_rollout(cfg, world)
     _, lengths, widths, _, _ = world.params_arrays()
-    got = assert_matches_reference(rollout.states, 0.5 * lengths, 0.5 * widths, cfg.weights)
+    got = assert_matches_reference(rollout.traj_states, rollout.rows, rollout.block_start,
+                                   0.5 * lengths, 0.5 * widths, cfg.weights)
     assert got.any()
 
 
@@ -277,24 +293,68 @@ def test_pair_band_penalties_reach_boundary():
     states[0, 2, 0, 1] = 50.0
     states[0, 3, 0, :2] = np.nextafter(reach, np.inf), 50.0      # just beyond
     half_len, half_wid = np.full(4, hl), np.full(4, hw)
-    got = assert_matches_reference(states, half_len, half_wid, W)
+    got = assert_matches_reference(*trajectory_table(states), half_len, half_wid, W)
     assert got[0, 0] == got[0, 1] == W.w_saf2
     assert got[0, 2] == got[0, 3] == 0.0
 
 
 @pytest.mark.parametrize("column, step", [(0, 0), (0, 3), (2, 0), (2, 3)])
 def test_pair_band_penalties_row_constant_and_single_row_pairs(column, step):
-    # a and b hold the same trajectory in every row; c, 1.1 m ahead of b, moves
-    # 0.5 m back or turns by 0.6 rad in row 2 at one step, entering w_saf1's band
+    # a and b hold the same trajectory in every row, so one table row each; c,
+    # 1.1 m ahead of b, moves 0.5 m back or turns by 0.6 rad in row 2 at one
+    # step, entering w_saf1's band
     K, S = 5, 4
     states = np.zeros((K, 3, S, 4))
     states[:, 1, :, 0] = 6.0
     states[:, 2, :, 0] = 11.6
     states[2, 2, step, column] += -0.5 if column == 0 else 0.6
     half_len, half_wid = np.full(3, 2.25), np.full(3, 1.0)
-    got = assert_matches_reference(states, half_len, half_wid, W)
+    table = trajectory_table(states)
+    assert np.array_equal(np.diff(table[2]), [1, 1, 2])
+    got = assert_matches_reference(*table, half_len, half_wid, W)
     assert np.all(got[:, 0] == got[0, 0]) and got[0, 0] > 0.0
     assert got[2, 2] == got[0, 2] + W.w_saf1 - W.w_saf2
+
+
+# footprints with circumradius 2.5 whose corners face each other when turned
+# by TURN; a center distance of REACH then puts the corners exactly d_hi apart
+HL, HW = 2.0, 1.5
+TURN = -float(np.arctan2(HW, HL))
+REACH = W.d_hi + 2.0 * float(np.hypot(HL, HW))
+# center offsets that touch (0 and 2 * HL), end each band, or sit on the reach
+OFFSETS = [0.0, 2 * HL, 2 * HL + W.d_lo, 2 * HL + W.d_hi, REACH,
+           float(np.nextafter(REACH, np.inf)), 2 * HW, 50.0]
+
+
+@st.composite
+def small_tables(draw):
+    """Tables of 2-4 vehicles with 1-3 rows each, value-equal rows forced into
+    some blocks, entries placed on touching and band or reach boundaries, and
+    1-6 rollouts indexing them."""
+    V, S, K = draw(st.integers(2, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=V, max_size=V))
+    coord = st.sampled_from(OFFSETS)
+    blocks = []
+    for v, n in enumerate(sizes):
+        block = np.zeros((n, S, 4))
+        for r in range(n):
+            for t in range(S):
+                block[r, t, :3] = (draw(coord), draw(coord),
+                                   draw(st.sampled_from([0.0, TURN, np.pi / 2])))
+        if n > 1 and draw(st.booleans()):
+            block[-1] = block[0]                       # a value-equal row
+        blocks.append(block)
+    start = np.concatenate(([0], np.cumsum(sizes)))
+    rows = np.array([[start[v] + draw(st.integers(0, sizes[v] - 1)) for v in range(V)]
+                     for _ in range(K)], dtype=np.intp)
+    return np.concatenate(blocks), rows, start
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_tables())
+def test_pair_band_penalties_match_reference_on_small_tables(table):
+    V = table[1].shape[1]
+    assert_matches_reference(*table, np.full(V, HL), np.full(V, HW), W)
 
 
 def test_efficiency_cost_direct_sum():

@@ -1,3 +1,5 @@
+from dataclasses import dataclass, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,16 +16,16 @@ from mergegame.actions import (
     build_action_tuples,
     enumerate_ego_sequences,
 )
-from mergegame import forward_sim
+from mergegame import closed_loop, forward_sim
 from mergegame.closed_loop import run_episode
 from mergegame.control import (IdmSettings, gap_reference, lateral_discount, pd_longitudinal,
                                pure_pursuit)
 from mergegame.dynamics import VehicleParams, step_bicycle
 from mergegame.forward_sim import (
-    BatchRollout,
     PlannerModel,
     SimConfig,
     _dense_rank,
+    _distinct_keys,
     _idm_block,
     _influence_set,
     simulate_batch,
@@ -174,7 +176,8 @@ def test_partner_resolution_per_tuple():
 
 def ego_safety_cost(world, rollout):
     _, lengths, widths, _, _ = world.params_arrays()
-    penalties = _pair_band_penalties(rollout.states, 0.5 * lengths, 0.5 * widths, CostWeights())
+    penalties = _pair_band_penalties(rollout.traj_states, rollout.rows, rollout.block_start,
+                                     0.5 * lengths, 0.5 * widths, CostWeights())
     return penalties[:, world.ego_index]
 
 
@@ -248,6 +251,13 @@ def test_packed_batch_rows_match_single_tuple_sim():
 
 
 # --- the tree rollout against the flat reference loop ---------------------------------
+
+@dataclass
+class FlatRollout:
+    states: np.ndarray   # (K, V, T+1, 4)
+    inputs: np.ndarray   # (K, V, T, 2)
+    partner_ids: tuple
+
 
 def reference_simulate_batch(world, tuples, cfg, model):
     """The flat rollout loop: every tuple stepped over the whole horizon, one
@@ -381,7 +391,7 @@ def reference_simulate_batch(world, tuples, cfg, model):
     states[:, shared_ids] = shared_states
     inputs[:, shared_ids] = shared_inputs
 
-    return BatchRollout(tuples, states, inputs, partner_ids, cfg.dt)
+    return FlatRollout(states, inputs, partner_ids)
 
 
 def assert_matches_reference(world, tuples, cfg, model):
@@ -438,6 +448,94 @@ def test_planner_rollout_invariants(scenario, when):
         for col in (1, 2):
             assert (rollout.states[:, sv][..., col] == world.states[sv, col][:, None]).all()
         assert not rollout.inputs[:, sv][..., 1].any()
+
+
+def distinct_trajectories(rollout, v):
+    """Number of bit-distinct (states, inputs) trajectories of vehicle v over the tuples."""
+    K = len(rollout.tuples)
+    flat = np.concatenate([rollout.states[:, v].reshape(K, -1),
+                           rollout.inputs[:, v].reshape(K, -1)], axis=1)
+    return len(np.unique(flat.view(np.uint64), axis=0))
+
+
+@pytest.mark.parametrize("when", ["start", "after6"])
+@pytest.mark.parametrize("scenario", ["merge5", "merge10", "packed"])
+def test_trajectory_table_is_exact_and_complete(scenario, when):
+    # from every root: one table row per distinct vehicle trajectory, every row
+    # used, each tuple's row of v inside v's block, one row per shared vehicle
+    cfg = SCENARIOS[scenario]()
+    world = cfg.initial_world() if when == "start" else mid_episode_world(cfg, 6)
+    for root in ALL_EGO_DECISIONS:
+        rollout = plan_cycle(world, cfg.initial_beliefs(), cfg, root).rollout
+        start, rows = rollout.block_start, rollout.rows
+        n_rows = len(rollout.traj_states)
+        assert rows.shape == (len(rollout.tuples), world.n_vehicles)
+        assert start[0] == 0 and start[-1] == n_rows == len(rollout.traj_inputs)
+        assert np.array_equal(np.unique(rows), np.arange(n_rows))
+        assert ((rows >= start[:-1]) & (rows < start[1:])).all()
+        per_vehicle = [distinct_trajectories(rollout, v) for v in range(world.n_vehicles)]
+        assert np.array_equal(np.diff(start), per_vehicle)
+        shared, _ = shared_ids(world, rollout.tuples)
+        assert all(per_vehicle[world.index_of(vid)] == 1 for vid in shared)
+
+
+def assert_not_materialized(rollout):
+    assert not {"states", "inputs"} & vars(rollout).keys()
+
+
+@pytest.mark.parametrize("case", ["merge10", "merge10-info", "packed"])
+def test_plan_cycle_builds_no_per_tuple_arrays(case):
+    # the planner works on the trajectory table; the (K, V, ...) arrays are
+    # built only when a reader asks for them, and then kept
+    cfg = SCENARIOS[case.split("-")[0]]()
+    if case.endswith("info"):
+        cfg = replace(cfg, weights=replace(cfg.weights, w_info=20.0))
+    res = plan_cycle(cfg.initial_world(), cfg.initial_beliefs(), cfg, EgoDecision(G0, LK))
+    res.ego_inputs(cfg.initial_world())
+    assert_not_materialized(res.rollout)
+    assert res.rollout.states is res.rollout.states
+    assert "states" in vars(res.rollout)
+
+
+def test_closed_loop_builds_no_per_tuple_arrays(monkeypatch):
+    results = []
+
+    def keep(*args, **kwargs):
+        results.append(plan_cycle(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(closed_loop, "plan_cycle", keep)
+    cfg = SCENARIOS["merge10"]()
+    cfg.episode.max_cycles = 3
+    run_episode(cfg)
+    assert len(results) == 3
+    for res in results:
+        assert_not_materialized(res.rollout)
+
+
+@pytest.mark.parametrize("hashing", ["hash", "collide"])
+def test_distinct_keys_groups_by_bits(monkeypatch, hashing):
+    # 0.0 and -0.0 are different keys; groups are numbered by first occurrence
+    if hashing == "collide":
+        monkeypatch.setattr(forward_sim, "_key_hash",
+                            lambda prev, values: np.zeros(len(prev), dtype=np.uint64))
+    prev = np.array([3, 3, 1, 3, 3, 1])
+    values = [np.array([0.0, -0.0, 0.0, 0.0, 1.5, 0.0]), np.array([2.0, 2.0, 2.0, 2.0, 2.0, 2.0])]
+    first, group = _distinct_keys(prev, values)
+    assert group.tolist() == [0, 1, 2, 0, 3, 2]
+    assert first.tolist() == [0, 1, 2, 4]
+
+
+def test_table_survives_hash_collisions(monkeypatch):
+    # every key hashing alike forces the exact grouping by bytes: same table
+    cfg = SCENARIOS["merge10"]()
+    world, tuples = cfg.initial_world(), root_tuples(EgoDecision(G0, LK))
+    want = simulate_batch(world, tuples, cfg.sim, cfg.planner_model())
+    monkeypatch.setattr(forward_sim, "_key_hash",
+                        lambda prev, values: np.zeros(len(prev), dtype=np.uint64))
+    got = simulate_batch(world, tuples, cfg.sim, cfg.planner_model())
+    for name in ("traj_states", "traj_inputs", "rows", "block_start"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 @pytest.mark.parametrize("scenario", ["merge10", "packed"])
