@@ -101,6 +101,21 @@ class DecisionSequence:
     def __str__(self):
         return ">".join(str(s) for s in self.steps)
 
+    @functools.cached_property
+    def codes(self) -> tuple[int, ...]:
+        """Each step's decision code 3 * gap + lateral, a dense index in [0, 9)."""
+        return tuple(3 * int(s.gap) + int(s.lateral) for s in self.steps)
+
+    @functools.cached_property
+    def partner_gap(self) -> GapChoice | None:
+        """The gap whose rear bound the sequence negotiates with: that of its
+        last step targeting a lane-change gap; None if it never leaves the
+        current lane. world.interaction_partner names that vehicle."""
+        for step in reversed(self.steps):
+            if step.gap != GapChoice.GAP_0:
+                return step.gap
+        return None
+
 
 def default_forbidden_transitions() -> frozenset[tuple[EgoDecision, EgoDecision]]:
     """Adjacent pairs that switch gap while committed to a lane change, which a

@@ -153,7 +153,5 @@ def interaction_partner(seq: DecisionSequence,
     that gap is the vehicle that must open it. Sequences that never leave the
     current lane have no partner.
     """
-    for step in reversed(tuple(seq)):
-        if step.gap != GapChoice.GAP_0:
-            return gaps[step.gap].partner_id
-    return None
+    gap = seq.partner_gap
+    return None if gap is None else gaps[gap].partner_id

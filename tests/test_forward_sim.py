@@ -1,4 +1,5 @@
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -18,16 +19,14 @@ from mergegame.actions import (
 )
 from mergegame import closed_loop, forward_sim
 from mergegame.closed_loop import run_episode
-from mergegame.control import (IdmSettings, gap_reference, lateral_discount, pd_longitudinal,
-                               pure_pursuit)
+from mergegame.control import (IdmSettings, gap_reference, idm_accel, lateral_discount,
+                               pd_longitudinal, pure_pursuit, virtual_gap_distance)
 from mergegame.dynamics import VehicleParams, step_bicycle
 from mergegame.forward_sim import (
     PlannerModel,
     SimConfig,
-    _dense_rank,
     _distinct_keys,
-    _idm_block,
-    _influence_set,
+    _group_codes,
     simulate_batch,
 )
 from mergegame.costs import Belief, CostWeights, _pair_band_penalties
@@ -199,6 +198,16 @@ def test_wrong_horizon_rejected():
     world = default_merge_scenario(5.0).initial_world()
     with pytest.raises(ValueError):
         simulate_one(world, (SvAction.ASSERT, const_seq(G0, LK, h=3)))
+    with pytest.raises(ValueError):
+        simulate_batch(world, [(SvAction.ASSERT, const_seq(G0, LK)),
+                               (SvAction.ASSERT, const_seq(G0, LK, h=4))], CFG, MODEL)
+
+
+def test_too_many_vehicle_states_rejected():
+    # K * V bounds the states of one substep, and with them the packed keys
+    tuples = [(SvAction.ASSERT, const_seq(G0, LK))] * (2 ** 18)
+    with pytest.raises(ValueError, match="vehicle states"):
+        simulate_batch(equilibrium_world(), tuples, CFG, MODEL)
 
 
 # --- vehicles shared by every rollout -----------------------------------------------
@@ -251,6 +260,48 @@ def test_packed_batch_rows_match_single_tuple_sim():
 
 
 # --- the tree rollout against the flat reference loop ---------------------------------
+
+def _influence_set(leader_idx, ego, partner_idx) -> np.ndarray:
+    """Vehicles whose trajectory can differ between the rollouts of one cycle.
+
+    The ego, every interaction partner, and every vehicle whose leader is in
+    the set: a fixed point reached within V rounds. Any other vehicle always
+    takes kappa_assert, never has the ego as a leader, and follows only
+    vehicles outside the set, so it moves identically in every rollout.
+    """
+    influenced = np.zeros(len(leader_idx), dtype=bool)
+    influenced[ego] = True
+    influenced[partner_idx[partner_idx >= 0]] = True
+    has_leader = leader_idx >= 0
+    for _ in range(len(leader_idx)):
+        grown = influenced | (has_leader & influenced[leader_idx])
+        if np.array_equal(grown, influenced):
+            break
+        influenced = grown
+    return influenced
+
+
+def _idm_block(X, Y, TH, VS, rows, lead, kappa, ego_watch, v_des, a_max, idm: IdmSettings):
+    """Modified-IDM accelerations of the surrounding vehicles in row slice rows.
+
+    X, Y, TH, VS (V, R) hold R rollouts of every vehicle, the ego in row 0.
+    lead (n,) is each vehicle's leader row (-1 for none) and kappa its lateral
+    discount, a scalar or (n, R); v_des and a_max are (n, 1). Where ego_watch
+    holds and the ego is level or ahead, the ego is a second, virtual leader,
+    and the nearer of the two governs. The law itself is control.idm_accel.
+    """
+    x, y, v = X[rows], Y[rows], VS[rows]
+    has_phys = (lead >= 0)[:, None]
+    li = np.where(lead >= 0, lead, 0)
+    d_phys = np.where(has_phys, virtual_gap_distance(X[li], Y[li], x, y, kappa), np.inf)
+    v_phys = np.where(has_phys, VS[li], 0.0)
+    d_ego = virtual_gap_distance(X[:1], Y[:1], x, y, kappa)
+    use_ego = ego_watch & (X[:1] >= x) & (d_ego < d_phys)
+    d_lead = np.where(use_ego, d_ego, d_phys)
+    v_lead = np.where(use_ego, VS[:1] * np.cos(TH[:1]), v_phys)
+    has_lead = has_phys | use_ego
+    return np.clip(idm_accel(v, v_lead, d_lead, has_lead, v_des, idm), -a_max, a_max)
+
 
 @dataclass
 class FlatRollout:
@@ -417,6 +468,12 @@ def mid_episode_world(cfg, cycles):
     return WorldSnapshot(base.ids, states, base.params, base.v_des, base.lanes, base.ego_index)
 
 
+@lru_cache(maxsize=None)
+def scenario_world(scenario, when):
+    cfg = SCENARIOS[scenario]()
+    return cfg.initial_world() if when == "start" else mid_episode_world(cfg, 6)
+
+
 SCENARIOS = {
     "merge5": lambda: default_merge_scenario(5.0),
     "merge10": lambda: default_merge_scenario(10.0),
@@ -425,11 +482,68 @@ SCENARIOS = {
 }
 
 
+def hand_world(rows):
+    """A world from (id, x, y, v, v_des) rows, the ego first."""
+    return WorldSnapshot(ids=tuple(r[0] for r in rows),
+                         states=np.array([[x, y, 0.0, v] for _, x, y, v, _ in rows]),
+                         params=tuple(VehicleParams() for _ in rows),
+                         v_des=np.array([r[4] for r in rows]), lanes=LaneGeometry(), ego_index=0)
+
+
+# Worlds that reach the corners of the rollout's surrounding-vehicle key
+HAND_WORLDS = {
+    # "tail" follows the ego on the current lane: its leader differs per column
+    "ego-leads": hand_world([("ego", 0.0, 0.0, 7.0, 10.0), ("tail", -14.0, 0.0, 8.0, 10.0),
+                             ("truck", 30.0, 0.0, 5.0, 5.0), ("t0", 25.0, 3.5, 6.0, 8.0),
+                             ("t1", 4.0, 3.5, 6.0, 8.0), ("t2", -20.0, 3.5, 6.0, 8.0)]),
+    # the gap-2 partner "p" follows "t0", 0.3 m off its lane center, so the
+    # partner's lateral discount reaches its physical leader
+    "off-line-leader": hand_world([("ego", 0.0, 0.0, 7.0, 10.0), ("truck", 30.0, 0.0, 5.0, 5.0),
+                                   ("t0", 20.0, 3.8, 6.0, 8.0), ("p", -8.0, 3.5, 7.0, 8.0),
+                                   ("t2", -30.0, 3.5, 6.0, 8.0)]),
+    # the gap-2 partner "p" is level with a faster ego: the probing ego is its
+    # virtual leader under the yield discount and not under the assert one
+    "partner-led-by-ego": hand_world([("ego", 0.0, 0.0, 8.0, 10.0),
+                                      ("truck", 30.0, 0.0, 5.0, 5.0),
+                                      ("t0", 30.0, 3.5, 6.0, 8.0), ("p", -1.0, 3.5, 6.0, 8.0),
+                                      ("t2", -25.0, 3.5, 6.0, 8.0)]),
+}
+
+
+def test_hand_worlds_reach_their_corner():
+    ego_leads = HAND_WORLDS["ego-leads"]
+    assert ego_leads.leader_indices()[ego_leads.index_of("tail")] == ego_leads.ego_index
+    idm = MODEL.idm
+    kappa = {beta: lateral_discount(beta, LaneGeometry().width)
+             for beta in (idm.beta_assert, idm.beta_yield)}
+    for name in ("off-line-leader", "partner-led-by-ego"):
+        world = HAND_WORLDS[name]
+        p = world.index_of("p")
+        assert world.resolve_gaps()[G2].partner_id == "p"
+        assert world.leader_indices()[p] == world.index_of("t0")
+    off = HAND_WORLDS["off-line-leader"]
+    dy = off.states[off.index_of("t0"), 1] - off.states[off.index_of("p"), 1]
+    assert dy == pytest.approx(0.3)
+    # the ego's virtual gap to "p" beats the leader's under one discount only
+    world = HAND_WORLDS["partner-led-by-ego"]
+    (xe, ye), (xp, yp), (xl, _) = (world.states[world.index_of(v), :2]
+                                   for v in ("ego", "p", "t0"))
+    d_ego = {b: virtual_gap_distance(xe, ye, xp, yp, k) for b, k in kappa.items()}
+    assert xe >= xp
+    assert d_ego[idm.beta_yield] < xl - xp < d_ego[idm.beta_assert]
+
+
+@pytest.mark.parametrize("name", sorted(HAND_WORLDS))
+def test_tree_rollout_matches_reference_on_hand_made_worlds(name):
+    for root in ALL_EGO_DECISIONS:
+        assert_matches_reference(HAND_WORLDS[name], root_tuples(root), CFG, MODEL)
+
+
 @pytest.mark.parametrize("when", ["start", "after6"])
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_tree_rollout_matches_reference_from_every_root(scenario, when):
     cfg = SCENARIOS[scenario]()
-    world = cfg.initial_world() if when == "start" else mid_episode_world(cfg, 6)
+    world = scenario_world(scenario, when)
     for root in ALL_EGO_DECISIONS:
         assert_matches_reference(world, root_tuples(root), cfg.sim, cfg.planner_model())
 
@@ -440,7 +554,7 @@ def test_planner_rollout_invariants(scenario, when):
     # on every row the planner scores, from every root: speeds stay >= 0, and
     # each surrounding vehicle keeps its lane and heading with zero steering
     cfg = SCENARIOS[scenario]()
-    world = cfg.initial_world() if when == "start" else mid_episode_world(cfg, 6)
+    world = scenario_world(scenario, when)
     sv = np.arange(world.n_vehicles) != world.ego_index
     for root in ALL_EGO_DECISIONS:
         rollout = plan_cycle(world, cfg.initial_beliefs(), cfg, root).rollout
@@ -464,7 +578,7 @@ def test_trajectory_table_is_exact_and_complete(scenario, when):
     # from every root: one table row per distinct vehicle trajectory, every row
     # used, each tuple's row of v inside v's block, one row per shared vehicle
     cfg = SCENARIOS[scenario]()
-    world = cfg.initial_world() if when == "start" else mid_episode_world(cfg, 6)
+    world = scenario_world(scenario, when)
     for root in ALL_EGO_DECISIONS:
         rollout = plan_cycle(world, cfg.initial_beliefs(), cfg, root).rollout
         start, rows = rollout.block_start, rollout.rows
@@ -553,7 +667,8 @@ def test_tree_rollout_matches_reference_on_small_tuple_sets(scenario):
 
 ROOT_TUPLES = [root_tuples(root) for root in ALL_EGO_DECISIONS]
 TUPLE_POOL = [t for tuples in ROOT_TUPLES for t in tuples]
-POOL_WORLDS = [SCENARIOS[name]().initial_world() for name in ("merge5", "merge10", "packed")]
+POOL_WORLDS = [scenario_world(name, when) for name in ("merge5", "merge10", "packed")
+               for when in ("start", "after6")] + list(HAND_WORLDS.values())
 
 
 @settings(max_examples=40, deadline=None)
@@ -568,27 +683,43 @@ def test_tree_rollout_matches_reference_on_any_tuple_list(world, root, picks, st
     assert_matches_reference(world, data.draw(st.permutations(tuples)), CFG, MODEL)
 
 
-@given(st.lists(st.integers(0, 40), min_size=1, max_size=200))
-def test_dense_rank_matches_unique(codes):
+@given(st.lists(st.integers(-5, 40), min_size=1, max_size=200))
+def test_group_codes_matches_unique(codes):
     code = np.array(codes)
-    member, rank = _dense_rank(code, 41)
-    values, inverse = np.unique(code, return_inverse=True)
-    assert np.array_equal(rank, inverse)
-    assert np.array_equal(code[member], values)
+    first, group = _group_codes(code)
+    values, first_at, inverse = np.unique(code, return_index=True, return_inverse=True)
+    assert np.array_equal(group, inverse)
+    assert np.array_equal(first, first_at)
 
 
 def test_tree_shares_each_prefix_once(monkeypatch):
     # from the root 0LK the default merge has 30 / 122 / 282 / 510 / 742 distinct
-    # (group action, partner, decision prefix) columns in periods 0..4
+    # (group action, partner, decision prefix) columns in periods 0..4, and
+    # the ego gets one entry per column in each substep
     cfg = default_merge_scenario(5.0)
     widths = []
 
-    def counting_step(x, *args):
-        if x.shape[0] > 1:   # the influenced block; the shared truck is one row
-            widths.append(x.shape[1])
-        return step_bicycle(x, *args)
+    def counting_pursuit(y, *args):
+        widths.append(len(y))
+        return pure_pursuit(y, *args)
 
-    monkeypatch.setattr(forward_sim, "step_bicycle", counting_step)
+    monkeypatch.setattr(forward_sim, "pure_pursuit", counting_pursuit)
     simulate_batch(cfg.initial_world(), root_tuples(EgoDecision(G0, LK)), cfg.sim,
                    cfg.planner_model())
     assert widths == [w for w in (30, 122, 282, 510, 742) for _ in range(cfg.sim.substeps)]
+
+
+def test_packed_cycle_steps_each_vehicle_state_once(monkeypatch):
+    # one step_bicycle call per substep. The first packed cycle steps 11,474
+    # vehicle entries; stepping every influenced vehicle in every column took 93,380
+    cfg = packed_lane_scenario(6.0)
+    sizes = []
+
+    def counting_step(x, *args):
+        sizes.append(x.size)
+        return step_bicycle(x, *args)
+
+    monkeypatch.setattr(forward_sim, "step_bicycle", counting_step)
+    planner_rollout(cfg)
+    assert len(sizes) == cfg.sim.steps
+    assert sum(sizes) < 20_000
