@@ -24,7 +24,10 @@ __all__ = ["main"]
 
 def _load(args) -> ScenarioConfig:
     if args.config is not None:
-        cfg = load_scenario(args.config)
+        try:
+            cfg = load_scenario(args.config)
+        except ValueError as exc:
+            sys.exit(f"mergegame: error: {args.config}: {exc}")
     else:
         cfg = default_merge_scenario()
     if args.seed is not None:
@@ -111,6 +114,16 @@ def cmd_montecarlo(args) -> int:
     return 0
 
 
+def _at_least(minimum: int):
+    """argparse type: an int no smaller than minimum."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mergegame",
                                 description="Game-theoretic lane-merge planner and simulator")
@@ -134,8 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sm = sub.add_parser("montecarlo", parents=[common],
                         help="run a Monte Carlo batch and write the statistics file")
-    sm.add_argument("--n", type=int, default=None, help="number of instances/episodes")
-    sm.add_argument("--workers", type=int, default=0, help="parallel worker processes")
+    sm.add_argument("--n", type=_at_least(1), default=None,
+                    help="number of instances/episodes")
+    sm.add_argument("--workers", type=_at_least(0), default=0,
+                    help="parallel worker processes (0 or 1 runs serially)")
     sm.set_defaults(func=cmd_montecarlo)
     return p
 

@@ -231,11 +231,15 @@ def run_episode(cfg: ScenarioConfig, planner: str | None = None,
 
 def _map_seeded(worker, cfg: ScenarioConfig, seed: int, n: int, workers: int, *extra) -> list:
     """worker((cfg, s, *extra)) for n seeds s spawned from seed, in seed order,
-    across worker processes when workers > 1."""
+    across worker processes when workers > 1 (0 and 1 run serially)."""
+    if n < 1:
+        raise ValueError(f"need at least one instance, got n = {n}")
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
     seeds = [int(s.generate_state(1)[0] % (2 ** 31)) for s in
              np.random.SeedSequence(seed).spawn(n)]
     jobs = [(cfg, s, *extra) for s in seeds]
-    if workers and workers > 1:
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, jobs, chunksize=max(1, n // (workers * 8))))
     return [worker(j) for j in jobs]
@@ -256,6 +260,8 @@ def run_episode_batch(cfg: ScenarioConfig, n: int, planner: str | None = None,
 
 def aggregate_episodes(summaries: list[EpisodeSummary]) -> dict:
     n = len(summaries)
+    if n < 1:
+        raise ValueError("need at least one episode summary")
     succ = [s for s in summaries if s.outcome == Outcome.SUCCESS]
     coll = [s for s in summaries if s.outcome == Outcome.COLLISION]
     out = {

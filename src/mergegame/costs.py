@@ -5,6 +5,12 @@ squared speed error, squared jerk, squared lateral offset). The surrounding
 vehicles are aggregated into one player by summing their costs, and each row
 of the resulting matrix is scaled by one minus the belief assigned to that
 row's group action.
+
+Scoring reads the rollout's trajectory table. Speed error, jerk and lateral
+offset are computed once per table row. The pairwise safety band is computed
+once per decision period for each distinct pair of the two vehicles' period
+segments, over all near vehicle pairs at once, and summed in the order of a
+plain per-tuple loop, so the matrices do not depend on how the work is shared.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 
 from .actions import DecisionSequence, SvAction
 from .dynamics import rect_distance_arrays
-from .forward_sim import BatchRollout
+from .forward_sim import BatchRollout, _group_codes
 from .world import WorldSnapshot
 
 log = logging.getLogger(__name__)
@@ -109,55 +115,98 @@ class GameMatrix:
 CULL_MARGIN = 1.0
 
 
-def _pair_band_penalties(traj_states, rows, block_start, half_len, half_wid,
+def _pair_band_penalties(traj_states, rows, block_start, period_rows, half_len, half_wid,
                          weights: CostWeights):
     """Per-vehicle safety penalty sums of a trajectory table.
 
-    traj_states (R, S, 4) holds distinct vehicle trajectories, vehicle v's in
+    traj_states (R, T+1, 4) holds distinct vehicle trajectories, vehicle v's in
     rows block_start[v]:block_start[v + 1]; rows (K, V) picks each stacked
-    rollout's row of each vehicle. Returns (K, V). For every vehicle pair
-    i < j, in order, only the (row, step) entries where the two centers lie
-    within reach = d_hi plus the two circumradii get an exact rectangle
-    distance. Every other entry adds exactly 0.0, since its rectangles are
-    farther apart than d_hi. The same entries as an all-pairs, all-rollouts
-    loop are scored, found with less work:
+    rollout's row of each vehicle, and period_rows (R, H) each row's segment
+    of each decision period, as BatchRollout documents them. Returns (K, V).
+    For every vehicle pair i < j, only the (row, step) entries where the two
+    centers lie within reach = d_hi plus the two circumradii get an exact
+    rectangle distance. Every other entry adds exactly 0.0, since its
+    rectangles are farther apart than d_hi. The same entries as an all-pairs,
+    all-rollouts loop are scored, found with less work, in one pass over all
+    pairs:
 
     - a pair whose per-step bounding boxes over the two vehicles' blocks lie
       farther apart than reach + CULL_MARGIN at every step is skipped outright;
-    - each distinct (row of i, row of j) combination among the K rollouts is
-      scored once, and its sum is added to every rollout that holds it.
+    - the distinct (row of i, row of j) combinations of the other pairs among
+      the K rollouts are found together;
+    - in each period, the combinations that agree on (segment of i, segment
+      of j) are scored once: each period reach-tests its distinct segment
+      pairs, and one rect_distance_arrays call covers the near entries of
+      all periods.
+
+    The sums keep the all-pairs loop's order, so they are bit-identical for
+    any weights: each combination adds its steps in step order, and each
+    vehicle adds its pairs' sums in the i < j pair order.
     """
     K, V = rows.shape
+    n_steps = traj_states.shape[1]
+    H = period_rows.shape[1]
+    S = (n_steps - 1) // H
     radius = np.hypot(half_len, half_wid)
-    out = np.zeros((K, V))
-    lo = np.minimum.reduceat(traj_states, block_start[:-1], axis=0)[..., :3]   # (V, S, 3)
+    lo = np.minimum.reduceat(traj_states, block_start[:-1], axis=0)[..., :3]   # (V, T+1, 3)
     hi = np.maximum.reduceat(traj_states, block_start[:-1], axis=0)[..., :3]
     iu, ju = np.triu_indices(V, 1)
     gx = np.maximum(np.maximum(lo[ju, :, 0] - hi[iu, :, 0], lo[iu, :, 0] - hi[ju, :, 0]), 0.0)
     gy = np.maximum(np.maximum(lo[ju, :, 1] - hi[iu, :, 1], lo[iu, :, 1] - hi[ju, :, 1]), 0.0)
     box_reach = weights.d_hi + radius[iu] + radius[ju] + CULL_MARGIN
     within = (gx * gx + gy * gy <= (box_reach * box_reach)[:, None]).any(axis=1)
-    for i, j in zip(iu[within].tolist(), ju[within].tolist()):
-        _, first, combo = np.unique(rows[:, i] * len(traj_states) + rows[:, j],
-                                    return_index=True, return_inverse=True)
-        a, b = traj_states[rows[first, i]], traj_states[rows[first, j]]
-        dx = a[:, :, 0] - b[:, :, 0]
-        dy = a[:, :, 1] - b[:, :, 1]
-        reach = weights.d_hi + radius[i] + radius[j]
-        near = dx * dx + dy * dy <= reach * reach
-        if not near.any():
-            continue
-        cs, ts = np.nonzero(near)
-        d = rect_distance_arrays(
-            a[cs, ts, 0], a[cs, ts, 1], a[cs, ts, 2], half_len[i], half_wid[i],
-            b[cs, ts, 0], b[cs, ts, 1], b[cs, ts, 2], half_len[j], half_wid[j],
-        )
-        p = np.where(d < weights.d_lo, weights.w_saf1,
-                     np.where(d <= weights.d_hi, weights.w_saf2, 0.0))
-        per_k = np.bincount(cs, weights=p, minlength=len(first))[combo]
-        out[:, i] += per_k
-        out[:, j] += per_k
-    return out
+    iu, ju = iu[within], ju[within]
+
+    # each row belongs to one vehicle, so a (row of i, row of j) combination
+    # names its pair; combo (K, P) numbers each rollout's combination of pair p
+    R, P = len(traj_states), len(iu)
+    first, combo = _group_codes((rows[:, iu] * R + rows[:, ju]).ravel())
+    k, p = np.divmod(first, P)
+    ci, cj = iu[p], ju[p]
+    ri, rj = rows[k, ci], rows[k, cj]
+    reach = weights.d_hi + radius[ci] + radius[cj]
+
+    # period d covers steps d*S .. d*S + S - 1 (the last one through step T);
+    # units number the distinct (segment pair, step)s, and at (T+1,
+    # combinations) gives each combination's unit at each step
+    at = np.empty((n_steps, len(first)), dtype=np.intp)
+    near_unit, near_combo, a, b = [], [], [], []
+    n_units = 0
+    for d in range(H):
+        t0, t1 = d * S, n_steps if d == H - 1 else (d + 1) * S
+        rep, seg = _group_codes(period_rows[ri, d] * R + period_rows[rj, d])
+        steps = np.arange(t1 - t0)
+        at[t0:t1] = n_units + seg * len(steps) + steps[:, None]
+        sa, sb = traj_states[ri[rep], t0:t1], traj_states[rj[rep], t0:t1]
+        dx = sa[:, :, 0] - sb[:, :, 0]
+        dy = sa[:, :, 1] - sb[:, :, 1]
+        g, t = np.nonzero(dx * dx + dy * dy <= (reach[rep] * reach[rep])[:, None])
+        near_unit.append(n_units + g * len(steps) + t)
+        near_combo.append(rep[g])
+        a.append(sa[g, t])
+        b.append(sb[g, t])
+        n_units += len(rep) * len(steps)
+    c = np.concatenate(near_combo)
+    a, b = np.concatenate(a), np.concatenate(b)
+    dist = rect_distance_arrays(a[:, 0], a[:, 1], a[:, 2], half_len[ci[c]], half_wid[ci[c]],
+                                b[:, 0], b[:, 1], b[:, 2], half_len[cj[c]], half_wid[cj[c]])
+    unit_pen = np.zeros(n_units)
+    unit_pen[np.concatenate(near_unit)] = np.where(
+        dist < weights.d_lo, weights.w_saf1, np.where(dist <= weights.d_hi, weights.w_saf2, 0.0))
+    # each combination sums its steps in step order, zeros included (adding
+    # 0.0 to a penalty sum is exact)
+    per_combo = np.zeros(len(first))
+    for step_pen in unit_pen[at]:
+        per_combo += step_pen
+
+    # vehicle v meets its pairs in i < j order exactly when it meets them in
+    # the order of the other vehicle's index
+    side_v, side_other = np.concatenate((iu, ju)), np.concatenate((ju, iu))
+    order = np.argsort(side_other, kind="stable")
+    side_pair = np.tile(np.arange(P), 2)[order]
+    per_pair = per_combo[combo].reshape(K, P)
+    return np.bincount((np.arange(K)[:, None] * V + side_v[order]).ravel(),
+                       weights=per_pair[:, side_pair].ravel(), minlength=K * V).reshape(K, V)
 
 
 # --- matrix assembly ----------------------------------------------------------
@@ -190,7 +239,7 @@ def build_game_from_batch(rollout: BatchRollout, world: WorldSnapshot,
     _, lengths, widths, _, _ = world.params_arrays()
 
     safety = _pair_band_penalties(rollout.traj_states, rollout.rows, rollout.block_start,
-                                  0.5 * lengths, 0.5 * widths, weights)
+                                  rollout.period_rows, 0.5 * lengths, 0.5 * widths, weights)
     # efficiency, comfort and navigation once per table row, gathered to the tuples
     table = rollout.traj_states
     vehicle = np.repeat(np.arange(world.n_vehicles), np.diff(rollout.block_start))

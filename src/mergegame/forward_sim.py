@@ -103,8 +103,13 @@ class BatchRollout:
     traj_states (R, T+1, 4) and traj_inputs (R, T, 2) hold each distinct
     trajectory of a vehicle once, grouped by vehicle: vehicle v owns rows
     block_start[v]:block_start[v + 1]. rows[k, v] is the row that vehicle v
-    follows in tuple k. states (K, V, T+1, 4) and inputs (K, V, T, 2) build
-    the per-tuple arrays on first use and keep them; no planner path reads them.
+    follows in tuple k. period_rows[r, d] names the segment that row r passes
+    through in decision period d, S = T / H steps long: rows with equal
+    period_rows[:, d] hold bit-equal traj_states over steps d*S .. d*S + S - 1,
+    and over step T too for the last period. No two vehicles share a segment,
+    and segment names lie in [0, R). states (K, V, T+1, 4) and inputs
+    (K, V, T, 2) build the per-tuple arrays on first use and keep them; no
+    planner path reads them.
     """
 
     tuples: list[tuple[SvAction, DecisionSequence]]
@@ -112,6 +117,7 @@ class BatchRollout:
     traj_inputs: np.ndarray   # (R, T, 2)
     rows: np.ndarray          # (K, V) table row of each tuple's vehicle
     block_start: np.ndarray   # (V+1,) first row of each vehicle's block
+    period_rows: np.ndarray   # (R, H) segment of each row in each decision period
     partner_ids: tuple[str | None, ...]
     dt: float
 
@@ -240,7 +246,7 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
     agree on both, bit for bit, share the row: a step is elementwise, so
     equal inputs from an equal state give equal states. Period d+1 starts
     from these rows, and each leaf row's trajectory is assembled from its
-    ancestors' segments.
+    ancestors' segments; period_rows records which ones.
     """
     tuples = list(tuples)
     if not tuples:
@@ -437,6 +443,7 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
     at[np.argsort(veh, kind="stable")] = np.arange(len(veh))
     traj_states = np.empty((len(veh), T + 1, 4))
     traj_inputs = np.empty((len(veh), T, 2))
+    period_rows = np.empty((len(veh), H), dtype=np.intp)
     for k, arr in enumerate((X, Y, TH, VS)):
         traj_states[at, T, k] = arr
     row = np.arange(len(veh))   # each leaf row's row of period d, walking back
@@ -444,8 +451,9 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
         seg_states, seg_inputs, prev_row = segments[d]
         traj_states[at, d * S:(d + 1) * S] = seg_states[row]
         traj_inputs[at, d * S:(d + 1) * S] = seg_inputs[row]
+        period_rows[at, d] = row
         row = prev_row[row]
 
     rows = at[start_ent[:, inv]].T
-    return BatchRollout(tuples, traj_states, traj_inputs, rows, block_start, partner_ids,
-                        cfg.dt)
+    return BatchRollout(tuples, traj_states, traj_inputs, rows, block_start, period_rows,
+                        partner_ids, cfg.dt)

@@ -105,6 +105,8 @@ class MonteCarloSettings:
 
     def __post_init__(self):
         _check_choice("montecarlo mode", self.mode, MONTE_CARLO_MODES)
+        if self.n < 1:
+            raise ValueError(f"montecarlo n must be >= 1, got {self.n}")
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import pytest
 import yaml
 
 from mergegame.cli import main
@@ -74,3 +75,28 @@ def test_seed_and_planner_overrides(tmp_path):
 def test_default_config_fallback(tmp_path, capsys):
     assert main(["plan", "--seed", "2"]) == 0
     assert "selected:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--n", "0"], "argument --n: must be >= 1, got 0"),
+    (["--workers", "-1"], "argument --workers: must be >= 0, got -1"),
+])
+def test_montecarlo_rejects_bad_sizes_with_a_message(tmp_path, capsys, flags, message):
+    # --n 0 used to end in a ZeroDivisionError, and --workers -1 ran serially
+    out = tmp_path / "stats.yaml"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["montecarlo", "--config", write_cfg(tmp_path), *flags, "--out", str(out)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_montecarlo_rejects_yaml_without_instances(tmp_path):
+    path = tmp_path / "scenario.yaml"
+    save_scenario(default_merge_scenario(5.0), path)
+    path.write_text(path.read_text().replace("n: 500", "n: 0"))
+    out = tmp_path / "stats.yaml"
+    with pytest.raises(SystemExit, match="montecarlo n must be >= 1"):
+        main(["montecarlo", "--config", str(path), "--out", str(out)])
+    assert not out.exists()

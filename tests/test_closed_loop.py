@@ -434,6 +434,30 @@ def test_monte_carlo_reproducible():
     assert s1 == s2
 
 
+@pytest.mark.parametrize("run", [
+    lambda cfg, n, workers: run_episode_batch(cfg, n=n, workers=workers),
+    lambda cfg, n, workers: run_monte_carlo(cfg, n=n, workers=workers),
+], ids=["episodes", "montecarlo"])
+def test_batches_reject_bad_sizes(run):
+    # n = 0 used to end in a ZeroDivisionError, and workers = -1 ran serially
+    cfg = default_merge_scenario(5.0)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"n = {n}"):
+            run(cfg, n, 0)
+    with pytest.raises(ValueError, match="workers must be >= 0"):
+        run(cfg, 1, -1)
+
+
+def test_aggregate_rejects_no_episodes():
+    with pytest.raises(ValueError, match="at least one episode"):
+        aggregate_episodes([])
+
+
+def test_monte_carlo_settings_reject_no_instances():
+    with pytest.raises(ValueError, match="montecarlo n must be >= 1"):
+        MonteCarloSettings(n=0)
+
+
 def test_monte_carlo_gives_up_when_every_draw_overlaps():
     # the ego's jitter box lies inside sv0, so no draw can clear it
     cfg = default_merge_scenario(5.0)

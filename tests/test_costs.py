@@ -83,9 +83,26 @@ def make_traj(xa, xb, dt=0.2):
     return TrajectorySet(("a", "b"), states, inputs, (SvAction.ASSERT, seq), dt)
 
 
+def period_segments(traj_states, block_start, periods):
+    """(R, periods) segment of each table row in each of `periods` equal periods
+    (the last one through the final step): rows of one vehicle whose slices
+    of the period are bit-equal share a segment."""
+    R, n_steps = traj_states.shape[:2]
+    S = (n_steps - 1) // periods
+    vehicle = np.repeat(np.arange(len(block_start) - 1), np.diff(block_start))
+    segments = np.empty((R, periods), dtype=np.intp)
+    for d in range(periods):
+        t1 = n_steps if d == periods - 1 else (d + 1) * S
+        flat = np.ascontiguousarray(traj_states[:, d * S:t1]).reshape(R, -1).view(np.uint64)
+        keys = np.column_stack((vehicle.astype(np.uint64), flat))
+        segments[:, d] = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1)
+    return segments
+
+
 def trajectory_table(states):
-    """(traj_states, rows, block_start) of stacked per-tuple states (K, V, S, 4):
-    each vehicle's bit-distinct rows once, in vehicle blocks."""
+    """(traj_states, rows, block_start, period_rows) of stacked per-tuple states
+    (K, V, T+1, 4): each vehicle's bit-distinct rows once, in vehicle blocks,
+    as one decision period."""
     K, V = states.shape[:2]
     blocks, rows, start = [], np.empty((K, V), dtype=np.intp), [0]
     for v in range(V):
@@ -94,7 +111,8 @@ def trajectory_table(states):
         blocks.append(states[first, v])
         rows[:, v] = start[-1] + inverse.reshape(-1)
         start.append(start[-1] + len(first))
-    return np.concatenate(blocks), rows, np.array(start)
+    traj_states, start = np.concatenate(blocks), np.array(start)
+    return traj_states, rows, start, period_segments(traj_states, start, 1)
 
 
 # --- per-tuple reference: one trajectory set and one vehicle at a time ---------------
@@ -242,9 +260,11 @@ def reference_pair_band_penalties(states, half_len, half_wid, weights):
     return out
 
 
-def assert_matches_reference(traj_states, rows, block_start, half_len, half_wid, weights):
+def assert_matches_reference(traj_states, rows, block_start, period_rows, half_len, half_wid,
+                             weights):
     """The table's penalties against the all-pairs loop over the per-tuple arrays."""
-    got = _pair_band_penalties(traj_states, rows, block_start, half_len, half_wid, weights)
+    got = _pair_band_penalties(traj_states, rows, block_start, period_rows, half_len, half_wid,
+                               weights)
     want = reference_pair_band_penalties(traj_states[rows], half_len, half_wid, weights)
     assert np.array_equal(got, want)
     return got
@@ -266,7 +286,8 @@ def planner_rollout(cfg, world):
     return plan_cycle(world, beliefs, cfg, root).rollout
 
 
-@pytest.mark.parametrize("case", ["packed", "packed-mid", "merge5", "merge10"])
+@pytest.mark.parametrize("case", ["packed", "packed-mid", "merge5", "merge10",
+                                  "packed-fractional", "merge10-fractional"])
 def test_pair_band_penalties_match_reference_on_rollouts(case):
     if case.startswith("packed"):
         cfg = packed_lane_scenario(6.0)
@@ -275,10 +296,16 @@ def test_pair_band_penalties_match_reference_on_rollouts(case):
         cfg = default_merge_scenario(5.0 if case == "merge5" else 10.0)
         world = cfg.initial_world()
     rollout = planner_rollout(cfg, world)
+    weights = cfg.weights
+    if case.endswith("fractional"):
+        # unlike the integer defaults, these weights do not sum exactly in any
+        # order: a sum taken out of step order or pair order changes bits
+        weights = replace(weights, w_saf1=1000.3, w_saf2=0.7)
     _, lengths, widths, _, _ = world.params_arrays()
     got = assert_matches_reference(rollout.traj_states, rollout.rows, rollout.block_start,
-                                   0.5 * lengths, 0.5 * widths, cfg.weights)
+                                   rollout.period_rows, 0.5 * lengths, 0.5 * widths, weights)
     assert got.any()
+    assert (got != np.round(got)).any() == case.endswith("fractional")
 
 
 def test_pair_band_penalties_reach_boundary():
@@ -328,26 +355,46 @@ OFFSETS = [0.0, 2 * HL, 2 * HL + W.d_lo, 2 * HL + W.d_hi, REACH,
 
 @st.composite
 def small_tables(draw):
-    """Tables of 2-4 vehicles with 1-3 rows each, value-equal rows forced into
-    some blocks, entries placed on touching and band or reach boundaries, and
-    1-6 rollouts indexing them."""
-    V, S, K = draw(st.integers(2, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    """Tables of 2-4 vehicles with 1-3 rows each over 1-3 decision periods of
+    1-2 steps plus the final step, value-equal rows or period slices forced
+    into some blocks, entries placed on touching and band or reach boundaries,
+    and 1-6 rollouts indexing them. The period segments are the bit grouping
+    or a finer partition of it: one per row, or bit groups split at random."""
+    V, H, S, K = (draw(st.integers(2, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 2)),
+                  draw(st.integers(1, 6)))
+    n_steps = H * S + 1
     sizes = draw(st.lists(st.integers(1, 3), min_size=V, max_size=V))
     coord = st.sampled_from(OFFSETS)
     blocks = []
     for v, n in enumerate(sizes):
-        block = np.zeros((n, S, 4))
+        block = np.zeros((n, n_steps, 4))
         for r in range(n):
-            for t in range(S):
+            for t in range(n_steps):
                 block[r, t, :3] = (draw(coord), draw(coord),
                                    draw(st.sampled_from([0.0, TURN, np.pi / 2])))
-        if n > 1 and draw(st.booleans()):
-            block[-1] = block[0]                       # a value-equal row
+        if n > 1:
+            shared = draw(st.sampled_from(["none", "row", "period"]))
+            if shared == "row":
+                block[-1] = block[0]                       # a value-equal row
+            elif shared == "period":                       # a value-equal period slice
+                d = draw(st.integers(0, H - 1))
+                t1 = n_steps if d == H - 1 else (d + 1) * S
+                block[-1, d * S:t1] = block[0, d * S:t1]
         blocks.append(block)
-    start = np.concatenate(([0], np.cumsum(sizes)))
+    traj_states, start = np.concatenate(blocks), np.concatenate(([0], np.cumsum(sizes)))
     rows = np.array([[start[v] + draw(st.integers(0, sizes[v] - 1)) for v in range(V)]
                      for _ in range(K)], dtype=np.intp)
-    return np.concatenate(blocks), rows, start
+    segments = period_segments(traj_states, start, H)
+    split = draw(st.sampled_from(["bits", "rows", "random"]))
+    R = len(traj_states)
+    if split == "rows":
+        segments[:] = np.arange(R)[:, None]
+    elif split == "random":
+        halves = np.array(draw(st.lists(st.integers(0, 1), min_size=R * H, max_size=R * H)))
+        finer = segments * 2 + halves.reshape(R, H)
+        for d in range(H):
+            segments[:, d] = np.unique(finer[:, d], return_inverse=True)[1]
+    return traj_states, rows, start, segments
 
 
 @settings(max_examples=300, deadline=None)

@@ -176,7 +176,8 @@ def test_partner_resolution_per_tuple():
 def ego_safety_cost(world, rollout):
     _, lengths, widths, _, _ = world.params_arrays()
     penalties = _pair_band_penalties(rollout.traj_states, rollout.rows, rollout.block_start,
-                                     0.5 * lengths, 0.5 * widths, CostWeights())
+                                     rollout.period_rows, 0.5 * lengths, 0.5 * widths,
+                                     CostWeights())
     return penalties[:, world.ego_index]
 
 
@@ -591,6 +592,23 @@ def test_trajectory_table_is_exact_and_complete(scenario, when):
         assert np.array_equal(np.diff(start), per_vehicle)
         shared, _ = shared_ids(world, rollout.tuples)
         assert all(per_vehicle[world.index_of(vid)] == 1 for vid in shared)
+        assert_period_rows_name_segments(rollout, cfg.sim)
+
+
+def assert_period_rows_name_segments(rollout, sim):
+    """Rows with equal period_rows[:, d] hold bit-equal states over period d
+    (the last one through step T), and no two vehicles share a segment."""
+    segments, states = rollout.period_rows, rollout.traj_states
+    n_rows, S, H = len(states), sim.substeps, sim.horizon
+    assert segments.shape == (n_rows, H)
+    assert segments.min() >= 0 and segments.max() < n_rows
+    vehicle = np.repeat(np.arange(len(rollout.block_start) - 1), np.diff(rollout.block_start))
+    for d in range(H):
+        t1 = sim.steps + 1 if d == H - 1 else (d + 1) * S
+        bits = np.ascontiguousarray(states[:, d * S:t1]).view(np.uint64)
+        _, first, inverse = np.unique(segments[:, d], return_index=True, return_inverse=True)
+        assert np.array_equal(bits[first][inverse], bits)
+        assert np.array_equal(vehicle[first][inverse], vehicle)
 
 
 def assert_not_materialized(rollout):
@@ -648,7 +666,7 @@ def test_table_survives_hash_collisions(monkeypatch):
     monkeypatch.setattr(forward_sim, "_key_hash",
                         lambda prev, values: np.zeros(len(prev), dtype=np.uint64))
     got = simulate_batch(world, tuples, cfg.sim, cfg.planner_model())
-    for name in ("traj_states", "traj_inputs", "rows", "block_start"):
+    for name in ("traj_states", "traj_inputs", "rows", "block_start", "period_rows"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 

@@ -129,6 +129,13 @@ def test_yaml_rejects_unknown_montecarlo_mode(tmp_path):
         load_dict(tmp_path, data)
 
 
+def test_yaml_rejects_no_montecarlo_instances(tmp_path):
+    data = merge_yaml_dict(tmp_path)
+    data["montecarlo"]["n"] = 0
+    with pytest.raises(ValueError, match="montecarlo n must be >= 1"):
+        load_dict(tmp_path, data)
+
+
 @pytest.mark.parametrize("field, value", [("lane", "targt"), ("role", "tarffic"),
                                           ("mode", "poite")])
 def test_yaml_rejects_unknown_vehicle_choice(tmp_path, field, value):
