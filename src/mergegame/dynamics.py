@@ -36,24 +36,20 @@ class VehicleParams:
 
 
 def _wrap_angle(theta):
-    # no-op (bitwise) while already inside (-pi, pi]
-    wrapped = np.where(
-        (theta > np.pi) | (theta <= -np.pi),
-        theta - 2.0 * np.pi * np.floor((theta + np.pi) / (2.0 * np.pi)),
-        theta,
-    )
+    out = (theta > np.pi) | (theta <= -np.pi)
+    if not np.any(out):
+        return theta   # already inside (-pi, pi]: wrapping is a no-op, bit for bit
+    wrapped = np.where(out, theta - 2.0 * np.pi * np.floor((theta + np.pi) / (2.0 * np.pi)),
+                       theta)
     return np.where(wrapped <= -np.pi, wrapped + 2.0 * np.pi, wrapped)
 
 
-def _bicycle_rhs(x, y, theta, v, a, delta, wheelbase):
+def _bicycle_rhs(theta, v, tan_delta, wheelbase):
+    """(dx, dy, dtheta) of the bicycle ODE; dv is the input a itself. The pose
+    terms do not depend on x and y."""
     # speed clamped inside the stages so braking at standstill cannot push the pose backwards
     v_fwd = np.maximum(v, 0.0)
-    return (
-        v_fwd * np.cos(theta),
-        v_fwd * np.sin(theta),
-        v_fwd * np.tan(delta) / wheelbase,
-        a * np.ones_like(v_fwd),
-    )
+    return v_fwd * np.cos(theta), v_fwd * np.sin(theta), v_fwd * tan_delta / wheelbase
 
 
 def step_bicycle(x, y, theta, v, a, delta, dt, wheelbase):
@@ -63,26 +59,16 @@ def step_bicycle(x, y, theta, v, a, delta, dt, wheelbase):
     with v clamped at zero and theta wrapped to (-pi, pi]. The inputs are
     used as given: callers saturate them to the actuation limits.
     """
-    k1 = _bicycle_rhs(x, y, theta, v, a, delta, wheelbase)
-    k2 = _bicycle_rhs(
-        x + 0.5 * dt * k1[0],
-        y + 0.5 * dt * k1[1],
-        theta + 0.5 * dt * k1[2],
-        v + 0.5 * dt * k1[3],
-        a, delta, wheelbase,
-    )
-    k3 = _bicycle_rhs(
-        x - dt * k1[0] + 2.0 * dt * k2[0],
-        y - dt * k1[1] + 2.0 * dt * k2[1],
-        theta - dt * k1[2] + 2.0 * dt * k2[2],
-        v - dt * k1[3] + 2.0 * dt * k2[3],
-        a, delta, wheelbase,
-    )
+    tan_delta = np.tan(delta)
+    k1 = _bicycle_rhs(theta, v, tan_delta, wheelbase)
+    k2 = _bicycle_rhs(theta + 0.5 * dt * k1[2], v + 0.5 * dt * a, tan_delta, wheelbase)
+    k3 = _bicycle_rhs(theta - dt * k1[2] + 2.0 * dt * k2[2], v - dt * a + 2.0 * dt * a,
+                      tan_delta, wheelbase)
     sixth = dt / 6.0
     x_n = x + sixth * (k1[0] + 4.0 * k2[0] + k3[0])
     y_n = y + sixth * (k1[1] + 4.0 * k2[1] + k3[1])
     th_n = _wrap_angle(theta + sixth * (k1[2] + 4.0 * k2[2] + k3[2]))
-    v_n = np.maximum(v + sixth * (k1[3] + 4.0 * k2[3] + k3[3]), 0.0)
+    v_n = np.maximum(v + sixth * (a + 4.0 * a + a), 0.0)
     return x_n, y_n, th_n, v_n
 
 

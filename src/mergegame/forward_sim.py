@@ -15,12 +15,14 @@ from t = 0 (yield discount, watching a probing ego). At each depth boundary
 the columns split where the next decision differs, each starting from its
 parent's state.
 
-Inside the columns, vehicle states are entities held in flat arrays, and a
-(V, columns) index gives each column's entity of each vehicle. Each substep
-steps the ego once per column, and a surrounding vehicle once per distinct
-(own entity, leader entity, and the ego's entity and lateral discount where
-they reach its input). Most surrounding vehicles move the same way in every
-column and are stepped once.
+Inside the columns, vehicle states are entities: the columns of one (4, n)
+state matrix, and a (V, columns) index gives each column's entity of each
+vehicle. Each substep steps the ego once per column, and a surrounding vehicle
+once per distinct (own entity, leader entity, and the ego's entity and
+lateral discount where they reach its input). Most surrounding vehicles move
+the same way in every column and are stepped once. A substep makes a fixed
+number of numpy calls, whatever the number of columns: each law is evaluated
+once over all of its entries, and all entries are stepped in one call.
 
 The result is a table of distinct vehicle trajectories, built during the
 walk: at the end of each period a vehicle's row in a column is its row of the
@@ -134,25 +136,17 @@ class BatchRollout:
         return self.traj_inputs[self.rows[k, v]]
 
 
-def _sv_leads(X, Y, TH, VS, own, lead, ego, kappa, watch):
-    """Leader inputs of the modified IDM for surrounding-vehicle entries.
+def _leader_inputs(P, x, y, lead, kappa):
+    """Physical-leader inputs of the modified IDM for surrounding-vehicle entries.
 
-    Entry i is the state own[i] (an index into X, Y, TH, VS) with its physical
-    leader's state lead[i] (-1 for none), the ego's state ego[i] and the
-    lateral discount kappa[i]. Where watch[i] holds and the ego is level or
-    ahead, the ego is a second, virtual leader, and the nearer of the two
-    governs. Returns (d_lead, v_lead, has_lead, use_ego) for control.idm_accel.
+    Entry i is at (x[i], y[i]) behind the entity lead[i] (a column of the
+    state matrix P, rows x, y, theta, v; -1 for none), with lateral discount
+    kappa. Returns (d_lead, v_lead, has_lead) for control.idm_accel.
     """
-    x, y = X[own], Y[own]
-    has_phys = lead >= 0
-    li = np.where(has_phys, lead, 0)
-    d_phys = np.where(has_phys, virtual_gap_distance(X[li], Y[li], x, y, kappa), np.inf)
-    v_phys = np.where(has_phys, VS[li], 0.0)
-    d_ego = virtual_gap_distance(X[ego], Y[ego], x, y, kappa)
-    use_ego = watch & (X[ego] >= x) & (d_ego < d_phys)
-    d_lead = np.where(use_ego, d_ego, d_phys)
-    v_lead = np.where(use_ego, VS[ego] * np.cos(TH[ego]), v_phys)
-    return d_lead, v_lead, has_phys | use_ego, use_ego
+    has = lead >= 0
+    x_l, y_l, _, v_l = P.take(np.where(has, lead, 0), axis=1)
+    d = virtual_gap_distance(x_l, y_l, x, y, kappa)
+    return np.where(has, d, np.inf), np.where(has, v_l, 0.0), has
 
 
 def _group_codes(code):
@@ -170,33 +164,37 @@ def _group_codes(code):
 
 
 _HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _key_hash(prev, values):
-    """64-bit hash of each key (prev[i], values[0][i], values[1][i], ...), over
-    the bits of the float values."""
-    h = prev.astype(np.uint64)
-    for v in values:
-        h = (h ^ v.view(np.uint64)) * _HASH_MUL
-        h ^= h >> np.uint64(31)
-    return h
+def _key_hash(keys):
+    """64-bit hash of each column of the uint64 matrix keys (m, n).
+
+    Every element is mixed on its own (a bijection of its bits), and the
+    rows are summed with distinct odd weights."""
+    h = keys * _MIX1
+    h ^= h >> np.uint64(31)
+    h *= _MIX2
+    h ^= h >> np.uint64(29)
+    h *= (np.arange(1, 2 * len(keys), 2, dtype=np.uint64) * _HASH_MUL)[:, None]
+    return h.sum(axis=0, dtype=np.uint64)
 
 
-def _distinct_keys(prev, values):
-    """Group the keys (prev[i], values[0][i], values[1][i], ...) by bit equality.
+def _distinct_keys(keys):
+    """Group the columns of the uint64 matrix keys (m, n) by equality.
 
-    prev (n,) holds ints and values (n,) float arrays. Returns (first, group):
-    group[i] numbers key i's group, in order of first occurrence, and first[g]
-    is the first key of group g. Keys are grouped by _key_hash, and every key
-    is then checked against its group's first key; if a hash collision put
-    unequal keys together, they are grouped by their bytes instead.
+    Returns (first, group): group[i] numbers key i's group, in order of first
+    occurrence, and first[g] is the first key of group g. Keys are grouped by
+    _key_hash, and every key is then checked against its group's first key;
+    if a hash collision put unequal keys together, they are grouped by their
+    bytes instead.
     """
-    bits = [prev.astype(np.uint64)] + [v.view(np.uint64) for v in values]
-    first, group = _group_codes(_key_hash(prev, values))
-    if not all(np.array_equal(b[first][group], b) for b in bits):
+    first, group = _group_codes(_key_hash(keys))
+    if not np.array_equal(keys.take(first[group], axis=1), keys):
         seen = {}
         group = np.array([seen.setdefault(key.tobytes(), len(seen))
-                          for key in np.column_stack(bits)], dtype=np.intp)
+                          for key in np.ascontiguousarray(keys.T)], dtype=np.intp)
         return _group_codes(group)[0], group
     by_first = np.argsort(first)
     renumber = np.empty_like(by_first)
@@ -223,30 +221,44 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
     leader. At each depth boundary every column of period d starts from its
     parent column of period d-1.
 
-    Vehicles are entities: flat state arrays hold the current vehicle
-    states, each once per distinct key that produced it, and a (V, columns)
-    index gives each column's entity of each vehicle. Each substep makes one entry per distinct input key,
-    evaluates the ego's laws and the modified IDM once each over their
-    entries, and steps all entries from their parent entities in one
-    step_bicycle call:
-    - the ego gets one entry per column;
-    - a surrounding vehicle's input depends on its own entity, its physical
-      leader's entity (the ego's, where the ego leads it), and, for the
-      column's partner only, on the ego's entity and the lateral discount
-      where the ego is its virtual leader, and on the discount where its
-      physical leader is off its lane line. use_ego is evaluated at the
-      partners' entries alone. A vehicle gets one entry per distinct key,
-      and a single one when its own and its leader's entities are the same
-      in every column and no partner term tells the columns apart.
-    Every step is elementwise over the entries, so each tuple's values are
-    those of stepping it alone.
+    Vehicles are entities: the columns of a (4, n) state matrix (x, y,
+    theta, v) hold the current vehicle states, each once per distinct key
+    that produced it, and a (V + 1, columns) index gives each column's entity
+    of each vehicle; its last row is -1, the entity of "no leader". Each
+    substep runs in four passes, each one set of numpy calls over all of its
+    entries:
+    - ego: one entry per column. Its state is gathered once, and pure
+      pursuit, the gap reference, the PD law and the keep-lane governor read
+      it from there.
+    - partner pass: one entry per column that has a partner. It computes the
+      partner's leader inputs once: its physical leader under the group
+      action's discount and, where it watches a probing ego that is level or
+      ahead, the ego as a virtual leader, the nearer of the two governing.
+      Whether the ego governs (use_ego) and whether the physical leader is
+      off the partner's lane line are what can tell columns with equal
+      entities apart.
+    - keys: a surrounding vehicle's input depends on its own entity, its
+      physical leader's entity (the ego's, where the ego leads it), and, at
+      the column's partner only, on the partner-pass terms above. A vehicle
+      gets one entry per distinct key, and a single one when its own and its
+      leader's entities are the same in every column and no partner term
+      tells the columns apart.
+    - main pass: every surrounding-vehicle entry is evaluated against its
+      physical leader under the assert discount, and the partner entries then
+      take the partner pass's inputs of their column; the modified IDM runs
+      once over all entries.
+    All entries are then stepped from their parent entities in one
+    step_bicycle call. Every step is elementwise over the entries, so each
+    tuple's values are those of stepping it alone.
 
     At the end of period d, a vehicle's table row in a column is its row of
     period d-1 plus its inputs (a, delta) over period d, and entities that
     agree on both, bit for bit, share the row: a step is elementwise, so
     equal inputs from an equal state give equal states. Period d+1 starts
     from these rows, and each leaf row's trajectory is assembled from its
-    ancestors' segments; period_rows records which ones.
+    ancestors' segments; period_rows records which ones. Each key is a
+    column of one uint64 matrix (row of period d-1, then the bits of each
+    substep's a and delta), and _distinct_keys groups them.
     """
     tuples = list(tuples)
     if not tuples:
@@ -281,8 +293,8 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
                                   partner_gap), dtype=np.intp, count=K)
     front_by_gap = np.array([vehicle(gaps_map[g].front_id) for g in GapChoice])
     rear_by_gap = np.array([vehicle(gaps_map[g].rear_id) for g in GapChoice])
-    has_lead = lead >= 0
     lead_cur = lead[e]
+    lead_row = np.where(lead >= 0, lead, V)   # each vehicle's leader's row of ent
     is_sv = np.arange(V) != e
 
     wheelbase, _, _, a_max, delta_max = world.params_arrays()
@@ -303,17 +315,20 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
 
     # before the first decision the key is (group action, partner); all such
     # columns start from the initial state, whose entities (and rows) are the
-    # vehicles themselves
+    # vehicles themselves. P holds the entity states by column (rows x, y,
+    # theta, v). ent[v, column] is vehicle v's entity, and its extra last
+    # row V, -1 in every column, is the entity of "no leader"
     inv = _group_codes(sv_code * (V + 1) + partner_idx + 1)[1]
-    X, Y, TH, VS = world.states.T
-    start_ent = np.repeat(np.arange(V)[:, None], inv.max() + 1, axis=1)
+    P = np.array(world.states.T)
+    start_ent = np.repeat(np.append(np.arange(V), -1)[:, None], inv.max() + 1, axis=1)
 
     for d in range(H):
         rep, inv_d = _group_codes(inv * 9 + dec[:, d])
         ent = start_ent[:, inv[rep]]
         inv = inv_d
 
-        # the column's decision, partner and group action, from its representative tuple
+        # the column's decision, partner and group action, from its representative
+        # tuple. *_at are flat positions in ent: a vehicle's entity in a column
         n_cols = len(rep)
         cols = np.arange(n_cols)
         gap_t, lat_t = np.divmod(dec[rep, d], 3)
@@ -321,96 +336,118 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
         fi = front_by_gap[gap_t]
         ri = rear_by_gap[gap_t]
         has_f, has_r = fi >= 0, ri >= 0
-        fi, ri = np.where(has_f, fi, 0), np.where(has_r, ri, 0)
+        f_at = np.where(has_f, fi, 0) * n_cols + cols
+        r_at = np.where(has_r, ri, 0) * n_cols + cols
         partner = partner_idx[rep]
         yields = sv_is_yield[rep]
         ego_probing = (lat_t == int(LateralDecision.LEFT_CHANGE)) | \
                       (lat_t == int(LateralDecision.LEFT_PROBE))
-        # each column's partner, its leader and its discount
-        pc = np.flatnonzero(partner >= 0)
-        p_sv, p_yields = partner[pc], yields[pc]
-        p_lead = lead[p_sv]
+        # each column's partner: its leader, its discount, whether it watches
+        # a probing ego, and its position in the partner pass (p_pos, by column)
+        pc = (partner >= 0).nonzero()[0]
+        p_sv, p_yields, p_probing = partner[pc], yields[pc], ego_probing[pc]
+        p_has_lead = lead[p_sv] >= 0
         p_kappa = np.where(p_yields, kappa_yield, kappa_assert)
+        p_own_at = p_sv * n_cols + pc
+        p_lead_at = lead_row[p_sv] * n_cols + pc
+        p_pos = np.zeros(n_cols, dtype=np.intp)
+        p_pos[pc] = np.arange(len(pc))
         const = (ent == ent[:, :1]).all(axis=1)   # same entity in every column
 
         states, inputs, parents = [], [], []   # per substep
         for s in range(S):
+            X, Y, _, VS = P
             eg = ent[e]
+            xe, ye, the, ve = P.take(eg, axis=1)
 
             # --- ego lateral: pure pursuit onto the decision's target line
-            delta_e = pure_pursuit(Y[eg], TH[eg], VS[eg], line, wheelbase[e],
-                                   model.pursuit, delta_max[e])
+            delta_e = pure_pursuit(ye, the, ve, line, wheelbase[e], model.pursuit, delta_max[e])
 
             # --- ego longitudinal: PD on the rule-based gap reference
-            ef, er = ent[fi, cols], ent[ri, cols]
+            ef, er = ent.take(f_at), ent.take(r_at)
             x_tgt, v_tgt = gap_reference(X[ef], VS[ef], has_f, X[er], has_r,
                                          v_des[e], model.d_safe, model.follow_distance)
-            a_e = pd_longitudinal(X[eg], VS[eg], x_tgt, v_tgt, has_f, model.gains, a_max[e])
+            a_e = pd_longitudinal(xe, ve, x_tgt, v_tgt, has_f, model.gains, a_max[e])
 
             # until the ego has mostly crossed, its command may not drive it into
             # the leader of the lane it is still occupying; the governor engages
             # once that leader is within the follow point plus a time headroom
             if lead_cur >= 0:
                 el = ent[lead_cur]
-                still_on_lane = np.abs(lanes.target_center - Y[eg]) > 0.25 * w_lane
-                slack = X[el] - X[eg] - model.follow_distance
+                x_l, v_l = X[el], VS[el]
+                still_on_lane = np.abs(lanes.target_center - ye) > 0.25 * w_lane
+                slack = x_l - xe - model.follow_distance
                 engaged = still_on_lane & \
-                    (slack <= KEEP_ENGAGE_TIME * np.maximum(VS[eg], 1.0))
-                a_keep = pd_longitudinal(X[eg], VS[eg], X[el] - model.follow_distance,
-                                         np.minimum(VS[el], v_des[e]), True,
+                    (slack <= KEEP_ENGAGE_TIME * np.maximum(ve, 1.0))
+                a_keep = pd_longitudinal(xe, ve, x_l - model.follow_distance,
+                                         np.minimum(v_l, v_des[e]), True,
                                          model.gains, a_max[e])
                 a_e = np.where(engaged, np.minimum(a_e, a_keep), a_e)
 
-            # --- surrounding vehicles: modified IDM, partner beta set by the
-            # group action. Only the partner's input can tell columns with
-            # equal entities apart: by the ego's entity and the discount where
-            # the ego leads it, and by the discount where its physical leader
-            # is off its lane line. extra codes both at each column's partner.
-            p_own = ent[p_sv, pc]
-            p_lead_ent = np.where(p_lead >= 0, ent[p_lead, pc], -1)
-            use_ego = _sv_leads(X, Y, TH, VS, p_own, p_lead_ent, eg[pc], p_kappa,
-                                ego_probing[pc])[3]
-            off_line = (p_lead_ent >= 0) & (Y[p_lead_ent] != Y[p_own])
+            # --- partner pass, at each column's partner: the group action sets
+            # its discount, and where it watches a probing ego that is level or
+            # ahead, the ego is a second, virtual leader and the nearer governs
+            p_own, p_lead = ent.take(p_own_at), ent.take(p_lead_at)
+            x_p, y_p = X[p_own], Y[p_own]
+            p_d, p_v, p_has = _leader_inputs(P, x_p, y_p, p_lead, p_kappa)
+            eg_p = eg[pc]
+            xe_p, ye_p, the_p, ve_p = P.take(eg_p, axis=1)
+            d_ego = virtual_gap_distance(xe_p, ye_p, x_p, y_p, p_kappa)
+            use_ego = p_probing & (xe_p >= x_p) & (d_ego < p_d)
+            p_d = np.where(use_ego, d_ego, p_d)
+            p_v = np.where(use_ego, ve_p * np.cos(the_p), p_v)
+            p_has |= use_ego
+
+            # --- surrounding vehicles: modified IDM. Only the partner's input
+            # can tell columns with equal entities apart: by the ego's entity
+            # and the discount where the ego leads it, and by the discount
+            # where its physical leader is off its lane line. extra codes both
+            # at each column's partner.
+            off_line = p_has_lead & (Y[p_lead] != y_p)
             extra = np.zeros(n_cols, dtype=np.intp)
-            extra[pc] = np.where(use_ego, 2 + 2 * eg[pc] + p_yields, p_yields & off_line)
-            told_apart = np.zeros(V, dtype=bool)
-            told_apart[partner[extra != 0]] = True
+            extra[pc] = np.where(use_ego, 2 + 2 * eg_p + p_yields, p_yields & off_line)
             # one entry for a vehicle that every column sees alike; the others
             # get one per distinct key (own entity, leader entity, extra)
-            alone = is_sv & const & (~has_lead | const[lead]) & ~told_apart
-            single = np.flatnonzero(alone)
-            keyed = np.flatnonzero(is_sv & ~alone)
-            n_ent = len(X) + 1   # entity index + 1 < n_ent, extra < 2 * n_ent
+            alone = is_sv & const[:V] & const[lead_row]
+            alone[partner[extra != 0]] = False
+            single = alone.nonzero()[0]
+            keyed = (is_sv & ~alone).nonzero()[0]
+            n_ent = P.shape[1] + 1   # entity index + 1 < n_ent, extra < 2 * n_ent
             first, group = _group_codes(
-                ((ent[keyed] * n_ent + np.where(has_lead[keyed, None], ent[lead[keyed]] + 1, 0))
+                ((ent.take(keyed, axis=0) * n_ent + ent.take(lead_row[keyed], axis=0) + 1)
                  * (2 * n_ent) + np.where(partner == keyed[:, None], extra, 0)).ravel())
             k_row, k_col = np.divmod(first, n_cols)
 
+            # an entry's leader inputs: its physical leader under the assert
+            # discount, or, at its column's partner, the partner pass
             sv = np.concatenate((single, keyed[k_row]))
             sc = np.concatenate((np.zeros(len(single), dtype=np.intp), k_col))
-            own_e = ent[sv, sc]
-            sv_partner = partner[sc] == sv
-            d_lead, v_lead, has_l, _ = _sv_leads(
-                X, Y, TH, VS, own_e, np.where(has_lead[sv], ent[lead[sv], sc], -1), eg[sc],
-                np.where(sv_partner & yields[sc], kappa_yield, kappa_assert),
-                sv_partner & ego_probing[sc])
-            a_sv = np.clip(idm_accel(VS[own_e], v_lead, d_lead, has_l, v_des[sv], idm),
-                           -a_max[sv], a_max[sv])
+            own_e = ent.take(sv * n_cols + sc)
+            x, y, _, v = P.take(own_e, axis=1)
+            d_lead, v_lead, has_l = _leader_inputs(P, x, y, ent.take(lead_row[sv] * n_cols + sc),
+                                                   kappa_assert)
+            mine = (partner[sc] == sv).nonzero()[0]
+            p_i = p_pos[sc[mine]]
+            d_lead[mine], v_lead[mine], has_l[mine] = p_d[p_i], p_v[p_i], p_has[p_i]
+            lim = a_max[sv]
+            a_sv = np.minimum(np.maximum(
+                idm_accel(v, v_lead, d_lead, has_l, v_des[sv], idm), -lim), lim)
 
-            # --- step every entry: [ego, one per column | surrounding vehicles]
+            # --- step every entry: [ego, one per column | surrounding vehicles].
+            # Surrounding vehicles do not steer, so their yaw rate is zero under
+            # any wheelbase, and the ego's serves every entry
             parent = np.concatenate((eg, own_e))
             A = np.concatenate((a_e, a_sv))
             D = np.concatenate((delta_e, np.zeros(len(sv))))
-            states.append((X, Y, TH, VS))
+            states.append(P)
             inputs.append((A, D))
             parents.append(parent)
-            X, Y, TH, VS = step_bicycle(X[parent], Y[parent], TH[parent], VS[parent], A, D,
-                                        cfg.dt, np.concatenate((np.full(n_cols, wheelbase[e]),
-                                                                wheelbase[sv])))
+            P = np.array(step_bicycle(*P.take(parent, axis=1), A, D, cfg.dt, wheelbase[e]))
             ent = np.empty_like(ent)
             ent[e] = cols
             ent[single] = n_cols + np.arange(len(single))[:, None]
             ent[keyed] = n_cols + len(single) + group.reshape(len(keyed), n_cols)
+            ent[V] = -1
             const[single] = True
             const[keyed] = np.bincount(k_row, minlength=len(keyed)) == 1
             const[e] = n_cols == 1
@@ -418,25 +455,28 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
         # the period's rows, keyed by (row of period d-1, inputs over period d);
         # each final entry's path of entries is walked back to its start row
         path = [None] * S
-        j = np.arange(len(X))
+        j = np.arange(P.shape[1])
         for s in reversed(range(S)):
             path[s] = j
             j = parents[s][j]
-        first, group = _distinct_keys(j, [u[path[s]] for s in range(S) for u in inputs[s]])
+        keys = np.empty((1 + 2 * S, len(j)), dtype=np.uint64)
+        keys[0] = j
+        for s, (A, D) in enumerate(inputs):
+            keys[1 + 2 * s] = A[path[s]].view(np.uint64)
+            keys[2 + 2 * s] = D[path[s]].view(np.uint64)
+        first, group = _distinct_keys(keys)
         seg_states = np.empty((len(first), S, 4))
-        seg_inputs = np.empty((len(first), S, 2))
         for s in range(S):
-            at = path[s][first]
-            for k, arr in enumerate(states[s]):
-                seg_states[:, s, k] = arr[parents[s][at]]
-            for k, arr in enumerate(inputs[s]):
-                seg_inputs[:, s, k] = arr[at]
+            seg_states[:, s] = states[s].take(parents[s][path[s][first]], axis=1).T
+        seg_inputs = keys[1:, first].T.view(np.float64).reshape(len(first), S, 2)
         segments.append((seg_states, seg_inputs, j[first]))
-        X, Y, TH, VS = (arr[first] for arr in (X, Y, TH, VS))
+        P = P.take(first, axis=1)
         start_ent = group[ent]
+        start_ent[V] = -1
 
     # the table: leaf rows sorted into vehicle blocks
-    veh = np.empty(len(X), dtype=np.intp)   # each leaf row's vehicle
+    start_ent = start_ent[:V]
+    veh = np.empty(P.shape[1], dtype=np.intp)   # each leaf row's vehicle
     veh[start_ent] = np.arange(V)[:, None]
     block_start = np.concatenate(([0], np.cumsum(np.bincount(veh, minlength=V))))
     at = np.empty(len(veh), dtype=np.intp)   # leaf row -> table row
@@ -444,8 +484,7 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
     traj_states = np.empty((len(veh), T + 1, 4))
     traj_inputs = np.empty((len(veh), T, 2))
     period_rows = np.empty((len(veh), H), dtype=np.intp)
-    for k, arr in enumerate((X, Y, TH, VS)):
-        traj_states[at, T, k] = arr
+    traj_states[at, T] = P.T
     row = np.arange(len(veh))   # each leaf row's row of period d, walking back
     for d in reversed(range(H)):
         seg_states, seg_inputs, prev_row = segments[d]

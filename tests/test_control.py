@@ -227,3 +227,91 @@ def test_row_vector_call_matches_scalar_calls():
         # numpy's vector loop for ** rounds differently from its scalar path in
         # the last bit for some inputs (the IDM's (v / v0) ** 4)
         np.testing.assert_allclose(row, each, rtol=1e-15, atol=0.0, err_msg=name)
+
+
+# --- saturation keeps np.clip's bits ----------------------------------------------
+# The laws saturate with np.minimum / np.maximum; these are their np.clip forms.
+
+def clip_pd(x, v, x_target, v_target, has_target, gains, a_max):
+    a_pd = gains.kp_pos * (x_target - x) + gains.kd_pos * (v_target - v)
+    a_free = gains.kp_vel * (v_target - v)
+    return np.clip(np.where(has_target, a_pd, a_free), -a_max, a_max)
+
+
+def clip_pursuit(y, theta, v, line_y, wheelbase, params, delta_max):
+    lookahead = np.maximum(params.kpp * v, params.min_lookahead)
+    sin_los = np.clip((line_y - y) / lookahead, -1.0, 1.0)
+    gamma = np.arcsin(sin_los) - theta
+    return np.clip(np.arctan(2.0 * wheelbase * np.sin(gamma) / lookahead),
+                   -delta_max, delta_max)
+
+
+def clip_idm(v, v_lead, d, has_lead, v0, idm):
+    free = 1.0 - (v / v0) ** 4
+    safe_d = np.where(d > 0.0, d, 1.0)
+    sqrt_ab = 2.0 * np.sqrt(idm.a_acc * idm.b_dec)
+    s_star = idm.s0 + v * idm.time_headway + v * (v - v_lead) / sqrt_ab
+    a_follow = idm.a_acc * (free - (s_star / safe_d) ** 2)
+    a = np.where(has_lead, a_follow, idm.a_acc * free)
+    a = np.where(has_lead & (d <= 0.0), -idm.b_emergency, a)
+    return np.clip(a, -idm.b_emergency, idm.a_acc)
+
+
+def bits(value):
+    return np.asarray(value, dtype=float).view(np.uint64)
+
+
+def special_values(rng, n, bounds):
+    """n floats: +-inf, NaNs with two payloads, +-0.0, each bound exactly, and
+    ordinary values."""
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000123], dtype=np.uint64).view(float)
+    pool = np.concatenate(([np.inf, -np.inf, 0.0, -0.0], nans, bounds, -np.asarray(bounds)))
+    out = rng.uniform(-30.0, 30.0, n)
+    pick = rng.uniform(size=n) < 0.6
+    out[pick] = rng.choice(pool, int(pick.sum()))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 2000])
+def test_saturation_matches_clip_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    gains, pursuit = PdGains(kp_vel=1.0), PurePursuitParams()
+    a_max = 4.0
+    with np.errstate(all="ignore"):
+        # kp_vel = 1 and v = 0 put v_target itself, specials included, into the
+        # pd saturation wherever has_target is false
+        has_t = rng.uniform(size=n) < 0.3
+        pd_args = (special_values(rng, n, []), np.where(has_t, special_values(rng, n, []), 0.0),
+                   special_values(rng, n, []), special_values(rng, n, [a_max]), has_t, gains,
+                   a_max)
+        # v = 0 gives lookahead 4, so line_y / 4 is the sine saturation's input;
+        # a delta_max taken from the unsaturated command is hit exactly
+        theta, line_y = special_values(rng, n, [0.5]), 4.0 * special_values(rng, n, [1.0])
+        v = np.where(rng.uniform(size=n) < 0.5, 0.0, special_values(rng, n, []))
+        raw = np.abs(clip_pursuit(0.0, theta, v, line_y, 2.7, pursuit, np.inf))
+        delta_max = np.where((rng.uniform(size=n) < 0.3) & np.isfinite(raw) & (raw > 0.0),
+                             raw, 0.6)
+        pursuit_args = (0.0, theta, v, line_y, 2.7, pursuit, delta_max)
+        # v = 0 on a free road gives a_acc, a spacing <= 0 gives -b_emergency
+        idm_args = (np.where(rng.uniform(size=n) < 0.3, 0.0, special_values(rng, n, [])),
+                    special_values(rng, n, []), special_values(rng, n, [0.0]),
+                    rng.uniform(size=n) < 0.6, np.where(rng.uniform(size=n) < 0.5, 10.0, 7.5),
+                    IDM)
+        cases = {"pd": (pd_longitudinal, clip_pd, pd_args),
+                 "pursuit": (pure_pursuit, clip_pursuit, pursuit_args),
+                 "idm": (idm_accel, clip_idm, idm_args)}
+        reached = []
+        for name, (law, clip_form, args) in cases.items():
+            want = clip_form(*args)
+            assert np.array_equal(bits(law(*args)), bits(want)), name
+            reached.append(want)
+            for k in range(min(n, 20)):   # scalar calls
+                one = [u[k] if isinstance(u, np.ndarray) else u for u in args]
+                assert bits(law(*one)) == bits(clip_form(*one)), (name, k)
+    # the draws put every kind of special value into the saturation
+    if n >= 64:
+        reached = np.concatenate(reached)
+        for value in (a_max, -a_max, 0.6, -0.6, IDM.a_acc, -IDM.b_emergency):
+            assert np.any(reached == value), value
+        assert np.isnan(reached).any() and np.any((reached == 0.0) & np.signbit(reached))
+

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mergegame.dynamics import VehicleParams, rect_distance_arrays, rects_penetrate, step_bicycle
 
@@ -83,6 +85,85 @@ def test_speed_never_negative():
     # braking at standstill must not creep backwards
     stopped = step((5.0, 0.0, 0.0, 0.0), -3.0, 0.0, 0.2)
     assert stopped[3] == 0.0 and stopped[0] == 5.0
+
+
+# --- the integrator against its first, written-out form ------------------------
+
+def kutta_rk3_reference(x, y, theta, v, a, delta, dt, wheelbase):
+    """step_bicycle as first written: each stage evaluates the whole right-hand
+    side, (dx, dy, dtheta, dv) from (x, y, theta, v), and the angle wrap always
+    runs."""
+
+    def rhs(x, y, theta, v):
+        v_fwd = np.maximum(v, 0.0)
+        return (v_fwd * np.cos(theta), v_fwd * np.sin(theta),
+                v_fwd * np.tan(delta) / wheelbase, a * np.ones_like(v_fwd))
+
+    def wrap(theta):
+        wrapped = np.where((theta > np.pi) | (theta <= -np.pi),
+                           theta - 2.0 * np.pi * np.floor((theta + np.pi) / (2.0 * np.pi)),
+                           theta)
+        return np.where(wrapped <= -np.pi, wrapped + 2.0 * np.pi, wrapped)
+
+    k1 = rhs(x, y, theta, v)
+    k2 = rhs(x + 0.5 * dt * k1[0], y + 0.5 * dt * k1[1], theta + 0.5 * dt * k1[2],
+             v + 0.5 * dt * k1[3])
+    k3 = rhs(x - dt * k1[0] + 2.0 * dt * k2[0], y - dt * k1[1] + 2.0 * dt * k2[1],
+             theta - dt * k1[2] + 2.0 * dt * k2[2], v - dt * k1[3] + 2.0 * dt * k2[3])
+    sixth = dt / 6.0
+    return (x + sixth * (k1[0] + 4.0 * k2[0] + k3[0]),
+            y + sixth * (k1[1] + 4.0 * k2[1] + k3[1]),
+            wrap(theta + sixth * (k1[2] + 4.0 * k2[2] + k3[2])),
+            np.maximum(v + sixth * (k1[3] + 4.0 * k2[3] + k3[3]), 0.0))
+
+
+def bits(value):
+    return np.asarray(value, dtype=float).view(np.uint64)
+
+
+PI_EDGES = [np.pi, -np.pi, np.nextafter(np.pi, 4.0), np.nextafter(-np.pi, -4.0),
+            np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0)]
+STATE = {
+    "x": st.floats(-1e4, 1e4),
+    "y": st.floats(-10.0, 10.0),
+    # the wrap edges, angles a step can carry across them, and far beyond
+    "theta": st.sampled_from(PI_EDGES + [0.0, -0.0, 3 * np.pi, -7.0])
+    | st.floats(-3.2, 3.2) | st.floats(-20.0, 20.0),
+    "v": st.sampled_from([0.0, -0.0, -1e-300]) | st.floats(-5.0, 40.0),
+    "a": st.sampled_from([0.0, -0.0]) | st.floats(-6.0, 6.0),
+    "delta": st.sampled_from([0.0, -0.0]) | st.floats(-0.6, 0.6),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 12), data=st.data(),
+       dt=st.sampled_from([0.2, 0.05, 1.0]) | st.floats(0.001, 2.0),
+       wheelbase=st.floats(1.0, 5.0))
+def test_step_matches_written_out_kutta_rk3_bit_for_bit(n, data, dt, wheelbase):
+    # n = 0 is a scalar call; otherwise each argument is an (n,) array or,
+    # broadcast, a scalar
+    def draw(name):
+        if n == 0 or data.draw(st.booleans(), label=f"{name} scalar"):
+            return data.draw(STATE[name], label=name)
+        return np.array(data.draw(st.lists(STATE[name], min_size=n, max_size=n), label=name))
+
+    args = [draw(name) for name in STATE]
+    if n:
+        args[0] = np.broadcast_to(args[0], (n,)).copy()   # at least one array argument
+    got = step_bicycle(*args, dt, wheelbase)
+    want = kutta_rk3_reference(*args, dt, wheelbase)
+    for g, w in zip(got, want):
+        assert np.shape(g) == np.shape(w)
+        assert np.array_equal(bits(g), bits(w))
+    assert np.all(np.abs(np.asarray(got[2])) <= np.pi) and np.all(np.asarray(got[3]) >= 0.0)
+
+
+def test_scalar_step_gives_floats_and_arrays():
+    # closed_loop and the replay test read a one-vehicle step both ways
+    out = step_bicycle(1.0, 2.0, np.pi - 1e-9, 5.0, 1.0, 0.3, 0.2, 2.7)
+    assert [float(c) for c in out] == np.array(out).tolist()
+    assert np.array(out).shape == (4,)
+    assert -np.pi < float(out[2]) <= np.pi
 
 
 # --- rectangle distances ------------------------------------------------------

@@ -645,27 +645,49 @@ def test_closed_loop_builds_no_per_tuple_arrays(monkeypatch):
         assert_not_materialized(res.rollout)
 
 
+def key_matrix(prev, *values):
+    """_distinct_keys's input: row 0 holds the ints prev, each further row the
+    bits of one float array."""
+    return np.vstack([np.asarray(prev).astype(np.uint64)]
+                     + [np.asarray(v, dtype=float).view(np.uint64) for v in values])
+
+
+def recording_hash(monkeypatch, collide):
+    """Patch forward_sim._key_hash to record the shape of each key matrix it
+    hashes, and with collide=True to hash every key alike."""
+    shapes, real = [], forward_sim._key_hash
+
+    def hashing(keys):
+        shapes.append(keys.shape)
+        return np.zeros(keys.shape[1], dtype=np.uint64) if collide else real(keys)
+
+    monkeypatch.setattr(forward_sim, "_key_hash", hashing)
+    return shapes
+
+
 @pytest.mark.parametrize("hashing", ["hash", "collide"])
 def test_distinct_keys_groups_by_bits(monkeypatch, hashing):
-    # 0.0 and -0.0 are different keys; groups are numbered by first occurrence
-    if hashing == "collide":
-        monkeypatch.setattr(forward_sim, "_key_hash",
-                            lambda prev, values: np.zeros(len(prev), dtype=np.uint64))
-    prev = np.array([3, 3, 1, 3, 3, 1])
-    values = [np.array([0.0, -0.0, 0.0, 0.0, 1.5, 0.0]), np.array([2.0, 2.0, 2.0, 2.0, 2.0, 2.0])]
-    first, group = _distinct_keys(prev, values)
-    assert group.tolist() == [0, 1, 2, 0, 3, 2]
-    assert first.tolist() == [0, 1, 2, 4]
+    # 0.0 and -0.0 are different keys, and so are NaNs with different payload
+    # bits; groups are numbered by first occurrence
+    shapes = recording_hash(monkeypatch, collide=hashing == "collide")
+    nan_a, nan_b = np.array([0x7FF8000000000001, 0x7FF8000000000002], dtype=np.uint64).view(float)
+    prev = [3, 3, 1, 3, 3, 1, 2, 2, 2]
+    values = [[0.0, -0.0, 0.0, 0.0, 1.5, 0.0, nan_a, nan_b, nan_a], [2.0] * 9]
+    first, group = _distinct_keys(key_matrix(prev, *values))
+    assert shapes == [(3, 9)]
+    assert group.tolist() == [0, 1, 2, 0, 3, 2, 4, 5, 4]
+    assert first.tolist() == [0, 1, 2, 4, 6, 7]
 
 
 def test_table_survives_hash_collisions(monkeypatch):
-    # every key hashing alike forces the exact grouping by bytes: same table
+    # every key hashing alike forces the exact grouping by bytes at each
+    # period's end: same table
     cfg = SCENARIOS["merge10"]()
     world, tuples = cfg.initial_world(), root_tuples(EgoDecision(G0, LK))
     want = simulate_batch(world, tuples, cfg.sim, cfg.planner_model())
-    monkeypatch.setattr(forward_sim, "_key_hash",
-                        lambda prev, values: np.zeros(len(prev), dtype=np.uint64))
+    shapes = recording_hash(monkeypatch, collide=True)
     got = simulate_batch(world, tuples, cfg.sim, cfg.planner_model())
+    assert len(shapes) == cfg.sim.horizon
     for name in ("traj_states", "traj_inputs", "rows", "block_start", "period_rows"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
