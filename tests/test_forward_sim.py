@@ -483,11 +483,13 @@ SCENARIOS = {
 }
 
 
-def hand_world(rows):
-    """A world from (id, x, y, v, v_des) rows, the ego first."""
+def hand_world(rows, wheelbases=None):
+    """A world from (id, x, y, v, v_des) rows, the ego first, and optionally
+    each vehicle's wheelbase."""
+    wheelbases = wheelbases or [VehicleParams().wheelbase] * len(rows)
     return WorldSnapshot(ids=tuple(r[0] for r in rows),
                          states=np.array([[x, y, 0.0, v] for _, x, y, v, _ in rows]),
-                         params=tuple(VehicleParams() for _ in rows),
+                         params=tuple(VehicleParams(wheelbase=w) for w in wheelbases),
                          v_des=np.array([r[4] for r in rows]), lanes=LaneGeometry(), ego_index=0)
 
 
@@ -508,6 +510,12 @@ HAND_WORLDS = {
                                       ("truck", 30.0, 0.0, 5.0, 5.0),
                                       ("t0", 30.0, 3.5, 6.0, 8.0), ("p", -1.0, 3.5, 6.0, 8.0),
                                       ("t2", -25.0, 3.5, 6.0, 8.0)]),
+    # every vehicle has its own wheelbase: the rollout steps all entries with
+    # the ego's, which the surrounding vehicles' zero steering makes exact
+    "own-wheelbases": hand_world([("ego", 0.0, 0.0, 7.0, 10.0), ("truck", 30.0, 0.0, 5.0, 5.0),
+                                  ("t0", 20.0, 3.5, 6.0, 8.0), ("p", -3.0, 3.5, 7.0, 8.0),
+                                  ("t2", -30.0, 3.5, 0.0, 8.0)],
+                                 wheelbases=[2.7, 5.5, 1.9, 3.3, 0.8]),
 }
 
 
@@ -532,6 +540,8 @@ def test_hand_worlds_reach_their_corner():
     d_ego = {b: virtual_gap_distance(xe, ye, xp, yp, k) for b, k in kappa.items()}
     assert xe >= xp
     assert d_ego[idm.beta_yield] < xl - xp < d_ego[idm.beta_assert]
+    wheelbase = HAND_WORLDS["own-wheelbases"].params_arrays()[0]
+    assert len(set(wheelbase)) == len(wheelbase)
 
 
 @pytest.mark.parametrize("name", sorted(HAND_WORLDS))
