@@ -7,10 +7,14 @@ of the resulting matrix is scaled by one minus the belief assigned to that
 row's group action.
 
 Scoring reads the rollout's trajectory table. Speed error, jerk and lateral
-offset are computed once per table row. The pairwise safety band is computed
-once per decision period for each distinct pair of the two vehicles' period
-segments, over all near vehicle pairs at once, and summed in the order of a
-plain per-tuple loop, so the matrices do not depend on how the work is shared.
+offset are computed once per table row. The pairwise safety band works from
+the table's vehicle blocks: a vehicle pair's (row, row) combinations are the
+other vehicle's block rows where one vehicle has a single row, and only pairs
+of two multi-row vehicles group their combinations over the tuples. It is
+computed once per decision period for each distinct pair of the two vehicles'
+period segments, over all near vehicle pairs at once, and summed in the order
+of a plain per-tuple loop, so the matrices do not depend on how the work is
+shared.
 """
 
 from __future__ import annotations
@@ -132,8 +136,12 @@ def _pair_band_penalties(traj_states, rows, block_start, period_rows, half_len, 
 
     - a pair whose per-step bounding boxes over the two vehicles' blocks lie
       farther apart than reach + CULL_MARGIN at every step is skipped outright;
-    - the distinct (row of i, row of j) combinations of the other pairs among
-      the K rollouts are found together;
+    - each other pair gets its (row of i, row of j) combinations from the
+      vehicle blocks. Where one side has a single row, they are the other
+      side's block rows, and a rollout's combination is numbered by its row
+      of that side. Only pairs with two multi-row sides group their K
+      rollouts' combinations. A block row that no rollout picks only adds a
+      combination that no rollout reads;
     - in each period, the combinations that agree on (segment of i, segment
       of j) are scored once: each period reach-tests its distinct segment
       pairs, and one rect_distance_arrays call covers the near entries of
@@ -141,7 +149,7 @@ def _pair_band_penalties(traj_states, rows, block_start, period_rows, half_len, 
 
     The sums keep the all-pairs loop's order, so they are bit-identical for
     any weights: each combination adds its steps in step order, and each
-    vehicle adds its pairs' sums in the i < j pair order.
+    vehicle adds its pairs' sums from 0.0 in the i < j pair order.
     """
     K, V = rows.shape
     n_steps = traj_states.shape[1]
@@ -157,19 +165,37 @@ def _pair_band_penalties(traj_states, rows, block_start, period_rows, half_len, 
     within = (gx * gx + gy * gy <= (box_reach * box_reach)[:, None]).any(axis=1)
     iu, ju = iu[within], ju[within]
 
-    # each row belongs to one vehicle, so a (row of i, row of j) combination
-    # names its pair; combo (K, P) numbers each rollout's combination of pair p
+    # (row of i, row of j) combinations; combo (P, K) numbers each rollout's
+    # combination of pair p. Where one side of a pair has a single row, the
+    # other side's block rows are its combinations, numbered from offset.
     R, P = len(traj_states), len(iu)
-    first, combo = _group_codes((rows[:, iu] * R + rows[:, ju]).ravel())
-    k, p = np.divmod(first, P)
-    ci, cj = iu[p], ju[p]
-    ri, rj = rows[k, ci], rows[k, cj]
+    n_rows = np.diff(block_start)
+    single = (n_rows[iu] == 1) | (n_rows[ju] == 1)
+    other = np.where(n_rows[iu] == 1, ju, iu)[single]
+    count = n_rows[other]
+    offset = np.cumsum(count) - count
+    s_pair = np.repeat(np.flatnonzero(single), count)
+    local = np.arange(len(s_pair)) - np.repeat(offset, count)
+    si, sj = iu[s_pair], ju[s_pair]
+    # only pairs with two multi-row sides group their combinations over the K rollouts
+    multi = np.flatnonzero(~single)
+    code = (rows.T[iu[multi]] * R + rows.T[ju[multi]]).ravel()
+    first, group = _group_codes(code)
+    m_ri, m_rj = np.divmod(code[first], R)
+    combo = np.empty((P, K), dtype=np.intp)
+    combo[single] = (offset - block_start[other])[:, None] + rows.T[other]
+    combo[multi] = len(s_pair) + group.reshape(len(multi), K)
+    pair = np.concatenate((s_pair, multi[first // K]))
+    ci, cj = iu[pair], ju[pair]
+    # a single-row side keeps its one row while the other side counts through its block
+    ri = np.concatenate((block_start[si] + np.minimum(local, n_rows[si] - 1), m_ri))
+    rj = np.concatenate((block_start[sj] + np.minimum(local, n_rows[sj] - 1), m_rj))
     reach = weights.d_hi + radius[ci] + radius[cj]
 
     # period d covers steps d*S .. d*S + S - 1 (the last one through step T);
     # units number the distinct (segment pair, step)s, and at (T+1,
     # combinations) gives each combination's unit at each step
-    at = np.empty((n_steps, len(first)), dtype=np.intp)
+    at = np.empty((n_steps, len(pair)), dtype=np.intp)
     near_unit, near_combo, a, b = [], [], [], []
     n_units = 0
     for d in range(H):
@@ -181,10 +207,11 @@ def _pair_band_penalties(traj_states, rows, block_start, period_rows, half_len, 
         dx = sa[:, :, 0] - sb[:, :, 0]
         dy = sa[:, :, 1] - sb[:, :, 1]
         g, t = np.nonzero(dx * dx + dy * dy <= (reach[rep] * reach[rep])[:, None])
-        near_unit.append(n_units + g * len(steps) + t)
+        unit = g * len(steps) + t
+        near_unit.append(n_units + unit)
         near_combo.append(rep[g])
-        a.append(sa[g, t])
-        b.append(sb[g, t])
+        a.append(sa.reshape(-1, 4).take(unit, axis=0))
+        b.append(sb.reshape(-1, 4).take(unit, axis=0))
         n_units += len(rep) * len(steps)
     c = np.concatenate(near_combo)
     a, b = np.concatenate(a), np.concatenate(b)
@@ -195,18 +222,17 @@ def _pair_band_penalties(traj_states, rows, block_start, period_rows, half_len, 
         dist < weights.d_lo, weights.w_saf1, np.where(dist <= weights.d_hi, weights.w_saf2, 0.0))
     # each combination sums its steps in step order, zeros included (adding
     # 0.0 to a penalty sum is exact)
-    per_combo = np.zeros(len(first))
+    per_combo = np.zeros(len(pair))
     for step_pen in unit_pen[at]:
         per_combo += step_pen
 
-    # vehicle v meets its pairs in i < j order exactly when it meets them in
-    # the order of the other vehicle's index
-    side_v, side_other = np.concatenate((iu, ju)), np.concatenate((ju, iu))
-    order = np.argsort(side_other, kind="stable")
-    side_pair = np.tile(np.arange(P), 2)[order]
-    per_pair = per_combo[combo].reshape(K, P)
-    return np.bincount((np.arange(K)[:, None] * V + side_v[order]).ravel(),
-                       weights=per_pair[:, side_pair].ravel(), minlength=K * V).reshape(K, V)
+    # each vehicle adds its pairs' sums from 0.0 in i < j pair order
+    per_pair = per_combo.take(combo)
+    out = np.zeros((V, K))
+    for p in range(P):
+        out[iu[p]] += per_pair[p]
+        out[ju[p]] += per_pair[p]
+    return out.T.copy()
 
 
 # --- matrix assembly ----------------------------------------------------------

@@ -308,6 +308,31 @@ def test_pair_band_penalties_match_reference_on_rollouts(case):
     assert (got != np.round(got)).any() == case.endswith("fractional")
 
 
+def test_pair_band_groups_only_pairs_with_two_multi_row_sides(monkeypatch):
+    # a pair with a single-row side has the other side's block rows as its
+    # combinations; only the rest need grouping over the K rollouts
+    cfg = packed_lane_scenario(6.0)
+    world = cfg.initial_world()
+    rollout = planner_rollout(cfg, world)
+    R, (K, _) = len(rollout.traj_states), rollout.rows.shape
+    n_rows = np.diff(rollout.block_start)
+    n_multi = np.count_nonzero(n_rows > 1)
+    calls, group_codes = [], costs._group_codes
+
+    def recording(code):
+        calls.append(code.copy())
+        return group_codes(code)
+
+    monkeypatch.setattr(costs, "_group_codes", recording)
+    _, lengths, widths, _, _ = world.params_arrays()
+    _pair_band_penalties(rollout.traj_states, rollout.rows, rollout.block_start,
+                         rollout.period_rows, 0.5 * lengths, 0.5 * widths, cfg.weights)
+    # the combination step's call comes first, then one call per period
+    vehicle = np.searchsorted(rollout.block_start, np.divmod(calls[0], R), side="right") - 1
+    assert n_rows[vehicle].min(initial=2) > 1
+    assert 0 < len(calls[0]) <= K * n_multi * (n_multi - 1) // 2
+
+
 def test_pair_band_penalties_reach_boundary():
     # footprints turned so that corners face each other across the center line:
     # at a center distance of exactly d_hi + r_i + r_j the corners are d_hi apart
@@ -401,7 +426,9 @@ def small_tables(draw):
 @given(small_tables())
 def test_pair_band_penalties_match_reference_on_small_tables(table):
     V = table[1].shape[1]
-    assert_matches_reference(*table, np.full(V, HL), np.full(V, HW), W)
+    # the fractional weights do not sum exactly in every order
+    for weights in (W, replace(W, w_saf1=1000.3, w_saf2=0.7)):
+        assert_matches_reference(*table, np.full(V, HL), np.full(V, HW), weights)
 
 
 def test_efficiency_cost_direct_sum():

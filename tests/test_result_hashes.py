@@ -3,6 +3,7 @@ merge episode."""
 
 import importlib.util
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -42,3 +43,12 @@ def test_one_ulp_in_one_matrix_entry_changes_the_hash(monkeypatch):
 
     monkeypatch.setattr(closed_loop, "plan_cycle", nudging)
     assert result_hashes.episodes_hash(one_episode())[0] != digest
+
+
+def test_packed_fractional_set_is_packed_with_fractional_safety_weights(monkeypatch):
+    monkeypatch.setattr(result_hashes, "episodes_hash", lambda cfgs: cfgs)
+    packed, fractional = result_hashes.SETS["packed"](), result_hashes.SETS["packed-fractional"]()
+    assert [cfg.seed for cfg in fractional] == [cfg.seed for cfg in packed] == [0, 5]
+    for plain, cfg in zip(packed, fractional):
+        assert (cfg.weights.w_saf1, cfg.weights.w_saf2) == (1000.3, 0.7)
+        assert replace(cfg, weights=plain.weights) == plain

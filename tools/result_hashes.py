@@ -12,6 +12,10 @@ The sets:
   merge       20 closed-loop episodes of default_merge_scenario, at 5 and
               10 m/s, seeds 1-10
   packed      closed-loop episodes of packed_lane_scenario, seeds 0 and 5
+  packed-fractional
+              the packed set with w_saf1 = 1000.3 and w_saf2 = 0.7: unlike
+              the integer defaults, these safety sums change bits when
+              their terms are added in another order
   montecarlo  run_monte_carlo(n=200, seed=101) on default_merge_scenario(5.0)
               with weights.w_info = 20, in one process
 
@@ -115,10 +119,16 @@ def _open_loop_config() -> ScenarioConfig:
     return replace(cfg, weights=replace(cfg.weights, w_info=20.0))
 
 
+def _fractional(cfg: ScenarioConfig) -> ScenarioConfig:
+    return replace(cfg, weights=replace(cfg.weights, w_saf1=1000.3, w_saf2=0.7))
+
+
 SETS = {
     "merge": lambda: episodes_hash([default_merge_scenario(speed, seed=seed)
                                     for speed in (5.0, 10.0) for seed in range(1, 11)]),
     "packed": lambda: episodes_hash([packed_lane_scenario(seed=seed) for seed in (0, 5)]),
+    "packed-fractional": lambda: episodes_hash([_fractional(packed_lane_scenario(seed=seed))
+                                                for seed in (0, 5)]),
     "montecarlo": lambda: monte_carlo_hash(_open_loop_config(), n=200, seed=101),
 }
 
@@ -134,7 +144,7 @@ def main(argv=None) -> int:
     print(f"# mergegame from {mergegame.__path__[0]}")
     for name in args.sets or SETS:
         digest, cycles = SETS[name]()
-        print(f"{name:<11} {digest}  ({cycles} cycles)")
+        print(f"{name:<17} {digest}  ({cycles} cycles)")
     return 0
 
 
