@@ -53,6 +53,6 @@ from .scenario import (
     packed_lane_scenario,
     save_scenario,
 )
-from .world import GapBounds, LaneGeometry, WorldSnapshot, interaction_partner
+from .world import GapBounds, LaneGeometry, WorldSnapshot
 
 __version__ = "0.1.0"

@@ -110,7 +110,8 @@ class DecisionSequence:
     def partner_gap(self) -> GapChoice | None:
         """The gap whose rear bound the sequence negotiates with: that of its
         last step targeting a lane-change gap; None if it never leaves the
-        current lane. world.interaction_partner names that vehicle."""
+        current lane. WorldSnapshot.resolve_gaps()[gap].partner_id names
+        that vehicle."""
         for step in reversed(self.steps):
             if step.gap != GapChoice.GAP_0:
                 return step.gap

@@ -273,8 +273,7 @@ def build_game_from_batch(rollout: BatchRollout, world: WorldSnapshot,
     eff = (weights.w_eff * np.sum(v_err ** 2, axis=1))[rollout.rows]
     com = (weights.w_com * np.sum(np.diff(rollout.traj_inputs[:, :, 0], axis=1) ** 2,
                                   axis=1) / rollout.dt ** 2)[rollout.rows]
-    y_des = np.array([world.lanes.nearest_center(float(world.states[k, 1]))
-                      for k in range(world.n_vehicles)])
+    y_des = world.lanes.nearest_center(world.states[:, 1])
     y_des[e] = world.lanes.target_center
     nav = (weights.w_nav * np.sum((table[:, :, 1] - y_des[vehicle, None]) ** 2,
                                   axis=1))[rollout.rows]

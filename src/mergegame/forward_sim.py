@@ -27,7 +27,8 @@ once over all of its entries, and all entries are stepped in one call.
 The result is a table of distinct vehicle trajectories, built during the
 walk: at the end of each period a vehicle's row in a column is its row of the
 previous period plus its inputs over this one, and entities with equal keys
-share the row. A (K, V) index gives each tuple's row of each vehicle.
+share the row. Keys are grouped by their bytes, and each period numbers its
+rows by key rank. A (K, V) index gives each tuple's row of each vehicle.
 """
 
 from __future__ import annotations
@@ -109,9 +110,10 @@ class BatchRollout:
     through in decision period d, S = T / H steps long: rows with equal
     period_rows[:, d] hold bit-equal traj_states over steps d*S .. d*S + S - 1,
     and over step T too for the last period. No two vehicles share a segment,
-    and segment names lie in [0, R). states (K, V, T+1, 4) and inputs
-    (K, V, T, 2) build the per-tuple arrays on first use and keep them; no
-    planner path reads them.
+    and segment names lie in [0, R). Inside a block, rows follow the rank of
+    their last period's key bytes (see simulate_batch). states (K, V, T+1, 4)
+    and inputs (K, V, T, 2) build the per-tuple arrays on first use and keep
+    them; no planner path reads them.
     """
 
     tuples: list[tuple[SvAction, DecisionSequence]]
@@ -150,56 +152,18 @@ def _leader_inputs(P, x, y, lead, kappa):
 
 
 def _group_codes(code):
-    """Group equal ints: returns (first, group), with group[i] the rank of
-    code[i] among the distinct values and first[g] the first index holding
-    the g-th value."""
+    """Group equal values of the 1-D array code (ints, or fixed-width byte
+    records compared by their bytes): returns (first, group), with group[i]
+    the rank of code[i] among the distinct values and first[g] the first
+    index holding the g-th value."""
     order = np.argsort(code, kind="stable")
     sorted_code = code[order]
     starts = np.empty(len(code), dtype=bool)
     starts[:1] = True
-    np.not_equal(sorted_code[1:], sorted_code[:-1], out=starts[1:])
+    starts[1:] = sorted_code[1:] != sorted_code[:-1]
     group = np.empty(len(code), dtype=np.intp)
     group[order] = np.cumsum(starts) - 1
     return order[starts], group
-
-
-_HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-
-
-def _key_hash(keys):
-    """64-bit hash of each column of the uint64 matrix keys (m, n).
-
-    Every element is mixed on its own (a bijection of its bits), and the
-    rows are summed with distinct odd weights."""
-    h = keys * _MIX1
-    h ^= h >> np.uint64(31)
-    h *= _MIX2
-    h ^= h >> np.uint64(29)
-    h *= (np.arange(1, 2 * len(keys), 2, dtype=np.uint64) * _HASH_MUL)[:, None]
-    return h.sum(axis=0, dtype=np.uint64)
-
-
-def _distinct_keys(keys):
-    """Group the columns of the uint64 matrix keys (m, n) by equality.
-
-    Returns (first, group): group[i] numbers key i's group, in order of first
-    occurrence, and first[g] is the first key of group g. Keys are grouped by
-    _key_hash, and every key is then checked against its group's first key;
-    if a hash collision put unequal keys together, they are grouped by their
-    bytes instead.
-    """
-    first, group = _group_codes(_key_hash(keys))
-    if not np.array_equal(keys.take(first[group], axis=1), keys):
-        seen = {}
-        group = np.array([seen.setdefault(key.tobytes(), len(seen))
-                          for key in np.ascontiguousarray(keys.T)], dtype=np.intp)
-        return _group_codes(group)[0], group
-    by_first = np.argsort(first)
-    renumber = np.empty_like(by_first)
-    renumber[by_first] = np.arange(len(first))
-    return first[by_first], renumber[group]
 
 
 def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
@@ -256,9 +220,10 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
     agree on both, bit for bit, share the row: a step is elementwise, so
     equal inputs from an equal state give equal states. Period d+1 starts
     from these rows, and each leaf row's trajectory is assembled from its
-    ancestors' segments; period_rows records which ones. Each key is a
-    column of one uint64 matrix (row of period d-1, then the bits of each
-    substep's a and delta), and _distinct_keys groups them.
+    ancestors' segments; period_rows records which ones. Each key is a row
+    of one uint64 matrix (row of period d-1, then the bits of each substep's
+    a and delta). _group_codes sorts the rows as byte records, so keys are
+    grouped by their bytes, and the period's rows are numbered by key rank.
     """
     tuples = list(tuples)
     if not tuples:
@@ -459,16 +424,16 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
         for s in reversed(range(S)):
             path[s] = j
             j = parents[s][j]
-        keys = np.empty((1 + 2 * S, len(j)), dtype=np.uint64)
-        keys[0] = j
+        keys = np.empty((len(j), 1 + 2 * S), dtype=np.uint64)
+        keys[:, 0] = j
         for s, (A, D) in enumerate(inputs):
-            keys[1 + 2 * s] = A[path[s]].view(np.uint64)
-            keys[2 + 2 * s] = D[path[s]].view(np.uint64)
-        first, group = _distinct_keys(keys)
+            keys[:, 1 + 2 * s] = A[path[s]].view(np.uint64)
+            keys[:, 2 + 2 * s] = D[path[s]].view(np.uint64)
+        first, group = _group_codes(keys.view(np.dtype((np.void, keys.shape[1] * 8))).ravel())
         seg_states = np.empty((len(first), S, 4))
         for s in range(S):
             seg_states[:, s] = states[s].take(parents[s][path[s][first]], axis=1).T
-        seg_inputs = keys[1:, first].T.view(np.float64).reshape(len(first), S, 2)
+        seg_inputs = keys[first, 1:].view(np.float64).reshape(len(first), S, 2)
         segments.append((seg_states, seg_inputs, j[first]))
         P = P.take(first, axis=1)
         start_ent = group[ent]

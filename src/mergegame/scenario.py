@@ -65,6 +65,11 @@ class VehicleSpec:
         _check_choice(f"{where} role", self.role, ROLES)
         _check_choice(f"{where} lane", self.lane, LANES)
         _check_choice(f"{where} mode", self.mode, tuple(m.value for m in BehaviorMode))
+        # the modified IDM divides by v_des; negated tests reject NaN too
+        if not self.v_des > 0.0:
+            raise ValueError(f"{where} v_des must be > 0, got {self.v_des!r}")
+        if not self.v >= 0.0:
+            raise ValueError(f"{where} v must be >= 0, got {self.v!r}")
 
 
 @dataclass
@@ -94,6 +99,10 @@ class EpisodeSettings:
     speed_jitter: float = 0.5          # uniform +- on initial speeds, per episode seed
     polite_lateral_frac: float = 0.75  # reaction threshold as a fraction of lane width
     selfish_lateral_frac: float = 0.25
+
+    def __post_init__(self):
+        if self.max_cycles < 1:
+            raise ValueError(f"episode max_cycles must be >= 1, got {self.max_cycles}")
 
 
 @dataclass

@@ -6,10 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import DecisionSequence, GapChoice
+from .actions import GapChoice
 from .dynamics import VehicleParams
 
-__all__ = ["LaneGeometry", "GapBounds", "WorldSnapshot", "interaction_partner"]
+__all__ = ["LaneGeometry", "GapBounds", "WorldSnapshot"]
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,11 @@ class LaneGeometry:
         """Intermediate probing line on the boundary between the two lanes."""
         return 0.5 * (self.current_center + self.target_center)
 
-    def nearest_center(self, y: float) -> float:
-        if abs(y - self.current_center) <= abs(y - self.target_center):
-            return self.current_center
-        return self.target_center
+    def nearest_center(self, y):
+        """Lane center of each lateral position y (scalar or array). A tie, at
+        the probe line, goes to the current lane."""
+        return np.where(np.abs(y - self.current_center) <= np.abs(y - self.target_center),
+                        self.current_center, self.target_center)
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ class WorldSnapshot:
         ego through its own reaction gate instead).
         """
         n = self.n_vehicles
-        centers = np.array([self.lanes.nearest_center(y) for y in self.states[:, 1].tolist()])
+        centers = self.lanes.nearest_center(self.states[:, 1])
         x = self.states[:, 0]
         dx = x - x[:, None]  # dx[i, j]: how far j is ahead of i
         ahead = (dx > 0.0) & (centers == centers[:, None])
@@ -117,14 +118,13 @@ class WorldSnapshot:
         """
         e = self.ego_index
         x_ego = float(self.states[e, 0])
-        centers = [self.lanes.nearest_center(y) for y in self.states[:, 1].tolist()]
+        centers = self.lanes.nearest_center(self.states[:, 1])
         target = self.lanes.target_center
 
         lead = (self.leader_indices() if leaders is None else leaders)[e]
         gap0 = GapBounds(self.ids[lead] if lead >= 0 else None, None)
 
-        on_target = [k for k in range(self.n_vehicles)
-                     if k != e and centers[k] == target]
+        on_target = [k for k in (centers == target).nonzero()[0].tolist() if k != e]
         ahead = sorted((k for k in on_target if self.states[k, 0] >= x_ego),
                        key=lambda k: self.states[k, 0])
         behind = sorted((k for k in on_target if self.states[k, 0] < x_ego),
@@ -143,15 +143,3 @@ class WorldSnapshot:
             # already merged: the current-lane gap and the front target gap coincide
             gap0 = GapBounds(gap0.front_id, None)
         return {GapChoice.GAP_0: gap0, GapChoice.GAP_1: gap1, GapChoice.GAP_2: gap2}
-
-
-def interaction_partner(seq: DecisionSequence,
-                        gaps: dict[GapChoice, GapBounds]) -> str | None:
-    """The single surrounding vehicle a decision sequence negotiates with.
-
-    Taken from the last step that targets a lane-change gap: the rear bound of
-    that gap is the vehicle that must open it. Sequences that never leave the
-    current lane have no partner.
-    """
-    gap = seq.partner_gap
-    return None if gap is None else gaps[gap].partner_id

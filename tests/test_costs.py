@@ -35,7 +35,7 @@ from mergegame.forward_sim import PlannerModel, SimConfig, simulate_batch
 from mergegame.game import Player, find_pure_nash, select_action, stackelberg
 from mergegame.planner import _info_gain_extra, plan_cycle
 from mergegame.scenario import default_merge_scenario, packed_lane_scenario
-from mergegame.world import LaneGeometry, WorldSnapshot, interaction_partner
+from mergegame.world import LaneGeometry, WorldSnapshot
 
 W = CostWeights(w_saf1=400.0, w_saf2=4.0, d_lo=1.0, d_hi=3.0,
                 w_eff=1.0, w_com=1.0, w_nav=1.0)
@@ -195,7 +195,8 @@ def build_game(tuples, trajectory_sets, beliefs, weights, world):
                                 y_des=world.lanes.target_center).total
 
     gaps = world.resolve_gaps()
-    partners = tuple(interaction_partner(seq, gaps) for seq in cols)
+    partner_of = {g: bounds.partner_id for g, bounds in gaps.items()} | {None: None}
+    partners = tuple(partner_of[seq.partner_gap] for seq in cols)
     col_beliefs = [beliefs.get(p, Belief.uniform()) if p is not None else Belief.uniform()
                    for p in partners]
     weight = np.array([[1.0 - (b.p_assert, b.p_yield)[row] for b in col_beliefs]

@@ -25,14 +25,12 @@ from mergegame.dynamics import VehicleParams, step_bicycle
 from mergegame.forward_sim import (
     PlannerModel,
     SimConfig,
-    _distinct_keys,
     _group_codes,
     simulate_batch,
 )
 from mergegame.costs import Belief, CostWeights, _pair_band_penalties
 from mergegame.planner import plan_cycle
 from mergegame.scenario import default_merge_scenario, empty_lane_scenario, packed_lane_scenario
-from mergegame.world import interaction_partner
 from mergegame.world import LaneGeometry, WorldSnapshot
 
 G0, G1, G2 = GapChoice.GAP_0, GapChoice.GAP_1, GapChoice.GAP_2
@@ -219,10 +217,17 @@ def planner_rollout(cfg):
     return plan_cycle(cfg.initial_world(), beliefs, cfg, EgoDecision(G0, LK)).rollout
 
 
+def tuple_partners(tuples, gaps):
+    """Each tuple's interaction partner: the rear bound of its sequence's
+    partner gap, None where it has none."""
+    partner_of = {g: bounds.partner_id for g, bounds in gaps.items()} | {None: None}
+    return tuple(partner_of[seq.partner_gap] for _, seq in tuples)
+
+
 def shared_ids(world, tuples):
     gaps = world.resolve_gaps()
     partners = np.array([world.index_of(p) if p is not None else -1
-                         for p in (interaction_partner(seq, gaps) for _, seq in tuples)])
+                         for p in tuple_partners(tuples, gaps)])
     shared = ~_influence_set(world.leader_indices(), world.ego_index, partners)
     return {world.ids[i] for i in np.flatnonzero(shared)}, partners
 
@@ -325,7 +330,7 @@ def reference_simulate_batch(world, tuples, cfg, model):
 
     leader_idx = world.leader_indices(include_ego=True)
     gaps_map = world.resolve_gaps(leader_idx)
-    partner_ids = tuple(interaction_partner(seq, gaps_map) for _, seq in tuples)
+    partner_ids = tuple_partners(tuples, gaps_map)
     partner_idx = np.array([world.index_of(p) if p is not None else -1 for p in partner_ids])
     sv_is_yield = np.array([sv == SvAction.YIELD for sv, _ in tuples])
 
@@ -655,51 +660,38 @@ def test_closed_loop_builds_no_per_tuple_arrays(monkeypatch):
         assert_not_materialized(res.rollout)
 
 
-def key_matrix(prev, *values):
-    """_distinct_keys's input: row 0 holds the ints prev, each further row the
-    bits of one float array."""
-    return np.vstack([np.asarray(prev).astype(np.uint64)]
-                     + [np.asarray(v, dtype=float).view(np.uint64) for v in values])
+def byte_records(*columns):
+    """Keys as simulate_batch groups them at a period's end: record i holds
+    the 8 bytes of element i of each column (ints, or the bits of floats)."""
+    keys = np.column_stack([np.asarray(c).view(np.uint64) for c in columns])
+    return keys.view(np.dtype((np.void, keys.shape[1] * 8))).ravel()
 
 
-def recording_hash(monkeypatch, collide):
-    """Patch forward_sim._key_hash to record the shape of each key matrix it
-    hashes, and with collide=True to hash every key alike."""
-    shapes, real = [], forward_sim._key_hash
-
-    def hashing(keys):
-        shapes.append(keys.shape)
-        return np.zeros(keys.shape[1], dtype=np.uint64) if collide else real(keys)
-
-    monkeypatch.setattr(forward_sim, "_key_hash", hashing)
-    return shapes
-
-
-@pytest.mark.parametrize("hashing", ["hash", "collide"])
-def test_distinct_keys_groups_by_bits(monkeypatch, hashing):
+def test_group_codes_groups_byte_records_by_bits():
     # 0.0 and -0.0 are different keys, and so are NaNs with different payload
-    # bits; groups are numbered by first occurrence
-    shapes = recording_hash(monkeypatch, collide=hashing == "collide")
+    # bits; groups are numbered by the byte order of their records
     nan_a, nan_b = np.array([0x7FF8000000000001, 0x7FF8000000000002], dtype=np.uint64).view(float)
-    prev = [3, 3, 1, 3, 3, 1, 2, 2, 2]
-    values = [[0.0, -0.0, 0.0, 0.0, 1.5, 0.0, nan_a, nan_b, nan_a], [2.0] * 9]
-    first, group = _distinct_keys(key_matrix(prev, *values))
-    assert shapes == [(3, 9)]
-    assert group.tolist() == [0, 1, 2, 0, 3, 2, 4, 5, 4]
-    assert first.tolist() == [0, 1, 2, 4, 6, 7]
+    prev = np.array([3, 3, 1, 3, 3, 1, 2, 2, 2])
+    a = np.array([0.0, -0.0, 0.0, 0.0, 1.5, 0.0, nan_a, nan_b, nan_a])
+    records = byte_records(prev, a, np.full(9, 2.0))
+    first, group = _group_codes(records)
+    raw = [r.tobytes() for r in records]
+    distinct = sorted(set(raw))
+    assert group.tolist() == [distinct.index(r) for r in raw]
+    assert first.tolist() == [raw.index(r) for r in distinct]
+    by_first = dict.fromkeys(group.tolist())
+    assert [list(by_first).index(g) for g in group.tolist()] == [0, 1, 2, 0, 3, 2, 4, 5, 4]
 
 
-def test_table_survives_hash_collisions(monkeypatch):
-    # every key hashing alike forces the exact grouping by bytes at each
-    # period's end: same table
-    cfg = SCENARIOS["merge10"]()
-    world, tuples = cfg.initial_world(), root_tuples(EgoDecision(G0, LK))
-    want = simulate_batch(world, tuples, cfg.sim, cfg.planner_model())
-    shapes = recording_hash(monkeypatch, collide=True)
-    got = simulate_batch(world, tuples, cfg.sim, cfg.planner_model())
-    assert len(shapes) == cfg.sim.horizon
-    for name in ("traj_states", "traj_inputs", "rows", "block_start", "period_rows"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+@given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1) | st.integers(-5, 40), min_size=1,
+                max_size=200))
+def test_group_codes_on_byte_records_partitions_like_ints(codes):
+    # the same ints as 8-byte records rank differently but group alike
+    code = np.array(codes, dtype=np.int64)
+    first, group = _group_codes(code)
+    b_first, b_group = _group_codes(byte_records(code))
+    assert np.array_equal(b_group, b_group[first][group])
+    assert np.array_equal(np.sort(b_first), np.sort(first))
 
 
 @pytest.mark.parametrize("scenario", ["merge10", "packed"])

@@ -160,3 +160,24 @@ def test_shipped_configs_load(name):
     cfg = load_scenario(CONFIGS / f"{name}.yaml")
     assert cfg.sim.steps == cfg.sim.horizon * cfg.sim.substeps == 25
     assert cfg.initial_world().n_vehicles == len(cfg.vehicles)
+
+
+@pytest.mark.parametrize("field, value, rule", [
+    ("v_des", 0.0, "v_des must be > 0"), ("v_des", -3.0, "v_des must be > 0"),
+    ("v_des", float("nan"), "v_des must be > 0"), ("v", -0.5, "v must be >= 0")])
+def test_yaml_rejects_bad_vehicle_speeds(tmp_path, field, value, rule):
+    # sv0 at v = v_des = 0 used to load, and the first planning cycle then
+    # failed on a non-finite cost matrix
+    data = merge_yaml_dict(tmp_path)
+    data["vehicles"][1][field] = value
+    with pytest.raises(ValueError, match=f"vehicle 'sv0' {rule}"):
+        load_dict(tmp_path, data)
+
+
+@pytest.mark.parametrize("max_cycles", [0, -1])
+def test_yaml_rejects_no_episode_cycles(tmp_path, max_cycles):
+    # max_cycles = 0 used to run a zero-cycle episode that timed out at once
+    data = merge_yaml_dict(tmp_path)
+    data["episode"]["max_cycles"] = max_cycles
+    with pytest.raises(ValueError, match="episode max_cycles must be >= 1"):
+        load_dict(tmp_path, data)

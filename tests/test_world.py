@@ -4,7 +4,7 @@ import pytest
 from mergegame.actions import DecisionSequence, EgoDecision, GapChoice, LateralDecision
 from mergegame.dynamics import VehicleParams
 from mergegame.scenario import packed_lane_scenario
-from mergegame.world import GapBounds, LaneGeometry, WorldSnapshot, interaction_partner
+from mergegame.world import GapBounds, LaneGeometry, WorldSnapshot
 
 G0, G1, G2 = GapChoice.GAP_0, GapChoice.GAP_1, GapChoice.GAP_2
 LK, LC = LateralDecision.LANE_KEEP, LateralDecision.LEFT_CHANGE
@@ -128,13 +128,15 @@ def test_leader_indices_match_brute_force(include_ego):
 
 
 def test_interaction_partner_last_gap_rule():
+    # the partner is the rear bound of the gap of the last step that targets a
+    # lane-change gap; a sequence that keeps to the current lane has none
     gaps = make_world(CANONICAL).resolve_gaps()
     seq = DecisionSequence((EgoDecision(G1, LK), EgoDecision(G2, LC), EgoDecision(G2, LC)))
-    assert interaction_partner(seq, gaps) == "sv2"
+    assert seq.partner_gap == G2 and gaps[seq.partner_gap].partner_id == "sv2"
     seq2 = DecisionSequence((EgoDecision(G2, LC), EgoDecision(G1, LC), EgoDecision(G0, LK)))
-    assert interaction_partner(seq2, gaps) == "sv1"
+    assert seq2.partner_gap == G1 and gaps[seq2.partner_gap].partner_id == "sv1"
     seq3 = DecisionSequence((EgoDecision(G0, LK),) * 3)
-    assert interaction_partner(seq3, gaps) is None
+    assert seq3.partner_gap is None
 
 
 def test_probe_line_between_centers():
@@ -142,6 +144,28 @@ def test_probe_line_between_centers():
     assert lanes.probe_line == pytest.approx(1.75)
     assert lanes.nearest_center(1.0) == 0.0
     assert lanes.nearest_center(2.0) == 3.5
+
+
+def scalar_nearest_center(lanes, y):
+    if abs(y - lanes.current_center) <= abs(y - lanes.target_center):
+        return lanes.current_center
+    return lanes.target_center
+
+
+@pytest.mark.parametrize("current, target", [(0.0, 3.5), (3.5, 0.0), (-1.0, 2.0)])
+def test_nearest_center_on_arrays_is_the_scalar_rule(current, target):
+    # a tie, at the probe line, goes to the current lane
+    lanes = LaneGeometry(current_center=current, target_center=target)
+    probe = lanes.probe_line
+    assert abs(probe - current) == abs(probe - target)
+    y = np.concatenate(([probe, np.nextafter(probe, -np.inf), np.nextafter(probe, np.inf),
+                         current, target, -np.inf, np.inf],
+                        np.random.default_rng(0).uniform(-10.0, 10.0, 200)))
+    got = lanes.nearest_center(y)
+    assert got.shape == y.shape
+    assert got.tolist() == [scalar_nearest_center(lanes, yi) for yi in y.tolist()]
+    assert got[0] == current
+    assert lanes.nearest_center(probe) == current
 
 
 def test_world_validation():
