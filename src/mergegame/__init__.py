@@ -7,7 +7,6 @@ from .actions import (
     LateralDecision,
     PruneRules,
     SvAction,
-    build_action_tuples,
     enumerate_ego_sequences,
     lateral_decision_set,
 )

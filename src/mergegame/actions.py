@@ -6,7 +6,6 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Sequence
 
 __all__ = [
     "GapChoice",
@@ -19,7 +18,6 @@ __all__ = [
     "lateral_decision_set",
     "default_forbidden_transitions",
     "enumerate_ego_sequences",
-    "build_action_tuples",
 ]
 
 
@@ -157,16 +155,11 @@ def enumerate_ego_sequences(rules: PruneRules, horizon: int) -> tuple[DecisionSe
     avoids the forbidden transitions and the total number of step-to-step
     changes stays within the budget. Output order is deterministic:
     lexicographic over step index with decisions in (gap, lateral) enum order.
-    Returns () when the root itself is invalid, which signals a configuration
-    error upstream. The result depends only on (rules, horizon), so it is
-    cached per pair; it is a tuple because every caller shares it.
+    The result depends only on (rules, horizon), so it is cached per pair; it
+    is a tuple because every caller shares it.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    try:
-        root = EgoDecision(rules.root.gap, rules.root.lateral)
-    except ValueError:
-        return ()
 
     out: list[DecisionSequence] = []
     prefix: list[EgoDecision] = []
@@ -186,13 +179,6 @@ def enumerate_ego_sequences(rules: PruneRules, horizon: int) -> tuple[DecisionSe
             walk(cand, changes + changed)
             prefix.pop()
 
-    walk(root, 0)
+    walk(rules.root, 0)
     return tuple(out)
 
-
-def build_action_tuples(ego_seqs: Sequence[DecisionSequence],
-                        sv_actions: list[SvAction]) -> list[tuple[SvAction, DecisionSequence]]:
-    """Cartesian product of group actions and ego sequences, row-major over the group action."""
-    if not ego_seqs or not sv_actions:
-        raise ValueError("both action lists must be nonempty")
-    return [(sv, seq) for sv in sv_actions for seq in ego_seqs]

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import yaml
 
-from .actions import EgoDecision, GapChoice, LateralDecision
+from .actions import EgoDecision, GapChoice, LateralDecision, SvAction
 from .closed_loop import (
     aggregate_episodes,
     run_episode,
@@ -52,14 +52,14 @@ def cmd_plan(args) -> int:
 
     print(f"planner={cfg.planner} seed={cfg.seed} "
           f"columns={len(g.cols)} nash_cells={len(res.nash_cells)}")
-    print(f"selected: row={res.row} ({g.rows[res.row].name}) col={res.col} "
+    print(f"selected: row={res.row} ({SvAction(res.row).name}) col={res.col} "
           f"seq={g.cols[res.col]} kind={res.kind} fallback={res.fallback_used}")
     print(f"stackelberg: ev-leader cell={res.se_ev.cell()} sv-leader cell={res.se_sv.cell()}")
     order = np.argsort(g.ev.min(axis=0))[:12]
     nash_set = {eq.cell() for eq in res.nash_cells}
     print("lowest-ego-cost columns (grp = belief-weighted group cost, * = nash cell):")
     for j in order:
-        marks = "".join("*" if (r, int(j)) in nash_set else " " for r in range(len(g.rows)))
+        marks = "".join("*" if (r, int(j)) in nash_set else " " for r in range(len(SvAction)))
         print(f"  [{int(j):4d}] {str(g.cols[j]):32s} "
               f"grp=({g.sv_weighted[0, j]:9.1f},{g.sv_weighted[1, j]:9.1f}) "
               f"ego=({g.ev[0, j]:9.1f},{g.ev[1, j]:9.1f}) {marks}")
@@ -68,7 +68,7 @@ def cmd_plan(args) -> int:
             "planner": cfg.planner,
             "seed": cfg.seed,
             "selection": {
-                "row": res.row, "col": res.col, "action": g.rows[res.row].name,
+                "row": res.row, "col": res.col, "action": SvAction(res.row).name,
                 "sequence": str(g.cols[res.col]), "kind": res.kind,
                 "fallback_used": res.fallback_used,
             },

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .actions import DecisionSequence, SvAction
+from .actions import SvAction
 from .dynamics import rect_distance_arrays
 from .forward_sim import BatchRollout, _group_codes
 from .world import WorldSnapshot
@@ -83,21 +83,20 @@ class Belief:
 
 @dataclass
 class GameMatrix:
-    """Cost pairs (weighted group cost, ego cost) indexed by [group action, ego sequence]."""
+    """Cost pairs (weighted group cost, ego cost) indexed by [SvAction(r), cols[j]]."""
 
-    rows: tuple[SvAction, ...]
     cols: tuple
-    sv_weighted: np.ndarray  # (R, M)
-    ev: np.ndarray           # (R, M)
+    sv_weighted: np.ndarray  # (2, M)
+    ev: np.ndarray           # (2, M)
     sv_raw: np.ndarray | None = None
     col_partners: tuple | None = None
 
     def __post_init__(self):
         self.sv_weighted = np.asarray(self.sv_weighted, dtype=float)
         self.ev = np.asarray(self.ev, dtype=float)
-        shape = (len(self.rows), len(self.cols))
+        shape = (len(SvAction), len(self.cols))
         if self.sv_weighted.shape != shape or self.ev.shape != shape:
-            raise ValueError("matrix shape must match the action lists")
+            raise ValueError("matrix shape must be (group actions, columns)")
         if not (np.isfinite(self.sv_weighted).all() and np.isfinite(self.ev).all()):
             raise ValueError("matrix entries must be finite")
 
@@ -107,9 +106,7 @@ class GameMatrix:
 
     @classmethod
     def from_arrays(cls, sv, ev) -> "GameMatrix":
-        sv, ev = np.asarray(sv, float), np.asarray(ev, float)
-        rows = tuple(SvAction(r) for r in range(sv.shape[0]))
-        return cls(rows, tuple(range(sv.shape[1])), sv, ev)
+        return cls(tuple(range(np.shape(sv)[1])), sv, ev)
 
 
 # --- per-trajectory cost terms ----------------------------------------------
@@ -249,18 +246,16 @@ def column_priors(partners: Sequence[str | None],
 
 def build_game_from_batch(rollout: BatchRollout, world: WorldSnapshot,
                           prior: np.ndarray, weights: CostWeights,
-                          rows: Sequence[SvAction], cols: Sequence[DecisionSequence],
                           ev_extra: np.ndarray | None = None) -> GameMatrix:
     """Assemble the belief-weighted cost matrix from a rollout's trajectory table.
 
-    The rollout holds the row-major cross product of the group actions rows
-    and the ego sequences cols. Entry (i, j) holds ((1 - b(row_i)) * sum of
+    The game's columns are the rollout's sequences, and entry (r, j) scores
+    tuple rollout.tuple_index(r, j). It holds ((1 - b(SvAction(r))) * sum of
     surrounding-vehicle costs, ego cost), where b is the belief in column j's
     interaction partner: prior is column_priors of the rollout's column
-    partners. ev_extra, when given, is added to the ego entries
+    partners. ev_extra (K,), when given, is added to the ego entries
     (information-gain term).
     """
-    rows, cols = tuple(rows), tuple(cols)
     e = world.ego_index
     _, lengths, widths, _, _ = world.params_arrays()
 
@@ -286,13 +281,13 @@ def build_game_from_batch(rollout: BatchRollout, world: WorldSnapshot,
     if ev_extra is not None:
         ev_flat = ev_flat + ev_extra
 
-    shape = (len(rows), len(cols))
+    shape = (len(SvAction), len(rollout.cols))
     sv_raw = sv_agg.reshape(shape)
     ev = ev_flat.reshape(shape)
     # the rollout resolved each tuple's partner; row 0 holds the columns in order
-    partners = rollout.partner_ids[:len(cols)]
-    sv_weighted = (1.0 - prior[[int(r) for r in rows]]) * sv_raw
-    return GameMatrix(rows, cols, sv_weighted, ev, sv_raw=sv_raw, col_partners=partners)
+    partners = rollout.partner_ids[:len(rollout.cols)]
+    sv_weighted = (1.0 - prior) * sv_raw
+    return GameMatrix(rollout.cols, sv_weighted, ev, sv_raw=sv_raw, col_partners=partners)
 
 
 # --- belief update -------------------------------------------------------------

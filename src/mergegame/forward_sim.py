@@ -1,10 +1,11 @@
-"""Multi-vehicle forward simulation of action tuples over the planning horizon.
+"""Multi-vehicle forward simulation of the planning game's action tuples.
 
-All action tuples of one planning cycle are rolled out together on flat numpy
-arrays: the ego follows its decision sequence through the gap reference / PD /
-pure-pursuit stack, surrounding vehicles follow the modified IDM with zero
-heading and steering, and the tuple's group action sets the interaction
-partner's willingness to yield.
+The game's columns are the ego's M decision sequences, and each is rolled out
+under both group actions: K = 2M tuples in the matrix's row-major order, all
+together on flat numpy arrays. The ego follows its decision sequence through
+the gap reference / PD / pure-pursuit stack, surrounding vehicles follow the
+modified IDM with zero heading and steering, and the tuple's group action
+sets the interaction partner's willingness to yield.
 
 The tuples form a search tree over the ego's decisions, and simulate_batch
 walks it one decision period per depth. At depth d a column stands for every
@@ -101,8 +102,10 @@ KEEP_ENGAGE_TIME = 0.8
 
 @dataclass
 class BatchRollout:
-    """Rollouts of many action tuples, as a table of distinct vehicle trajectories.
+    """Rollouts of the game's action tuples, as a table of distinct vehicle trajectories.
 
+    cols holds the M ego sequences; tuple k = tuple_index(row, col), of K = 2M,
+    is (SvAction(row), cols[col]), and partner_ids[k] is its partner.
     traj_states (R, T+1, 4) and traj_inputs (R, T, 2) hold each distinct
     trajectory of a vehicle once, grouped by vehicle: vehicle v owns rows
     block_start[v]:block_start[v + 1]. rows[k, v] is the row that vehicle v
@@ -116,13 +119,13 @@ class BatchRollout:
     them; no planner path reads them.
     """
 
-    tuples: list[tuple[SvAction, DecisionSequence]]
+    cols: tuple[DecisionSequence, ...]
     traj_states: np.ndarray   # (R, T+1, 4)
     traj_inputs: np.ndarray   # (R, T, 2)
     rows: np.ndarray          # (K, V) table row of each tuple's vehicle
     block_start: np.ndarray   # (V+1,) first row of each vehicle's block
     period_rows: np.ndarray   # (R, H) segment of each row in each decision period
-    partner_ids: tuple[str | None, ...]
+    partner_ids: tuple[str | None, ...]   # (K,)
     dt: float
 
     @cached_property
@@ -132,6 +135,10 @@ class BatchRollout:
     @cached_property
     def inputs(self) -> np.ndarray:
         return self.traj_inputs[self.rows]
+
+    def tuple_index(self, row, col):
+        """Index k of the tuple (SvAction(row), cols[col]); elementwise on arrays."""
+        return row * len(self.cols) + col
 
     def vehicle_inputs(self, k, v) -> np.ndarray:
         """(..., T, 2) inputs of vehicle(s) v in tuple(s) k, read from the table."""
@@ -166,14 +173,16 @@ def _group_codes(code):
     return order[starts], group
 
 
-def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
+def simulate_batch(world: WorldSnapshot, seqs, cfg: SimConfig,
                    model: PlannerModel) -> BatchRollout:
-    """Roll out every action tuple from the shared initial world state.
+    """Roll out the M ego sequences seqs (any order, repeats allowed) under
+    both group actions from the shared initial world state: K = 2M tuples,
+    tuple k being (SvAction(k // M), seqs[k % M]).
 
     Deterministic: no randomness enters the rollouts, and identical inputs
     produce identical arrays. Collisions never abort a rollout: the safety
     cost of build_game_from_batch penalizes them. Returns the trajectory
-    table of the tuples, indexed in their order.
+    table of the tuples, with seqs as its cols.
 
     The rollouts are stepped as a tree, one decision period per depth. During
     period d there is one column per distinct key (group action, interaction
@@ -225,22 +234,24 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
     a and delta). _group_codes sorts the rows as byte records, so keys are
     grouped by their bytes, and the period's rows are numbered by key rank.
     """
-    tuples = list(tuples)
-    if not tuples:
-        raise ValueError("need at least one action tuple")
-    K, V, T, S, H = len(tuples), world.n_vehicles, cfg.steps, cfg.substeps, cfg.horizon
+    seqs = tuple(seqs)
+    if not seqs:
+        raise ValueError("need at least one decision sequence")
+    M, V, T, S, H = len(seqs), world.n_vehicles, cfg.steps, cfg.substeps, cfg.horizon
+    K = len(SvAction) * M
     if K * V >= _MAX_STATES:
         raise ValueError(f"{K} tuples of {V} vehicles exceed {_MAX_STATES} vehicle states")
     e = world.ego_index
 
-    # decision codes (K, H) and partner gaps, cached on each sequence
-    sv_actions, seqs = zip(*tuples)
+    # tuple k is (SvAction(k // M), seqs[k % M]); decision codes (M, H) and
+    # partner gaps, cached on each sequence, are read once per sequence
+    sv_code, seq_index = np.divmod(np.arange(K), M)
+    sv_is_yield = sv_code == SvAction.YIELD
     codes = [seq.codes for seq in seqs]
     if set(map(len, codes)) != {H}:
         raise ValueError("decision sequence length must equal the decision horizon")
-    dec = np.fromiter(chain.from_iterable(codes), dtype=np.intp, count=K * H).reshape(K, H)
-    sv_code = np.fromiter(sv_actions, dtype=np.intp, count=K)
-    sv_is_yield = sv_code == SvAction.YIELD
+    dec = np.fromiter(chain.from_iterable(codes), dtype=np.intp,
+                      count=M * H).reshape(M, H)[seq_index]
 
     # gap bounds and leader chain resolved once per cycle; each tuple's
     # partner is its sequence's partner gap mapped to that gap's rear bound
@@ -253,9 +264,9 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
     partner_of = {g: gaps_map[g].partner_id for g in GapChoice}
     partner_of[None] = None
     partner_gap = [seq.partner_gap for seq in seqs]
-    partner_ids = tuple(map(partner_of.__getitem__, partner_gap))
+    partner_ids = tuple(map(partner_of.__getitem__, partner_gap)) * len(SvAction)
     partner_idx = np.fromiter(map({g: vehicle(p) for g, p in partner_of.items()}.__getitem__,
-                                  partner_gap), dtype=np.intp, count=K)
+                                  partner_gap), dtype=np.intp, count=M)[seq_index]
     front_by_gap = np.array([vehicle(gaps_map[g].front_id) for g in GapChoice])
     rear_by_gap = np.array([vehicle(gaps_map[g].rear_id) for g in GapChoice])
     lead_cur = lead[e]
@@ -459,5 +470,5 @@ def simulate_batch(world: WorldSnapshot, tuples, cfg: SimConfig,
         row = prev_row[row]
 
     rows = at[start_ent[:, inv]].T
-    return BatchRollout(tuples, traj_states, traj_inputs, rows, block_start, period_rows,
+    return BatchRollout(seqs, traj_states, traj_inputs, rows, block_start, period_rows,
                         partner_ids, cfg.dt)

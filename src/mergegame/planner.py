@@ -12,7 +12,6 @@ from .actions import (
     EgoDecision,
     PruneRules,
     SvAction,
-    build_action_tuples,
     default_forbidden_transitions,
     enumerate_ego_sequences,
 )
@@ -47,10 +46,6 @@ class CycleResult:
     se_sv: Equilibrium
 
     @property
-    def tuple_index(self) -> int:
-        return self.row * len(self.game.cols) + self.col
-
-    @property
     def chosen_sequence(self) -> DecisionSequence:
         return self.game.cols[self.col]
 
@@ -60,7 +55,8 @@ class CycleResult:
 
     def ego_inputs(self, world: WorldSnapshot, n_steps: int | None = None) -> np.ndarray:
         """Planned ego (a, delta) trace of the selected rollout, first n_steps rows."""
-        trace = self.rollout.vehicle_inputs(self.tuple_index, world.ego_index)
+        trace = self.rollout.vehicle_inputs(self.rollout.tuple_index(self.row, self.col),
+                                            world.ego_index)
         return trace if n_steps is None else trace[:n_steps]
 
     def partner_accel_predictions(self, world: WorldSnapshot,
@@ -70,9 +66,9 @@ class CycleResult:
         if pid is None:
             return None
         p = world.index_of(pid)
-        m = len(self.game.cols)
-        return (self.rollout.vehicle_inputs(self.col, p)[:n_steps, 0].copy(),
-                self.rollout.vehicle_inputs(m + self.col, p)[:n_steps, 0].copy())
+        k_assert, k_yield = (self.rollout.tuple_index(row, self.col) for row in SvAction)
+        return (self.rollout.vehicle_inputs(k_assert, p)[:n_steps, 0].copy(),
+                self.rollout.vehicle_inputs(k_yield, p)[:n_steps, 0].copy())
 
 
 def _prune_rules(cfg: ScenarioConfig, root: EgoDecision) -> PruneRules:
@@ -90,17 +86,18 @@ def _info_gain_extra(rollout: BatchRollout, world: WorldSnapshot, prior: np.ndar
     the addend is w_info times the change in entropy. prior is column_priors
     of the rollout's column partners.
     """
-    m = len(rollout.tuples) // 2
+    m = len(rollout.cols)
     partners = rollout.partner_ids[:m]
     cols = np.array([j for j, pid in enumerate(partners) if pid is not None], dtype=int)
     p = np.array([world.index_of(partners[j]) for j in cols], dtype=int)
-    pred_assert = rollout.vehicle_inputs(cols, p)[..., 0]             # (n, T)
-    pred_yield = rollout.vehicle_inputs(m + cols, p)[..., 0]
+    k_assert, k_yield = (rollout.tuple_index(row, cols) for row in SvAction)
+    pred_assert = rollout.vehicle_inputs(k_assert, p)[..., 0]         # (n, T)
+    pred_yield = rollout.vehicle_inputs(k_yield, p)[..., 0]
     observed = np.stack([pred_assert, pred_yield])                    # (2, n, T)
     pa, py = prior[0, cols], prior[1, cols]
     post_a, post_y = update_belief(pa, py, observed, pred_assert, pred_yield,
                                    cfg.beliefs.sigma_accel)
-    extra = np.zeros((2, m))
+    extra = np.zeros((len(SvAction), m))
     extra[:, cols] = cfg.weights.w_info * (belief_entropy(post_a, post_y)
                                            - belief_entropy(pa, py))
     return extra.ravel()
@@ -117,18 +114,13 @@ def plan_cycle(world: WorldSnapshot, beliefs: Mapping[str, Belief],
     """
     kind_cfg = planner if planner is not None else cfg.planner
     seqs = enumerate_ego_sequences(_prune_rules(cfg, root), cfg.sim.horizon)
-    if not seqs:
-        raise ValueError(f"no decision sequences reachable from root {root}")
-    rows = (SvAction.ASSERT, SvAction.YIELD)
-    tuples = build_action_tuples(seqs, rows)
-    rollout = simulate_batch(world, tuples, cfg.sim, cfg.planner_model())
+    rollout = simulate_batch(world, seqs, cfg.sim, cfg.planner_model())
     prior = column_priors(rollout.partner_ids[:len(seqs)], beliefs)
 
     extra = None
     if cfg.weights.w_info != 0.0:
         extra = _info_gain_extra(rollout, world, prior, cfg)
-    game = build_game_from_batch(rollout, world, prior, cfg.weights, rows, seqs,
-                                 ev_extra=extra)
+    game = build_game_from_batch(rollout, world, prior, cfg.weights, ev_extra=extra)
 
     nash_cells = find_pure_nash(game)
     se_ev = stackelberg(game, Player.EV)

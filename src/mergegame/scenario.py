@@ -47,6 +47,14 @@ def _check_choice(name: str, value, allowed: tuple) -> None:
         raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
 
 
+def _check_at_least(section: str, obj, minimum, *names: str) -> None:
+    """Reject any field in names below minimum; the negated test rejects NaN too."""
+    for name in names:
+        value = getattr(obj, name)
+        if not value >= minimum:
+            raise ValueError(f"{section} {name} must be >= {minimum}, got {value!r}")
+
+
 @dataclass
 class VehicleSpec:
     vehicle_id: str
@@ -68,8 +76,7 @@ class VehicleSpec:
         # the modified IDM divides by v_des; negated tests reject NaN too
         if not self.v_des > 0.0:
             raise ValueError(f"{where} v_des must be > 0, got {self.v_des!r}")
-        if not self.v >= 0.0:
-            raise ValueError(f"{where} v must be >= 0, got {self.v!r}")
+        _check_at_least(where, self, 0, "v")
 
 
 @dataclass
@@ -90,6 +97,9 @@ class PruneSettings:
     max_decision_changes: int = 2
     use_default_forbidden: bool = True
 
+    def __post_init__(self):
+        _check_at_least("prune", self, 0, "max_decision_changes")
+
 
 @dataclass
 class EpisodeSettings:
@@ -101,8 +111,9 @@ class EpisodeSettings:
     selfish_lateral_frac: float = 0.25
 
     def __post_init__(self):
-        if self.max_cycles < 1:
-            raise ValueError(f"episode max_cycles must be >= 1, got {self.max_cycles}")
+        _check_at_least("episode", self, 1, "max_cycles")
+        _check_at_least("episode", self, 0, "success_lateral_tol", "success_heading_tol",
+                        "speed_jitter", "polite_lateral_frac", "selfish_lateral_frac")
 
 
 @dataclass
@@ -114,8 +125,8 @@ class MonteCarloSettings:
 
     def __post_init__(self):
         _check_choice("montecarlo mode", self.mode, MONTE_CARLO_MODES)
-        if self.n < 1:
-            raise ValueError(f"montecarlo n must be >= 1, got {self.n}")
+        _check_at_least("montecarlo", self, 1, "n")
+        _check_at_least("montecarlo", self, 0, "position_jitter", "speed_jitter")
 
 
 @dataclass

@@ -9,8 +9,6 @@ from mergegame.actions import (
     GapChoice,
     LateralDecision,
     PruneRules,
-    SvAction,
-    build_action_tuples,
     default_forbidden_transitions,
     enumerate_ego_sequences,
     lateral_decision_set,
@@ -117,21 +115,3 @@ def test_count_monotone_in_change_budget():
         for m in range(h + 1)]
     assert all(a <= b for a, b in zip(counts, counts[1:]))
 
-
-def test_action_tuple_cross_product():
-    rules = PruneRules(root=EgoDecision(G1, LK), max_decision_changes=1,
-                       forbidden_transitions=frozenset())
-    seqs = enumerate_ego_sequences(rules, 1)
-    assert len(seqs) == 7
-    tuples = build_action_tuples(seqs, [SvAction.ASSERT, SvAction.YIELD])
-    assert len(tuples) == 14
-    assert tuples[0] == (SvAction.ASSERT, seqs[0])
-    assert tuples[1] == (SvAction.ASSERT, seqs[1])
-    assert tuples[7] == (SvAction.YIELD, seqs[0])
-
-
-def test_action_tuples_two_by_one():
-    seq = DecisionSequence((EgoDecision(G0, LK),))
-    assert len(build_action_tuples([seq], [SvAction.ASSERT, SvAction.YIELD])) == 2
-    with pytest.raises(ValueError):
-        build_action_tuples([], [SvAction.ASSERT])

@@ -257,7 +257,7 @@ def unobstructed_change_time(cfg):
     world = cfg.initial_world()
     sim = SimConfig(dt=0.2, horizon=12, decision_period=1.0)
     seq = DecisionSequence((EgoDecision(GapChoice.GAP_1, LateralDecision.LEFT_CHANGE),) * 12)
-    states = simulate_batch(world, [(SvAction.ASSERT, seq)], sim, cfg.planner_model()).states[0]
+    states = simulate_batch(world, [seq], sim, cfg.planner_model()).states[SvAction.ASSERT]
     e = world.ego_index
     ok = (np.abs(states[e, :, 1] - cfg.lanes.target_center) <= cfg.episode.success_lateral_tol) \
         & (np.abs(states[e, :, 2]) <= cfg.episode.success_heading_tol)

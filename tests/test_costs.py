@@ -15,7 +15,6 @@ from mergegame.actions import (
     LateralDecision,
     PruneRules,
     SvAction,
-    build_action_tuples,
     enumerate_ego_sequences,
 )
 from mergegame import costs
@@ -67,8 +66,10 @@ class TrajectorySet:
 
 
 def simulate_one(world, action, sim, model) -> TrajectorySet:
-    batch = simulate_batch(world, [action], sim, model)
-    return TrajectorySet(world.ids, batch.states[0], batch.inputs[0], action, batch.dt)
+    """The batch of the tuple's sequence alone holds it at k = group action."""
+    sv, seq = action
+    batch = simulate_batch(world, [seq], sim, model)
+    return TrajectorySet(world.ids, batch.states[sv], batch.inputs[sv], action, batch.dt)
 
 
 def make_traj(xa, xb, dt=0.2):
@@ -201,7 +202,7 @@ def build_game(tuples, trajectory_sets, beliefs, weights, world):
                    for p in partners]
     weight = np.array([[1.0 - (b.p_assert, b.p_yield)[row] for b in col_beliefs]
                        for row in rows])
-    return GameMatrix(rows, cols, weight * sv_raw, ev, sv_raw=sv_raw, col_partners=partners)
+    return GameMatrix(cols, weight * sv_raw, ev, sv_raw=sv_raw, col_partners=partners)
 
 
 def test_safety_cost_counting_oracle():
@@ -474,13 +475,14 @@ SEQS = (
 
 def priors_of(rollout, beliefs):
     """column_priors of a rollout's column partners (row 0 holds the columns in order)."""
-    return column_priors(rollout.partner_ids[:len(rollout.tuples) // 2], beliefs)
+    return column_priors(rollout.partner_ids[:len(rollout.cols)], beliefs)
 
 
 def planning_setup():
+    """The default merge at 5 m/s and the game's tuples, row-major."""
     cfg = default_merge_scenario(5.0)
     world = cfg.initial_world()
-    return cfg, world, build_action_tuples(list(SEQS), list(ROWS))
+    return cfg, world, [(sv, seq) for sv in ROWS for seq in SEQS]
 
 
 def test_build_game_matches_batch_path():
@@ -489,20 +491,20 @@ def test_build_game_matches_batch_path():
     beliefs = {"sv2": Belief(0.7, 0.3), "sv1": Belief(0.4, 0.6)}
     sets = [simulate_one(world, t, sim, model) for t in tuples]
     g1 = build_game(tuples, sets, beliefs, cfg.weights, world)
-    rollout = simulate_batch(world, tuples, sim, model)
-    g2 = build_game_from_batch(rollout, world, priors_of(rollout, beliefs), cfg.weights,
-                               ROWS, SEQS)
+    rollout = simulate_batch(world, SEQS, sim, model)
+    g2 = build_game_from_batch(rollout, world, priors_of(rollout, beliefs), cfg.weights)
+    assert g2.cols is SEQS
     assert np.allclose(g1.sv_weighted, g2.sv_weighted, atol=1e-9)
     assert np.allclose(g1.ev, g2.ev, atol=1e-9)
     assert g1.col_partners == g2.col_partners
 
 
 def test_belief_weighting_rule():
-    cfg, world, tuples = planning_setup()
-    rollout = simulate_batch(world, tuples, SimConfig(), PlannerModel())
+    cfg, world, _ = planning_setup()
+    rollout = simulate_batch(world, SEQS, SimConfig(), PlannerModel())
     b = Belief(0.7, 0.3)
     prior = priors_of(rollout, {"sv1": b, "sv2": b, "sv3": b})
-    g = build_game_from_batch(rollout, world, prior, cfg.weights, ROWS, SEQS)
+    g = build_game_from_batch(rollout, world, prior, cfg.weights)
     for j, partner in enumerate(g.col_partners):
         weight = (1.0 - b.p_assert, 1.0 - b.p_yield) if partner is not None else (0.5, 0.5)
         assert g.sv_weighted[0, j] == pytest.approx(weight[0] * g.sv_raw[0, j])
@@ -510,22 +512,20 @@ def test_belief_weighting_rule():
 
 
 def test_uniform_belief_halves_rows():
-    cfg, world, tuples = planning_setup()
-    rollout = simulate_batch(world, tuples, SimConfig(), PlannerModel())
+    cfg, world, _ = planning_setup()
+    rollout = simulate_batch(world, SEQS, SimConfig(), PlannerModel())
     beliefs = {vid: Belief.uniform() for vid in cfg.sv_ids}
-    g = build_game_from_batch(rollout, world, priors_of(rollout, beliefs), cfg.weights,
-                              ROWS, SEQS)
+    g = build_game_from_batch(rollout, world, priors_of(rollout, beliefs), cfg.weights)
     assert np.allclose(g.sv_weighted, 0.5 * g.sv_raw)
     # the ego's best-response map is unchanged by the row scaling
     assert np.array_equal(np.argmin(g.ev, axis=1), np.argmin(g.ev, axis=1))
 
 
 def test_degenerate_belief_zeroes_assert_row():
-    cfg, world, tuples = planning_setup()
-    rollout = simulate_batch(world, tuples, SimConfig(), PlannerModel())
+    cfg, world, _ = planning_setup()
+    rollout = simulate_batch(world, SEQS, SimConfig(), PlannerModel())
     beliefs = {vid: Belief(1.0, 0.0) for vid in cfg.sv_ids}
-    g = build_game_from_batch(rollout, world, priors_of(rollout, beliefs), cfg.weights,
-                              ROWS, SEQS)
+    g = build_game_from_batch(rollout, world, priors_of(rollout, beliefs), cfg.weights)
     partnered = [j for j, p in enumerate(g.col_partners) if p is not None]
     assert np.allclose(g.sv_weighted[0, partnered], 0.0)
     assert np.allclose(g.sv_weighted[1, partnered], g.sv_raw[1, partnered])
@@ -542,8 +542,16 @@ def test_build_game_rejects_mismatched_sets():
 
 
 def test_matrix_requires_finite_entries():
-    with pytest.raises(ValueError):
-        GameMatrix.from_arrays(np.array([[np.inf, 1.0]]), np.array([[0.0, 1.0]]))
+    finite = np.array([[0.0, 1.0], [2.0, 3.0]])
+    assert GameMatrix.from_arrays(finite, finite).shape == (2, 2)
+    for bad in (np.inf, -np.inf, np.nan):
+        for k in range(finite.size):
+            entries = finite.copy()
+            entries.flat[k] = bad
+            with pytest.raises(ValueError, match="finite"):
+                GameMatrix.from_arrays(entries, finite)
+            with pytest.raises(ValueError, match="finite"):
+                GameMatrix.from_arrays(finite, entries)
 
 
 # --- belief update ----------------------------------------------------------------
@@ -678,8 +686,8 @@ def reference_info_gain_extra(rollout, world, beliefs, cfg):
     """The information-gain addend tuple by tuple: one scalar Bayes update of
     the partner's belief per tuple, from its own partner trace against the
     traces its column predicts under each group action."""
-    k_total = len(rollout.tuples)
-    m = k_total // 2
+    m = len(rollout.cols)
+    k_total = 2 * m
     extra = np.zeros(k_total)
     for k in range(k_total):
         pid = rollout.partner_ids[k]
@@ -718,7 +726,7 @@ def test_info_gain_matches_per_tuple_reference(case, p):
     extra = reference_info_gain_extra(res.rollout, world, beliefs, cfg)
     assert np.count_nonzero(extra) > 0
     ref = build_game_from_batch(res.rollout, world, priors_of(res.rollout, beliefs),
-                                cfg.weights, res.game.rows, res.game.cols, ev_extra=extra)
+                                cfg.weights, ev_extra=extra)
     np.testing.assert_allclose(res.game.ev, ref.ev, rtol=1e-12, atol=0.0)
     assert np.array_equal(res.game.sv_weighted, ref.sv_weighted)
     # the planner's choices are the reference game's
@@ -736,12 +744,11 @@ def test_info_gain_is_zero_without_partner():
     # the current-lane gap allows lane keeping only, and has no partner
     seqs = [s for s in enumerate_ego_sequences(PruneRules(root=INFO_ROOT), cfg.sim.horizon)
             if all(d.gap == GapChoice.GAP_0 for d in s)]
-    rollout = simulate_batch(world, build_action_tuples(seqs, ROWS), cfg.sim,
-                             cfg.planner_model())
+    rollout = simulate_batch(world, seqs, cfg.sim, cfg.planner_model())
     assert seqs and all(pid is None for pid in rollout.partner_ids)
     beliefs = {vid: Belief(0.8, 0.2) for vid in cfg.sv_ids}
     extra = _info_gain_extra(rollout, world, priors_of(rollout, beliefs), cfg)
-    assert np.array_equal(extra, np.zeros(len(rollout.tuples)))
+    assert np.array_equal(extra, np.zeros(2 * len(seqs)))
 
 
 def test_prop1_weighted_row_inequality():

@@ -14,7 +14,6 @@ from mergegame.actions import (
     LateralDecision,
     PruneRules,
     SvAction,
-    build_action_tuples,
     enumerate_ego_sequences,
 )
 from mergegame import closed_loop, forward_sim
@@ -45,8 +44,12 @@ def const_seq(gap, lat, h=5):
 
 
 def simulate_one(world, action, cfg=CFG, model=MODEL):
-    """A batch of one tuple; its rows [0] are that tuple's rollout."""
-    return simulate_batch(world, [action], cfg, model)
+    """The rollout of one (group action, sequence) tuple, as (1, V, ...)
+    arrays: the batch of its sequence alone holds it at k = group action."""
+    sv, seq = action
+    batch = simulate_batch(world, [seq], cfg, model)
+    k = slice(int(sv), int(sv) + 1)
+    return FlatRollout(batch.states[k], batch.inputs[k], batch.partner_ids[k])
 
 
 def test_sim_config_validation():
@@ -92,21 +95,19 @@ def test_equilibrium_rollout_is_steady():
 
 def test_rollouts_deterministic():
     world = default_merge_scenario(5.0).initial_world()
-    tuples = build_action_tuples([const_seq(G2, LC), const_seq(G0, LK)],
-                                 [SvAction.ASSERT, SvAction.YIELD])
-    a = simulate_batch(world, tuples, CFG, MODEL)
-    b = simulate_batch(world, tuples, CFG, MODEL)
+    seqs = [const_seq(G2, LC), const_seq(G0, LK)]
+    a = simulate_batch(world, seqs, CFG, MODEL)
+    b = simulate_batch(world, seqs, CFG, MODEL)
     assert a.states.tobytes() == b.states.tobytes()
     assert a.inputs.tobytes() == b.inputs.tobytes()
 
 
 def test_batch_matches_single_tuple_sim():
     world = default_merge_scenario(5.0).initial_world()
-    tuples = build_action_tuples(
-        [const_seq(G2, LC), const_seq(G1, LP), const_seq(G0, LK)],
-        [SvAction.ASSERT, SvAction.YIELD])
-    batch = simulate_batch(world, tuples, CFG, MODEL)
-    for k, action in enumerate(tuples):
+    seqs = [const_seq(G2, LC), const_seq(G1, LP), const_seq(G0, LK)]
+    batch = simulate_batch(world, seqs, CFG, MODEL)
+    assert batch.cols == tuple(seqs)
+    for k, action in enumerate((sv, seq) for sv in SvAction for seq in seqs):
         single = simulate_one(world, action)
         assert np.array_equal(single.states[0], batch.states[k])
         assert np.array_equal(single.inputs[0], batch.inputs[k])
@@ -143,32 +144,28 @@ def test_yield_opens_larger_gap_than_assert():
     gaps = world.resolve_gaps()
     partner = gaps[G2].rear_id
     front = gaps[G2].front_id
-    out = {}
-    for sv in (SvAction.ASSERT, SvAction.YIELD):
-        states = simulate_one(world, (sv, seq)).states[0]
-        out[sv] = states[world.index_of(front), -1, 0] - states[world.index_of(partner), -1, 0]
-    assert out[SvAction.YIELD] > out[SvAction.ASSERT]
+    states = simulate_batch(world, [seq], CFG, MODEL).states
+    gap = states[:, world.index_of(front), -1, 0] - states[:, world.index_of(partner), -1, 0]
+    assert gap[SvAction.YIELD] > gap[SvAction.ASSERT]
 
 
 def test_sv_action_only_touches_partner_directly():
     world = default_merge_scenario(5.0).initial_world()
-    seq = const_seq(G2, LC)
-    a = simulate_one(world, (SvAction.ASSERT, seq))
-    y = simulate_one(world, (SvAction.YIELD, seq))
-    assert a.partner_ids == y.partner_ids == (world.resolve_gaps()[G2].rear_id,)
+    batch = simulate_batch(world, [const_seq(G2, LC)], CFG, MODEL)
+    assert batch.partner_ids == (world.resolve_gaps()[G2].rear_id,) * 2
     # vehicles upstream of the partner never feel the action switch
     for vid in ("sv0", "sv1"):
         i = world.index_of(vid)
-        assert np.array_equal(a.inputs[0, i], y.inputs[0, i])
+        assert np.array_equal(batch.inputs[SvAction.ASSERT, i], batch.inputs[SvAction.YIELD, i])
 
 
 def test_partner_resolution_per_tuple():
     world = default_merge_scenario(5.0).initial_world()
     gaps = world.resolve_gaps()
-    tuples = build_action_tuples([const_seq(G0, LK), const_seq(G1, LC), const_seq(G2, LC)],
-                                 [SvAction.ASSERT])
-    batch = simulate_batch(world, tuples, CFG, MODEL)
-    assert batch.partner_ids == (None, gaps[G1].rear_id, gaps[G2].rear_id)
+    seqs = [const_seq(G0, LK), const_seq(G1, LC), const_seq(G2, LC)]
+    batch = simulate_batch(world, seqs, CFG, MODEL)
+    # both group actions of each sequence share its partner
+    assert batch.partner_ids == (None, gaps[G1].rear_id, gaps[G2].rear_id) * 2
 
 
 def ego_safety_cost(world, rollout):
@@ -185,12 +182,12 @@ def test_collision_scored_by_safety_cost():
                           states=np.array([[0.0, 0.0, 0.0, 8.0], [2.0, 0.0, 0.0, 2.0]]),
                           params=(VehicleParams(), VehicleParams()),
                           v_des=np.array([10.0, 2.0]), lanes=LaneGeometry(), ego_index=0)
-    ts = simulate_one(world, (SvAction.ASSERT, const_seq(G0, LK)))
-    assert ts.states.shape == (1, 2, CFG.steps + 1, 4)
-    assert ego_safety_cost(world, ts)[0] >= CostWeights().w_saf1
+    ts = simulate_batch(world, [const_seq(G0, LK)], CFG, MODEL)
+    assert ts.states.shape == (2, 2, CFG.steps + 1, 4)
+    assert (ego_safety_cost(world, ts) >= CostWeights().w_saf1).all()
     clear = equilibrium_world()
-    ts2 = simulate_one(clear, (SvAction.ASSERT, const_seq(G0, LK)))
-    assert ego_safety_cost(clear, ts2)[0] == 0.0
+    ts2 = simulate_batch(clear, [const_seq(G0, LK)], CFG, MODEL)
+    assert (ego_safety_cost(clear, ts2) == 0.0).all()
 
 
 def test_wrong_horizon_rejected():
@@ -198,15 +195,16 @@ def test_wrong_horizon_rejected():
     with pytest.raises(ValueError):
         simulate_one(world, (SvAction.ASSERT, const_seq(G0, LK, h=3)))
     with pytest.raises(ValueError):
-        simulate_batch(world, [(SvAction.ASSERT, const_seq(G0, LK)),
-                               (SvAction.ASSERT, const_seq(G0, LK, h=4))], CFG, MODEL)
+        simulate_batch(world, [const_seq(G0, LK), const_seq(G0, LK, h=4)], CFG, MODEL)
+    with pytest.raises(ValueError, match="at least one"):
+        simulate_batch(world, [], CFG, MODEL)
 
 
 def test_too_many_vehicle_states_rejected():
-    # K * V bounds the states of one substep, and with them the packed keys
-    tuples = [(SvAction.ASSERT, const_seq(G0, LK))] * (2 ** 18)
+    # K * V bounds the states of one substep, and with them the packed keys:
+    # 2 ** 17 sequences are K = 2 ** 18 tuples of 4 vehicles
     with pytest.raises(ValueError, match="vehicle states"):
-        simulate_batch(equilibrium_world(), tuples, CFG, MODEL)
+        simulate_batch(equilibrium_world(), [const_seq(G0, LK)] * 2 ** 17, CFG, MODEL)
 
 
 # --- vehicles shared by every rollout -----------------------------------------------
@@ -217,17 +215,17 @@ def planner_rollout(cfg):
     return plan_cycle(cfg.initial_world(), beliefs, cfg, EgoDecision(G0, LK)).rollout
 
 
-def tuple_partners(tuples, gaps):
-    """Each tuple's interaction partner: the rear bound of its sequence's
-    partner gap, None where it has none."""
+def seq_partners(seqs, gaps):
+    """Each sequence's interaction partner: the rear bound of its partner
+    gap, None where it has none."""
     partner_of = {g: bounds.partner_id for g, bounds in gaps.items()} | {None: None}
-    return tuple(partner_of[seq.partner_gap] for _, seq in tuples)
+    return tuple(partner_of[seq.partner_gap] for seq in seqs)
 
 
-def shared_ids(world, tuples):
+def shared_ids(world, seqs):
     gaps = world.resolve_gaps()
     partners = np.array([world.index_of(p) if p is not None else -1
-                         for p in tuple_partners(tuples, gaps)])
+                         for p in seq_partners(seqs, gaps)])
     shared = ~_influence_set(world.leader_indices(), world.ego_index, partners)
     return {world.ids[i] for i in np.flatnonzero(shared)}, partners
 
@@ -235,7 +233,7 @@ def shared_ids(world, tuples):
 def test_packed_shared_set_is_the_stream_ahead_of_the_gap():
     cfg = packed_lane_scenario(6.0)
     world = cfg.initial_world()
-    shared, partners = shared_ids(world, planner_rollout(cfg).tuples)
+    shared, partners = shared_ids(world, planner_rollout(cfg).cols)
     gap1_partner = world.resolve_gaps()[G1].partner_id
     x = world.states[:, 0]
     ahead = {vid for i, vid in enumerate(world.ids)
@@ -247,7 +245,7 @@ def test_packed_shared_set_is_the_stream_ahead_of_the_gap():
 
 def test_default_merge_shared_set_is_the_truck():
     cfg = default_merge_scenario(5.0)
-    shared, _ = shared_ids(cfg.initial_world(), planner_rollout(cfg).tuples)
+    shared, _ = shared_ids(cfg.initial_world(), planner_rollout(cfg).cols)
     assert shared == {"sv0"}
 
 
@@ -258,11 +256,30 @@ def test_packed_batch_rows_match_single_tuple_sim():
     samples = [(SvAction.ASSERT, const_seq(G0, LK)), (SvAction.ASSERT, const_seq(G1, LP))]
     samples += [(sv, const_seq(gap, LC)) for gap in (G1, G2)
                 for sv in (SvAction.ASSERT, SvAction.YIELD)]
-    for action in samples:
-        k = batch.tuples.index(action)
-        single = simulate_one(world, action, cfg.sim, cfg.planner_model())
+    for sv, seq in samples:
+        k = batch.tuple_index(sv, batch.cols.index(seq))
+        single = simulate_one(world, (sv, seq), cfg.sim, cfg.planner_model())
         assert np.array_equal(single.states[0], batch.states[k])
         assert np.array_equal(single.inputs[0], batch.inputs[k])
+
+
+@pytest.mark.parametrize("scenario", ["merge10", "packed"])
+def test_planner_rollout_layout_is_group_action_major(scenario):
+    # tuple k of the planner's rollout is (SvAction(k // M), cols[k % M]), and
+    # the game's columns are the rollout's sequences
+    cfg = SCENARIOS[scenario]()
+    world = cfg.initial_world()
+    res = plan_cycle(world, cfg.initial_beliefs(), cfg, EgoDecision(G0, LK))
+    rollout = res.rollout
+    M = len(rollout.cols)
+    k = np.arange(2 * M)
+    assert np.array_equal(rollout.tuple_index(k // M, k % M), k)
+    tuples = [(SvAction(j // M), rollout.cols[j % M]) for j in k]
+    want = reference_simulate_batch(world, tuples, cfg.sim, cfg.planner_model())
+    assert np.array_equal(rollout.states, want.states)
+    assert np.array_equal(rollout.inputs, want.inputs)
+    assert rollout.partner_ids == want.partner_ids
+    assert res.game.cols is rollout.cols
 
 
 # --- the tree rollout against the flat reference loop ---------------------------------
@@ -330,7 +347,7 @@ def reference_simulate_batch(world, tuples, cfg, model):
 
     leader_idx = world.leader_indices(include_ego=True)
     gaps_map = world.resolve_gaps(leader_idx)
-    partner_ids = tuple_partners(tuples, gaps_map)
+    partner_ids = seq_partners([seq for _, seq in tuples], gaps_map)
     partner_idx = np.array([world.index_of(p) if p is not None else -1 for p in partner_ids])
     sv_is_yield = np.array([sv == SvAction.YIELD for sv, _ in tuples])
 
@@ -451,17 +468,18 @@ def reference_simulate_batch(world, tuples, cfg, model):
     return FlatRollout(states, inputs, partner_ids)
 
 
-def assert_matches_reference(world, tuples, cfg, model):
-    got = simulate_batch(world, tuples, cfg, model)
-    want = reference_simulate_batch(world, tuples, cfg, model)
+def assert_matches_reference(world, seqs, cfg, model):
+    """simulate_batch of seqs against the reference loop over the explicit
+    product of the group actions and seqs."""
+    got = simulate_batch(world, seqs, cfg, model)
+    want = reference_simulate_batch(world, [(a, s) for a in SvAction for s in seqs], cfg, model)
     assert np.array_equal(got.states, want.states)
     assert np.array_equal(got.inputs, want.inputs)
     assert got.partner_ids == want.partner_ids
 
 
-def root_tuples(root, horizon=5):
-    seqs = enumerate_ego_sequences(PruneRules(root=root), horizon)
-    return build_action_tuples(seqs, [SvAction.ASSERT, SvAction.YIELD])
+def root_seqs(root, horizon=5):
+    return enumerate_ego_sequences(PruneRules(root=root), horizon)
 
 
 def mid_episode_world(cfg, cycles):
@@ -552,7 +570,7 @@ def test_hand_worlds_reach_their_corner():
 @pytest.mark.parametrize("name", sorted(HAND_WORLDS))
 def test_tree_rollout_matches_reference_on_hand_made_worlds(name):
     for root in ALL_EGO_DECISIONS:
-        assert_matches_reference(HAND_WORLDS[name], root_tuples(root), CFG, MODEL)
+        assert_matches_reference(HAND_WORLDS[name], root_seqs(root), CFG, MODEL)
 
 
 @pytest.mark.parametrize("when", ["start", "after6"])
@@ -561,7 +579,7 @@ def test_tree_rollout_matches_reference_from_every_root(scenario, when):
     cfg = SCENARIOS[scenario]()
     world = scenario_world(scenario, when)
     for root in ALL_EGO_DECISIONS:
-        assert_matches_reference(world, root_tuples(root), cfg.sim, cfg.planner_model())
+        assert_matches_reference(world, root_seqs(root), cfg.sim, cfg.planner_model())
 
 
 @pytest.mark.parametrize("when", ["start", "after6"])
@@ -582,7 +600,7 @@ def test_planner_rollout_invariants(scenario, when):
 
 def distinct_trajectories(rollout, v):
     """Number of bit-distinct (states, inputs) trajectories of vehicle v over the tuples."""
-    K = len(rollout.tuples)
+    K = len(rollout.rows)
     flat = np.concatenate([rollout.states[:, v].reshape(K, -1),
                            rollout.inputs[:, v].reshape(K, -1)], axis=1)
     return len(np.unique(flat.view(np.uint64), axis=0))
@@ -599,13 +617,13 @@ def test_trajectory_table_is_exact_and_complete(scenario, when):
         rollout = plan_cycle(world, cfg.initial_beliefs(), cfg, root).rollout
         start, rows = rollout.block_start, rollout.rows
         n_rows = len(rollout.traj_states)
-        assert rows.shape == (len(rollout.tuples), world.n_vehicles)
+        assert rows.shape == (len(SvAction) * len(rollout.cols), world.n_vehicles)
         assert start[0] == 0 and start[-1] == n_rows == len(rollout.traj_inputs)
         assert np.array_equal(np.unique(rows), np.arange(n_rows))
         assert ((rows >= start[:-1]) & (rows < start[1:])).all()
         per_vehicle = [distinct_trajectories(rollout, v) for v in range(world.n_vehicles)]
         assert np.array_equal(np.diff(start), per_vehicle)
-        shared, _ = shared_ids(world, rollout.tuples)
+        shared, _ = shared_ids(world, rollout.cols)
         assert all(per_vehicle[world.index_of(vid)] == 1 for vid in shared)
         assert_period_rows_name_segments(rollout, cfg.sim)
 
@@ -698,31 +716,30 @@ def test_group_codes_on_byte_records_partitions_like_ints(codes):
 def test_tree_rollout_matches_reference_on_small_tuple_sets(scenario):
     cfg = SCENARIOS[scenario]()
     world, model = cfg.initial_world(), cfg.planner_model()
-    lane_keep = [(SvAction.ASSERT, const_seq(G0, LK)), (SvAction.YIELD, const_seq(G0, LK))]
-    assert_matches_reference(world, lane_keep, CFG, model)
-    assert_matches_reference(world, lane_keep[:1], CFG, model)
-    assert_matches_reference(world, [(SvAction.YIELD, const_seq(G2, LP))], CFG, model)
+    assert_matches_reference(world, [const_seq(G0, LK)], CFG, model)
+    assert_matches_reference(world, [const_seq(G0, LK)] * 2, CFG, model)
+    assert_matches_reference(world, [const_seq(G2, LP)], CFG, model)
     for h in (1, 6):
         sim = SimConfig(dt=0.2, horizon=h, decision_period=1.0)
-        assert_matches_reference(world, root_tuples(EgoDecision(G0, LK), h), sim, model)
+        assert_matches_reference(world, root_seqs(EgoDecision(G0, LK), h), sim, model)
 
 
-ROOT_TUPLES = [root_tuples(root) for root in ALL_EGO_DECISIONS]
-TUPLE_POOL = [t for tuples in ROOT_TUPLES for t in tuples]
+ROOT_SEQS = [root_seqs(root) for root in ALL_EGO_DECISIONS]
+SEQ_POOL = [seq for seqs in ROOT_SEQS for seq in seqs]
 POOL_WORLDS = [scenario_world(name, when) for name in ("merge5", "merge10", "packed")
                for when in ("start", "after6")] + list(HAND_WORLDS.values())
 
 
 @settings(max_examples=40, deadline=None)
-@given(world=st.sampled_from(POOL_WORLDS), root=st.integers(0, len(ROOT_TUPLES) - 1),
-       picks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=60),
-       strays=st.lists(st.integers(0, len(TUPLE_POOL) - 1), max_size=5), data=st.data())
+@given(world=st.sampled_from(POOL_WORLDS), root=st.integers(0, len(ROOT_SEQS) - 1),
+       picks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=30),
+       strays=st.lists(st.integers(0, len(SEQ_POOL) - 1), max_size=5), data=st.data())
 def test_tree_rollout_matches_reference_on_any_tuple_list(world, root, picks, strays, data):
-    # tuples of one root share long prefixes; strays from any root add equal
-    # sequences that are distinct objects; any order, repeats included
-    own = ROOT_TUPLES[root]
-    tuples = [own[k % len(own)] for k in picks] + [TUPLE_POOL[k] for k in strays]
-    assert_matches_reference(world, data.draw(st.permutations(tuples)), CFG, MODEL)
+    # sequences of one root share long prefixes; strays from any root add
+    # equal sequences that are distinct objects; any order, repeats included
+    own = ROOT_SEQS[root]
+    seqs = [own[k % len(own)] for k in picks] + [SEQ_POOL[k] for k in strays]
+    assert_matches_reference(world, data.draw(st.permutations(seqs)), CFG, MODEL)
 
 
 @given(st.lists(st.integers(-5, 40), min_size=1, max_size=200))
@@ -746,7 +763,7 @@ def test_tree_shares_each_prefix_once(monkeypatch):
         return pure_pursuit(y, *args)
 
     monkeypatch.setattr(forward_sim, "pure_pursuit", counting_pursuit)
-    simulate_batch(cfg.initial_world(), root_tuples(EgoDecision(G0, LK)), cfg.sim,
+    simulate_batch(cfg.initial_world(), root_seqs(EgoDecision(G0, LK)), cfg.sim,
                    cfg.planner_model())
     assert widths == [w for w in (30, 122, 282, 510, 742) for _ in range(cfg.sim.substeps)]
 

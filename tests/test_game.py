@@ -57,9 +57,16 @@ def test_stackelberg_ev_leader_worked_example():
 
 
 def test_stackelberg_single_row_degenerates():
-    g = game([[3.0, 1.0, 2.0]], [[9.0, 4.0, 7.0]])
+    # two equal rows are one row: every tie goes to row 0
+    g = game([[3.0, 1.0, 2.0]] * 2, [[9.0, 4.0, 7.0]] * 2)
     assert stackelberg(g, Player.SV).cell() == (0, 1)
     assert stackelberg(g, Player.EV).cell() == (0, 1)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_game_matrix_has_one_row_per_group_action(rows):
+    with pytest.raises(ValueError, match="shape"):
+        game(np.zeros((rows, 2)), np.zeros((rows, 2)))
 
 
 def test_selection_policy():
@@ -135,10 +142,9 @@ TIED_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, 2.0, 2.5])
 
 @st.composite
 def tied_games(draw):
-    rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 50))
-    cells = st.lists(TIED_ENTRIES, min_size=rows * cols, max_size=rows * cols)
-    return (np.array(draw(cells)).reshape(rows, cols),
-            np.array(draw(cells)).reshape(rows, cols))
+    cols = draw(st.integers(1, 50))
+    cells = st.lists(TIED_ENTRIES, min_size=2 * cols, max_size=2 * cols)
+    return np.array(draw(cells)).reshape(2, cols), np.array(draw(cells)).reshape(2, cols)
 
 
 # ties this dense seldom leave a game without a pure Nash cell, so one such game

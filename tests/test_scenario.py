@@ -181,3 +181,19 @@ def test_yaml_rejects_no_episode_cycles(tmp_path, max_cycles):
     data["episode"]["max_cycles"] = max_cycles
     with pytest.raises(ValueError, match="episode max_cycles must be >= 1"):
         load_dict(tmp_path, data)
+
+
+@pytest.mark.parametrize("section, field, value", [
+    *[("episode", f, v) for f in ("speed_jitter", "success_lateral_tol", "success_heading_tol",
+                                  "polite_lateral_frac", "selfish_lateral_frac")
+      for v in (-0.5, float("nan"))],
+    ("montecarlo", "position_jitter", -1.0), ("montecarlo", "speed_jitter", -1.0),
+    ("prune", "max_decision_changes", -1)])
+def test_yaml_rejects_negative_settings(tmp_path, section, field, value):
+    # each used to load: a negative jitter failed in the first random draw, a
+    # negative tolerance made success unreachable, a negative reaction fraction
+    # switched every reaction off, and a negative budget failed at the first plan
+    data = merge_yaml_dict(tmp_path)
+    data[section][field] = value
+    with pytest.raises(ValueError, match=f"{section} {field} must be >= 0"):
+        load_dict(tmp_path, data)
