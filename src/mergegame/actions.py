@@ -7,6 +7,8 @@ import itertools
 from dataclasses import dataclass, field
 from enum import IntEnum
 
+from .bounds import check
+
 __all__ = [
     "GapChoice",
     "LateralDecision",
@@ -143,8 +145,7 @@ class PruneRules:
     )
 
     def __post_init__(self):
-        if self.max_decision_changes < 0:
-            raise ValueError("max_decision_changes must be >= 0")
+        check("PruneRules", self, ">=", 0, "max_decision_changes")
 
 
 @functools.lru_cache(maxsize=64)

@@ -26,7 +26,7 @@ def _load(args) -> ScenarioConfig:
     if args.config is not None:
         try:
             cfg = load_scenario(args.config)
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:   # a bad value, an unknown key
             sys.exit(f"mergegame: error: {args.config}: {exc}")
     else:
         cfg = default_merge_scenario()

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .actions import EgoDecision, GapChoice, LateralDecision
-from .control import IdmSettings, idm_accel, virtual_gap_distance
+from .control import IdmSettings, idm_accel, leader_inputs, virtual_gap_distance
 from .costs import Belief, GameMatrix, update_belief
 from .dynamics import rects_penetrate, step_bicycle
 from .planner import CycleResult, plan_cycle
@@ -62,11 +62,8 @@ def truth_sv_accel(states: np.ndarray, sv: np.ndarray, leader_idx: np.ndarray, e
     two commands wins.
     """
     x, y, v = states[sv, 0], states[sv, 1], states[sv, 3]
-    lead = leader_idx[sv]
-    has_lead = lead >= 0
-    li = np.where(has_lead, lead, 0)
-    d_lead = virtual_gap_distance(states[li, 0], states[li, 1], x, y, 0.0)
-    a = idm_accel(v, states[li, 3], d_lead, has_lead, v0, idm)
+    d_lead, v_lead, has_lead = leader_inputs(states.T, x, y, leader_idx[sv], 0.0)
+    a = idm_accel(v, v_lead, d_lead, has_lead, v0, idm)
     ex, ey, eth, ev = states[ego]
     d_ego = virtual_gap_distance(ex, lane_y, x, y, 0.0)
     a_ego = idm_accel(v, ev * np.cos(eth), d_ego, True, v0, idm)
@@ -191,7 +188,7 @@ def run_episode(cfg: ScenarioConfig, planner: str | None = None,
             d_cmd = np.zeros(len(ids))
             a_cmd[e], d_cmd[e] = ego_inputs[s]
             a_cmd[sv] = truth_sv_accel(states, sv, leader_idx, e, sv_v0, sv_lane_y, sv_reach,
-                                       cfg.idm)
+                                       cfg.model.idm)
             if res.partner_id is not None:
                 partner_obs.append(float(a_cmd[base.index_of(res.partner_id)]))
             if record_steps:

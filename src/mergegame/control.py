@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import check
+
 __all__ = [
     "PdGains",
     "PurePursuitParams",
@@ -34,6 +36,7 @@ __all__ = [
     "pure_pursuit",
     "lateral_discount",
     "virtual_gap_distance",
+    "leader_inputs",
     "idm_accel",
 ]
 
@@ -45,8 +48,7 @@ class PdGains:
     kp_vel: float = 1.0
 
     def __post_init__(self):
-        if min(self.kp_pos, self.kd_pos, self.kp_vel) < 0.0:
-            raise ValueError("PD gains must be >= 0")
+        check("PdGains", self, ">=", 0, "kp_pos", "kd_pos", "kp_vel")
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,7 @@ class PurePursuitParams:
     min_lookahead: float = 4.0  # floor keeping the lookahead finite near standstill
 
     def __post_init__(self):
-        if self.kpp <= 0.0 or self.min_lookahead <= 0.0:
-            raise ValueError("pure-pursuit parameters must be > 0")
+        check("PurePursuitParams", self, ">", 0, "kpp", "min_lookahead")
 
 
 @dataclass(frozen=True)
@@ -73,11 +74,9 @@ class IdmSettings:
     beta_yield: float = 2.0
 
     def __post_init__(self):
-        for name in ("time_headway", "s0", "a_acc", "b_dec", "b_emergency"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"IdmSettings.{name} must be > 0")
-        if not self.beta_assert > self.beta_yield >= 1.0:
-            raise ValueError("requires beta_assert > beta_yield >= 1")
+        check("IdmSettings", self, ">", 0, "time_headway", "s0", "a_acc", "b_dec", "b_emergency")
+        check("IdmSettings", self, ">=", 1, "beta_yield")
+        check("IdmSettings", self, ">", self.beta_yield, "beta_assert")
 
 
 def gap_reference(x_front, v_front, has_front, x_rear, has_rear, v_des, d_safe,
@@ -133,6 +132,20 @@ def virtual_gap_distance(x_lead, y_lead, x, y, kappa):
     Zero offset, or kappa = 0, reproduces the true distance.
     """
     return np.abs(x_lead - x) * np.exp(kappa * np.abs(y_lead - y))
+
+
+def leader_inputs(P, x, y, lead, kappa):
+    """Physical-leader inputs of the modified IDM, for the rollouts and the truth world.
+
+    Follower i is at (x[i], y[i]) behind lead[i], a column of the state
+    matrix P (rows x, y, theta, v), or -1 for none, with lateral discount
+    kappa. Returns (d_lead, v_lead, has_lead) for idm_accel; a follower
+    without a leader gets d_lead = inf and v_lead = 0.
+    """
+    has = lead >= 0
+    x_l, y_l, _, v_l = P.take(np.where(has, lead, 0), axis=1)
+    d = virtual_gap_distance(x_l, y_l, x, y, kappa)
+    return np.where(has, d, np.inf), np.where(has, v_l, 0.0), has
 
 
 def idm_accel(v, v_lead, d, has_lead, v0, idm: IdmSettings):

@@ -26,6 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .actions import SvAction
+from .bounds import check
 from .dynamics import rect_distance_arrays
 from .forward_sim import BatchRollout, _group_codes
 from .world import WorldSnapshot
@@ -55,12 +56,11 @@ class CostWeights:
     w_info: float = 0.0
 
     def __post_init__(self):
-        if not self.w_saf1 > self.w_saf2 > 0.0:
-            raise ValueError("requires w_saf1 > w_saf2 > 0")
-        if not 0.0 <= self.d_lo < self.d_hi:
-            raise ValueError("requires 0 <= d_lo < d_hi")
-        if min(self.w_eff, self.w_com, self.w_nav) < 0.0:
-            raise ValueError("cost weights must be >= 0")
+        check("CostWeights", self, ">", 0, "w_saf2")
+        check("CostWeights", self, ">", self.w_saf2, "w_saf1")
+        check("CostWeights", self, ">=", 0, "d_lo", "w_eff", "w_com", "w_nav")
+        check("CostWeights", self, ">", self.d_lo, "d_hi")
+        check("CostWeights", self, ">=", -np.inf, "w_info")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import check
+
 __all__ = [
     "VehicleParams",
     "step_bicycle",
@@ -30,9 +32,7 @@ class VehicleParams:
     delta_max: float = 0.6
 
     def __post_init__(self):
-        for name in ("wheelbase", "length", "width", "a_max", "delta_max"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"VehicleParams.{name} must be > 0")
+        check("VehicleParams", self, ">", 0, "wheelbase", "length", "width", "a_max", "delta_max")
 
 
 def _wrap_angle(theta):

@@ -42,7 +42,9 @@ import numpy as np
 
 from .actions import DecisionSequence, GapChoice, LateralDecision, SvAction
 from .control import (IdmSettings, PdGains, PurePursuitParams, gap_reference, idm_accel,
-                      lateral_discount, pd_longitudinal, pure_pursuit, virtual_gap_distance)
+                      lateral_discount, leader_inputs, pd_longitudinal, pure_pursuit,
+                      virtual_gap_distance)
+from .bounds import check
 from .dynamics import step_bicycle
 from .world import WorldSnapshot
 
@@ -64,8 +66,9 @@ class SimConfig:
     decision_period: float = 1.0
 
     def __post_init__(self):
-        if self.horizon < 1 or self.dt <= 0.0 or self.decision_period <= 0.0:
-            raise ValueError("SimConfig fields must be positive")
+        check("SimConfig", self, ">=", 1, "horizon")
+        check("SimConfig", self, ">", 0, "dt", "decision_period")
+        check("SimConfig", self, "<", np.inf, "decision_period")   # round(inf) overflows
         ratio = self.decision_period / self.dt
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ValueError("decision_period must be a positive integer multiple of dt")
@@ -88,6 +91,9 @@ class PlannerModel:
     idm: IdmSettings = field(default_factory=IdmSettings)
     d_safe: float = 6.0
     follow_distance: float = 12.0
+
+    def __post_init__(self):
+        check("PlannerModel", self, ">=", -np.inf, "d_safe", "follow_distance")
 
 
 # simulate_batch's bound on K * V, which bounds the vehicle states of one
@@ -143,19 +149,6 @@ class BatchRollout:
     def vehicle_inputs(self, k, v) -> np.ndarray:
         """(..., T, 2) inputs of vehicle(s) v in tuple(s) k, read from the table."""
         return self.traj_inputs[self.rows[k, v]]
-
-
-def _leader_inputs(P, x, y, lead, kappa):
-    """Physical-leader inputs of the modified IDM for surrounding-vehicle entries.
-
-    Entry i is at (x[i], y[i]) behind the entity lead[i] (a column of the
-    state matrix P, rows x, y, theta, v; -1 for none), with lateral discount
-    kappa. Returns (d_lead, v_lead, has_lead) for control.idm_accel.
-    """
-    has = lead >= 0
-    x_l, y_l, _, v_l = P.take(np.where(has, lead, 0), axis=1)
-    d = virtual_gap_distance(x_l, y_l, x, y, kappa)
-    return np.where(has, d, np.inf), np.where(has, v_l, 0.0), has
 
 
 def _group_codes(code):
@@ -365,7 +358,7 @@ def simulate_batch(world: WorldSnapshot, seqs, cfg: SimConfig,
             # ahead, the ego is a second, virtual leader and the nearer governs
             p_own, p_lead = ent.take(p_own_at), ent.take(p_lead_at)
             x_p, y_p = X[p_own], Y[p_own]
-            p_d, p_v, p_has = _leader_inputs(P, x_p, y_p, p_lead, p_kappa)
+            p_d, p_v, p_has = leader_inputs(P, x_p, y_p, p_lead, p_kappa)
             eg_p = eg[pc]
             xe_p, ye_p, the_p, ve_p = P.take(eg_p, axis=1)
             d_ego = virtual_gap_distance(xe_p, ye_p, x_p, y_p, p_kappa)
@@ -400,8 +393,8 @@ def simulate_batch(world: WorldSnapshot, seqs, cfg: SimConfig,
             sc = np.concatenate((np.zeros(len(single), dtype=np.intp), k_col))
             own_e = ent.take(sv * n_cols + sc)
             x, y, _, v = P.take(own_e, axis=1)
-            d_lead, v_lead, has_l = _leader_inputs(P, x, y, ent.take(lead_row[sv] * n_cols + sc),
-                                                   kappa_assert)
+            d_lead, v_lead, has_l = leader_inputs(P, x, y, ent.take(lead_row[sv] * n_cols + sc),
+                                                  kappa_assert)
             mine = (partner[sc] == sv).nonzero()[0]
             p_i = p_pos[sc[mine]]
             d_lead[mine], v_lead[mine], has_l[mine] = p_d[p_i], p_v[p_i], p_has[p_i]

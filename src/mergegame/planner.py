@@ -12,7 +12,6 @@ from .actions import (
     EgoDecision,
     PruneRules,
     SvAction,
-    default_forbidden_transitions,
     enumerate_ego_sequences,
 )
 from .costs import (
@@ -71,12 +70,6 @@ class CycleResult:
                 self.rollout.vehicle_inputs(k_yield, p)[:n_steps, 0].copy())
 
 
-def _prune_rules(cfg: ScenarioConfig, root: EgoDecision) -> PruneRules:
-    forbidden = default_forbidden_transitions() if cfg.prune.use_default_forbidden else frozenset()
-    return PruneRules(root=root, max_decision_changes=cfg.prune.max_decision_changes,
-                      forbidden_transitions=forbidden)
-
-
 def _info_gain_extra(rollout: BatchRollout, world: WorldSnapshot, prior: np.ndarray,
                      cfg: ScenarioConfig) -> np.ndarray:
     """Ego cost addend rewarding rollouts expected to sharpen the belief.
@@ -113,8 +106,9 @@ def plan_cycle(world: WorldSnapshot, beliefs: Mapping[str, Belief],
     "lowest-cost" picks the column with the lowest belief-expected ego cost.
     """
     kind_cfg = planner if planner is not None else cfg.planner
-    seqs = enumerate_ego_sequences(_prune_rules(cfg, root), cfg.sim.horizon)
-    rollout = simulate_batch(world, seqs, cfg.sim, cfg.planner_model())
+    rules = PruneRules(root=root, max_decision_changes=cfg.prune.max_decision_changes)
+    seqs = enumerate_ego_sequences(rules, cfg.sim.horizon)
+    rollout = simulate_batch(world, seqs, cfg.sim, cfg.model)
     prior = column_priors(rollout.partner_ids[:len(seqs)], beliefs)
 
     extra = None

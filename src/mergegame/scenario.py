@@ -1,14 +1,32 @@
-"""Scenario configuration: vehicle roster, lane layout, planner settings, YAML I/O."""
+"""Scenario configuration: vehicle roster, lane layout, planner settings, YAML I/O.
+
+A scenario file is ScenarioConfig as YAML, one top-level section per field:
+  lanes       LaneGeometry: lane centers, lane width, merge_end
+  vehicles    list of VehicleSpec, each with its VehicleParams under params
+  sim         SimConfig: dt, horizon, decision_period
+  weights     CostWeights
+  model       PlannerModel, the planner's rollout model: gains (PdGains),
+              pursuit (PurePursuitParams), idm (IdmSettings, whose car
+              following the truth world shares), d_safe, follow_distance
+  beliefs     BeliefSettings
+  prune       PruneSettings
+  episode     EpisodeSettings
+  montecarlo  MonteCarloSettings
+  planner     one of PLANNER_KINDS
+  seed
+A key left out takes its default, and an unknown key raises TypeError. Each
+settings class range-checks its fields with bounds.check when it is built.
+"""
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from enum import Enum
 
 import numpy as np
 import yaml
 
-from .control import IdmSettings, PdGains, PurePursuitParams
+from .bounds import check
 from .costs import Belief, CostWeights
 from .dynamics import VehicleParams
 from .forward_sim import PlannerModel, SimConfig
@@ -47,14 +65,6 @@ def _check_choice(name: str, value, allowed: tuple) -> None:
         raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
 
 
-def _check_at_least(section: str, obj, minimum, *names: str) -> None:
-    """Reject any field in names below minimum; the negated test rejects NaN too."""
-    for name in names:
-        value = getattr(obj, name)
-        if not value >= minimum:
-            raise ValueError(f"{section} {name} must be >= {minimum}, got {value!r}")
-
-
 @dataclass
 class VehicleSpec:
     vehicle_id: str
@@ -73,10 +83,11 @@ class VehicleSpec:
         _check_choice(f"{where} role", self.role, ROLES)
         _check_choice(f"{where} lane", self.lane, LANES)
         _check_choice(f"{where} mode", self.mode, tuple(m.value for m in BehaviorMode))
-        # the modified IDM divides by v_des; negated tests reject NaN too
-        if not self.v_des > 0.0:
-            raise ValueError(f"{where} v_des must be > 0, got {self.v_des!r}")
-        _check_at_least(where, self, 0, "v")
+        check(where, self, ">=", -np.inf, "x", "theta")
+        if self.y is not None:   # None is the lane center
+            check(where, self, ">=", -np.inf, "y")
+        check(where, self, ">=", 0, "v")
+        check(where, self, ">", 0, "v_des")   # the modified IDM divides by v_des
 
 
 @dataclass
@@ -86,19 +97,16 @@ class BeliefSettings:
 
     def __post_init__(self):
         # update_belief never moves a prior of exactly 0 or 1
-        if not 0.0 < self.initial_assert < 1.0:
-            raise ValueError("BeliefSettings.initial_assert must lie in (0, 1)")
-        if self.sigma_accel <= 0.0:
-            raise ValueError("BeliefSettings.sigma_accel must be > 0")
+        check("beliefs", self, ">", 0, "initial_assert", "sigma_accel")
+        check("beliefs", self, "<", 1, "initial_assert")
 
 
 @dataclass
 class PruneSettings:
     max_decision_changes: int = 2
-    use_default_forbidden: bool = True
 
     def __post_init__(self):
-        _check_at_least("prune", self, 0, "max_decision_changes")
+        check("prune", self, ">=", 0, "max_decision_changes")
 
 
 @dataclass
@@ -111,9 +119,9 @@ class EpisodeSettings:
     selfish_lateral_frac: float = 0.25
 
     def __post_init__(self):
-        _check_at_least("episode", self, 1, "max_cycles")
-        _check_at_least("episode", self, 0, "success_lateral_tol", "success_heading_tol",
-                        "speed_jitter", "polite_lateral_frac", "selfish_lateral_frac")
+        check("episode", self, ">=", 1, "max_cycles")
+        check("episode", self, ">=", 0, "success_lateral_tol", "success_heading_tol",
+              "speed_jitter", "polite_lateral_frac", "selfish_lateral_frac")
 
 
 @dataclass
@@ -125,8 +133,8 @@ class MonteCarloSettings:
 
     def __post_init__(self):
         _check_choice("montecarlo mode", self.mode, MONTE_CARLO_MODES)
-        _check_at_least("montecarlo", self, 1, "n")
-        _check_at_least("montecarlo", self, 0, "position_jitter", "speed_jitter")
+        check("montecarlo", self, ">=", 1, "n")
+        check("montecarlo", self, ">=", 0, "position_jitter", "speed_jitter")
 
 
 @dataclass
@@ -135,11 +143,7 @@ class ScenarioConfig:
     vehicles: list[VehicleSpec] = field(default_factory=list)
     sim: SimConfig = field(default_factory=SimConfig)
     weights: CostWeights = field(default_factory=CostWeights)
-    idm: IdmSettings = field(default_factory=IdmSettings)
-    gains: PdGains = field(default_factory=PdGains)
-    pursuit: PurePursuitParams = field(default_factory=PurePursuitParams)
-    d_safe: float = PlannerModel.d_safe
-    follow_distance: float = PlannerModel.follow_distance
+    model: PlannerModel = field(default_factory=PlannerModel)
     beliefs: BeliefSettings = field(default_factory=BeliefSettings)
     prune: PruneSettings = field(default_factory=PruneSettings)
     episode: EpisodeSettings = field(default_factory=EpisodeSettings)
@@ -188,10 +192,6 @@ class ScenarioConfig:
         p = self.beliefs.initial_assert
         return {vid: Belief(p, 1.0 - p) for vid in self.sv_ids}
 
-    def planner_model(self) -> PlannerModel:
-        return PlannerModel(gains=self.gains, pursuit=self.pursuit, idm=self.idm,
-                            d_safe=self.d_safe, follow_distance=self.follow_distance)
-
 
 # --- YAML serialization -------------------------------------------------------
 
@@ -200,18 +200,22 @@ def save_scenario(cfg: ScenarioConfig, path) -> None:
         yaml.safe_dump(asdict(cfg), fh, sort_keys=False)
 
 
+def _build(cls, data):
+    """cls from the mapping data (None for all defaults); a field whose
+    default factory is a dataclass is built from its own mapping alike."""
+    kwargs = dict(data or {})
+    for f in fields(cls):
+        if f.name in kwargs and is_dataclass(f.default_factory):
+            kwargs[f.name] = _build(f.default_factory, kwargs[f.name])
+    return cls(**kwargs)
+
+
 def from_dict(data: dict) -> ScenarioConfig:
-    """Inverse of save_scenario's asdict(cfg). Keys left out take
-    ScenarioConfig's defaults, and an unknown key anywhere raises TypeError
-    naming it."""
+    """Inverse of save_scenario's asdict(cfg). Keys left out take their
+    defaults, and an unknown key anywhere raises TypeError naming it."""
     kwargs = dict(data)
-    vehicles = [VehicleSpec(**{**vd, "params": VehicleParams(**(vd.get("params") or {}))})
-                for vd in kwargs.pop("vehicles", None) or []]
-    # every other nested section is a field whose default is its class
-    for f in fields(ScenarioConfig):
-        if f.name in kwargs and f.default_factory is not MISSING:
-            kwargs[f.name] = f.default_factory(**(kwargs[f.name] or {}))
-    return ScenarioConfig(vehicles=vehicles, **kwargs)
+    kwargs["vehicles"] = [_build(VehicleSpec, vd) for vd in kwargs.get("vehicles") or []]
+    return _build(ScenarioConfig, kwargs)
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -233,7 +237,6 @@ def default_merge_scenario(traffic_speed: float = 5.0, planner: str = "nash",
     squeeze or a negotiation). truth_modes: "mixed" (polite truck, selfish
     target lane), "polite", or "selfish" for every surrounding vehicle.
     """
-    idm = IdmSettings()
     if stream_gap is None:
         stream_gap = 10.0 + 0.2 * traffic_speed
     v_des_traffic = 1.2 * traffic_speed
@@ -252,7 +255,7 @@ def default_merge_scenario(traffic_speed: float = 5.0, planner: str = "nash",
         VehicleSpec("sv3", lane="target", x=-4.0 - stream_gap, v=traffic_speed,
                     v_des=v_des_traffic, mode=mode_lane),
     ]
-    return ScenarioConfig(vehicles=vehicles, idm=idm, planner=planner, seed=seed)
+    return ScenarioConfig(vehicles=vehicles, planner=planner, seed=seed)
 
 
 def empty_lane_scenario(speed: float = 8.0, seed: int = 0) -> ScenarioConfig:

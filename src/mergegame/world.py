@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actions import GapChoice
+from .bounds import check
 from .dynamics import VehicleParams
 
 __all__ = ["LaneGeometry", "GapBounds", "WorldSnapshot"]
@@ -22,8 +23,8 @@ class LaneGeometry:
     merge_end: float = 100.0  # longitudinal position where the merge lane runs out
 
     def __post_init__(self):
-        if self.width <= 0.0 or self.merge_end <= 0.0:
-            raise ValueError("lane width and merge_end must be > 0")
+        check("LaneGeometry", self, ">=", -np.inf, "current_center", "target_center")
+        check("LaneGeometry", self, ">", 0, "width", "merge_end")
         if self.target_center == self.current_center:
             raise ValueError("lane centers must differ")
 

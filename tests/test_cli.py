@@ -1,3 +1,5 @@
+import re
+
 import pytest
 import yaml
 
@@ -99,4 +101,23 @@ def test_montecarlo_rejects_yaml_without_instances(tmp_path):
     out = tmp_path / "stats.yaml"
     with pytest.raises(SystemExit, match="montecarlo n must be >= 1"):
         main(["montecarlo", "--config", str(path), "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda data: data.update(plannr=data.pop("planner")), "plannr"),
+    # the layout before the model section, whose fields sat at the top level
+    (lambda data: data.update(data.pop("model")), "gains"),
+    (lambda data: data["prune"].update(use_default_forbidden=True), "use_default_forbidden"),
+], ids=["misspelt", "pre-model-section", "removed-prune-key"])
+def test_unknown_key_is_an_error_message(tmp_path, capsys, edit, key):
+    # an unknown key used to end in a TypeError traceback
+    path = tmp_path / "scenario.yaml"
+    save_scenario(default_merge_scenario(5.0), path)
+    data = yaml.safe_load(path.read_text())
+    edit(data)
+    path.write_text(yaml.safe_dump(data, sort_keys=False))
+    out = tmp_path / "plan.yaml"
+    with pytest.raises(SystemExit, match=f"^mergegame: error: {re.escape(str(path))}: .*'{key}'"):
+        main(["plan", "--config", str(path), "--out", str(out)])
     assert not out.exists()

@@ -152,8 +152,9 @@ def assert_trace_matches_reference(cfg, trace):
     V, e = base.n_vehicles, base.ego_index
     rows = np.array([r[3:] for r in trace.steps], dtype=float).reshape(-1, V, 6)
     cycle_of = [r[0] for r in trace.steps[::V]]
-    params = {v.vehicle_id: IdmParams(v.v_des, cfg.idm.time_headway, cfg.idm.s0, cfg.idm.a_acc,
-                                      cfg.idm.b_dec, 1.0, cfg.lanes.width, cfg.idm.b_emergency)
+    idm = cfg.model.idm
+    params = {v.vehicle_id: IdmParams(v.v_des, idm.time_headway, idm.s0, idm.a_acc,
+                                      idm.b_dec, 1.0, cfg.lanes.width, idm.b_emergency)
               for v in cfg.vehicles if v.role != "ego"}
     for n in range(len(rows)):
         states = rows[n, :, :4]
@@ -257,7 +258,7 @@ def unobstructed_change_time(cfg):
     world = cfg.initial_world()
     sim = SimConfig(dt=0.2, horizon=12, decision_period=1.0)
     seq = DecisionSequence((EgoDecision(GapChoice.GAP_1, LateralDecision.LEFT_CHANGE),) * 12)
-    states = simulate_batch(world, [seq], sim, cfg.planner_model()).states[SvAction.ASSERT]
+    states = simulate_batch(world, [seq], sim, cfg.model).states[SvAction.ASSERT]
     e = world.ego_index
     ok = (np.abs(states[e, :, 1] - cfg.lanes.target_center) <= cfg.episode.success_lateral_tol) \
         & (np.abs(states[e, :, 2]) <= cfg.episode.success_heading_tol)

@@ -744,7 +744,7 @@ def test_info_gain_is_zero_without_partner():
     # the current-lane gap allows lane keeping only, and has no partner
     seqs = [s for s in enumerate_ego_sequences(PruneRules(root=INFO_ROOT), cfg.sim.horizon)
             if all(d.gap == GapChoice.GAP_0 for d in s)]
-    rollout = simulate_batch(world, seqs, cfg.sim, cfg.planner_model())
+    rollout = simulate_batch(world, seqs, cfg.sim, cfg.model)
     assert seqs and all(pid is None for pid in rollout.partner_ids)
     beliefs = {vid: Belief(0.8, 0.2) for vid in cfg.sv_ids}
     extra = _info_gain_extra(rollout, world, priors_of(rollout, beliefs), cfg)

@@ -55,6 +55,9 @@ def simulate_one(world, action, cfg=CFG, model=MODEL):
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(dt=0.2, horizon=5, decision_period=0.7)
+    # an infinite period used to raise OverflowError from round()
+    with pytest.raises(ValueError, match="SimConfig decision_period must be < inf"):
+        SimConfig(decision_period=float("inf"))
     assert CFG.substeps == 5
     assert CFG.steps == 25
 
@@ -258,7 +261,7 @@ def test_packed_batch_rows_match_single_tuple_sim():
                 for sv in (SvAction.ASSERT, SvAction.YIELD)]
     for sv, seq in samples:
         k = batch.tuple_index(sv, batch.cols.index(seq))
-        single = simulate_one(world, (sv, seq), cfg.sim, cfg.planner_model())
+        single = simulate_one(world, (sv, seq), cfg.sim, cfg.model)
         assert np.array_equal(single.states[0], batch.states[k])
         assert np.array_equal(single.inputs[0], batch.inputs[k])
 
@@ -275,7 +278,7 @@ def test_planner_rollout_layout_is_group_action_major(scenario):
     k = np.arange(2 * M)
     assert np.array_equal(rollout.tuple_index(k // M, k % M), k)
     tuples = [(SvAction(j // M), rollout.cols[j % M]) for j in k]
-    want = reference_simulate_batch(world, tuples, cfg.sim, cfg.planner_model())
+    want = reference_simulate_batch(world, tuples, cfg.sim, cfg.model)
     assert np.array_equal(rollout.states, want.states)
     assert np.array_equal(rollout.inputs, want.inputs)
     assert rollout.partner_ids == want.partner_ids
@@ -579,7 +582,7 @@ def test_tree_rollout_matches_reference_from_every_root(scenario, when):
     cfg = SCENARIOS[scenario]()
     world = scenario_world(scenario, when)
     for root in ALL_EGO_DECISIONS:
-        assert_matches_reference(world, root_seqs(root), cfg.sim, cfg.planner_model())
+        assert_matches_reference(world, root_seqs(root), cfg.sim, cfg.model)
 
 
 @pytest.mark.parametrize("when", ["start", "after6"])
@@ -715,7 +718,7 @@ def test_group_codes_on_byte_records_partitions_like_ints(codes):
 @pytest.mark.parametrize("scenario", ["merge10", "packed"])
 def test_tree_rollout_matches_reference_on_small_tuple_sets(scenario):
     cfg = SCENARIOS[scenario]()
-    world, model = cfg.initial_world(), cfg.planner_model()
+    world, model = cfg.initial_world(), cfg.model
     assert_matches_reference(world, [const_seq(G0, LK)], CFG, model)
     assert_matches_reference(world, [const_seq(G0, LK)] * 2, CFG, model)
     assert_matches_reference(world, [const_seq(G2, LP)], CFG, model)
@@ -763,8 +766,7 @@ def test_tree_shares_each_prefix_once(monkeypatch):
         return pure_pursuit(y, *args)
 
     monkeypatch.setattr(forward_sim, "pure_pursuit", counting_pursuit)
-    simulate_batch(cfg.initial_world(), root_seqs(EgoDecision(G0, LK)), cfg.sim,
-                   cfg.planner_model())
+    simulate_batch(cfg.initial_world(), root_seqs(EgoDecision(G0, LK)), cfg.sim, cfg.model)
     assert widths == [w for w in (30, 122, 282, 510, 742) for _ in range(cfg.sim.substeps)]
 
 

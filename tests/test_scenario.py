@@ -1,11 +1,19 @@
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 import yaml
 
-from mergegame.forward_sim import PlannerModel
+from mergegame.actions import PruneRules
+from mergegame.control import IdmSettings, PdGains, PurePursuitParams
+from mergegame.costs import CostWeights
+from mergegame.dynamics import VehicleParams
+from mergegame.forward_sim import PlannerModel, SimConfig
 from mergegame.scenario import (
     BeliefSettings,
+    EpisodeSettings,
+    MonteCarloSettings,
+    PruneSettings,
     ScenarioConfig,
     VehicleSpec,
     default_merge_scenario,
@@ -14,6 +22,7 @@ from mergegame.scenario import (
     packed_lane_scenario,
     save_scenario,
 )
+from mergegame.world import LaneGeometry
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -75,7 +84,7 @@ def test_yaml_rejects_pursuit_wheelbase(tmp_path):
     path = tmp_path / "scenario.yaml"
     save_scenario(default_merge_scenario(5.0), path)
     data = yaml.safe_load(path.read_text())
-    data["pursuit"]["wheelbase"] = 2.7
+    data["model"]["pursuit"]["wheelbase"] = 2.7
     path.write_text(yaml.safe_dump(data, sort_keys=False))
     with pytest.raises(TypeError, match="wheelbase"):
         load_scenario(path)
@@ -152,7 +161,7 @@ def test_yaml_defaults_are_the_config_defaults(tmp_path):
     data = merge_yaml_dict(tmp_path)
     loaded = load_dict(tmp_path, {"vehicles": data["vehicles"]})
     assert loaded == ScenarioConfig(vehicles=cfg.vehicles)
-    assert loaded.planner_model() == PlannerModel()
+    assert loaded.model == PlannerModel()
 
 
 @pytest.mark.parametrize("name", ["merge_low", "merge_high"])
@@ -197,3 +206,45 @@ def test_yaml_rejects_negative_settings(tmp_path, section, field, value):
     data[section][field] = value
     with pytest.raises(ValueError, match=f"{section} {field} must be >= 0"):
         load_dict(tmp_path, data)
+
+
+SETTINGS = (VehicleParams, PdGains, PurePursuitParams, IdmSettings, PlannerModel, CostWeights,
+            SimConfig, LaneGeometry, BeliefSettings, PruneSettings, EpisodeSettings,
+            MonteCarloSettings, VehicleSpec, PruneRules)
+FLOAT_FIELDS = [(cls, f.name) for cls in SETTINGS for f in fields(cls) if "float" in str(f.type)]
+
+
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in FLOAT_FIELDS])
+def test_settings_reject_nan_naming_the_field(cls, name):
+    # 29 of these fields used to take NaN, which then surfaced, if at all, as
+    # a non-finite cost matrix mid-run; the others rejected it unnamed
+    required = {"vehicle_id": "sv"} if cls is VehicleSpec else {}
+    with pytest.raises(ValueError, match=rf"\b{name} must be .*, got nan"):
+        cls(**required, **{name: float("nan")})
+
+
+@pytest.mark.parametrize("path", [
+    ("lanes", "current_center"), ("vehicles", 1, "x"), ("vehicles", 1, "params", "length"),
+    ("sim", "dt"), ("weights", "w_info"), ("model", "d_safe"), ("model", "gains", "kp_pos"),
+    ("model", "pursuit", "kpp"), ("model", "idm", "s0"), ("beliefs", "sigma_accel"),
+    ("episode", "speed_jitter"), ("montecarlo", "position_jitter")],
+    ids=lambda path: ".".join(map(str, path)))
+def test_yaml_rejects_nan_in_every_section(tmp_path, path):
+    data = merge_yaml_dict(tmp_path)
+    section = data
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = float("nan")
+    assert f"{path[-1]}: .nan" in yaml.safe_dump(data)
+    with pytest.raises(ValueError, match=f"{path[-1]} must be"):
+        load_dict(tmp_path, data)
+
+
+@pytest.mark.parametrize("name", ["merge_low", "merge_high"])
+def test_shipped_configs_are_canonical(tmp_path, name):
+    # a shipped file holds every key, in the order save_scenario writes it
+    shipped = CONFIGS / f"{name}.yaml"
+    saved = tmp_path / "saved.yaml"
+    save_scenario(load_scenario(shipped), saved)
+    assert saved.read_bytes() == shipped.read_bytes()
