@@ -5,7 +5,6 @@ from .actions import (
     EgoDecision,
     GapChoice,
     LateralDecision,
-    PruneRules,
     SvAction,
     enumerate_ego_sequences,
     lateral_decision_set,

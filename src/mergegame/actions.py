@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-
-from .bounds import check
 
 __all__ = [
     "GapChoice",
@@ -15,10 +13,9 @@ __all__ = [
     "SvAction",
     "EgoDecision",
     "DecisionSequence",
-    "PruneRules",
     "ALL_EGO_DECISIONS",
+    "FORBIDDEN_TRANSITIONS",
     "lateral_decision_set",
-    "default_forbidden_transitions",
     "enumerate_ego_sequences",
 ]
 
@@ -118,49 +115,32 @@ class DecisionSequence:
         return None
 
 
-def default_forbidden_transitions() -> frozenset[tuple[EgoDecision, EgoDecision]]:
-    """Adjacent pairs that switch gap while committed to a lane change, which a
-    human driver would not do mid-maneuver."""
-    lc = LateralDecision.LEFT_CHANGE
-    return frozenset(
-        (a, b)
-        for a, b in itertools.product(ALL_EGO_DECISIONS, repeat=2)
-        if a.lateral == lc and b.lateral == lc and a.gap != b.gap
-    )
-
-
-@dataclass(frozen=True)
-class PruneRules:
-    """Decision-tree pruning configuration.
-
-    The root is the decision executed in the previous planning cycle; the step
-    from the root to a sequence's first element counts toward the change budget
-    and is screened against the forbidden transitions.
-    """
-
-    root: EgoDecision = EgoDecision(GapChoice.GAP_0, LateralDecision.LANE_KEEP)
-    max_decision_changes: int = 2
-    forbidden_transitions: frozenset[tuple[EgoDecision, EgoDecision]] = field(
-        default_factory=default_forbidden_transitions
-    )
-
-    def __post_init__(self):
-        check("PruneRules", self, ">=", 0, "max_decision_changes")
+# Adjacent pairs that switch gap while committed to a lane change, which a
+# human driver would not do mid-maneuver
+FORBIDDEN_TRANSITIONS: frozenset[tuple[EgoDecision, EgoDecision]] = frozenset(
+    (a, b)
+    for a, b in itertools.product(ALL_EGO_DECISIONS, repeat=2)
+    if a.lateral == b.lateral == LateralDecision.LEFT_CHANGE and a.gap != b.gap
+)
 
 
 @functools.lru_cache(maxsize=64)
-def enumerate_ego_sequences(rules: PruneRules, horizon: int) -> tuple[DecisionSequence, ...]:
-    """Enumerate all decision sequences of length `horizon` reachable from the root.
+def enumerate_ego_sequences(root: EgoDecision, max_decision_changes: int,
+                            horizon: int) -> tuple[DecisionSequence, ...]:
+    """Enumerate all decision sequences of length `horizon` reachable from root.
 
-    A sequence is kept when every adjacent pair (including root -> first step)
-    avoids the forbidden transitions and the total number of step-to-step
-    changes stays within the budget. Output order is deterministic:
-    lexicographic over step index with decisions in (gap, lateral) enum order.
-    The result depends only on (rules, horizon), so it is cached per pair; it
-    is a tuple because every caller shares it.
+    root is the decision executed in the previous planning cycle. A sequence
+    is kept when every adjacent pair (including root -> first step) avoids
+    FORBIDDEN_TRANSITIONS and the total number of step-to-step changes stays
+    within max_decision_changes. Output order is deterministic: lexicographic
+    over step index with decisions in (gap, lateral) enum order. The result
+    depends only on the arguments, so it is cached; it is a tuple because
+    every caller shares it.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if max_decision_changes < 0:
+        raise ValueError("max_decision_changes must be >= 0")
 
     out: list[DecisionSequence] = []
     prefix: list[EgoDecision] = []
@@ -172,14 +152,14 @@ def enumerate_ego_sequences(rules: PruneRules, horizon: int) -> tuple[DecisionSe
             return
         for cand in ALL_EGO_DECISIONS:
             changed = cand != prev
-            if changes + changed > rules.max_decision_changes:
+            if changes + changed > max_decision_changes:
                 continue
-            if (prev, cand) in rules.forbidden_transitions:
+            if (prev, cand) in FORBIDDEN_TRANSITIONS:
                 continue
             prefix.append(cand)
             walk(cand, changes + changed)
             prefix.pop()
 
-    walk(rules.root, 0)
+    walk(root, 0)
     return tuple(out)
 

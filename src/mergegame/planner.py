@@ -10,7 +10,6 @@ import numpy as np
 from .actions import (
     DecisionSequence,
     EgoDecision,
-    PruneRules,
     SvAction,
     enumerate_ego_sequences,
 )
@@ -106,8 +105,7 @@ def plan_cycle(world: WorldSnapshot, beliefs: Mapping[str, Belief],
     "lowest-cost" picks the column with the lowest belief-expected ego cost.
     """
     kind_cfg = planner if planner is not None else cfg.planner
-    rules = PruneRules(root=root, max_decision_changes=cfg.prune.max_decision_changes)
-    seqs = enumerate_ego_sequences(rules, cfg.sim.horizon)
+    seqs = enumerate_ego_sequences(root, cfg.prune.max_decision_changes, cfg.sim.horizon)
     rollout = simulate_batch(world, seqs, cfg.sim, cfg.model)
     prior = column_priors(rollout.partner_ids[:len(seqs)], beliefs)
 

@@ -88,6 +88,18 @@ class VehicleSpec:
             check(where, self, ">=", -np.inf, "y")
         check(where, self, ">=", 0, "v")
         check(where, self, ">", 0, "v_des")   # the modified IDM divides by v_des
+        # values that no law reads for the role keep their defaults: every
+        # rollout entry steps with the ego's wheelbase, the truth world
+        # steers traffic with delta = 0, and only traffic has a truth mode
+        if self.role == "ego":
+            unread = [("mode", self.mode, VehicleSpec.mode)]
+        else:
+            unread = [(f"params.{name}", getattr(self.params, name), getattr(VehicleParams, name))
+                      for name in ("wheelbase", "delta_max")]
+        for name, value, default in unread:
+            if value != default:
+                raise ValueError(f"{where} {name} must stay {default!r} for role "
+                                 f"{self.role!r} (nothing reads it), got {value!r}")
 
 
 @dataclass
@@ -153,6 +165,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _check_choice("planner", self.planner, PLANNER_KINDS)
+        check("scenario", self, ">=", 0, "seed")   # numpy's generators take no negative seed
         roles = [v.role for v in self.vehicles]
         if roles.count("ego") != 1:
             raise ValueError("exactly one vehicle must have role 'ego'")
@@ -200,22 +213,38 @@ def save_scenario(cfg: ScenarioConfig, path) -> None:
         yaml.safe_dump(asdict(cfg), fh, sort_keys=False)
 
 
-def _build(cls, data):
-    """cls from the mapping data (None for all defaults); a field whose
-    default factory is a dataclass is built from its own mapping alike."""
-    kwargs = dict(data or {})
+def _mapping(where: str, data) -> dict:
+    """The keyword arguments of section where: a mapping, or None for all defaults."""
+    if data is None:
+        return {}
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a mapping, got {data!r}")
+    return dict(data)
+
+
+def _build(cls, data, where: str):
+    """cls from section where's mapping data; a field whose default factory
+    is a dataclass is built from its own section alike."""
+    kwargs = _mapping(where or "scenario", data)
     for f in fields(cls):
         if f.name in kwargs and is_dataclass(f.default_factory):
-            kwargs[f.name] = _build(f.default_factory, kwargs[f.name])
+            kwargs[f.name] = _build(f.default_factory, kwargs[f.name], f"{where} {f.name}".strip())
     return cls(**kwargs)
 
 
 def from_dict(data: dict) -> ScenarioConfig:
     """Inverse of save_scenario's asdict(cfg). Keys left out take their
-    defaults, and an unknown key anywhere raises TypeError naming it."""
-    kwargs = dict(data)
-    kwargs["vehicles"] = [_build(VehicleSpec, vd) for vd in kwargs.get("vehicles") or []]
-    return _build(ScenarioConfig, kwargs)
+    defaults, an unknown key anywhere raises TypeError naming it, and a
+    section of the wrong type raises ValueError naming the section."""
+    kwargs = _mapping("scenario", data)
+    vehicles = kwargs.get("vehicles") or []
+    if not isinstance(vehicles, list):
+        raise ValueError(f"vehicles must be a list, got {vehicles!r}")
+    kwargs["vehicles"] = [
+        _build(VehicleSpec, vd, f"vehicle {vd.get('vehicle_id')!r}" if isinstance(vd, dict)
+               else f"vehicles[{i}]")
+        for i, vd in enumerate(vehicles)]
+    return _build(ScenarioConfig, kwargs, "")
 
 
 def load_scenario(path) -> ScenarioConfig:

@@ -104,6 +104,21 @@ def test_montecarlo_rejects_yaml_without_instances(tmp_path):
     assert not out.exists()
 
 
+def plan_edited_config(tmp_path, edit):
+    """Run plan on the default scenario file after edit(data); return the
+    file and the output path, which must stay unwritten."""
+    path = tmp_path / "scenario.yaml"
+    save_scenario(default_merge_scenario(5.0), path)
+    data = yaml.safe_load(path.read_text())
+    edit(data)
+    path.write_text(yaml.safe_dump(data, sort_keys=False))
+    out = tmp_path / "plan.yaml"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["plan", "--config", str(path), "--out", str(out)])
+    assert not out.exists()
+    return path, str(exit_info.value.code)
+
+
 @pytest.mark.parametrize("edit, key", [
     (lambda data: data.update(plannr=data.pop("planner")), "plannr"),
     # the layout before the model section, whose fields sat at the top level
@@ -112,12 +127,32 @@ def test_montecarlo_rejects_yaml_without_instances(tmp_path):
 ], ids=["misspelt", "pre-model-section", "removed-prune-key"])
 def test_unknown_key_is_an_error_message(tmp_path, capsys, edit, key):
     # an unknown key used to end in a TypeError traceback
-    path = tmp_path / "scenario.yaml"
-    save_scenario(default_merge_scenario(5.0), path)
-    data = yaml.safe_load(path.read_text())
-    edit(data)
-    path.write_text(yaml.safe_dump(data, sort_keys=False))
-    out = tmp_path / "plan.yaml"
-    with pytest.raises(SystemExit, match=f"^mergegame: error: {re.escape(str(path))}: .*'{key}'"):
-        main(["plan", "--config", str(path), "--out", str(out)])
+    path, message = plan_edited_config(tmp_path, edit)
+    assert re.match(f"^mergegame: error: {re.escape(str(path))}: .*'{key}'", message)
+
+
+@pytest.mark.parametrize("edit, text", [
+    (lambda data: data.update(model=5), "model must be a mapping, got 5"),
+    (lambda data: data.update(vehicles=5), "vehicles must be a list, got 5"),
+    (lambda data: data["vehicles"][1].update(params=[1]),
+     "vehicle 'sv0' params must be a mapping, got [1]"),
+    (lambda data: data.update(sim=[1]), "sim must be a mapping, got [1]"),
+    (lambda data: data.update(seed=-1), "scenario seed must be >= 0, got -1"),
+], ids=["model", "vehicles", "vehicle-params", "sim", "negative-seed"])
+def test_bad_section_is_an_error_message(tmp_path, edit, text):
+    # a section of the wrong type used to end in "'int' object is not
+    # iterable", naming no section; a negative seed failed mid-run in numpy
+    path, message = plan_edited_config(tmp_path, edit)
+    assert message == f"mergegame: error: {path}: {text}"
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate", "montecarlo"])
+def test_negative_seed_flag_is_rejected(tmp_path, capsys, command):
+    # --seed -1 used to end in a numpy traceback once the first draw was made
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--seed", "-1", "--out", str(out)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: must be >= 0, got -1" in err and "Traceback" not in err
     assert not out.exists()

@@ -13,7 +13,6 @@ from mergegame.actions import (
     EgoDecision,
     GapChoice,
     LateralDecision,
-    PruneRules,
     SvAction,
     enumerate_ego_sequences,
 )
@@ -742,7 +741,7 @@ def test_info_gain_is_zero_without_partner():
     cfg = info_gain_cfg("merge5")
     world = cfg.initial_world()
     # the current-lane gap allows lane keeping only, and has no partner
-    seqs = [s for s in enumerate_ego_sequences(PruneRules(root=INFO_ROOT), cfg.sim.horizon)
+    seqs = [s for s in enumerate_ego_sequences(INFO_ROOT, 2, cfg.sim.horizon)
             if all(d.gap == GapChoice.GAP_0 for d in s)]
     rollout = simulate_batch(world, seqs, cfg.sim, cfg.model)
     assert seqs and all(pid is None for pid in rollout.partner_ids)

@@ -12,7 +12,6 @@ from mergegame.actions import (
     EgoDecision,
     GapChoice,
     LateralDecision,
-    PruneRules,
     SvAction,
     enumerate_ego_sequences,
 )
@@ -482,7 +481,7 @@ def assert_matches_reference(world, seqs, cfg, model):
 
 
 def root_seqs(root, horizon=5):
-    return enumerate_ego_sequences(PruneRules(root=root), horizon)
+    return enumerate_ego_sequences(root, 2, horizon)
 
 
 def mid_episode_world(cfg, cycles):

@@ -1,10 +1,10 @@
+import re
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 import yaml
 
-from mergegame.actions import PruneRules
 from mergegame.control import IdmSettings, PdGains, PurePursuitParams
 from mergegame.costs import CostWeights
 from mergegame.dynamics import VehicleParams
@@ -183,6 +183,48 @@ def test_yaml_rejects_bad_vehicle_speeds(tmp_path, field, value, rule):
         load_dict(tmp_path, data)
 
 
+UNREAD_VALUES = [
+    # (vehicle, field, value): the ego's mode and the traffic's steering geometry
+    ("ego", "mode", "polite"),
+    ("sv0", "params.wheelbase", 3.1),
+    ("sv0", "params.delta_max", 0.4),
+]
+
+
+@pytest.mark.parametrize("vehicle, name, value", UNREAD_VALUES,
+                         ids=[name for _, name, _ in UNREAD_VALUES])
+@pytest.mark.parametrize("via", ["constructor", "yaml"])
+def test_values_nothing_reads_are_rejected(tmp_path, via, vehicle, name, value):
+    # the planner steps every entry with the ego's wheelbase, the truth world
+    # steers traffic with delta = 0, and only traffic has a truth mode, so
+    # these values used to load and change no result
+    data = merge_yaml_dict(tmp_path)
+    spec = next(vd for vd in data["vehicles"] if vd["vehicle_id"] == vehicle)
+    *parents, leaf = name.split(".")
+    target = spec[parents[0]] if parents else spec
+    target[leaf] = value
+    with pytest.raises(ValueError, match=rf"vehicle '{vehicle}' {re.escape(name)} must stay"):
+        if via == "yaml":
+            load_dict(tmp_path, data)
+        else:
+            VehicleSpec(**{**spec, "params": VehicleParams(**spec["params"])})
+
+
+def test_steering_geometry_stays_settable_on_the_ego():
+    ego = VehicleSpec("ego", role="ego", params=VehicleParams(wheelbase=3.1, delta_max=0.4))
+    assert ego.params.wheelbase == 3.1 and ego.params.delta_max == 0.4
+    assert VehicleSpec("sv0", mode="polite").mode == "polite"
+
+
+@pytest.mark.parametrize("seed", [-1, float("nan")])
+def test_yaml_rejects_negative_seed(tmp_path, seed):
+    # seed -1 used to load and then fail in numpy's generator mid-run
+    data = merge_yaml_dict(tmp_path)
+    data["seed"] = seed
+    with pytest.raises(ValueError, match="scenario seed must be >= 0"):
+        load_dict(tmp_path, data)
+
+
 @pytest.mark.parametrize("max_cycles", [0, -1])
 def test_yaml_rejects_no_episode_cycles(tmp_path, max_cycles):
     # max_cycles = 0 used to run a zero-cycle episode that timed out at once
@@ -210,7 +252,7 @@ def test_yaml_rejects_negative_settings(tmp_path, section, field, value):
 
 SETTINGS = (VehicleParams, PdGains, PurePursuitParams, IdmSettings, PlannerModel, CostWeights,
             SimConfig, LaneGeometry, BeliefSettings, PruneSettings, EpisodeSettings,
-            MonteCarloSettings, VehicleSpec, PruneRules)
+            MonteCarloSettings, VehicleSpec)
 FLOAT_FIELDS = [(cls, f.name) for cls in SETTINGS for f in fields(cls) if "float" in str(f.type)]
 
 
