@@ -132,8 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, default=None,
                         help="scenario YAML (default: built-in merge scenario)")
-    common.add_argument("--seed", type=_at_least(0), default=None,
-                        help="override the scenario seed")
+    common.add_argument("--seed", type=_at_least(0), help="override the scenario seed")
     common.add_argument("--planner", choices=PLANNER_KINDS, default=None,
                         help="override the scenario planner")
     common.add_argument("--out", type=str, default=None, help="output file path")

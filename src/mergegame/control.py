@@ -79,11 +79,10 @@ class IdmSettings:
         check("IdmSettings", self, ">", self.beta_yield, "beta_assert")
 
 
-def gap_reference(x_front, v_front, has_front, x_rear, has_rear, v_des, d_safe,
-                  follow_distance):
+def gap_reference(x_front, v_front, has_front, x_rear, has_rear, v_des, follow_distance):
     """Rule-based target (x_target, v_target) inside a gap given its bounding vehicles.
 
-    Both bounds  -> midpoint of [x_rear + d_safe, x_front - d_safe].
+    Both bounds  -> midpoint of the gap, 0.5 * (x_rear + x_front).
     Front only   -> follow point follow_distance behind the front vehicle.
     No front     -> speed tracking at v_des; x_target is then meaningless, and
                     pd_longitudinal is called with has_target = has_front.
@@ -91,7 +90,7 @@ def gap_reference(x_front, v_front, has_front, x_rear, has_rear, v_des, d_safe,
     """
     v_target = np.where(has_front, np.minimum(v_front, v_des), v_des)
     x_target = np.where(has_rear & has_front,
-                        0.5 * ((x_rear + d_safe) + (x_front - d_safe)),
+                        0.5 * (x_rear + x_front),
                         x_front - follow_distance)
     return x_target, v_target
 

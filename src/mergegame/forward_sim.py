@@ -89,11 +89,10 @@ class PlannerModel:
     gains: PdGains = field(default_factory=PdGains)
     pursuit: PurePursuitParams = field(default_factory=PurePursuitParams)
     idm: IdmSettings = field(default_factory=IdmSettings)
-    d_safe: float = 6.0
     follow_distance: float = 12.0
 
     def __post_init__(self):
-        check("PlannerModel", self, ">=", -np.inf, "d_safe", "follow_distance")
+        check("PlannerModel", self, ">=", -np.inf, "follow_distance")
 
 
 # simulate_batch's bound on K * V, which bounds the vehicle states of one
@@ -335,7 +334,7 @@ def simulate_batch(world: WorldSnapshot, seqs, cfg: SimConfig,
             # --- ego longitudinal: PD on the rule-based gap reference
             ef, er = ent.take(f_at), ent.take(r_at)
             x_tgt, v_tgt = gap_reference(X[ef], VS[ef], has_f, X[er], has_r,
-                                         v_des[e], model.d_safe, model.follow_distance)
+                                         v_des[e], model.follow_distance)
             a_e = pd_longitudinal(xe, ve, x_tgt, v_tgt, has_f, model.gains, a_max[e])
 
             # until the ego has mostly crossed, its command may not drive it into

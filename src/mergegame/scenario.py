@@ -2,20 +2,24 @@
 
 A scenario file is ScenarioConfig as YAML, one top-level section per field:
   lanes       LaneGeometry: lane centers, lane width, merge_end
-  vehicles    list of VehicleSpec, each with its VehicleParams under params
+  vehicles    list of VehicleSpec, each with its VehicleParams under params;
+              a value that no law reads for the vehicle's role must keep its
+              default: params.wheelbase and params.delta_max of a traffic
+              vehicle, and the mode of the ego
   sim         SimConfig: dt, horizon, decision_period
   weights     CostWeights
   model       PlannerModel, the planner's rollout model: gains (PdGains),
               pursuit (PurePursuitParams), idm (IdmSettings, whose car
-              following the truth world shares), d_safe, follow_distance
+              following the truth world shares), follow_distance
   beliefs     BeliefSettings
   prune       PruneSettings
   episode     EpisodeSettings
   montecarlo  MonteCarloSettings
   planner     one of PLANNER_KINDS
-  seed
-A key left out takes its default, and an unknown key raises TypeError. Each
-settings class range-checks its fields with bounds.check when it is built.
+  seed        a non-negative integer
+A key left out takes its default, an unknown key raises TypeError, and a
+section of the wrong type raises ValueError. Each settings class
+range-checks its fields with bounds.check when it is built.
 """
 
 from __future__ import annotations
@@ -88,17 +92,15 @@ class VehicleSpec:
             check(where, self, ">=", -np.inf, "y")
         check(where, self, ">=", 0, "v")
         check(where, self, ">", 0, "v_des")   # the modified IDM divides by v_des
-        # values that no law reads for the role keep their defaults: every
-        # rollout entry steps with the ego's wheelbase, the truth world
-        # steers traffic with delta = 0, and only traffic has a truth mode
-        if self.role == "ego":
-            unread = [("mode", self.mode, VehicleSpec.mode)]
-        else:
-            unread = [(f"params.{name}", getattr(self.params, name), getattr(VehicleParams, name))
-                      for name in ("wheelbase", "delta_max")]
-        for name, value, default in unread:
+        # values that no law reads for the role keep their defaults, which the
+        # classes hold: every rollout entry steps with the ego's wheelbase, the
+        # truth world steers traffic with delta = 0, and only traffic has a mode
+        unread = [(where, self, "mode")] if self.role == "ego" else [
+            (f"{where} params", self.params, name) for name in ("wheelbase", "delta_max")]
+        for section, obj, name in unread:
+            value, default = getattr(obj, name), getattr(type(obj), name)
             if value != default:
-                raise ValueError(f"{where} {name} must stay {default!r} for role "
+                raise ValueError(f"{section} {name} must stay {default!r} for role "
                                  f"{self.role!r} (nothing reads it), got {value!r}")
 
 
@@ -213,19 +215,17 @@ def save_scenario(cfg: ScenarioConfig, path) -> None:
         yaml.safe_dump(asdict(cfg), fh, sort_keys=False)
 
 
-def _mapping(where: str, data) -> dict:
-    """The keyword arguments of section where: a mapping, or None for all defaults."""
-    if data is None:
-        return {}
-    if not isinstance(data, dict):
-        raise ValueError(f"{where} must be a mapping, got {data!r}")
-    return dict(data)
+def _section(where: str, data, kind=dict):
+    """A new kind (dict or list) from section where of a scenario file; None is empty."""
+    if isinstance(data, (kind, type(None))):
+        return kind() if data is None else kind(data)
+    raise ValueError(f"{where} must be a {'mapping' if kind is dict else 'list'}, got {data!r}")
 
 
 def _build(cls, data, where: str):
-    """cls from section where's mapping data; a field whose default factory
-    is a dataclass is built from its own section alike."""
-    kwargs = _mapping(where or "scenario", data)
+    """cls from section where's mapping data (None for all defaults); a field
+    whose default factory is a dataclass is built from its own section alike."""
+    kwargs = _section(where, data)
     for f in fields(cls):
         if f.name in kwargs and is_dataclass(f.default_factory):
             kwargs[f.name] = _build(f.default_factory, kwargs[f.name], f"{where} {f.name}".strip())
@@ -236,14 +236,9 @@ def from_dict(data: dict) -> ScenarioConfig:
     """Inverse of save_scenario's asdict(cfg). Keys left out take their
     defaults, an unknown key anywhere raises TypeError naming it, and a
     section of the wrong type raises ValueError naming the section."""
-    kwargs = _mapping("scenario", data)
-    vehicles = kwargs.get("vehicles") or []
-    if not isinstance(vehicles, list):
-        raise ValueError(f"vehicles must be a list, got {vehicles!r}")
-    kwargs["vehicles"] = [
-        _build(VehicleSpec, vd, f"vehicle {vd.get('vehicle_id')!r}" if isinstance(vd, dict)
-               else f"vehicles[{i}]")
-        for i, vd in enumerate(vehicles)]
+    kwargs = _section("scenario", data)
+    vehicles = enumerate(_section("vehicles", kwargs.get("vehicles"), list))
+    kwargs["vehicles"] = [_build(VehicleSpec, vd, f"vehicles[{i}]") for i, vd in vehicles]
     return _build(ScenarioConfig, kwargs, "")
 
 

@@ -124,7 +124,9 @@ def plan_edited_config(tmp_path, edit):
     # the layout before the model section, whose fields sat at the top level
     (lambda data: data.update(data.pop("model")), "gains"),
     (lambda data: data["prune"].update(use_default_forbidden=True), "use_default_forbidden"),
-], ids=["misspelt", "pre-model-section", "removed-prune-key"])
+    # the gap target is the gap's midpoint, in which d_safe cancelled
+    (lambda data: data["model"].update(d_safe=6.0), "d_safe"),
+], ids=["misspelt", "pre-model-section", "removed-prune-key", "removed-model-key"])
 def test_unknown_key_is_an_error_message(tmp_path, capsys, edit, key):
     # an unknown key used to end in a TypeError traceback
     path, message = plan_edited_config(tmp_path, edit)
@@ -135,7 +137,7 @@ def test_unknown_key_is_an_error_message(tmp_path, capsys, edit, key):
     (lambda data: data.update(model=5), "model must be a mapping, got 5"),
     (lambda data: data.update(vehicles=5), "vehicles must be a list, got 5"),
     (lambda data: data["vehicles"][1].update(params=[1]),
-     "vehicle 'sv0' params must be a mapping, got [1]"),
+     "vehicles[1] params must be a mapping, got [1]"),
     (lambda data: data.update(sim=[1]), "sim must be a mapping, got [1]"),
     (lambda data: data.update(seed=-1), "scenario seed must be >= 0, got -1"),
 ], ids=["model", "vehicles", "vehicle-params", "sim", "negative-seed"])

@@ -22,9 +22,8 @@ HALF_PI = 0.5 * math.pi
 # --- gap reference ------------------------------------------------------------
 
 def ref(x_front=0.0, v_front=0.0, has_front=True, x_rear=0.0, has_rear=True,
-        v_des=10.0, d_safe=6.0, follow_distance=12.0):
-    return gap_reference(x_front, v_front, has_front, x_rear, has_rear, v_des, d_safe,
-                         follow_distance)
+        v_des=10.0, follow_distance=12.0):
+    return gap_reference(x_front, v_front, has_front, x_rear, has_rear, v_des, follow_distance)
 
 
 def test_midpoint_rule():
@@ -42,8 +41,8 @@ def test_front_only_follow_point():
     x_target, v_target = ref(x_front=40, v_front=6, has_rear=False, follow_distance=12.0)
     assert x_target == pytest.approx(28.0)
     assert v_target == pytest.approx(6.0)
-    # the follow distance is a parameter of its own, not a multiple of d_safe
-    x_target, _ = ref(x_front=40, v_front=6, has_rear=False, d_safe=6.0, follow_distance=9.0)
+    # the follow point moves with the follow distance alone
+    x_target, _ = ref(x_front=40, v_front=6, has_rear=False, follow_distance=9.0)
     assert x_target == pytest.approx(31.0)
 
 
@@ -204,13 +203,13 @@ def test_row_vector_call_matches_scalar_calls():
     delta_max = rng.uniform(0.3, 0.7, n)
     gains, pursuit = PdGains(), PurePursuitParams()
 
-    x_tgt, v_tgt = gap_reference(xl, vl, has_f, x - 8.0, has_r, v0, 6.0, 12.0)
+    x_tgt, v_tgt = gap_reference(xl, vl, has_f, x - 8.0, has_r, v0, 12.0)
     d = virtual_gap_distance(xl, yl, x, y, kappa)
     laws = {
         "x_target": (x_tgt, lambda k: gap_reference(xl[k], vl[k], has_f[k], x[k] - 8.0, has_r[k],
-                                                    v0[k], 6.0, 12.0)[0]),
+                                                    v0[k], 12.0)[0]),
         "v_target": (v_tgt, lambda k: gap_reference(xl[k], vl[k], has_f[k], x[k] - 8.0, has_r[k],
-                                                    v0[k], 6.0, 12.0)[1]),
+                                                    v0[k], 12.0)[1]),
         "pd": (pd_longitudinal(x, v, x_tgt, v_tgt, has_f, gains, a_max),
                lambda k: pd_longitudinal(x[k], v[k], x_tgt[k], v_tgt[k], has_f[k], gains,
                                          a_max[k])),

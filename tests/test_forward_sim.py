@@ -421,7 +421,7 @@ def reference_simulate_batch(world, tuples, cfg, model):
         x_tgt, v_tgt = gap_reference(X[np.where(has_f, fi, 0), cols],
                                      VS[np.where(has_f, fi, 0), cols], has_f,
                                      X[np.where(has_r, ri, 0), cols], has_r,
-                                     world.v_des[e], model.d_safe, model.follow_distance)
+                                     world.v_des[e], model.follow_distance)
         a_e = pd_longitudinal(X[0], VS[0], x_tgt, v_tgt, has_f, model.gains, a_max[e])
 
         # until the ego has mostly crossed, its command may not drive it into

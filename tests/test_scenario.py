@@ -1,4 +1,3 @@
-import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -203,7 +202,8 @@ def test_values_nothing_reads_are_rejected(tmp_path, via, vehicle, name, value):
     *parents, leaf = name.split(".")
     target = spec[parents[0]] if parents else spec
     target[leaf] = value
-    with pytest.raises(ValueError, match=rf"vehicle '{vehicle}' {re.escape(name)} must stay"):
+    with pytest.raises(ValueError, match=f"vehicle '{vehicle}' {' '.join(name.split('.'))} "
+                                         "must stay"):
         if via == "yaml":
             load_dict(tmp_path, data)
         else:
@@ -268,7 +268,8 @@ def test_settings_reject_nan_naming_the_field(cls, name):
 
 @pytest.mark.parametrize("path", [
     ("lanes", "current_center"), ("vehicles", 1, "x"), ("vehicles", 1, "params", "length"),
-    ("sim", "dt"), ("weights", "w_info"), ("model", "d_safe"), ("model", "gains", "kp_pos"),
+    ("sim", "dt"), ("weights", "w_info"), ("model", "follow_distance"),
+    ("model", "gains", "kp_pos"),
     ("model", "pursuit", "kpp"), ("model", "idm", "s0"), ("beliefs", "sigma_accel"),
     ("episode", "speed_jitter"), ("montecarlo", "position_jitter")],
     ids=lambda path: ".".join(map(str, path)))
