@@ -105,8 +105,8 @@ def test_montecarlo_rejects_yaml_without_instances(tmp_path):
 
 
 def plan_edited_config(tmp_path, edit):
-    """Run plan on the default scenario file after edit(data); return the
-    file and the output path, which must stay unwritten."""
+    """Run plan on the default scenario file after edit(data), which must
+    fail without writing the output; return the file and the exit message."""
     path = tmp_path / "scenario.yaml"
     save_scenario(default_merge_scenario(5.0), path)
     data = yaml.safe_load(path.read_text())

@@ -199,11 +199,9 @@ def test_values_nothing_reads_are_rejected(tmp_path, via, vehicle, name, value):
     # these values used to load and change no result
     data = merge_yaml_dict(tmp_path)
     spec = next(vd for vd in data["vehicles"] if vd["vehicle_id"] == vehicle)
-    *parents, leaf = name.split(".")
-    target = spec[parents[0]] if parents else spec
-    target[leaf] = value
-    with pytest.raises(ValueError, match=f"vehicle '{vehicle}' {' '.join(name.split('.'))} "
-                                         "must stay"):
+    section = spec["params"] if name.startswith("params.") else spec
+    section[name.split(".")[-1]] = value
+    with pytest.raises(ValueError, match=f"vehicle '{vehicle}' {name.replace('.', ' ')} must stay"):
         if via == "yaml":
             load_dict(tmp_path, data)
         else:
