@@ -7,6 +7,8 @@ import itertools
 from dataclasses import dataclass
 from enum import IntEnum
 
+from .bounds import check_integer
+
 __all__ = [
     "GapChoice",
     "LateralDecision",
@@ -124,7 +126,8 @@ FORBIDDEN_TRANSITIONS: frozenset[tuple[EgoDecision, EgoDecision]] = frozenset(
 )
 
 
-@functools.lru_cache(maxsize=64)
+# typed: a cached answer for 2 would otherwise also answer 2.0 or True unchecked
+@functools.lru_cache(maxsize=64, typed=True)
 def enumerate_ego_sequences(root: EgoDecision, max_decision_changes: int,
                             horizon: int) -> tuple[DecisionSequence, ...]:
     """Enumerate all decision sequences of length `horizon` reachable from root.
@@ -137,6 +140,9 @@ def enumerate_ego_sequences(root: EgoDecision, max_decision_changes: int,
     depends only on the arguments, so it is cached; it is a tuple because
     every caller shares it.
     """
+    # a depth of 2.5 is never reached, so a non-integer would recurse without end
+    check_integer("enumerate_ego_sequences", horizon=horizon,
+                  max_decision_changes=max_decision_changes)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if max_decision_changes < 0:

@@ -19,7 +19,8 @@ A scenario file is ScenarioConfig as YAML, one top-level section per field:
   seed        a non-negative integer
 A key left out takes its default, an unknown key raises TypeError, and a
 section of the wrong type raises ValueError. Each settings class
-range-checks its fields with bounds.check when it is built.
+range-checks its fields with bounds.check when it is built, and its integer
+fields with bounds.check_integer.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from enum import Enum
 import numpy as np
 import yaml
 
-from .bounds import check
+from .bounds import check, check_integer
 from .costs import Belief, CostWeights
 from .dynamics import VehicleParams
 from .forward_sim import PlannerModel, SimConfig
@@ -121,6 +122,7 @@ class PruneSettings:
 
     def __post_init__(self):
         check("prune", self, ">=", 0, "max_decision_changes")
+        check_integer("prune", max_decision_changes=self.max_decision_changes)
 
 
 @dataclass
@@ -134,6 +136,7 @@ class EpisodeSettings:
 
     def __post_init__(self):
         check("episode", self, ">=", 1, "max_cycles")
+        check_integer("episode", max_cycles=self.max_cycles)
         check("episode", self, ">=", 0, "success_lateral_tol", "success_heading_tol",
               "speed_jitter", "polite_lateral_frac", "selfish_lateral_frac")
 
@@ -148,6 +151,7 @@ class MonteCarloSettings:
     def __post_init__(self):
         _check_choice("montecarlo mode", self.mode, MONTE_CARLO_MODES)
         check("montecarlo", self, ">=", 1, "n")
+        check_integer("montecarlo", n=self.n)
         check("montecarlo", self, ">=", 0, "position_jitter", "speed_jitter")
 
 
@@ -168,6 +172,7 @@ class ScenarioConfig:
     def __post_init__(self):
         _check_choice("planner", self.planner, PLANNER_KINDS)
         check("scenario", self, ">=", 0, "seed")   # numpy's generators take no negative seed
+        check_integer("scenario", seed=self.seed)
         roles = [v.role for v in self.vehicles]
         if roles.count("ego") != 1:
             raise ValueError("exactly one vehicle must have role 'ego'")

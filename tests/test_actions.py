@@ -102,7 +102,10 @@ def test_count_monotone_in_change_budget():
 
 
 @pytest.mark.parametrize("budget, horizon, message", [
-    (2, 0, "horizon must be >= 1"), (-1, 5, "max_decision_changes must be >= 0")])
+    (2, 0, "horizon must be >= 1"), (-1, 5, "max_decision_changes must be >= 0"),
+    # the walk never reaches depth 2.5, so these recursed without end
+    (2, 2.5, "horizon must be an integer, got 2.5"), (2, True, "horizon must be an integer"),
+    (1.5, 5, "max_decision_changes must be an integer, got 1.5")])
 def test_enumeration_rejects_bad_arguments(budget, horizon, message):
     with pytest.raises(ValueError, match=message):
         enumerate_ego_sequences(EgoDecision(G0, LK), budget, horizon)

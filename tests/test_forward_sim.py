@@ -630,6 +630,17 @@ def test_trajectory_table_is_exact_and_complete(scenario, when):
         assert_period_rows_name_segments(rollout, cfg.sim)
 
 
+@pytest.mark.parametrize("scenario", ["merge5", "merge10", "packed"])
+def test_table_rows_follow_the_tree(scenario):
+    # from every root: rows sort by their segment of period 0, then of period
+    # 1, and so on, so each vehicle's rows and each segment's rows are one run
+    cfg = SCENARIOS[scenario]()
+    world = scenario_world(scenario, "start")
+    for root in ALL_EGO_DECISIONS:
+        rollout = plan_cycle(world, cfg.initial_beliefs(), cfg, root).rollout
+        assert (np.diff(rollout.period_rows, axis=0) >= 0).all(), root
+
+
 def assert_period_rows_name_segments(rollout, sim):
     """Rows with equal period_rows[:, d] hold bit-equal states over period d
     (the last one through step T), and no two vehicles share a segment."""
@@ -680,18 +691,21 @@ def test_closed_loop_builds_no_per_tuple_arrays(monkeypatch):
         assert_not_materialized(res.rollout)
 
 
-def byte_records(*columns):
+def byte_records(prev, *columns):
     """Keys as simulate_batch groups them at a period's end: record i holds
-    the 8 bytes of element i of each column (ints, or the bits of floats)."""
-    keys = np.column_stack([np.asarray(c).view(np.uint64) for c in columns])
+    the 8 bytes of prev[i], big-endian, then those of element i of each
+    column (ints, or the bits of floats)."""
+    keys = np.column_stack([np.asarray(prev).astype(">u8").view(np.uint64)]
+                           + [np.asarray(c).view(np.uint64) for c in columns])
     return keys.view(np.dtype((np.void, keys.shape[1] * 8))).ravel()
 
 
 def test_group_codes_groups_byte_records_by_bits():
     # 0.0 and -0.0 are different keys, and so are NaNs with different payload
-    # bits; groups are numbered by the byte order of their records
+    # bits; groups are numbered by the byte order of their records, which
+    # ranks them by prev first (256 is 00 01 .. in little-endian bytes)
     nan_a, nan_b = np.array([0x7FF8000000000001, 0x7FF8000000000002], dtype=np.uint64).view(float)
-    prev = np.array([3, 3, 1, 3, 3, 1, 2, 2, 2])
+    prev = np.array([256, 256, 1, 256, 256, 1, 2, 2, 2])
     a = np.array([0.0, -0.0, 0.0, 0.0, 1.5, 0.0, nan_a, nan_b, nan_a])
     records = byte_records(prev, a, np.full(9, 2.0))
     first, group = _group_codes(records)
@@ -699,6 +713,7 @@ def test_group_codes_groups_byte_records_by_bits():
     distinct = sorted(set(raw))
     assert group.tolist() == [distinct.index(r) for r in raw]
     assert first.tolist() == [raw.index(r) for r in distinct]
+    assert (np.diff(prev[first]) >= 0).all()
     by_first = dict.fromkeys(group.tolist())
     assert [list(by_first).index(g) for g in group.tolist()] == [0, 1, 2, 0, 3, 2, 4, 5, 4]
 
@@ -706,7 +721,8 @@ def test_group_codes_groups_byte_records_by_bits():
 @given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1) | st.integers(-5, 40), min_size=1,
                 max_size=200))
 def test_group_codes_on_byte_records_partitions_like_ints(codes):
-    # the same ints as 8-byte records rank differently but group alike
+    # the same ints as 8-byte records group alike, though negative ones rank
+    # after the others
     code = np.array(codes, dtype=np.int64)
     first, group = _group_codes(code)
     b_first, b_group = _group_codes(byte_records(code))

@@ -223,6 +223,24 @@ def test_yaml_rejects_negative_seed(tmp_path, seed):
         load_dict(tmp_path, data)
 
 
+@pytest.mark.parametrize("path, value, where", [
+    ("seed", 1.5, "scenario"), ("seed", True, "scenario"), ("sim.horizon", 2.5, "SimConfig"),
+    ("sim.horizon", True, "SimConfig"), ("prune.max_decision_changes", 1.5, "prune"),
+    ("episode.max_cycles", 2.5, "episode"), ("montecarlo.n", 2.5, "montecarlo")])
+def test_yaml_rejects_non_integer_counts(tmp_path, path, value, where):
+    # each used to load: horizon 2.5 then recursed without end in the
+    # enumeration, seed 1.5 and max_cycles 2.5 failed in numpy and range,
+    # max_decision_changes 1.5 acted as 1, and the others ran on
+    data = merge_yaml_dict(tmp_path)
+    *sections, name = path.split(".")
+    section = data
+    for key in sections:
+        section = section[key]
+    section[name] = value
+    with pytest.raises(ValueError, match=rf"^{where} {name} must be an integer, got {value!r}$"):
+        load_dict(tmp_path, data)
+
+
 @pytest.mark.parametrize("max_cycles", [0, -1])
 def test_yaml_rejects_no_episode_cycles(tmp_path, max_cycles):
     # max_cycles = 0 used to run a zero-cycle episode that timed out at once
