@@ -14,6 +14,7 @@ __all__ = [
     "LateralDecision",
     "SvAction",
     "EgoDecision",
+    "ROOT",
     "DecisionSequence",
     "ALL_EGO_DECISIONS",
     "FORBIDDEN_TRANSITIONS",
@@ -72,6 +73,9 @@ class EgoDecision:
                 LateralDecision.LEFT_PROBE: "LP"}[self.lateral]
         return f"{int(self.gap)}{code}"
 
+
+# The decision an episode or a one-off plan starts from: keep the current lane
+ROOT = EgoDecision(GapChoice.GAP_0, LateralDecision.LANE_KEEP)
 
 ALL_EGO_DECISIONS: tuple[EgoDecision, ...] = tuple(
     EgoDecision(g, d) for g in GapChoice for d in sorted(lateral_decision_set(g))

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import yaml
 
-from .actions import EgoDecision, GapChoice, LateralDecision, SvAction
+from .actions import ROOT, SvAction
 from .closed_loop import (
     aggregate_episodes,
     run_episode,
@@ -46,8 +46,7 @@ def cmd_plan(args) -> int:
     cfg = _load(args)
     world = cfg.initial_world()
     beliefs = cfg.initial_beliefs()
-    root = EgoDecision(GapChoice.GAP_0, LateralDecision.LANE_KEEP)
-    res = plan_cycle(world, beliefs, cfg, root)
+    res = plan_cycle(world, beliefs, cfg, ROOT)
     g = res.game
 
     print(f"planner={cfg.planner} seed={cfg.seed} "

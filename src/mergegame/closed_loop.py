@@ -1,6 +1,16 @@
 """Receding-horizon closed loop against a surrounding-vehicle truth model,
 plus the open-loop equilibrium statistics protocol and planner-comparison batches.
 
+Each cycle of run_episode runs in one pass:
+  1. plan: plan_cycle from the truth state and the current beliefs;
+  2. execute: one decision period of substeps against the truth world, with
+     every vehicle's (a, delta) for the window in one (substeps, V, 2) array,
+     the chosen rollout's ego inputs copied in and truth_sv_accel filling the
+     others substep by substep;
+  3. observe: unless the window ended the episode, the partner's belief is
+     updated from its column of that array against the two traces that its
+     column of the game predicted.
+
 The truth model differs from the planner's rollout model on purpose: real
 surrounding vehicles anticipate the ego with a constant-velocity projection and
 react only once it comes laterally close, with the reaction range set by their
@@ -17,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .actions import EgoDecision, GapChoice, LateralDecision
+from .actions import ROOT, SvAction
 from .control import IdmSettings, idm_accel, leader_inputs, virtual_gap_distance
 from .costs import Belief, GameMatrix, update_belief
 from .dynamics import rects_penetrate, step_bicycle
@@ -123,12 +133,12 @@ def _ego_hits_anyone(states: np.ndarray, ego: int, half_len: np.ndarray,
 
 def run_episode(cfg: ScenarioConfig, planner: str | None = None,
                 record_steps: bool = True, record_games: bool = False) -> EpisodeTrace:
-    """Plan-execute loop until the ego merges, collides, or runs out of road.
+    """Plan-execute-observe loop until the ego merges, collides, or runs out of road.
 
-    Each cycle updates the partner belief from the acceleration observed over
-    the last execution window, plans over all action tuples, then executes the
-    first decision period of the chosen ego trajectory against the truth world.
-    Fully deterministic for a fixed config and seed.
+    Each cycle is the one pass the module docstring lays out: plan, execute
+    the first decision period of the chosen ego trajectory against the truth
+    world, and update the partner's belief from that window. Fully
+    deterministic for a fixed config and seed.
     """
     planner = planner if planner is not None else cfg.planner
     rng = np.random.default_rng(cfg.seed)
@@ -137,12 +147,12 @@ def run_episode(cfg: ScenarioConfig, planner: str | None = None,
     jitter = rng.uniform(-cfg.episode.speed_jitter, cfg.episode.speed_jitter, base.n_vehicles)
     states[:, 3] = np.maximum(states[:, 3] + jitter, 0.0)
 
-    ids, e = base.ids, base.ego_index
+    ids, e, V = base.ids, base.ego_index, base.n_vehicles
     dt, substeps = cfg.sim.dt, cfg.sim.substeps
     lanes = cfg.lanes
-    svs = [v for v in cfg.vehicles if v.role != "ego"]
-    sv = np.array([base.index_of(v.vehicle_id) for v in svs])
-    sv_v0 = np.array([v.v_des for v in svs])
+    sv = np.flatnonzero(np.arange(V) != e)
+    v0 = base.v_des[sv]
+    svs = [cfg.vehicles[i] for i in sv]
     sv_lane_y = np.array([cfg.lane_center(v.lane) for v in svs])
     frac = {BehaviorMode.POLITE: cfg.episode.polite_lateral_frac,
             BehaviorMode.SELFISH: cfg.episode.selfish_lateral_frac}
@@ -151,21 +161,14 @@ def run_episode(cfg: ScenarioConfig, planner: str | None = None,
     half_len, half_wid = 0.5 * lengths, 0.5 * widths
     beliefs = cfg.initial_beliefs()
 
-    root = EgoDecision(GapChoice.GAP_0, LateralDecision.LANE_KEEP)
-    pending = None  # (partner_id, (assert, yield) predictions, observed accels)
-    outcome, ttm = Outcome.TIMEOUT, None
+    root = ROOT
+    outcome, ttm = None, None   # running out of cycles is a timeout
     t = 0.0
     cycles: list[CycleRecord] = []
     rows: list[tuple] = []
 
     for cycle in range(cfg.episode.max_cycles):
         world = WorldSnapshot(ids, states.copy(), base.params, base.v_des, lanes, e)
-        if pending is not None:
-            pid, (pred_assert, pred_yield), observed = pending
-            b = beliefs[pid]
-            pa, py = update_belief(b.p_assert, b.p_yield, observed, pred_assert, pred_yield,
-                                   cfg.beliefs.sigma_accel)
-            beliefs[pid] = Belief(float(pa), float(py))
         res: CycleResult = plan_cycle(world, beliefs, cfg, root, planner)
         cycles.append(CycleRecord(
             cycle=cycle, t0=t,
@@ -177,51 +180,49 @@ def run_episode(cfg: ScenarioConfig, planner: str | None = None,
             game=res.game if record_games else None,
         ))
 
-        ego_inputs = res.ego_inputs(world, substeps)
-        preds = res.partner_accel_predictions(world, substeps)
+        # (a, delta) of every vehicle at each substep of the window
+        rollout = res.rollout
+        cmd = np.zeros((substeps, V, 2))
+        cmd[:, e] = rollout.vehicle_inputs(rollout.tuple_index(res.row, res.col), e)[:substeps]
         leader_idx = world.leader_indices(include_ego=False)
-        partner_obs: list[float] = []
-        terminal = None
 
         for s in range(substeps):
-            a_cmd = np.zeros(len(ids))
-            d_cmd = np.zeros(len(ids))
-            a_cmd[e], d_cmd[e] = ego_inputs[s]
-            a_cmd[sv] = truth_sv_accel(states, sv, leader_idx, e, sv_v0, sv_lane_y, sv_reach,
-                                       cfg.model.idm)
-            if res.partner_id is not None:
-                partner_obs.append(float(a_cmd[base.index_of(res.partner_id)]))
+            cmd[s, sv, 0] = truth_sv_accel(states, sv, leader_idx, e, v0, sv_lane_y, sv_reach,
+                                           cfg.model.idm)
             if record_steps:
-                for i, vid in enumerate(ids):
-                    rows.append((cycle, t, vid, states[i, 0], states[i, 1], states[i, 2],
-                                 states[i, 3], a_cmd[i], d_cmd[i]))
+                rows.extend((cycle, t, vid, *x, *u)
+                            for vid, x, u in zip(ids, states.tolist(), cmd[s].tolist()))
             # the commands are recorded as issued, and saturated to the actuation limits here
             states = np.column_stack(step_bicycle(
                 states[:, 0], states[:, 1], states[:, 2], states[:, 3],
-                np.clip(a_cmd, -a_max, a_max), np.clip(d_cmd, -delta_max, delta_max),
+                np.clip(cmd[s, :, 0], -a_max, a_max), np.clip(cmd[s, :, 1], -delta_max, delta_max),
                 dt, wheelbase))
             t += dt
             if _ego_hits_anyone(states, e, half_len, half_wid):
-                terminal = Outcome.COLLISION
-                break
-            if abs(states[e, 1] - lanes.target_center) <= cfg.episode.success_lateral_tol \
+                outcome = Outcome.COLLISION
+            elif abs(states[e, 1] - lanes.target_center) <= cfg.episode.success_lateral_tol \
                     and abs(states[e, 2]) <= cfg.episode.success_heading_tol:
-                terminal, ttm = Outcome.SUCCESS, t
+                outcome, ttm = Outcome.SUCCESS, t
+            elif states[e, 0] > lanes.merge_end:
+                outcome = Outcome.TIMEOUT
+            if outcome is not None:
                 break
-            if states[e, 0] > lanes.merge_end:
-                terminal = Outcome.TIMEOUT
-                break
-
-        root = res.chosen_sequence[0]
-        if terminal is not None:
-            outcome = terminal
+        if outcome is not None:
             break
-        pending = None
-        if preds is not None and res.partner_id is not None:
-            pending = (res.partner_id, preds, partner_obs)
+        root = res.chosen_sequence[0]
+        pid = res.partner_id
+        if pid is not None:
+            # the partner's observed accelerations against the traces its column predicted
+            p = base.index_of(pid)
+            k = rollout.tuple_index(np.arange(len(SvAction)), res.col)
+            pred_assert, pred_yield = rollout.vehicle_inputs(k, p)[:, :substeps, 0]
+            b = beliefs[pid]
+            pa, py = update_belief(b.p_assert, b.p_yield, cmd[:, p, 0], pred_assert, pred_yield,
+                                   cfg.beliefs.sigma_accel)
+            beliefs[pid] = Belief(float(pa), float(py))
 
-    return EpisodeTrace(outcome=outcome, time_to_merge=ttm, cycles=cycles, steps=rows,
-                        seed=cfg.seed, planner=planner)
+    return EpisodeTrace(outcome=outcome or Outcome.TIMEOUT, time_to_merge=ttm, cycles=cycles,
+                        steps=rows, seed=cfg.seed, planner=planner)
 
 
 # --- batches -------------------------------------------------------------------
@@ -329,8 +330,7 @@ def _mc_instance(args):
                          f"vehicle in all {MAX_INSTANCE_DRAWS} draws of its initial state")
     resampled = draws - 1
     world = WorldSnapshot(base.ids, states, base.params, base.v_des, cfg.lanes, e)
-    root = EgoDecision(GapChoice.GAP_0, LateralDecision.LANE_KEEP)
-    res = plan_cycle(world, cfg.initial_beliefs(), cfg, root, planner="nash")
+    res = plan_cycle(world, cfg.initial_beliefs(), cfg, ROOT, planner="nash")
     has_nash = len(res.nash_cells) > 0
     sel = (res.row, res.col)
     return {

@@ -48,7 +48,7 @@ class PdGains:
     kp_vel: float = 1.0
 
     def __post_init__(self):
-        check("PdGains", self, ">=", 0, "kp_pos", "kd_pos", "kp_vel")
+        check("gains", self, ">=", 0, "kp_pos", "kd_pos", "kp_vel")
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class PurePursuitParams:
     min_lookahead: float = 4.0  # floor keeping the lookahead finite near standstill
 
     def __post_init__(self):
-        check("PurePursuitParams", self, ">", 0, "kpp", "min_lookahead")
+        check("pursuit", self, ">", 0, "kpp", "min_lookahead")
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,9 @@ class IdmSettings:
     beta_yield: float = 2.0
 
     def __post_init__(self):
-        check("IdmSettings", self, ">", 0, "time_headway", "s0", "a_acc", "b_dec", "b_emergency")
-        check("IdmSettings", self, ">=", 1, "beta_yield")
-        check("IdmSettings", self, ">", self.beta_yield, "beta_assert")
+        check("idm", self, ">", 0, "time_headway", "s0", "a_acc", "b_dec", "b_emergency")
+        check("idm", self, ">=", 1, "beta_yield")
+        check("idm", self, ">", self.beta_yield, "beta_assert")
 
 
 def gap_reference(x_front, v_front, has_front, x_rear, has_rear, v_des, follow_distance):

@@ -56,11 +56,11 @@ class CostWeights:
     w_info: float = 0.0
 
     def __post_init__(self):
-        check("CostWeights", self, ">", 0, "w_saf2")
-        check("CostWeights", self, ">", self.w_saf2, "w_saf1")
-        check("CostWeights", self, ">=", 0, "d_lo", "w_eff", "w_com", "w_nav")
-        check("CostWeights", self, ">", self.d_lo, "d_hi")
-        check("CostWeights", self, ">=", -np.inf, "w_info")
+        check("weights", self, ">", 0, "w_saf2")
+        check("weights", self, ">", self.w_saf2, "w_saf1")
+        check("weights", self, ">=", 0, "d_lo", "w_eff", "w_com", "w_nav")
+        check("weights", self, ">", self.d_lo, "d_hi")
+        check("weights", self, ">=", -np.inf, "w_info")
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,6 @@ class GameMatrix:
     sv_weighted: np.ndarray  # (2, M)
     ev: np.ndarray           # (2, M)
     sv_raw: np.ndarray | None = None
-    col_partners: tuple | None = None
 
     def __post_init__(self):
         self.sv_weighted = np.asarray(self.sv_weighted, dtype=float)
@@ -284,21 +283,20 @@ def build_game_from_batch(rollout: BatchRollout, world: WorldSnapshot,
     shape = (len(SvAction), len(rollout.cols))
     sv_raw = sv_agg.reshape(shape)
     ev = ev_flat.reshape(shape)
-    # the rollout resolved each tuple's partner; row 0 holds the columns in order
-    partners = rollout.partner_ids[:len(rollout.cols)]
     sv_weighted = (1.0 - prior) * sv_raw
-    return GameMatrix(rollout.cols, sv_weighted, ev, sv_raw=sv_raw, col_partners=partners)
+    return GameMatrix(rollout.cols, sv_weighted, ev, sv_raw=sv_raw)
 
 
 # --- belief update -------------------------------------------------------------
 
 def update_belief(p_assert, p_yield, observed, pred_assert, pred_yield,
-                  sigma_a: float = 0.8) -> tuple[np.ndarray, np.ndarray]:
+                  sigma_a: float) -> tuple[np.ndarray, np.ndarray]:
     """Bayes update of assert/yield beliefs from observed acceleration traces.
 
     The priors (...) and the traces (..., T) broadcast over their leading
     axes. The likelihood of each mode is a product of per-step Gaussians
-    centred on the mode's predicted acceleration, taken in log space. Returns
+    centred on the mode's predicted acceleration, with standard deviation
+    sigma_a (BeliefSettings.sigma_accel), taken in log space. Returns
     the posterior (p_assert, p_yield) arrays. An entry whose log-posterior is
     not finite for any mode (its likelihoods vanished, so its mass cannot be
     normalised) keeps its prior, and one warning per call gives their count.

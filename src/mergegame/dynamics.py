@@ -32,7 +32,7 @@ class VehicleParams:
     delta_max: float = 0.6
 
     def __post_init__(self):
-        check("VehicleParams", self, ">", 0, "wheelbase", "length", "width", "a_max", "delta_max")
+        check("params", self, ">", 0, "wheelbase", "length", "width", "a_max", "delta_max")
 
 
 def _wrap_angle(theta):

@@ -45,13 +45,13 @@ class SimConfig:
     decision_period: float = 1.0
 
     def __post_init__(self):
-        check("SimConfig", self, ">=", 1, "horizon")
-        check_integer("SimConfig", horizon=self.horizon)
-        check("SimConfig", self, ">", 0, "dt", "decision_period")
-        check("SimConfig", self, "<", np.inf, "decision_period")   # round(inf) overflows
+        check("sim", self, ">=", 1, "horizon")
+        check_integer("sim", horizon=self.horizon)
+        check("sim", self, ">", 0, "dt", "decision_period")
+        check("sim", self, "<", np.inf, "decision_period")   # round(inf) overflows
         ratio = self.decision_period / self.dt
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            raise ValueError("decision_period must be a positive integer multiple of dt")
+            raise ValueError("sim decision_period must be a positive integer multiple of dt")
 
     @property
     def substeps(self) -> int:
@@ -72,7 +72,7 @@ class PlannerModel:
     follow_distance: float = 12.0
 
     def __post_init__(self):
-        check("PlannerModel", self, ">=", -np.inf, "follow_distance")
+        check("model", self, ">=", -np.inf, "follow_distance")
 
 
 # simulate_batch's bound on K * V, which bounds the vehicle states of one

@@ -49,24 +49,7 @@ class CycleResult:
 
     @property
     def partner_id(self) -> str | None:
-        return self.game.col_partners[self.col]
-
-    def ego_inputs(self, world: WorldSnapshot, n_steps: int | None = None) -> np.ndarray:
-        """Planned ego (a, delta) trace of the selected rollout, first n_steps rows."""
-        trace = self.rollout.vehicle_inputs(self.rollout.tuple_index(self.row, self.col),
-                                            world.ego_index)
-        return trace if n_steps is None else trace[:n_steps]
-
-    def partner_accel_predictions(self, world: WorldSnapshot,
-                                  n_steps: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """Predicted partner accelerations (assert, yield) over the execution window."""
-        pid = self.partner_id
-        if pid is None:
-            return None
-        p = world.index_of(pid)
-        k_assert, k_yield = (self.rollout.tuple_index(row, self.col) for row in SvAction)
-        return (self.rollout.vehicle_inputs(k_assert, p)[:n_steps, 0].copy(),
-                self.rollout.vehicle_inputs(k_yield, p)[:n_steps, 0].copy())
+        return self.rollout.partner_ids[self.col]
 
 
 def _info_gain_extra(rollout: BatchRollout, world: WorldSnapshot, prior: np.ndarray,
@@ -82,13 +65,11 @@ def _info_gain_extra(rollout: BatchRollout, world: WorldSnapshot, prior: np.ndar
     partners = rollout.partner_ids[:m]
     cols = np.array([j for j, pid in enumerate(partners) if pid is not None], dtype=int)
     p = np.array([world.index_of(partners[j]) for j in cols], dtype=int)
-    k_assert, k_yield = (rollout.tuple_index(row, cols) for row in SvAction)
-    pred_assert = rollout.vehicle_inputs(k_assert, p)[..., 0]         # (n, T)
-    pred_yield = rollout.vehicle_inputs(k_yield, p)[..., 0]
-    observed = np.stack([pred_assert, pred_yield])                    # (2, n, T)
-    pa, py = prior[0, cols], prior[1, cols]
-    post_a, post_y = update_belief(pa, py, observed, pred_assert, pred_yield,
-                                   cfg.beliefs.sigma_accel)
+    k = rollout.tuple_index(np.arange(len(SvAction))[:, None], cols)   # (2, n)
+    pred = rollout.vehicle_inputs(k, p)[..., 0]                         # (2, n, T)
+    pa, py = prior[:, cols]
+    # row r of pred is what tuple (r, j) observes; *pred are the two modes' traces
+    post_a, post_y = update_belief(pa, py, pred, *pred, cfg.beliefs.sigma_accel)
     extra = np.zeros((len(SvAction), m))
     extra[:, cols] = cfg.weights.w_info * (belief_entropy(post_a, post_y)
                                            - belief_entropy(pa, py))

@@ -20,7 +20,9 @@ A scenario file is ScenarioConfig as YAML, one top-level section per field:
 A key left out takes its default, an unknown key raises TypeError, and a
 section of the wrong type raises ValueError. Each settings class
 range-checks its fields with bounds.check when it is built, and its integer
-fields with bounds.check_integer.
+fields with bounds.check_integer. A ValueError names the section as a file
+writes it: "sim horizon ...", "model idm s0 ...", "vehicles[1] params
+length ..." (a vehicle's own fields name it by id).
 """
 
 from __future__ import annotations
@@ -228,12 +230,17 @@ def _section(where: str, data, kind=dict):
 
 
 def _build(cls, data, where: str):
-    """cls from section where's mapping data (None for all defaults); a field
-    whose default factory is a dataclass is built from its own section alike."""
+    """cls from section where's mapping data (None for all defaults). A field
+    whose default factory is a dataclass is built from its own section alike,
+    and a ValueError there, which names that section by its own key, gets
+    where put in front: "model gains kp_pos ...", "vehicles[1] params ..."."""
     kwargs = _section(where, data)
     for f in fields(cls):
         if f.name in kwargs and is_dataclass(f.default_factory):
-            kwargs[f.name] = _build(f.default_factory, kwargs[f.name], f"{where} {f.name}".strip())
+            try:
+                kwargs[f.name] = _build(f.default_factory, kwargs[f.name], f.name)
+            except ValueError as exc:
+                raise ValueError(f"{where} {exc}".lstrip()) from None
     return cls(**kwargs)
 
 

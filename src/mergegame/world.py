@@ -23,10 +23,10 @@ class LaneGeometry:
     merge_end: float = 100.0  # longitudinal position where the merge lane runs out
 
     def __post_init__(self):
-        check("LaneGeometry", self, ">=", -np.inf, "current_center", "target_center")
-        check("LaneGeometry", self, ">", 0, "width", "merge_end")
+        check("lanes", self, ">=", -np.inf, "current_center", "target_center")
+        check("lanes", self, ">", 0, "width", "merge_end")
         if self.target_center == self.current_center:
-            raise ValueError("lane centers must differ")
+            raise ValueError("lanes current_center and target_center must differ")
 
     @property
     def probe_line(self) -> float:
@@ -111,11 +111,14 @@ class WorldSnapshot:
     def resolve_gaps(self, leaders: np.ndarray | None = None) -> dict[GapChoice, GapBounds]:
         """Identify the bounding vehicles of the three semantic gaps.
 
-        GAP_0 is the ego's current lane behind its leader. On the target lane,
-        GAP_1 is bounded at the rear by the nearest vehicle ahead of the ego
-        and GAP_2 by the nearest vehicle behind it, so the rear bound of the
-        chosen gap is always the vehicle that would have to open it. A caller
-        that already holds leader_indices() (ego included) passes it as leaders.
+        GAP_0 is the ego's current lane behind its leader, with no rear bound
+        and so no partner; once the ego has merged, its current lane is the
+        target lane, and GAP_0 is the place behind its leader there. On the
+        target lane, GAP_1 is bounded at the rear by the nearest vehicle ahead
+        of the ego and GAP_2 by the nearest vehicle behind it, so the rear
+        bound of the chosen gap is always the vehicle that would have to open
+        it. A caller that already holds leader_indices() (ego included) passes
+        it as leaders.
         """
         e = self.ego_index
         x_ego = float(self.states[e, 0])
@@ -140,7 +143,4 @@ class WorldSnapshot:
         else:
             gap1 = GapBounds(None, vid(behind, 0))
             gap2 = GapBounds(vid(behind, 0), vid(behind, 1))
-        if centers[e] == target:
-            # already merged: the current-lane gap and the front target gap coincide
-            gap0 = GapBounds(gap0.front_id, None)
         return {GapChoice.GAP_0: gap0, GapChoice.GAP_1: gap1, GapChoice.GAP_2: gap2}

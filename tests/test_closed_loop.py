@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mergegame.actions import DecisionSequence, EgoDecision, GapChoice, LateralDecision, SvAction
+from mergegame import closed_loop
 from mergegame.closed_loop import (
     BehaviorMode,
     Outcome,
@@ -19,8 +20,10 @@ from mergegame.closed_loop import (
     write_trace_csv,
 )
 from mergegame.control import IdmSettings, idm_accel
+from mergegame.costs import update_belief
 from mergegame.dynamics import VehicleParams, rects_penetrate, step_bicycle
 from mergegame.forward_sim import SimConfig, simulate_batch
+from mergegame.planner import plan_cycle
 from mergegame.scenario import (
     MonteCarloSettings,
     ScenarioConfig,
@@ -398,6 +401,39 @@ def test_belief_updates_from_observation():
             if vid not in partners:
                 assert pa == pytest.approx(prior)
     assert moved >= 2
+
+
+def test_belief_update_reads_the_window(monkeypatch):
+    # each cycle's belief is the previous cycle's, updated from the partner's
+    # commands over the previous window against the two traces its column
+    # predicted; every other belief is carried over unchanged
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(plan_cycle(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(closed_loop, "plan_cycle", recording)
+    cfg = default_merge_scenario(5.0, seed=3)
+    trace = run_episode(cfg)
+    assert len(results) == len(trace.cycles)
+    world, substeps, updated = cfg.initial_world(), cfg.sim.substeps, 0
+    for c, (rec, res) in enumerate(zip(trace.cycles[:-1], results)):
+        after = dict(rec.beliefs)
+        pid = res.partner_id
+        if pid is not None:
+            p = world.index_of(pid)
+            observed = [row[7] for row in trace.steps if row[0] == c and row[2] == pid]
+            assert len(observed) == substeps
+            pred_assert, pred_yield = (
+                res.rollout.vehicle_inputs(res.rollout.tuple_index(r, res.col), p)[:substeps, 0]
+                for r in SvAction)
+            pa, py = update_belief(*rec.beliefs[pid], np.array(observed), pred_assert,
+                                   pred_yield, cfg.beliefs.sigma_accel)
+            after[pid] = (float(pa), float(py))
+            updated += 1
+        assert trace.cycles[c + 1].beliefs == after
+    assert updated >= 3
 
 
 def test_politeness_monotonicity():

@@ -32,7 +32,7 @@ from mergegame.dynamics import VehicleParams, rect_distance_arrays
 from mergegame.forward_sim import PlannerModel, SimConfig, simulate_batch
 from mergegame.game import Player, find_pure_nash, select_action, stackelberg
 from mergegame.planner import _info_gain_extra, plan_cycle
-from mergegame.scenario import default_merge_scenario, packed_lane_scenario
+from mergegame.scenario import BeliefSettings, default_merge_scenario, packed_lane_scenario
 from mergegame.world import LaneGeometry, WorldSnapshot
 
 W = CostWeights(w_saf1=400.0, w_saf2=4.0, d_lo=1.0, d_hi=3.0,
@@ -171,7 +171,8 @@ def vehicle_cost(traj, vehicle_id, weights, world, v_des, y_des, info=0.0):
 
 def build_game(tuples, trajectory_sets, beliefs, weights, world):
     """The belief-weighted cost matrix from per-tuple trajectory sets, scored
-    vehicle by vehicle. Raises when a tuple is missing its trajectory set."""
+    vehicle by vehicle, and its column partners. Raises when a tuple is
+    missing its trajectory set."""
     tuples = list(tuples)
     if len(trajectory_sets) != len(tuples):
         raise ValueError("one trajectory set per action tuple is required")
@@ -201,7 +202,7 @@ def build_game(tuples, trajectory_sets, beliefs, weights, world):
                    for p in partners]
     weight = np.array([[1.0 - (b.p_assert, b.p_yield)[row] for b in col_beliefs]
                        for row in rows])
-    return GameMatrix(cols, weight * sv_raw, ev, sv_raw=sv_raw, col_partners=partners)
+    return GameMatrix(cols, weight * sv_raw, ev, sv_raw=sv_raw), partners
 
 
 def test_safety_cost_counting_oracle():
@@ -489,13 +490,13 @@ def test_build_game_matches_batch_path():
     model, sim = PlannerModel(), SimConfig()
     beliefs = {"sv2": Belief(0.7, 0.3), "sv1": Belief(0.4, 0.6)}
     sets = [simulate_one(world, t, sim, model) for t in tuples]
-    g1 = build_game(tuples, sets, beliefs, cfg.weights, world)
+    g1, partners = build_game(tuples, sets, beliefs, cfg.weights, world)
     rollout = simulate_batch(world, SEQS, sim, model)
     g2 = build_game_from_batch(rollout, world, priors_of(rollout, beliefs), cfg.weights)
     assert g2.cols is SEQS
     assert np.allclose(g1.sv_weighted, g2.sv_weighted, atol=1e-9)
     assert np.allclose(g1.ev, g2.ev, atol=1e-9)
-    assert g1.col_partners == g2.col_partners
+    assert partners == rollout.partner_ids[:len(SEQS)]
 
 
 def test_belief_weighting_rule():
@@ -504,7 +505,7 @@ def test_belief_weighting_rule():
     b = Belief(0.7, 0.3)
     prior = priors_of(rollout, {"sv1": b, "sv2": b, "sv3": b})
     g = build_game_from_batch(rollout, world, prior, cfg.weights)
-    for j, partner in enumerate(g.col_partners):
+    for j, partner in enumerate(rollout.partner_ids[:len(SEQS)]):
         weight = (1.0 - b.p_assert, 1.0 - b.p_yield) if partner is not None else (0.5, 0.5)
         assert g.sv_weighted[0, j] == pytest.approx(weight[0] * g.sv_raw[0, j])
         assert g.sv_weighted[1, j] == pytest.approx(weight[1] * g.sv_raw[1, j])
@@ -525,7 +526,7 @@ def test_degenerate_belief_zeroes_assert_row():
     rollout = simulate_batch(world, SEQS, SimConfig(), PlannerModel())
     beliefs = {vid: Belief(1.0, 0.0) for vid in cfg.sv_ids}
     g = build_game_from_batch(rollout, world, priors_of(rollout, beliefs), cfg.weights)
-    partnered = [j for j, p in enumerate(g.col_partners) if p is not None]
+    partnered = [j for j, p in enumerate(rollout.partner_ids[:len(SEQS)]) if p is not None]
     assert np.allclose(g.sv_weighted[0, partnered], 0.0)
     assert np.allclose(g.sv_weighted[1, partnered], g.sv_raw[1, partnered])
 
@@ -576,6 +577,9 @@ def reference_update_belief(prior, observed, pred_assert, pred_yield, sigma_a):
     return float(post[0]), float(post[1])
 
 
+SIGMA = BeliefSettings().sigma_accel
+
+
 def test_update_belief_bayes_rule():
     sigma = 0.8
     # residuals chosen so the likelihood ratio assert:yield is exactly 4:1
@@ -588,13 +592,13 @@ def test_update_belief_bayes_rule():
 
 def test_update_belief_identical_predictions_keep_prior():
     tr = np.array([0.1, -0.2, 0.3])
-    post_a, _ = update_belief(0.6, 0.4, tr, tr + 0.5, tr + 0.5)
+    post_a, _ = update_belief(0.6, 0.4, tr, tr + 0.5, tr + 0.5, SIGMA)
     assert post_a == pytest.approx(0.6)
 
 
 def test_update_belief_flat_likelihood_keeps_skewed_prior():
     obs = np.zeros(3)
-    post_a, _ = update_belief(0.9, 0.1, obs, obs + 1.0, obs + 1.0)
+    post_a, _ = update_belief(0.9, 0.1, obs, obs + 1.0, obs + 1.0, SIGMA)
     assert post_a == pytest.approx(0.9)
 
 
@@ -603,10 +607,10 @@ def test_update_belief_simplex_and_relabel():
     p = rng.uniform(0.01, 0.99, 50)
     obs = rng.normal(0, 1, (50, 5))
     pa, py = rng.normal(0, 1, (50, 5)), rng.normal(0, 1, (50, 5))
-    post_a, post_y = update_belief(p, 1.0 - p, obs, pa, py)
+    post_a, post_y = update_belief(p, 1.0 - p, obs, pa, py, SIGMA)
     assert np.all((0.0 <= post_a) & (post_a <= 1.0))
     np.testing.assert_allclose(post_a + post_y, 1.0, atol=1e-9)
-    _, flipped_y = update_belief(1.0 - p, p, obs, py, pa)
+    _, flipped_y = update_belief(1.0 - p, p, obs, py, pa, SIGMA)
     np.testing.assert_allclose(flipped_y, post_a, atol=1e-9)
 
 
@@ -615,7 +619,7 @@ def test_update_belief_vacuous_likelihood_returns_prior(caplog):
     obs = np.array([[np.inf], [0.2]])
     with caplog.at_level(logging.WARNING):
         post_a, post_y = update_belief(np.array([0.3, 0.3]), np.array([0.7, 0.7]), obs,
-                                       np.zeros(1), np.ones(1))
+                                       np.zeros(1), np.ones(1), SIGMA)
     assert (post_a[0], post_y[0]) == (0.3, 0.7)
     assert post_a[1] != 0.3
     skipped = [r.getMessage() for r in caplog.records if "belief update skipped" in r.message]
@@ -625,7 +629,7 @@ def test_update_belief_vacuous_likelihood_returns_prior(caplog):
 
 def test_update_belief_window_mismatch():
     with pytest.raises(ValueError):
-        update_belief(0.5, 0.5, np.zeros(3), np.zeros(2), np.zeros(3))
+        update_belief(0.5, 0.5, np.zeros(3), np.zeros(2), np.zeros(3), SIGMA)
 
 
 def _belief_entry(kind, prior, n_steps):

@@ -55,7 +55,7 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(dt=0.2, horizon=5, decision_period=0.7)
     # an infinite period used to raise OverflowError from round()
-    with pytest.raises(ValueError, match="SimConfig decision_period must be < inf"):
+    with pytest.raises(ValueError, match="sim decision_period must be < inf"):
         SimConfig(decision_period=float("inf"))
     assert CFG.substeps == 5
     assert CFG.steps == 25
@@ -668,8 +668,9 @@ def test_plan_cycle_builds_no_per_tuple_arrays(case):
     cfg = SCENARIOS[case.split("-")[0]]()
     if case.endswith("info"):
         cfg = replace(cfg, weights=replace(cfg.weights, w_info=20.0))
-    res = plan_cycle(cfg.initial_world(), cfg.initial_beliefs(), cfg, EgoDecision(G0, LK))
-    res.ego_inputs(cfg.initial_world())
+    world = cfg.initial_world()
+    res = plan_cycle(world, cfg.initial_beliefs(), cfg, EgoDecision(G0, LK))
+    res.rollout.vehicle_inputs(res.rollout.tuple_index(res.row, res.col), world.ego_index)
     assert_not_materialized(res.rollout)
     assert res.rollout.states is res.rollout.states
     assert "states" in vars(res.rollout)

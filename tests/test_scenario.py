@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -224,8 +225,8 @@ def test_yaml_rejects_negative_seed(tmp_path, seed):
 
 
 @pytest.mark.parametrize("path, value, where", [
-    ("seed", 1.5, "scenario"), ("seed", True, "scenario"), ("sim.horizon", 2.5, "SimConfig"),
-    ("sim.horizon", True, "SimConfig"), ("prune.max_decision_changes", 1.5, "prune"),
+    ("seed", 1.5, "scenario"), ("seed", True, "scenario"), ("sim.horizon", 2.5, "sim"),
+    ("sim.horizon", True, "sim"), ("prune.max_decision_changes", 1.5, "prune"),
     ("episode.max_cycles", 2.5, "episode"), ("montecarlo.n", 2.5, "montecarlo")])
 def test_yaml_rejects_non_integer_counts(tmp_path, path, value, where):
     # each used to load: horizon 2.5 then recursed without end in the
@@ -282,21 +283,28 @@ def test_settings_reject_nan_naming_the_field(cls, name):
         cls(**required, **{name: float("nan")})
 
 
-@pytest.mark.parametrize("path", [
-    ("lanes", "current_center"), ("vehicles", 1, "x"), ("vehicles", 1, "params", "length"),
-    ("sim", "dt"), ("weights", "w_info"), ("model", "follow_distance"),
-    ("model", "gains", "kp_pos"),
-    ("model", "pursuit", "kpp"), ("model", "idm", "s0"), ("beliefs", "sigma_accel"),
-    ("episode", "speed_jitter"), ("montecarlo", "position_jitter")],
-    ids=lambda path: ".".join(map(str, path)))
-def test_yaml_rejects_nan_in_every_section(tmp_path, path):
+NAN_PATHS = [
+    # (path in the file, the section path the error names)
+    (("lanes", "current_center"), "lanes"), (("vehicles", 1, "x"), "vehicle 'sv0'"),
+    (("vehicles", 1, "params", "length"), "vehicles[1] params"), (("sim", "dt"), "sim"),
+    (("weights", "w_info"), "weights"), (("model", "follow_distance"), "model"),
+    (("model", "gains", "kp_pos"), "model gains"), (("model", "pursuit", "kpp"), "model pursuit"),
+    (("model", "idm", "s0"), "model idm"), (("beliefs", "sigma_accel"), "beliefs"),
+    (("episode", "speed_jitter"), "episode"), (("montecarlo", "position_jitter"), "montecarlo")]
+
+
+@pytest.mark.parametrize("path, where", NAN_PATHS,
+                         ids=[".".join(map(str, path)) for path, _ in NAN_PATHS])
+def test_yaml_rejects_nan_in_every_section(tmp_path, path, where):
+    # sim, lanes, weights, model and a vehicle's params used to name their
+    # class (SimConfig, ..., VehicleParams), and params not its vehicle
     data = merge_yaml_dict(tmp_path)
     section = data
     for key in path[:-1]:
         section = section[key]
     section[path[-1]] = float("nan")
     assert f"{path[-1]}: .nan" in yaml.safe_dump(data)
-    with pytest.raises(ValueError, match=f"{path[-1]} must be"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(where)} {path[-1]} must be .*, got nan$"):
         load_dict(tmp_path, data)
 
 

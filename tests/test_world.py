@@ -67,6 +67,7 @@ def test_merged_ego_follows_target_lane():
     rows = [("ego", 0.0, 3.5, 8.0), ("a", 12.0, 3.5, 8.0), ("b", -10.0, 3.5, 8.0)]
     gaps = make_world(rows).resolve_gaps()
     assert gaps[G0].front_id == "a"
+    assert gaps[G0].rear_id is None
 
 
 def test_leader_indices():

@@ -5,8 +5,9 @@ same cells and drove the same episodes, bit for bit. A set's hash covers, for
 every planning cycle in order, the cost matrices (sv_weighted, ev, sv_raw),
 the Nash cells with their social costs, both Stackelberg cells, the selection
 (row, col, kind, fallback flag) and the column partners; and, for every
-episode, its recorded steps and its outcome. The Monte Carlo set also covers
-the returned statistics.
+episode, each cycle record's start time, beliefs, partner, sequence and
+social cost, its recorded steps and its outcome. The Monte Carlo set also
+covers the returned statistics.
 
 The sets:
   merge       20 closed-loop episodes of default_merge_scenario, at 5 and
@@ -65,7 +66,7 @@ def _feed(h, value) -> None:
 
 def _feed_cycle(h, res) -> None:
     game = res.game
-    _feed(h, [game.sv_weighted, game.ev, game.sv_raw, game.col_partners])
+    _feed(h, [game.sv_weighted, game.ev, game.sv_raw, res.rollout.partner_ids[:len(game.cols)]])
     _feed(h, [(c.row, c.col, c.kind.value, c.social_cost) for c in res.nash_cells])
     for se in (res.se_ev, res.se_sv):
         _feed(h, (se.row, se.col, se.kind.value, se.social_cost))
@@ -101,6 +102,8 @@ def episodes_hash(cfgs: list[ScenarioConfig]) -> tuple[str, int]:
     with _Recorder(h) as rec:
         for cfg in cfgs:
             trace = closed_loop.run_episode(cfg)
+            _feed(h, [(c.t0, c.beliefs, c.partner_id, c.sequence, c.social_cost)
+                      for c in trace.cycles])
             _feed(h, (trace.outcome.value, trace.time_to_merge, trace.steps))
     return h.hexdigest(), rec.cycles
 
