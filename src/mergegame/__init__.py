@@ -51,6 +51,6 @@ from .scenario import (
     packed_lane_scenario,
     save_scenario,
 )
-from .world import GapBounds, LaneGeometry, WorldSnapshot
+from .world import LaneGeometry, WorldSnapshot
 
 __version__ = "0.1.0"

@@ -113,8 +113,8 @@ class DecisionSequence:
     def partner_gap(self) -> GapChoice | None:
         """The gap whose rear bound the sequence negotiates with: that of its
         last step targeting a lane-change gap; None if it never leaves the
-        current lane. WorldSnapshot.resolve_gaps()[gap].partner_id names
-        that vehicle."""
+        current lane. Row partner_gap, column 1 of WorldSnapshot.resolve_gaps'
+        table is that vehicle's index."""
         for step in reversed(self.steps):
             if step.gap != GapChoice.GAP_0:
                 return step.gap

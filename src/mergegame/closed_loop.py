@@ -21,7 +21,6 @@ it is nearly on their lane). Their car following is the planner's modified IDM
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -157,8 +156,6 @@ def run_episode(cfg: ScenarioConfig, planner: str | None = None,
     frac = {BehaviorMode.POLITE: cfg.episode.polite_lateral_frac,
             BehaviorMode.SELFISH: cfg.episode.selfish_lateral_frac}
     sv_reach = np.array([frac[BehaviorMode(v.mode)] for v in svs]) * lanes.width
-    wheelbase, lengths, widths, a_max, delta_max = base.params_arrays()
-    half_len, half_wid = 0.5 * lengths, 0.5 * widths
     beliefs = cfg.initial_beliefs()
 
     root = ROOT
@@ -195,10 +192,10 @@ def run_episode(cfg: ScenarioConfig, planner: str | None = None,
             # the commands are recorded as issued, and saturated to the actuation limits here
             states = np.column_stack(step_bicycle(
                 states[:, 0], states[:, 1], states[:, 2], states[:, 3],
-                np.clip(cmd[s, :, 0], -a_max, a_max), np.clip(cmd[s, :, 1], -delta_max, delta_max),
-                dt, wheelbase))
+                np.clip(cmd[s, :, 0], -base.a_max, base.a_max),
+                np.clip(cmd[s, :, 1], -base.delta_max, base.delta_max), dt, base.wheelbase))
             t += dt
-            if _ego_hits_anyone(states, e, half_len, half_wid):
+            if _ego_hits_anyone(states, e, base.half_len, base.half_wid):
                 outcome = Outcome.COLLISION
             elif abs(states[e, 1] - lanes.target_center) <= cfg.episode.success_lateral_tol \
                     and abs(states[e, 2]) <= cfg.episode.success_heading_tol:
@@ -238,6 +235,8 @@ def _map_seeded(worker, cfg: ScenarioConfig, seed: int, n: int, workers: int, *e
              np.random.SeedSequence(seed).spawn(n)]
     jobs = [(cfg, s, *extra) for s in seeds]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor   # only a pool needs it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, jobs, chunksize=max(1, n // (workers * 8))))
     return [worker(j) for j in jobs]
@@ -316,14 +315,12 @@ def _mc_instance(args):
     rng = np.random.default_rng(seed)
     base = cfg.initial_world()
     e = base.ego_index
-    _, lengths, widths, _, _ = base.params_arrays()
-    half_len, half_wid = 0.5 * lengths, 0.5 * widths
     for draws in range(1, MAX_INSTANCE_DRAWS + 1):
         states = base.states.copy()
         states[e, 0] += rng.uniform(-cfg.montecarlo.position_jitter, cfg.montecarlo.position_jitter)
         states[e, 3] = max(0.0, states[e, 3] + rng.uniform(-cfg.montecarlo.speed_jitter,
                                                            cfg.montecarlo.speed_jitter))
-        if not _ego_hits_anyone(states, e, half_len, half_wid):
+        if not _ego_hits_anyone(states, e, base.half_len, base.half_wid):
             break
     else:
         raise ValueError(f"Monte Carlo instance seed {seed}: the ego overlapped another "

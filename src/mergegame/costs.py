@@ -256,10 +256,8 @@ def build_game_from_batch(rollout: BatchRollout, world: WorldSnapshot,
     (information-gain term).
     """
     e = world.ego_index
-    _, lengths, widths, _, _ = world.params_arrays()
-
     safety = _pair_band_penalties(rollout.traj_states, rollout.rows, rollout.block_start,
-                                  rollout.period_rows, 0.5 * lengths, 0.5 * widths, weights)
+                                  rollout.period_rows, world.half_len, world.half_wid, weights)
     # efficiency, comfort and navigation once per table row, gathered to the tuples
     table = rollout.traj_states
     vehicle = np.repeat(np.arange(world.n_vehicles), np.diff(rollout.block_start))

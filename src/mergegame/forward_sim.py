@@ -24,7 +24,7 @@ from itertools import chain
 
 import numpy as np
 
-from .actions import DecisionSequence, GapChoice, LateralDecision, SvAction
+from .actions import DecisionSequence, LateralDecision, SvAction
 from .control import (IdmSettings, PdGains, PurePursuitParams, gap_reference, idm_accel,
                       lateral_discount, leader_inputs, pd_longitudinal, pure_pursuit,
                       virtual_gap_distance)
@@ -178,11 +178,12 @@ def simulate_batch(world: WorldSnapshot, seqs, cfg: SimConfig,
 class _Layout:
     """What the walk reads and never changes. Per tuple (K,): its group
     action sv_code, its decision codes dec (K, H), and its partner's vehicle
-    index partner and id partner_ids. bounds (2, 3) holds the vehicle index
-    of each gap choice's front and rear bound, and line (3,) the ego's lane
-    line of each lateral decision. Per vehicle (V,): lead_row, its leader's
-    row of an entity index (V: none), is_sv and a_max. kappa (2,) is the
-    lateral discount of each group action. A missing vehicle index is -1.
+    index partner and id partner_ids. bounds (2, 3) is resolve_gaps' table
+    transposed: row 0 the front and row 1 the rear bound of each gap choice,
+    as vehicle indices. line (3,) is the ego's lane line of each lateral
+    decision. Per vehicle (V,): lead_row, its leader's row of an entity
+    index (V: none), and is_sv. kappa (2,) is the lateral discount of each
+    group action. A missing vehicle index is -1.
     """
 
     world: WorldSnapshot
@@ -197,7 +198,6 @@ class _Layout:
     line: np.ndarray
     lead_row: np.ndarray
     is_sv: np.ndarray
-    a_max: np.ndarray
     kappa: np.ndarray
 
 
@@ -216,24 +216,22 @@ def _layout(world, seqs, cfg, model) -> _Layout:
     sv_code, seq_index = np.divmod(np.arange(K), M)
     dec = np.fromiter(chain.from_iterable(codes), np.intp, M * H).reshape(M, H)[seq_index]
 
-    # gap bounds and leader chain resolved once per cycle; each tuple's
-    # partner is the partner of its sequence's partner gap
+    # gap bounds and leader chain resolved once per cycle; each sequence's
+    # partner is the rear bound of its partner gap, and a sequence that never
+    # leaves its lane reads gap -1, the appended -1 (none)
     lead = world.leader_indices(include_ego=True)
-    gaps = world.resolve_gaps(lead)
-    vehicle = dict(zip(world.ids, range(V))) | {None: -1}
-    partner_of = {g: gaps[g].partner_id for g in GapChoice} | {None: None}
-    partner_ids = [partner_of[seq.partner_gap] for seq in seqs]
-    partner = np.fromiter(map(vehicle.__getitem__, partner_ids), dtype=np.intp, count=M)[seq_index]
+    bounds = world.resolve_gaps(lead).T
+    gap = [-1 if seq.partner_gap is None else seq.partner_gap for seq in seqs]
+    rear, ids = np.append(bounds[1], -1)[gap], (*world.ids, None)
     lanes, idm = world.lanes, model.idm
     kappa = [lateral_discount(beta, lanes.width) for beta in (idm.beta_assert, idm.beta_yield)]
     return _Layout(
-        world, seqs, cfg, model, sv_code, dec, partner, tuple(partner_ids) * len(SvAction),
-        np.array([[vehicle[getattr(gaps[g], bound)] for g in GapChoice]
-                  for bound in ("front_id", "rear_id")]),
+        world, seqs, cfg, model, sv_code, dec, rear[seq_index],
+        tuple(ids[p] for p in rear.tolist()) * len(SvAction), bounds,
         # indexed by LateralDecision value: LANE_KEEP, LEFT_CHANGE, LEFT_PROBE
         np.array([lanes.nearest_center(float(world.states[e, 1])), lanes.target_center,
                   lanes.probe_line]),
-        np.where(lead >= 0, lead, V), np.arange(V) != e, world.params_arrays()[3],
+        np.where(lead >= 0, lead, V), np.arange(V) != e,
         np.array(kappa))   # indexed by SvAction value: ASSERT, YIELD
 
 
@@ -300,14 +298,14 @@ def _ego_pass(lay, per, P, ent):
     onto the decision's lane line, and PD on the rule-based gap reference
     under the keep-lane governor. Its state is gathered once."""
     world, model, e = lay.world, lay.model, lay.world.ego_index
-    ego = world.params[e]
     xe, ye, the, ve = P.take(ent[e], axis=1)
-    delta_e = pure_pursuit(ye, the, ve, per.line, ego.wheelbase, model.pursuit, ego.delta_max)
+    delta_e = pure_pursuit(ye, the, ve, per.line, world.wheelbase[e], model.pursuit,
+                           world.delta_max[e])
     has_f, has_r = per.has_bound
     x_b, _, _, v_b = P.take(ent.take(per.bound_at), axis=1)   # (2, n): front, rear
     x_tgt, v_tgt = gap_reference(x_b[0], v_b[0], has_f, x_b[1], has_r,
                                  world.v_des[e], model.follow_distance)
-    a_e = pd_longitudinal(xe, ve, x_tgt, v_tgt, has_f, model.gains, lay.a_max[e])
+    a_e = pd_longitudinal(xe, ve, x_tgt, v_tgt, has_f, model.gains, world.a_max[e])
 
     # until the ego has mostly crossed, its command may not drive it into
     # the leader of the lane it is still occupying; the governor engages
@@ -318,7 +316,8 @@ def _ego_pass(lay, per, P, ent):
         slack = x_l - xe - model.follow_distance
         engaged = still_on_lane & (slack <= KEEP_ENGAGE_TIME * np.maximum(ve, 1.0))
         a_keep = pd_longitudinal(xe, ve, x_l - model.follow_distance,
-                                 np.minimum(v_l, world.v_des[e]), True, model.gains, lay.a_max[e])
+                                 np.minimum(v_l, world.v_des[e]), True, model.gains,
+                                 world.a_max[e])
         a_e = np.where(engaged, np.minimum(a_e, a_keep), a_e)
     return a_e, delta_e
 
@@ -388,7 +387,7 @@ def _sv_pass(lay, per, P, ent, const, p_inputs, extra):
     p_i = per.p_pos[sc[mine]]
     d_lead[mine], v_lead[mine], has_l[mine] = (q[p_i] for q in p_inputs)
     a_sv = idm_accel(v, v_lead, d_lead, has_l, lay.world.v_des[sv], lay.model.idm)
-    lim = lay.a_max[sv]
+    lim = lay.world.a_max[sv]
 
     nxt = np.empty_like(ent)
     nxt[e] = np.arange(n)
@@ -412,7 +411,7 @@ def _step(lay, P, parent, a_e, delta_e, a_sv):
     """
     A = np.concatenate((a_e, a_sv))
     D = np.concatenate((delta_e, np.zeros(len(a_sv))))
-    wheelbase = lay.world.params[lay.world.ego_index].wheelbase
+    wheelbase = lay.world.wheelbase[lay.world.ego_index]
     return (np.array(step_bicycle(*P.take(parent, axis=1), A, D, lay.cfg.dt, wheelbase)),
             (P, A, D, parent))
 

@@ -17,10 +17,11 @@ A scenario file is ScenarioConfig as YAML, one top-level section per field:
   montecarlo  MonteCarloSettings
   planner     one of PLANNER_KINDS
   seed        a non-negative integer
-A key left out takes its default, an unknown key raises TypeError, and a
-section of the wrong type raises ValueError. Each settings class
-range-checks its fields with bounds.check when it is built, and its integer
-fields with bounds.check_integer. A ValueError names the section as a file
+A key left out takes its default, an unknown key raises TypeError naming
+its section ("model gains: unknown key 'zz'"), and a section of the wrong
+type raises ValueError. Each settings class range-checks its fields with
+bounds.check when it is built, and its integer fields with
+bounds.check_integer. A ValueError names the section as a file
 writes it: "sim horizon ...", "model idm s0 ...", "vehicles[1] params
 length ..." (a vehicle's own fields name it by id).
 """
@@ -31,7 +32,6 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from enum import Enum
 
 import numpy as np
-import yaml
 
 from .bounds import check, check_integer
 from .costs import Belief, CostWeights
@@ -218,6 +218,8 @@ class ScenarioConfig:
 # --- YAML serialization -------------------------------------------------------
 
 def save_scenario(cfg: ScenarioConfig, path) -> None:
+    import yaml   # here, so that importing the package does not load it
+
     with open(path, "w") as fh:
         yaml.safe_dump(asdict(cfg), fh, sort_keys=False)
 
@@ -230,24 +232,33 @@ def _section(where: str, data, kind=dict):
 
 
 def _build(cls, data, where: str):
-    """cls from section where's mapping data (None for all defaults). A field
-    whose default factory is a dataclass is built from its own section alike,
-    and a ValueError there, which names that section by its own key, gets
-    where put in front: "model gains kp_pos ...", "vehicles[1] params ..."."""
+    """cls from the mapping data (None for all defaults) of the section at
+    path where, as a file writes it: "sim", "model gains", "vehicles[1]
+    params", or "" for the whole file. A field whose default factory is a
+    dataclass is built from its own section alike. An unknown key raises
+    TypeError naming the path: "model gains: unknown key 'zz'". A ValueError
+    of cls's own checks names its section by its own key, and gets the
+    enclosing path put in front: "model gains kp_pos ...", "vehicles[1]
+    params length ..."."""
     kwargs = _section(where, data)
+    names = [f.name for f in fields(cls)]
+    for key in kwargs:
+        if key not in names:
+            raise TypeError(f"{where}: unknown key {key!r}".lstrip(": "))   # "" has no path
     for f in fields(cls):
         if f.name in kwargs and is_dataclass(f.default_factory):
-            try:
-                kwargs[f.name] = _build(f.default_factory, kwargs[f.name], f.name)
-            except ValueError as exc:
-                raise ValueError(f"{where} {exc}".lstrip()) from None
-    return cls(**kwargs)
+            kwargs[f.name] = _build(f.default_factory, kwargs[f.name], f"{where} {f.name}".lstrip())
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{where.rpartition(' ')[0]} {exc}".lstrip()) from None
 
 
 def from_dict(data: dict) -> ScenarioConfig:
     """Inverse of save_scenario's asdict(cfg). Keys left out take their
-    defaults, an unknown key anywhere raises TypeError naming it, and a
-    section of the wrong type raises ValueError naming the section."""
+    defaults, an unknown key anywhere raises TypeError naming it and its
+    section, and a section of the wrong type raises ValueError naming the
+    section."""
     kwargs = _section("scenario", data)
     vehicles = enumerate(_section("vehicles", kwargs.get("vehicles"), list))
     kwargs["vehicles"] = [_build(VehicleSpec, vd, f"vehicles[{i}]") for i, vd in vehicles]
@@ -255,6 +266,8 @@ def from_dict(data: dict) -> ScenarioConfig:
 
 
 def load_scenario(path) -> ScenarioConfig:
+    import yaml
+
     with open(path) as fh:
         return from_dict(yaml.safe_load(fh))
 

@@ -6,11 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import GapChoice
 from .bounds import check
 from .dynamics import VehicleParams
 
-__all__ = ["LaneGeometry", "GapBounds", "WorldSnapshot"]
+__all__ = ["LaneGeometry", "WorldSnapshot"]
 
 
 @dataclass(frozen=True)
@@ -40,21 +39,13 @@ class LaneGeometry:
                         self.current_center, self.target_center)
 
 
-@dataclass(frozen=True)
-class GapBounds:
-    """Bounding vehicles of one gap; the rear-bounding vehicle is the interaction partner."""
-
-    front_id: str | None
-    rear_id: str | None
-
-    @property
-    def partner_id(self) -> str | None:
-        return self.rear_id
-
-
 @dataclass
 class WorldSnapshot:
-    """States of all vehicles at one instant, with per-vehicle parameters and desired speeds."""
+    """States of all vehicles at one instant, with per-vehicle parameters and desired speeds.
+
+    Built from params once, the arrays the laws read by vehicle index (V,):
+    wheelbase, half_len, half_wid, a_max and delta_max.
+    """
 
     ids: tuple[str, ...]
     states: np.ndarray  # (V, 4) columns x, y, theta, v
@@ -74,6 +65,10 @@ class WorldSnapshot:
         if not 0 <= self.ego_index < len(self.ids):
             raise ValueError("ego_index out of range")
         self._index = {vid: k for k, vid in enumerate(self.ids)}
+        cols = np.array([(p.wheelbase, p.length, p.width, p.a_max, p.delta_max)
+                         for p in self.params], dtype=float).T
+        self.wheelbase, self.a_max, self.delta_max = cols[0], cols[3], cols[4]
+        self.half_len, self.half_wid = 0.5 * cols[1], 0.5 * cols[2]
 
     @property
     def n_vehicles(self) -> int:
@@ -81,12 +76,6 @@ class WorldSnapshot:
 
     def index_of(self, vehicle_id: str) -> int:
         return self._index[vehicle_id]
-
-    def params_arrays(self):
-        """Per-vehicle parameter vectors (wheelbase, length, width, a_max, delta_max)."""
-        cols = [(p.wheelbase, p.length, p.width, p.a_max, p.delta_max) for p in self.params]
-        arr = np.array(cols, dtype=float)
-        return arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4]
 
     def leader_indices(self, include_ego: bool = True) -> np.ndarray:
         """Nearest same-lane vehicle ahead of each vehicle (-1 when the road ahead is free).
@@ -108,39 +97,28 @@ class WorldSnapshot:
         np.copyto(dist[:, 1:], dx, where=ahead)
         return dist.argmin(axis=1) - 1
 
-    def resolve_gaps(self, leaders: np.ndarray | None = None) -> dict[GapChoice, GapBounds]:
-        """Identify the bounding vehicles of the three semantic gaps.
+    def resolve_gaps(self, leaders: np.ndarray) -> np.ndarray:
+        """The bounding vehicles of the three semantic gaps, as a (3, 2) table
+        of vehicle indices: row g holds the front and the rear bound of
+        GapChoice g, -1 where there is none. The rear bound is the gap's
+        interaction partner, the vehicle that would have to open it.
 
         GAP_0 is the ego's current lane behind its leader, with no rear bound
         and so no partner; once the ego has merged, its current lane is the
         target lane, and GAP_0 is the place behind its leader there. On the
         target lane, GAP_1 is bounded at the rear by the nearest vehicle ahead
-        of the ego and GAP_2 by the nearest vehicle behind it, so the rear
-        bound of the chosen gap is always the vehicle that would have to open
-        it. A caller that already holds leader_indices() (ego included) passes
-        it as leaders.
+        of the ego and GAP_2 by the nearest vehicle behind it. leaders is
+        leader_indices() with the ego included.
         """
         e = self.ego_index
-        x_ego = float(self.states[e, 0])
-        centers = self.lanes.nearest_center(self.states[:, 1])
-        target = self.lanes.target_center
-
-        lead = (self.leader_indices() if leaders is None else leaders)[e]
-        gap0 = GapBounds(self.ids[lead] if lead >= 0 else None, None)
-
-        on_target = [k for k in (centers == target).nonzero()[0].tolist() if k != e]
-        ahead = sorted((k for k in on_target if self.states[k, 0] >= x_ego),
-                       key=lambda k: self.states[k, 0])
-        behind = sorted((k for k in on_target if self.states[k, 0] < x_ego),
-                        key=lambda k: -self.states[k, 0])
-
-        def vid(seq, idx):
-            return self.ids[seq[idx]] if len(seq) > idx else None
-
-        if ahead:
-            gap1 = GapBounds(vid(ahead, 1), vid(ahead, 0))
-            gap2 = GapBounds(vid(ahead, 0), vid(behind, 0))
+        x = self.states[:, 0]
+        on_target = self.lanes.nearest_center(self.states[:, 1]) == self.lanes.target_center
+        others = [k for k in on_target.nonzero()[0].tolist() if k != e]
+        # nearest first, the lower index first at equal x; -1 pads a missing vehicle
+        ahead = sorted((k for k in others if x[k] >= x[e]), key=lambda k: x[k]) + [-1, -1]
+        behind = sorted((k for k in others if x[k] < x[e]), key=lambda k: -x[k]) + [-1, -1]
+        if ahead[0] >= 0:
+            gap1, gap2 = (ahead[1], ahead[0]), (ahead[0], behind[0])
         else:
-            gap1 = GapBounds(None, vid(behind, 0))
-            gap2 = GapBounds(vid(behind, 0), vid(behind, 1))
-        return {GapChoice.GAP_0: gap0, GapChoice.GAP_1: gap1, GapChoice.GAP_2: gap2}
+            gap1, gap2 = (-1, behind[0]), (behind[0], behind[1])
+        return np.array([(leaders[e], -1), gap1, gap2], dtype=np.intp)

@@ -301,7 +301,6 @@ def test_success_trace_has_no_overlap_steps():
     trace = run_episode(cfg)
     assert trace.outcome == Outcome.SUCCESS
     world = cfg.initial_world()
-    _, lengths, widths, _, _ = world.params_arrays()
     by_t = {}
     for (cycle, t, vid, x, y, th, v, a, d) in trace.steps:
         by_t.setdefault(t, {})[vid] = (x, y, th)
@@ -312,21 +311,20 @@ def test_success_trace_has_no_overlap_steps():
             if vid == e:
                 continue
             i, j = world.index_of(e), world.index_of(vid)
-            assert not rects_penetrate(ex, ey, eth, lengths[i] / 2, widths[i] / 2,
-                                       x, y, th, lengths[j] / 2, widths[j] / 2)
+            assert not rects_penetrate(ex, ey, eth, world.half_len[i], world.half_wid[i],
+                                       x, y, th, world.half_len[j], world.half_wid[j])
 
 
 def reference_ego_hits_anyone(states, world):
     """One separating-axis test per other vehicle: the truth world's check before
     it tested all vehicles at once."""
-    e = world.ego_index
-    _, lengths, widths, _, _ = world.params_arrays()
+    e, half_len, half_wid = world.ego_index, world.half_len, world.half_wid
     for i in range(world.n_vehicles):
         if i == e:
             continue
         if rects_penetrate(
-            states[e, 0], states[e, 1], states[e, 2], 0.5 * lengths[e], 0.5 * widths[e],
-            states[i, 0], states[i, 1], states[i, 2], 0.5 * lengths[i], 0.5 * widths[i],
+            states[e, 0], states[e, 1], states[e, 2], half_len[e], half_wid[e],
+            states[i, 0], states[i, 1], states[i, 2], half_len[i], half_wid[i],
         ):
             return True
     return False
@@ -338,9 +336,7 @@ def test_ego_overlap_matches_per_vehicle_loop(scenario):
            "merge5": lambda: default_merge_scenario(5.0),
            "merge10": lambda: default_merge_scenario(10.0, seed=234448712)}[scenario]()
     world = cfg.initial_world()
-    e = world.ego_index
-    _, lengths, widths, _, _ = world.params_arrays()
-    half_len, half_wid = 0.5 * lengths, 0.5 * widths
+    e, half_len, half_wid = world.ego_index, world.half_len, world.half_wid
 
     def hits(states):
         got = _ego_hits_anyone(states, e, half_len, half_wid)

@@ -35,6 +35,8 @@ from mergegame.planner import _info_gain_extra, plan_cycle
 from mergegame.scenario import BeliefSettings, default_merge_scenario, packed_lane_scenario
 from mergegame.world import LaneGeometry, WorldSnapshot
 
+from gap_table import gap_ids
+
 W = CostWeights(w_saf1=400.0, w_saf2=4.0, d_lo=1.0, d_hi=3.0,
                 w_eff=1.0, w_com=1.0, w_nav=1.0)
 
@@ -132,8 +134,7 @@ class CostBreakdown:
 
 def _half_dims(traj: TrajectorySet, world: WorldSnapshot):
     order = [world.index_of(v) for v in traj.vehicle_ids]
-    _, lengths, widths, _, _ = world.params_arrays()
-    return 0.5 * lengths[order], 0.5 * widths[order]
+    return world.half_len[order], world.half_wid[order]
 
 
 def safety_cost(traj, vehicle_id, weights, world):
@@ -195,9 +196,8 @@ def build_game(tuples, trajectory_sets, beliefs, weights, world):
         ev[r, c] = vehicle_cost(ts, ego, weights, world, v_des=v_des[ego],
                                 y_des=world.lanes.target_center).total
 
-    gaps = world.resolve_gaps()
-    partner_of = {g: bounds.partner_id for g, bounds in gaps.items()} | {None: None}
-    partners = tuple(partner_of[seq.partner_gap] for seq in cols)
+    gaps = gap_ids(world)
+    partners = tuple(None if seq.partner_gap is None else gaps[seq.partner_gap][1] for seq in cols)
     col_beliefs = [beliefs.get(p, Belief.uniform()) if p is not None else Belief.uniform()
                    for p in partners]
     weight = np.array([[1.0 - (b.p_assert, b.p_yield)[row] for b in col_beliefs]
@@ -303,9 +303,8 @@ def test_pair_band_penalties_match_reference_on_rollouts(case):
         # unlike the integer defaults, these weights do not sum exactly in any
         # order: a sum taken out of step order or pair order changes bits
         weights = replace(weights, w_saf1=1000.3, w_saf2=0.7)
-    _, lengths, widths, _, _ = world.params_arrays()
     got = assert_matches_reference(rollout.traj_states, rollout.rows, rollout.block_start,
-                                   rollout.period_rows, 0.5 * lengths, 0.5 * widths, weights)
+                                   rollout.period_rows, world.half_len, world.half_wid, weights)
     assert got.any()
     assert (got != np.round(got)).any() == case.endswith("fractional")
 
@@ -326,9 +325,8 @@ def test_pair_band_groups_only_pairs_with_two_multi_row_sides(monkeypatch):
         return group_codes(code)
 
     monkeypatch.setattr(costs, "_group_codes", recording)
-    _, lengths, widths, _, _ = world.params_arrays()
     _pair_band_penalties(rollout.traj_states, rollout.rows, rollout.block_start,
-                         rollout.period_rows, 0.5 * lengths, 0.5 * widths, cfg.weights)
+                         rollout.period_rows, world.half_len, world.half_wid, cfg.weights)
     # the combination step's call comes first, then one call per period
     vehicle = np.searchsorted(rollout.block_start, np.divmod(calls[0], R), side="right") - 1
     assert n_rows[vehicle].min(initial=2) > 1

@@ -31,6 +31,8 @@ from mergegame.planner import plan_cycle
 from mergegame.scenario import default_merge_scenario, empty_lane_scenario, packed_lane_scenario
 from mergegame.world import LaneGeometry, WorldSnapshot
 
+from gap_table import gap_ids
+
 G0, G1, G2 = GapChoice.GAP_0, GapChoice.GAP_1, GapChoice.GAP_2
 LK, LC, LP = LateralDecision.LANE_KEEP, LateralDecision.LEFT_CHANGE, LateralDecision.LEFT_PROBE
 
@@ -143,9 +145,7 @@ def test_surrounding_vehicles_stay_in_lane():
 def test_yield_opens_larger_gap_than_assert():
     world = default_merge_scenario(5.0).initial_world()
     seq = const_seq(G2, LC)
-    gaps = world.resolve_gaps()
-    partner = gaps[G2].rear_id
-    front = gaps[G2].front_id
+    front, partner = gap_ids(world)[G2]
     states = simulate_batch(world, [seq], CFG, MODEL).states
     gap = states[:, world.index_of(front), -1, 0] - states[:, world.index_of(partner), -1, 0]
     assert gap[SvAction.YIELD] > gap[SvAction.ASSERT]
@@ -154,7 +154,7 @@ def test_yield_opens_larger_gap_than_assert():
 def test_sv_action_only_touches_partner_directly():
     world = default_merge_scenario(5.0).initial_world()
     batch = simulate_batch(world, [const_seq(G2, LC)], CFG, MODEL)
-    assert batch.partner_ids == (world.resolve_gaps()[G2].rear_id,) * 2
+    assert batch.partner_ids == (gap_ids(world)[G2][1],) * 2
     # vehicles upstream of the partner never feel the action switch
     for vid in ("sv0", "sv1"):
         i = world.index_of(vid)
@@ -163,17 +163,16 @@ def test_sv_action_only_touches_partner_directly():
 
 def test_partner_resolution_per_tuple():
     world = default_merge_scenario(5.0).initial_world()
-    gaps = world.resolve_gaps()
+    gaps = gap_ids(world)
     seqs = [const_seq(G0, LK), const_seq(G1, LC), const_seq(G2, LC)]
     batch = simulate_batch(world, seqs, CFG, MODEL)
     # both group actions of each sequence share its partner
-    assert batch.partner_ids == (None, gaps[G1].rear_id, gaps[G2].rear_id) * 2
+    assert batch.partner_ids == (None, gaps[G1][1], gaps[G2][1]) * 2
 
 
 def ego_safety_cost(world, rollout):
-    _, lengths, widths, _, _ = world.params_arrays()
     penalties = _pair_band_penalties(rollout.traj_states, rollout.rows, rollout.block_start,
-                                     rollout.period_rows, 0.5 * lengths, 0.5 * widths,
+                                     rollout.period_rows, world.half_len, world.half_wid,
                                      CostWeights())
     return penalties[:, world.ego_index]
 
@@ -217,17 +216,15 @@ def planner_rollout(cfg):
     return plan_cycle(cfg.initial_world(), beliefs, cfg, EgoDecision(G0, LK)).rollout
 
 
-def seq_partners(seqs, gaps):
-    """Each sequence's interaction partner: the rear bound of its partner
-    gap, None where it has none."""
-    partner_of = {g: bounds.partner_id for g, bounds in gaps.items()} | {None: None}
-    return tuple(partner_of[seq.partner_gap] for seq in seqs)
+def seq_partners(gaps, seqs):
+    """Each sequence's interaction partner, as a vehicle index: the rear
+    bound of its partner gap in the gap table gaps, -1 where it has none."""
+    return np.array([-1 if seq.partner_gap is None else gaps[seq.partner_gap, 1]
+                     for seq in seqs], dtype=np.intp)
 
 
 def shared_ids(world, seqs):
-    gaps = world.resolve_gaps()
-    partners = np.array([world.index_of(p) if p is not None else -1
-                         for p in seq_partners(seqs, gaps)])
+    partners = seq_partners(world.resolve_gaps(world.leader_indices()), seqs)
     shared = ~_influence_set(world.leader_indices(), world.ego_index, partners)
     return {world.ids[i] for i in np.flatnonzero(shared)}, partners
 
@@ -236,7 +233,7 @@ def test_packed_shared_set_is_the_stream_ahead_of_the_gap():
     cfg = packed_lane_scenario(6.0)
     world = cfg.initial_world()
     shared, partners = shared_ids(world, planner_rollout(cfg).cols)
-    gap1_partner = world.resolve_gaps()[G1].partner_id
+    gap1_partner = gap_ids(world)[G1][1]
     x = world.states[:, 0]
     ahead = {vid for i, vid in enumerate(world.ids)
              if vid.startswith("pack") and x[i] > x[world.index_of(gap1_partner)]}
@@ -348,15 +345,15 @@ def reference_simulate_batch(world, tuples, cfg, model):
             raise ValueError("decision sequence length must equal the decision horizon")
 
     leader_idx = world.leader_indices(include_ego=True)
-    gaps_map = world.resolve_gaps(leader_idx)
-    partner_ids = seq_partners([seq for _, seq in tuples], gaps_map)
-    partner_idx = np.array([world.index_of(p) if p is not None else -1 for p in partner_ids])
+    gaps = world.resolve_gaps(leader_idx)
+    partner_idx = seq_partners(gaps, [seq for _, seq in tuples])
+    partner_ids = tuple(world.ids[p] if p >= 0 else None for p in partner_idx)
     sv_is_yield = np.array([sv == SvAction.YIELD for sv, _ in tuples])
 
     gap_seq = np.array([[int(s.gap) for s in seq] for _, seq in tuples])       # (K, H)
     lat_seq = np.array([[int(s.lateral) for s in seq] for _, seq in tuples])   # (K, H)
 
-    wheelbase, _, _, a_max, delta_max = world.params_arrays()
+    wheelbase, a_max, delta_max = world.wheelbase, world.a_max, world.delta_max
     lanes = world.lanes
     w_lane = lanes.width
     idm = model.idm
@@ -374,10 +371,7 @@ def reference_simulate_batch(world, tuples, cfg, model):
     row_of[-1] = -1
 
     # gap bounds and leader chain resolved once per cycle; positions stay live
-    front_by_gap = row_of[[world.index_of(gaps_map[g].front_id)
-                           if gaps_map[g].front_id is not None else -1 for g in sorted(gaps_map)]]
-    rear_by_gap = row_of[[world.index_of(gaps_map[g].rear_id)
-                          if gaps_map[g].rear_id is not None else -1 for g in sorted(gaps_map)]]
+    front_by_gap, rear_by_gap = row_of[gaps.T]
     lead = row_of[leader_idx[order]]
     lead_cur = lead[0]
     wb, a_lim, v_des = wheelbase[order, None], a_max[order, None], world.v_des[order, None]
@@ -553,7 +547,7 @@ def test_hand_worlds_reach_their_corner():
     for name in ("off-line-leader", "partner-led-by-ego"):
         world = HAND_WORLDS[name]
         p = world.index_of("p")
-        assert world.resolve_gaps()[G2].partner_id == "p"
+        assert gap_ids(world)[G2][1] == "p"
         assert world.leader_indices()[p] == world.index_of("t0")
     off = HAND_WORLDS["off-line-leader"]
     dy = off.states[off.index_of("t0"), 1] - off.states[off.index_of("p"), 1]
@@ -565,8 +559,20 @@ def test_hand_worlds_reach_their_corner():
     d_ego = {b: virtual_gap_distance(xe, ye, xp, yp, k) for b, k in kappa.items()}
     assert xe >= xp
     assert d_ego[idm.beta_yield] < xl - xp < d_ego[idm.beta_assert]
-    wheelbase = HAND_WORLDS["own-wheelbases"].params_arrays()[0]
+    wheelbase = HAND_WORLDS["own-wheelbases"].wheelbase
     assert len(set(wheelbase)) == len(wheelbase)
+
+
+@pytest.mark.parametrize("name", ["own-wheelbases", "packed"])
+def test_snapshot_arrays_are_the_params(name):
+    # the laws read these (V,) arrays by vehicle index in place of params
+    world = HAND_WORLDS.get(name) or packed_lane_scenario().initial_world()
+    arrays = (world.wheelbase, world.half_len, world.half_wid, world.a_max, world.delta_max)
+    assert all(a.shape == (world.n_vehicles,) for a in arrays)
+    for v, p in enumerate(world.params):
+        assert (world.wheelbase[v], world.a_max[v], world.delta_max[v]) == \
+            (p.wheelbase, p.a_max, p.delta_max)
+        assert (world.half_len[v], world.half_wid[v]) == (p.length / 2, p.width / 2)
 
 
 @pytest.mark.parametrize("name", sorted(HAND_WORLDS))

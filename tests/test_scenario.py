@@ -130,6 +130,27 @@ def test_yaml_rejects_sim_steps(tmp_path):
         load_dict(tmp_path, data)
 
 
+UNKNOWN_KEY_PATHS = [
+    # (the section the key is added to, the section path the error names)
+    ((), ""), (("sim",), "sim: "), (("model", "gains"), "model gains: "),
+    (("model", "idm"), "model idm: "), (("vehicles", 1), "vehicles[1]: "),
+    (("vehicles", 1, "params"), "vehicles[1] params: ")]
+
+
+@pytest.mark.parametrize("path, where", UNKNOWN_KEY_PATHS,
+                         ids=[".".join(map(str, path)) or "top" for path, _ in UNKNOWN_KEY_PATHS])
+def test_yaml_unknown_key_names_its_section(tmp_path, path, where):
+    # a nested section used to be named by its class: "PdGains.__init__()
+    # got an unexpected keyword argument 'zz'"
+    data = merge_yaml_dict(tmp_path)
+    section = data
+    for key in path:
+        section = section[key]
+    section["zz"] = 1
+    with pytest.raises(TypeError, match=rf"^{re.escape(where)}unknown key 'zz'$"):
+        load_dict(tmp_path, data)
+
+
 def test_yaml_rejects_unknown_montecarlo_mode(tmp_path):
     # the CLI used to run any mode other than "closed-loop" open-loop
     data = merge_yaml_dict(tmp_path)

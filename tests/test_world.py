@@ -4,7 +4,9 @@ import pytest
 from mergegame.actions import DecisionSequence, EgoDecision, GapChoice, LateralDecision
 from mergegame.dynamics import VehicleParams
 from mergegame.scenario import packed_lane_scenario
-from mergegame.world import GapBounds, LaneGeometry, WorldSnapshot
+from mergegame.world import LaneGeometry, WorldSnapshot
+
+from gap_table import gap_ids
 
 G0, G1, G2 = GapChoice.GAP_0, GapChoice.GAP_1, GapChoice.GAP_2
 LK, LC = LateralDecision.LANE_KEEP, LateralDecision.LEFT_CHANGE
@@ -33,41 +35,40 @@ CANONICAL = [
 
 
 def test_gap_topology_canonical():
-    gaps = make_world(CANONICAL).resolve_gaps()
-    assert gaps[G0] == GapBounds("sv0", None)
-    assert gaps[G1] == GapBounds(None, "sv1")
-    assert gaps[G2] == GapBounds("sv1", "sv2")
-    assert gaps[G2].partner_id == "sv2"
+    gaps = gap_ids(make_world(CANONICAL))
+    assert gaps == {G0: ("sv0", None), G1: (None, "sv1"), G2: ("sv1", "sv2")}
 
 
 def test_gap_topology_two_ahead():
     rows = [("ego", 0.0, 0.0, 8.0), ("a", 10.0, 3.5, 8.0), ("b", 25.0, 3.5, 8.0),
             ("c", -9.0, 3.5, 8.0)]
-    gaps = make_world(rows).resolve_gaps()
-    assert gaps[G1] == GapBounds("b", "a")
-    assert gaps[G2] == GapBounds("a", "c")
-    assert gaps[G0] == GapBounds(None, None)
+    assert gap_ids(make_world(rows)) == {G0: (None, None), G1: ("b", "a"), G2: ("a", "c")}
 
 
 def test_gap_topology_nobody_ahead():
     rows = [("ego", 0.0, 0.0, 8.0), ("a", -6.0, 3.5, 8.0), ("b", -20.0, 3.5, 8.0)]
-    gaps = make_world(rows).resolve_gaps()
-    assert gaps[G1] == GapBounds(None, "a")
-    assert gaps[G2] == GapBounds("a", "b")
+    gaps = gap_ids(make_world(rows))
+    assert gaps[G1] == (None, "a")
+    assert gaps[G2] == ("a", "b")
 
 
 def test_gap_topology_empty_target_lane():
     rows = [("ego", 0.0, 0.0, 8.0), ("sv0", 15.0, 0.0, 5.0)]
-    gaps = make_world(rows).resolve_gaps()
-    assert gaps[G1] == GapBounds(None, None)
-    assert gaps[G2] == GapBounds(None, None)
+    gaps = gap_ids(make_world(rows))
+    assert gaps[G1] == gaps[G2] == (None, None)
+
+
+def test_gap_table_holds_vehicle_indices():
+    world = make_world(CANONICAL)
+    table = world.resolve_gaps(world.leader_indices())
+    sv0, sv1, sv2 = (world.index_of(v) for v in ("sv0", "sv1", "sv2"))
+    assert table.shape == (3, 2) and table.dtype == np.intp
+    assert table.tolist() == [[sv0, -1], [-1, sv1], [sv1, sv2]]
 
 
 def test_merged_ego_follows_target_lane():
     rows = [("ego", 0.0, 3.5, 8.0), ("a", 12.0, 3.5, 8.0), ("b", -10.0, 3.5, 8.0)]
-    gaps = make_world(rows).resolve_gaps()
-    assert gaps[G0].front_id == "a"
-    assert gaps[G0].rear_id is None
+    assert gap_ids(make_world(rows))[G0] == ("a", None)
 
 
 def test_leader_indices():
@@ -131,11 +132,11 @@ def test_leader_indices_match_brute_force(include_ego):
 def test_interaction_partner_last_gap_rule():
     # the partner is the rear bound of the gap of the last step that targets a
     # lane-change gap; a sequence that keeps to the current lane has none
-    gaps = make_world(CANONICAL).resolve_gaps()
+    gaps = gap_ids(make_world(CANONICAL))
     seq = DecisionSequence((EgoDecision(G1, LK), EgoDecision(G2, LC), EgoDecision(G2, LC)))
-    assert seq.partner_gap == G2 and gaps[seq.partner_gap].partner_id == "sv2"
+    assert seq.partner_gap == G2 and gaps[seq.partner_gap][1] == "sv2"
     seq2 = DecisionSequence((EgoDecision(G2, LC), EgoDecision(G1, LC), EgoDecision(G0, LK)))
-    assert seq2.partner_gap == G1 and gaps[seq2.partner_gap].partner_id == "sv1"
+    assert seq2.partner_gap == G1 and gaps[seq2.partner_gap][1] == "sv1"
     seq3 = DecisionSequence((EgoDecision(G0, LK),) * 3)
     assert seq3.partner_gap is None
 
