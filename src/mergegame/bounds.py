@@ -1,24 +1,38 @@
-"""The range and integer checks that settings dataclasses run on their fields."""
+"""The number, range and integer checks that settings dataclasses run on their fields."""
 
 from __future__ import annotations
 
+import math
 import operator
-from numbers import Integral
+from numbers import Integral, Real
 
-__all__ = ["check", "check_integer"]
+__all__ = ["check", "check_finite", "check_integer"]
 
 _RULES = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
 
 
+def check_finite(where: str, obj, *names: str) -> None:
+    """Raise ValueError unless getattr(obj, name) is a finite real number
+    (not NaN, not +-inf, not a string or None) for every name; the message
+    names where (the section, by its key in a scenario file) and the field."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (isinstance(value, Real) and abs(value) < math.inf):
+            raise ValueError(f"{where} {name} must be a finite number, got {value!r}")
+
+
 def check(where: str, obj, rule: str, bound, *names: str) -> None:
-    """Raise ValueError unless getattr(obj, name) <rule> bound holds for every
-    name, rule being ">", ">=" or "<"; the message names where (the section,
-    by its key in a scenario file) and the field. The test is negated, so NaN
-    fails every rule: ">=" with bound -inf rejects NaN and nothing else.
+    """Raise ValueError unless getattr(obj, name) is a finite real number and
+    <rule> bound holds for every name, rule being ">", ">=" or "<"; the
+    message names where and the field as check_finite's does. NaN is left to
+    the rule, whose test is negated so that NaN fails it: the message then
+    names the rule.
     """
     holds = _RULES[rule]
     for name in names:
         value = getattr(obj, name)
+        if value == value:   # everything but NaN
+            check_finite(where, obj, name)
         if not holds(value, bound):
             raise ValueError(f"{where} {name} must be {rule} {bound}, got {value!r}")
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 import yaml
@@ -30,11 +31,8 @@ def _load(args) -> ScenarioConfig:
             sys.exit(f"mergegame: error: {args.config}: {exc}")
     else:
         cfg = default_merge_scenario()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if getattr(args, "planner", None) is not None:
-        cfg.planner = args.planner
-    return cfg
+    overrides = {"seed": args.seed, "planner": args.planner}
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _dump(data: dict, path) -> None:
@@ -100,8 +98,7 @@ def cmd_montecarlo(args) -> int:
     n = args.n if args.n is not None else cfg.montecarlo.n
     out = args.out or "montecarlo_stats.yaml"
     if cfg.montecarlo.mode == "closed-loop":
-        summaries = run_episode_batch(cfg, n=n, base_seed=cfg.seed, workers=args.workers)
-        agg = aggregate_episodes(summaries)
+        agg = aggregate_episodes(run_episode_batch(cfg, n, workers=args.workers))
         data = {"mode": "closed-loop", "seed": cfg.seed, "n": n,
                 "planner": cfg.planner, **agg}
     else:

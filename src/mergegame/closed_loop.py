@@ -35,11 +35,9 @@ from .scenario import BehaviorMode, ScenarioConfig
 from .world import WorldSnapshot
 
 __all__ = [
-    "BehaviorMode",
     "Outcome",
     "CycleRecord",
     "EpisodeTrace",
-    "EpisodeSummary",
     "MonteCarloStats",
     "truth_sv_accel",
     "run_episode",
@@ -106,14 +104,6 @@ class EpisodeTrace:
     planner: str
 
 
-@dataclass(frozen=True)
-class EpisodeSummary:
-    outcome: Outcome
-    time_to_merge: float | None
-    n_cycles: int
-    seed: int
-
-
 def _ego_hits_anyone(states: np.ndarray, ego: int, half_len: np.ndarray,
                      half_wid: np.ndarray) -> bool:
     """Whether the ego's footprint penetrates any other vehicle's; touching does not count.
@@ -137,9 +127,11 @@ def run_episode(cfg: ScenarioConfig, planner: str | None = None,
     Each cycle is the one pass the module docstring lays out: plan, execute
     the first decision period of the chosen ego trajectory against the truth
     world, and update the partner's belief from that window. Fully
-    deterministic for a fixed config and seed.
+    deterministic for a fixed config and seed. planner, if given, replaces
+    cfg.planner (the benchmark's episodes pass it).
     """
-    planner = planner if planner is not None else cfg.planner
+    if planner is not None:
+        cfg = replace(cfg, planner=planner)
     rng = np.random.default_rng(cfg.seed)
     base = cfg.initial_world()
     states = base.states.copy()
@@ -166,7 +158,7 @@ def run_episode(cfg: ScenarioConfig, planner: str | None = None,
 
     for cycle in range(cfg.episode.max_cycles):
         world = WorldSnapshot(ids, states.copy(), base.params, base.v_des, lanes, e)
-        res: CycleResult = plan_cycle(world, beliefs, cfg, root, planner)
+        res: CycleResult = plan_cycle(world, beliefs, cfg, root)
         cycles.append(CycleRecord(
             cycle=cycle, t0=t,
             beliefs={vid: (b.p_assert, b.p_yield) for vid, b in beliefs.items()},
@@ -219,13 +211,13 @@ def run_episode(cfg: ScenarioConfig, planner: str | None = None,
             beliefs[pid] = Belief(float(pa), float(py))
 
     return EpisodeTrace(outcome=outcome or Outcome.TIMEOUT, time_to_merge=ttm, cycles=cycles,
-                        steps=rows, seed=cfg.seed, planner=planner)
+                        steps=rows, seed=cfg.seed, planner=cfg.planner)
 
 
 # --- batches -------------------------------------------------------------------
 
-def _map_seeded(worker, cfg: ScenarioConfig, seed: int, n: int, workers: int, *extra) -> list:
-    """worker((cfg, s, *extra)) for n seeds s spawned from seed, in seed order,
+def _map_seeded(worker, cfg: ScenarioConfig, seed: int, n: int, workers: int) -> list:
+    """worker((cfg, s)) for n seeds s spawned from seed, in seed order,
     across worker processes when workers > 1 (0 and 1 run serially)."""
     if n < 1:
         raise ValueError(f"need at least one instance, got n = {n}")
@@ -233,7 +225,7 @@ def _map_seeded(worker, cfg: ScenarioConfig, seed: int, n: int, workers: int, *e
         raise ValueError(f"workers must be >= 0, got {workers}")
     seeds = [int(s.generate_state(1)[0] % (2 ** 31)) for s in
              np.random.SeedSequence(seed).spawn(n)]
-    jobs = [(cfg, s, *extra) for s in seeds]
+    jobs = [(cfg, s) for s in seeds]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor   # only a pool needs it
 
@@ -242,31 +234,29 @@ def _map_seeded(worker, cfg: ScenarioConfig, seed: int, n: int, workers: int, *e
     return [worker(j) for j in jobs]
 
 
-def _episode_worker(args) -> EpisodeSummary:
-    cfg, seed, planner = args
-    trace = run_episode(replace(cfg, seed=seed), planner=planner, record_steps=False)
-    return EpisodeSummary(trace.outcome, trace.time_to_merge, len(trace.cycles), seed)
+def _episode_worker(args) -> EpisodeTrace:
+    cfg, seed = args
+    return run_episode(replace(cfg, seed=seed), record_steps=False)
 
 
-def run_episode_batch(cfg: ScenarioConfig, n: int, planner: str | None = None,
-                      base_seed: int | None = None, workers: int = 0) -> list[EpisodeSummary]:
-    """n independent episodes with per-episode seeds derived from base_seed."""
-    base_seed = cfg.seed if base_seed is None else base_seed
-    return _map_seeded(_episode_worker, cfg, base_seed, n, workers, planner)
+def run_episode_batch(cfg: ScenarioConfig, n: int, workers: int = 0) -> list[EpisodeTrace]:
+    """n independent episodes of cfg.planner, with per-episode seeds spawned
+    from cfg.seed, each traced without its steps."""
+    return _map_seeded(_episode_worker, cfg, cfg.seed, n, workers)
 
 
-def aggregate_episodes(summaries: list[EpisodeSummary]) -> dict:
-    n = len(summaries)
+def aggregate_episodes(traces: list[EpisodeTrace]) -> dict:
+    n = len(traces)
     if n < 1:
-        raise ValueError("need at least one episode summary")
-    succ = [s for s in summaries if s.outcome == Outcome.SUCCESS]
-    coll = [s for s in summaries if s.outcome == Outcome.COLLISION]
+        raise ValueError("need at least one episode")
+    succ = [t for t in traces if t.outcome == Outcome.SUCCESS]
+    coll = [t for t in traces if t.outcome == Outcome.COLLISION]
     out = {
         "episodes": n,
         "success_rate": len(succ) / n,
         "collision_rate": len(coll) / n,
         "timeout_rate": (n - len(succ) - len(coll)) / n,
-        "mean_time_to_merge": float(np.mean([s.time_to_merge for s in succ])) if succ else None,
+        "mean_time_to_merge": float(np.mean([t.time_to_merge for t in succ])) if succ else None,
     }
     return out
 
@@ -327,7 +317,7 @@ def _mc_instance(args):
                          f"vehicle in all {MAX_INSTANCE_DRAWS} draws of its initial state")
     resampled = draws - 1
     world = WorldSnapshot(base.ids, states, base.params, base.v_des, cfg.lanes, e)
-    res = plan_cycle(world, cfg.initial_beliefs(), cfg, ROOT, planner="nash")
+    res = plan_cycle(world, cfg.initial_beliefs(), cfg, ROOT)
     has_nash = len(res.nash_cells) > 0
     sel = (res.row, res.col)
     return {
@@ -343,10 +333,11 @@ def run_monte_carlo(cfg: ScenarioConfig, n: int | None = None,
                     seed: int | None = None, workers: int = 0) -> MonteCarloStats:
     """Open-loop protocol: perturb the ego's initial longitudinal position and
     speed, build one cost matrix per instance, and compare the equilibrium
-    concepts. Initial states that overlap are resampled and counted."""
+    concepts. Every instance plans with the "nash" planner, whatever
+    cfg.planner is. Initial states that overlap are resampled and counted."""
     n = cfg.montecarlo.n if n is None else n
     seed = cfg.seed if seed is None else seed
-    results = _map_seeded(_mc_instance, cfg, seed, n, workers)
+    results = _map_seeded(_mc_instance, replace(cfg, planner="nash"), seed, n, workers)
 
     with_nash = [r for r in results if r["has_nash"]]
     def frac(pred, pool):

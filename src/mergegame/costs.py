@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .actions import SvAction
-from .bounds import check
+from .bounds import check, check_finite
 from .dynamics import rect_distance_arrays
 from .forward_sim import BatchRollout, _group_codes
 from .world import WorldSnapshot
@@ -60,7 +60,7 @@ class CostWeights:
         check("weights", self, ">", self.w_saf2, "w_saf1")
         check("weights", self, ">=", 0, "d_lo", "w_eff", "w_com", "w_nav")
         check("weights", self, ">", self.d_lo, "d_hi")
-        check("weights", self, ">=", -np.inf, "w_info")
+        check_finite("weights", self, "w_info")
 
 
 @dataclass(frozen=True)

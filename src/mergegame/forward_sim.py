@@ -28,7 +28,7 @@ from .actions import DecisionSequence, LateralDecision, SvAction
 from .control import (IdmSettings, PdGains, PurePursuitParams, gap_reference, idm_accel,
                       lateral_discount, leader_inputs, pd_longitudinal, pure_pursuit,
                       virtual_gap_distance)
-from .bounds import check, check_integer
+from .bounds import check, check_finite, check_integer
 from .dynamics import step_bicycle
 from .world import WorldSnapshot
 
@@ -48,7 +48,6 @@ class SimConfig:
         check("sim", self, ">=", 1, "horizon")
         check_integer("sim", horizon=self.horizon)
         check("sim", self, ">", 0, "dt", "decision_period")
-        check("sim", self, "<", np.inf, "decision_period")   # round(inf) overflows
         ratio = self.decision_period / self.dt
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ValueError("sim decision_period must be a positive integer multiple of dt")
@@ -72,7 +71,7 @@ class PlannerModel:
     follow_distance: float = 12.0
 
     def __post_init__(self):
-        check("model", self, ">=", -np.inf, "follow_distance")
+        check_finite("model", self, "follow_distance")
 
 
 # simulate_batch's bound on K * V, which bounds the vehicle states of one

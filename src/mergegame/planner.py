@@ -77,15 +77,13 @@ def _info_gain_extra(rollout: BatchRollout, world: WorldSnapshot, prior: np.ndar
 
 
 def plan_cycle(world: WorldSnapshot, beliefs: Mapping[str, Belief],
-               cfg: ScenarioConfig, root: EgoDecision,
-               planner: str | None = None) -> CycleResult:
+               cfg: ScenarioConfig, root: EgoDecision) -> CycleResult:
     """Run the full pipeline for one cycle and select an action tuple.
 
-    planner overrides cfg.planner: "nash" applies the equilibrium selection
+    cfg.planner picks the tuple: "nash" applies the equilibrium selection
     policy, "stackelberg-ev" always plays the leader commitment, and
     "lowest-cost" picks the column with the lowest belief-expected ego cost.
     """
-    kind_cfg = planner if planner is not None else cfg.planner
     seqs = enumerate_ego_sequences(root, cfg.prune.max_decision_changes, cfg.sim.horizon)
     rollout = simulate_batch(world, seqs, cfg.sim, cfg.model)
     prior = column_priors(rollout.partner_ids[:len(seqs)], beliefs)
@@ -99,23 +97,23 @@ def plan_cycle(world: WorldSnapshot, beliefs: Mapping[str, Belief],
     se_ev = stackelberg(game, Player.EV)
     se_sv = stackelberg(game, Player.SV)
 
-    if kind_cfg == "nash":
+    if cfg.planner == "nash":
         sel = select_action(game, nash_cells=nash_cells, se_sv=se_sv)
         row, col = sel.chosen.row, sel.chosen.col
         kind = sel.chosen.kind.value
         fallback = sel.fallback_used
-    elif kind_cfg == "stackelberg-ev":
+    elif cfg.planner == "stackelberg-ev":
         row, col = se_ev.row, se_ev.col
         kind = EquilibriumKind.STACKELBERG_EV_LEADER.value
         fallback = False
-    elif kind_cfg == "lowest-cost":
+    elif cfg.planner == "lowest-cost":
         expected = (prior * game.ev).sum(axis=0)
         col = int(np.argmin(expected))
         row = 0 if prior[0, col] >= 0.5 else 1
         kind = "lowest-cost"
         fallback = False
     else:
-        raise ValueError(f"unknown planner kind: {kind_cfg}")
+        raise ValueError(f"unknown planner kind: {cfg.planner}")
 
     return CycleResult(game=game, rollout=rollout, row=row, col=col, kind=kind,
                        fallback_used=fallback, nash_cells=nash_cells,

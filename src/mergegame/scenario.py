@@ -17,23 +17,25 @@ A scenario file is ScenarioConfig as YAML, one top-level section per field:
   montecarlo  MonteCarloSettings
   planner     one of PLANNER_KINDS
   seed        a non-negative integer
-A key left out takes its default, an unknown key raises TypeError naming
-its section ("model gains: unknown key 'zz'"), and a section of the wrong
-type raises ValueError. Each settings class range-checks its fields with
-bounds.check when it is built, and its integer fields with
-bounds.check_integer. A ValueError names the section as a file
+A key left out takes its default, except a vehicle's vehicle_id. An unknown
+key, or a missing vehicle_id, raises TypeError naming its section ("model
+gains: unknown key 'zz'"), and a section of the wrong type raises
+ValueError. Each settings class is frozen and checks its fields when it is
+built: a number must be finite and in range (bounds.check, or
+bounds.check_finite where any finite value will do), and a count an
+integer (bounds.check_integer). A ValueError names the section as a file
 writes it: "sim horizon ...", "model idm s0 ...", "vehicles[1] params
 length ..." (a vehicle's own fields name it by id).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from enum import Enum
 
 import numpy as np
 
-from .bounds import check, check_integer
+from .bounds import check, check_finite, check_integer
 from .costs import Belief, CostWeights
 from .dynamics import VehicleParams
 from .forward_sim import PlannerModel, SimConfig
@@ -72,7 +74,7 @@ def _check_choice(name: str, value, allowed: tuple) -> None:
         raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class VehicleSpec:
     vehicle_id: str
     role: str = "traffic"        # one of ROLES
@@ -90,9 +92,9 @@ class VehicleSpec:
         _check_choice(f"{where} role", self.role, ROLES)
         _check_choice(f"{where} lane", self.lane, LANES)
         _check_choice(f"{where} mode", self.mode, tuple(m.value for m in BehaviorMode))
-        check(where, self, ">=", -np.inf, "x", "theta")
+        check_finite(where, self, "x", "theta")
         if self.y is not None:   # None is the lane center
-            check(where, self, ">=", -np.inf, "y")
+            check_finite(where, self, "y")
         check(where, self, ">=", 0, "v")
         check(where, self, ">", 0, "v_des")   # the modified IDM divides by v_des
         # values that no law reads for the role keep their defaults, which the
@@ -107,7 +109,7 @@ class VehicleSpec:
                                  f"{self.role!r} (nothing reads it), got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BeliefSettings:
     initial_assert: float = 0.5
     sigma_accel: float = 0.8
@@ -118,7 +120,7 @@ class BeliefSettings:
         check("beliefs", self, "<", 1, "initial_assert")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PruneSettings:
     max_decision_changes: int = 2
 
@@ -127,7 +129,7 @@ class PruneSettings:
         check_integer("prune", max_decision_changes=self.max_decision_changes)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpisodeSettings:
     max_cycles: int = 60
     success_lateral_tol: float = 0.5
@@ -143,7 +145,7 @@ class EpisodeSettings:
               "speed_jitter", "polite_lateral_frac", "selfish_lateral_frac")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MonteCarloSettings:
     mode: str = "open-loop"   # one of MONTE_CARLO_MODES
     n: int = 500
@@ -157,7 +159,7 @@ class MonteCarloSettings:
         check("montecarlo", self, ">=", 0, "position_jitter", "speed_jitter")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     lanes: LaneGeometry = field(default_factory=LaneGeometry)
     vehicles: list[VehicleSpec] = field(default_factory=list)
@@ -235,16 +237,20 @@ def _build(cls, data, where: str):
     """cls from the mapping data (None for all defaults) of the section at
     path where, as a file writes it: "sim", "model gains", "vehicles[1]
     params", or "" for the whole file. A field whose default factory is a
-    dataclass is built from its own section alike. An unknown key raises
-    TypeError naming the path: "model gains: unknown key 'zz'". A ValueError
-    of cls's own checks names its section by its own key, and gets the
-    enclosing path put in front: "model gains kp_pos ...", "vehicles[1]
-    params length ..."."""
+    dataclass is built from its own section alike. An unknown key, or a
+    missing key that has no default, raises TypeError naming the path:
+    "model gains: unknown key 'zz'", "vehicles[1]: missing key
+    'vehicle_id'". A ValueError of cls's own checks names its section by its
+    own key, and gets the enclosing path put in front: "model gains kp_pos
+    ...", "vehicles[1] params length ..."."""
     kwargs = _section(where, data)
     names = [f.name for f in fields(cls)]
     for key in kwargs:
         if key not in names:
             raise TypeError(f"{where}: unknown key {key!r}".lstrip(": "))   # "" has no path
+    for f in fields(cls):
+        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise TypeError(f"{where}: missing key {f.name!r}".lstrip(": "))
     for f in fields(cls):
         if f.name in kwargs and is_dataclass(f.default_factory):
             kwargs[f.name] = _build(f.default_factory, kwargs[f.name], f"{where} {f.name}".lstrip())
@@ -275,19 +281,17 @@ def load_scenario(path) -> ScenarioConfig:
 # --- canonical scenarios --------------------------------------------------------
 
 def default_merge_scenario(traffic_speed: float = 5.0, planner: str = "nash",
-                           seed: int = 0, stream_gap: float | None = None,
-                           truth_modes: str = "mixed") -> ScenarioConfig:
+                           seed: int = 0, truth_modes: str = "mixed") -> ScenarioConfig:
     """Merge-lane scenario: a slower truck ahead of the ego on the merge lane
     and a three-vehicle stream on the target lane, with the middle gap opening
     right behind the ego.
 
-    stream_gap is the center-to-center spacing of the stream (default scales
-    mildly with speed and is tight enough that merging requires either a
-    squeeze or a negotiation). truth_modes: "mixed" (polite truck, selfish
-    target lane), "polite", or "selfish" for every surrounding vehicle.
+    The stream's center-to-center spacing scales mildly with speed and is
+    tight enough that merging requires either a squeeze or a negotiation.
+    truth_modes: "mixed" (polite truck, selfish target lane), "polite", or
+    "selfish" for every surrounding vehicle.
     """
-    if stream_gap is None:
-        stream_gap = 10.0 + 0.2 * traffic_speed
+    stream_gap = 10.0 + 0.2 * traffic_speed
     v_des_traffic = 1.2 * traffic_speed
     mode_truck = "polite" if truth_modes in ("mixed", "polite") else "selfish"
     mode_lane = "selfish" if truth_modes in ("mixed", "selfish") else "polite"

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import check
+from .bounds import check, check_finite
 from .dynamics import VehicleParams
 
 __all__ = ["LaneGeometry", "WorldSnapshot"]
@@ -22,7 +22,7 @@ class LaneGeometry:
     merge_end: float = 100.0  # longitudinal position where the merge lane runs out
 
     def __post_init__(self):
-        check("lanes", self, ">=", -np.inf, "current_center", "target_center")
+        check_finite("lanes", self, "current_center", "target_center")
         check("lanes", self, ">", 0, "width", "merge_end")
         if self.target_center == self.current_center:
             raise ValueError("lanes current_center and target_center must differ")

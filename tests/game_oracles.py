@@ -1,7 +1,11 @@
-"""Brute-force equilibrium oracles and the Proposition 1 preconditions, shared
-by the game tests. Plain Python loops over cells, independent of mergegame.game."""
+"""Brute-force oracles shared by the tests: the equilibrium oracles, the
+Proposition 1 preconditions with their random instances, and a fine-step
+RK4 integrator. Plain Python loops, independent of mergegame.game and
+mergegame.dynamics."""
 
 import numpy as np
+
+from mergegame.costs import Belief
 
 
 def brute_nash(sv, ev):
@@ -63,3 +67,41 @@ def check_prop1_assumptions(sv_costs, ev_costs, belief, feasible_cols=None) -> b
     sv_ok = np.all(0.0 <= sv[0]) and np.all(sv[0] <= sv[1])
     ev_ok = np.all(ev[1] >= 0.0) and np.all(ev[0] >= ev[1])
     return bool(sv_ok and ev_ok)
+
+
+def monotone_instance(rng, belief_low=0.5):
+    """Random raw costs (sv_raw, ev) of a 2-row game that meet the
+    Proposition 1 monotonicity, with a belief drawn from [belief_low, 1)."""
+    cols = int(rng.integers(1, 51))
+    sv0 = rng.uniform(0, 100, cols)
+    sv1 = sv0 + rng.uniform(0, 100, cols)
+    ev1 = rng.uniform(0, 100, cols)
+    ev0 = ev1 + rng.uniform(0, 100, cols)
+    b = float(rng.uniform(belief_low, 1.0))
+    return np.stack([sv0, sv1]), np.stack([ev0, ev1]), Belief(b, 1.0 - b)
+
+
+def weighted(sv_raw, belief):
+    """The group costs weighted by the belief: the assert row by p_yield, the
+    yield row by p_assert."""
+    return np.stack([sv_raw[0] * (1.0 - belief.p_assert), sv_raw[1] * belief.p_assert])
+
+
+def rk4_reference(state, a, delta, dt, substeps, wheelbase):
+    """The bicycle model (x, y, theta, v) under constant (a, delta), integrated
+    over dt by classic RK4 in substeps steps."""
+
+    def rhs(s):
+        x, y, th, v = s
+        vf = max(v, 0.0)
+        return np.array([vf * np.cos(th), vf * np.sin(th), vf * np.tan(delta) / wheelbase, a])
+
+    s = np.array(state, dtype=float)
+    h = dt / substeps
+    for _ in range(substeps):
+        k1 = rhs(s)
+        k2 = rhs(s + 0.5 * h * k1)
+        k3 = rhs(s + 0.5 * h * k2)
+        k4 = rhs(s + h * k3)
+        s = s + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+    return s

@@ -6,7 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from game_oracles import brute_nash, brute_stackelberg, check_prop1_assumptions
+from game_oracles import (
+    brute_nash,
+    brute_stackelberg,
+    check_prop1_assumptions,
+    monotone_instance,
+    rk4_reference,
+    weighted,
+)
 from mergegame.cli import main
 from mergegame.closed_loop import aggregate_episodes, run_episode_batch, run_monte_carlo
 from mergegame.control import lateral_discount, virtual_gap_distance
@@ -53,28 +60,13 @@ def test_criterion_1_oracle_equivalence():
 
 # --- 2./3. proposition suites -------------------------------------------------------
 
-def monotone_instance(rng, belief_low):
-    cols = int(rng.integers(1, 51))
-    sv0 = rng.uniform(0, 100, cols)
-    sv1 = sv0 + rng.uniform(0, 100, cols)
-    ev1 = rng.uniform(0, 100, cols)
-    ev0 = ev1 + rng.uniform(0, 100, cols)
-    b = float(rng.uniform(belief_low, 1.0))
-    return np.stack([sv0, sv1]), np.stack([ev0, ev1]), Belief(b, 1.0 - b)
-
-
-def weighted_game(sv_raw, ev, belief):
-    sv = np.stack([sv_raw[0] * (1.0 - belief.p_assert), sv_raw[1] * belief.p_assert])
-    return GameMatrix.from_arrays(sv, ev)
-
-
 def test_criterion_2_assert_equilibrium_guarantee():
     rng = np.random.default_rng(202)
     violations = 0
     for _ in range(10_000):
         sv_raw, ev, belief = monotone_instance(rng, belief_low=0.5)
         assert check_prop1_assumptions(sv_raw, ev, belief)
-        eqs = find_pure_nash(weighted_game(sv_raw, ev, belief))
+        eqs = find_pure_nash(GameMatrix.from_arrays(weighted(sv_raw, belief), ev))
         if not any(e.row == 0 for e in eqs):
             violations += 1
     report(2, "assert-row equilibrium guarantee (10,000 instances)",
@@ -87,7 +79,7 @@ def test_criterion_3_yield_nash_is_ev_leader_stackelberg():
     while checked < 10_000:
         sv_raw, ev, _ = monotone_instance(rng, belief_low=0.0)
         b = float(rng.uniform(0.0, 1.0))
-        g = weighted_game(sv_raw, ev, Belief(b, 1.0 - b))
+        g = GameMatrix.from_arrays(weighted(sv_raw, Belief(b, 1.0 - b)), ev)
         yield_nash = [e for e in find_pure_nash(g) if e.row == 1]
         if not yield_nash:
             continue
@@ -143,9 +135,8 @@ def test_criterion_6_closed_loop_comparison():
     rates = {}
     for speed in (5.0, 10.0):
         for planner in ("nash", "stackelberg-ev", "lowest-cost"):
-            cfg = default_merge_scenario(traffic_speed=speed)
-            agg = aggregate_episodes(
-                run_episode_batch(cfg, n=200, planner=planner, base_seed=2024, workers=2))
+            cfg = default_merge_scenario(traffic_speed=speed, planner=planner, seed=2024)
+            agg = aggregate_episodes(run_episode_batch(cfg, n=200, workers=2))
             rates[(speed, planner)] = agg["success_rate"]
     elapsed = time.perf_counter() - t0
 
@@ -162,24 +153,7 @@ def test_criterion_6_closed_loop_comparison():
 # --- 7. integrator convergence order ------------------------------------------------
 
 def test_criterion_7_integrator_order():
-    def rhs(s, a, delta):
-        x, y, th, v = s
-        vf = max(v, 0.0)
-        return np.array([vf * np.cos(th), vf * np.sin(th),
-                         vf * np.tan(delta) / PARAMS.wheelbase, a])
-
-    def rk4_reference(a, delta, total, substeps):
-        s = np.array([0.0, 0.0, 0.0, 5.0])
-        h = total / substeps
-        for _ in range(substeps):
-            k1 = rhs(s, a, delta)
-            k2 = rhs(s + 0.5 * h * k1, a, delta)
-            k3 = rhs(s + 0.5 * h * k2, a, delta)
-            k4 = rhs(s + h * k3, a, delta)
-            s = s + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        return s
-
-    ref = rk4_reference(0.4, 0.08, 4.0, 2 ** 16)
+    ref = rk4_reference((0.0, 0.0, 0.0, 5.0), 0.4, 0.08, 4.0, 2 ** 16, PARAMS.wheelbase)
     errs = []
     dts = [0.2, 0.1, 0.05, 0.025]
     for dt in dts:

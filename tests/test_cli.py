@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import pytest
 import yaml
@@ -49,7 +50,7 @@ def test_montecarlo_open_loop_stats(tmp_path):
 
 def test_montecarlo_closed_loop_stats(tmp_path):
     cfg_obj = default_merge_scenario(5.0, seed=4)
-    cfg_obj.montecarlo.mode = "closed-loop"
+    cfg_obj = replace(cfg_obj, montecarlo=replace(cfg_obj.montecarlo, mode="closed-loop"))
     path = tmp_path / "scenario.yaml"
     save_scenario(cfg_obj, path)
     out = tmp_path / "stats.yaml"

@@ -1,7 +1,7 @@
 import math
 import signal
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ import pytest
 from mergegame.actions import DecisionSequence, EgoDecision, GapChoice, LateralDecision, SvAction
 from mergegame import closed_loop
 from mergegame.closed_loop import (
-    BehaviorMode,
     Outcome,
     _ego_hits_anyone,
     aggregate_episodes,
@@ -25,6 +24,8 @@ from mergegame.dynamics import VehicleParams, rects_penetrate, step_bicycle
 from mergegame.forward_sim import SimConfig, simulate_batch
 from mergegame.planner import plan_cycle
 from mergegame.scenario import (
+    BehaviorMode,
+    EpisodeSettings,
     MonteCarloSettings,
     ScenarioConfig,
     VehicleSpec,
@@ -187,7 +188,7 @@ def assert_trace_matches_reference(cfg, trace):
 def test_truth_step_matches_scalar_reference_on_episodes(case):
     if case == "packed":
         cfg = packed_lane_scenario(seed=0)
-        cfg.episode.max_cycles = 4
+        cfg = replace(cfg, episode=replace(cfg.episode, max_cycles=4))
     else:
         speed, seed = (5.0, 4) if case == "merge5-seed4" else (10.0, 1)
         cfg = default_merge_scenario(speed, seed=seed)
@@ -204,10 +205,8 @@ def hand_world(ego_x, ego_y, svs):
     vehicles = [VehicleSpec("ego", role="ego", x=ego_x, y=ego_y, v=5.0, v_des=7.0)]
     vehicles += [VehicleSpec(vid, lane=lane, x=x, v=v, v_des=10.0, mode=mode)
                  for vid, lane, x, v, mode in svs]
-    cfg = ScenarioConfig(vehicles=vehicles, seed=0)
-    cfg.episode.speed_jitter = 0.0
-    cfg.episode.max_cycles = 1
-    return cfg
+    return ScenarioConfig(vehicles=vehicles, seed=0,
+                          episode=EpisodeSettings(speed_jitter=0.0, max_cycles=1))
 
 
 TRUTH_CASES = {
@@ -272,7 +271,7 @@ def unobstructed_change_time(cfg):
 
 def test_empty_lane_merges_quickly():
     cfg = empty_lane_scenario(speed=8.0)
-    cfg.episode.speed_jitter = 0.0
+    cfg = replace(cfg, episode=replace(cfg.episode, speed_jitter=0.0))
     trace = run_episode(cfg)
     assert trace.outcome == Outcome.SUCCESS
     bound = unobstructed_change_time(cfg) + cfg.sim.decision_period
@@ -345,7 +344,7 @@ def test_ego_overlap_matches_per_vehicle_loop(scenario):
 
     assert not hits(world.states)
     # every truth step of the first cycles
-    cfg.episode.max_cycles = 4
+    cfg = replace(cfg, episode=replace(cfg.episode, max_cycles=4))
     trace = run_episode(cfg)
     by_t = {}
     for (cycle, t, vid, x, y, th, v, a, d) in trace.steps:
@@ -433,25 +432,23 @@ def test_belief_update_reads_the_window(monkeypatch):
 
 
 def test_politeness_monotonicity():
-    polite = default_merge_scenario(6.0, truth_modes="polite")
-    selfish = default_merge_scenario(6.0, truth_modes="selfish")
-    agg_p = aggregate_episodes(run_episode_batch(polite, n=200, planner="nash",
-                                                 base_seed=60, workers=2))
-    agg_s = aggregate_episodes(run_episode_batch(selfish, n=200, planner="nash",
-                                                 base_seed=60, workers=2))
+    polite = default_merge_scenario(6.0, seed=60, truth_modes="polite")
+    selfish = default_merge_scenario(6.0, seed=60, truth_modes="selfish")
+    agg_p = aggregate_episodes(run_episode_batch(polite, n=200, workers=2))
+    agg_s = aggregate_episodes(run_episode_batch(selfish, n=200, workers=2))
     assert agg_p["success_rate"] >= agg_s["success_rate"]
 
 
 def test_batch_statistics_reproducible():
-    cfg = default_merge_scenario(5.0)
-    a = run_episode_batch(cfg, n=8, base_seed=4)
-    b = run_episode_batch(cfg, n=8, base_seed=4)
+    cfg = default_merge_scenario(5.0, seed=4)
+    a = run_episode_batch(cfg, n=8)
+    b = run_episode_batch(cfg, n=8)
     assert a == b
 
 
 def test_monte_carlo_degenerate_perturbation():
-    cfg = default_merge_scenario(5.0)
-    cfg.montecarlo = MonteCarloSettings(position_jitter=0.0, speed_jitter=0.0)
+    cfg = replace(default_merge_scenario(5.0),
+                  montecarlo=MonteCarloSettings(position_jitter=0.0, speed_jitter=0.0))
     stats = run_monte_carlo(cfg, n=6, seed=1)
     for value in (stats.nash_fraction, stats.selected_matches_se_ev,
                   stats.selected_matches_se_sv, stats.yield_fraction_ne,
@@ -494,8 +491,8 @@ def test_monte_carlo_settings_reject_no_instances():
 def test_monte_carlo_gives_up_when_every_draw_overlaps():
     # the ego's jitter box lies inside sv0, so no draw can clear it
     cfg = default_merge_scenario(5.0)
-    cfg.vehicles[1].x = 2.0
-    cfg.montecarlo = MonteCarloSettings(position_jitter=1.0)
+    vehicles = [replace(v, x=2.0) if v.vehicle_id == "sv0" else v for v in cfg.vehicles]
+    cfg = replace(cfg, vehicles=vehicles, montecarlo=MonteCarloSettings(position_jitter=1.0))
 
     def too_slow(signum, frame):
         raise TimeoutError("resampling did not stop")

@@ -274,7 +274,7 @@ def assert_matches_reference(traj_states, rows, block_start, period_rows, half_l
 
 def mid_episode_world(cfg, cycles):
     """The world as the closed loop leaves it after `cycles` planning cycles."""
-    cfg.episode.max_cycles = cycles
+    cfg = replace(cfg, episode=replace(cfg.episode, max_cycles=cycles))
     trace = run_episode(cfg)
     base = cfg.initial_world()
     last = {row[2]: row[3:7] for row in trace.steps[-base.n_vehicles:]}

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from game_oracles import rk4_reference
 from mergegame.dynamics import VehicleParams, rect_distance_arrays, rects_penetrate, step_bicycle
 
 PARAMS = VehicleParams()
@@ -11,25 +12,6 @@ PARAMS = VehicleParams()
 def step(state, a, delta, dt):
     """One bicycle step of a single vehicle (x, y, theta, v)."""
     return np.array(step_bicycle(*state, a, delta, dt, PARAMS.wheelbase))
-
-
-def rk4_reference(state, a, delta, dt, substeps, wheelbase=PARAMS.wheelbase):
-    """Independent fine-step RK4 integrator used as the oracle."""
-
-    def rhs(s):
-        x, y, th, v = s
-        vf = max(v, 0.0)
-        return np.array([vf * np.cos(th), vf * np.sin(th), vf * np.tan(delta) / wheelbase, a])
-
-    s = np.array(state, dtype=float)
-    h = dt / substeps
-    for _ in range(substeps):
-        k1 = rhs(s)
-        k2 = rhs(s + 0.5 * h * k1)
-        k3 = rhs(s + 0.5 * h * k2)
-        k4 = rhs(s + h * k3)
-        s = s + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-    return s
 
 
 def rollout(state, a, delta, dt, n):
@@ -52,14 +34,14 @@ def test_constant_acceleration_straight():
 
 
 def test_single_step_matches_fine_integrator():
-    ref = rk4_reference((0, 0, 0, 5), 0.0, 0.1, 0.2, 10000)
+    ref = rk4_reference((0, 0, 0, 5), 0.0, 0.1, 0.2, 10000, PARAMS.wheelbase)
     s = step((0.0, 0.0, 0.0, 5.0), 0.0, 0.1, 0.2)
     assert np.abs(s - ref).max() < 1e-8
 
 
 def test_third_order_convergence():
     # smooth (constant-input) curved maneuver; reference from the fine oracle
-    ref = rk4_reference((0, 0, 0, 5), 0.4, 0.08, 4.0, 2 ** 16)
+    ref = rk4_reference((0, 0, 0, 5), 0.4, 0.08, 4.0, 2 ** 16, PARAMS.wheelbase)
     dts = [0.2, 0.1, 0.05, 0.025]
     errs = [np.linalg.norm(rollout((0.0, 0.0, 0.0, 5.0), 0.4, 0.08, dt, int(round(4.0 / dt))) - ref)
             for dt in dts]

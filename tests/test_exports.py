@@ -1,10 +1,10 @@
-"""Every exported name resolves: a stale entry in a module's __all__ or in the
-package's re-exports fails here."""
+"""Every exported name resolves and has one home: a stale entry in a module's
+__all__, a name re-listed by a module that does not define it, or a name
+bound on the package fails here."""
 
-import ast
 import importlib
+import inspect
 import pkgutil
-from pathlib import Path
 
 import pytest
 
@@ -22,12 +22,19 @@ def test_every_name_in_all_resolves(module):
     assert [n for n in names if not hasattr(mod, n)] == []
 
 
-def test_package_reexports_are_public_names_of_their_modules():
-    tree = ast.parse(Path(mergegame.__file__).read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        mod = importlib.import_module(f"mergegame.{node.module}")
-        for alias in node.names:
-            assert alias.name in mod.__all__, f"{node.module}.{alias.name}"
-            assert getattr(mergegame, alias.name) is getattr(mod, alias.name)
+@pytest.mark.parametrize("module", MODULES)
+def test_every_class_and_function_in_all_is_defined_there(module):
+    mod = importlib.import_module(f"mergegame.{module}")
+    objs = {n: getattr(mod, n) for n in mod.__all__}
+    elsewhere = [f"{n} (from {obj.__module__})" for n, obj in objs.items()
+                 if (inspect.isclass(obj) or inspect.isfunction(obj))
+                 and obj.__module__ != mod.__name__]
+    assert elsewhere == []
+
+
+def test_package_binds_only_its_submodules():
+    for module in MODULES:
+        importlib.import_module(f"mergegame.{module}")
+    bound = [n for n, obj in vars(mergegame).items() if not n.startswith("__")
+             and not (inspect.ismodule(obj) and obj.__name__ == f"mergegame.{n}")]
+    assert bound == []

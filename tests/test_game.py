@@ -5,7 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from game_oracles import brute_nash, brute_selection, brute_stackelberg, check_prop1_assumptions
+from game_oracles import (
+    brute_nash,
+    brute_selection,
+    brute_stackelberg,
+    check_prop1_assumptions,
+    monotone_instance,
+    weighted,
+)
 from mergegame import planner
 from mergegame.actions import EgoDecision, GapChoice, LateralDecision
 from mergegame.costs import Belief, GameMatrix
@@ -180,9 +187,9 @@ def test_plan_cycle_solves_the_game_once(kind, monkeypatch):
 
     for name in ("find_pure_nash", "stackelberg", "select_action"):
         counted(name)
-    cfg = default_merge_scenario(5.0)
+    cfg = default_merge_scenario(5.0, planner=kind)
     planner.plan_cycle(cfg.initial_world(), cfg.initial_beliefs(), cfg,
-                       EgoDecision(GapChoice.GAP_0, LateralDecision.LANE_KEEP), planner=kind)
+                       EgoDecision(GapChoice.GAP_0, LateralDecision.LANE_KEEP))
     want = [("find_pure_nash",), ("stackelberg", Player.EV), ("stackelberg", Player.SV)]
     if kind == "nash":
         want.append(("select_action", "nash_cells", "se_sv"))
@@ -190,20 +197,6 @@ def test_plan_cycle_solves_the_game_once(kind, monkeypatch):
 
 
 # proposition preconditions ------------------------------------------------------
-
-def _monotone_instance(rng, belief_low=0.5):
-    cols = int(rng.integers(1, 51))
-    sv0 = rng.uniform(0, 100, cols)
-    sv1 = sv0 + rng.uniform(0, 100, cols)
-    ev1 = rng.uniform(0, 100, cols)
-    ev0 = ev1 + rng.uniform(0, 100, cols)
-    b = float(rng.uniform(belief_low, 1.0))
-    return np.stack([sv0, sv1]), np.stack([ev0, ev1]), Belief(b, 1.0 - b)
-
-
-def weighted(sv_raw, belief):
-    return np.stack([sv_raw[0] * (1.0 - belief.p_assert), sv_raw[1] * belief.p_assert])
-
 
 def test_check_prop1_assumptions_examples():
     sv = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -217,7 +210,7 @@ def test_check_prop1_assumptions_examples():
 def test_assert_row_equilibrium_exists_under_assumptions():
     rng = np.random.default_rng(46)
     for _ in range(1000):
-        sv_raw, ev, belief = _monotone_instance(rng)
+        sv_raw, ev, belief = monotone_instance(rng)
         assert check_prop1_assumptions(sv_raw, ev, belief)
         eqs = find_pure_nash(GameMatrix.from_arrays(weighted(sv_raw, belief), ev))
         assert any(e.row == 0 for e in eqs)
@@ -227,7 +220,7 @@ def test_yield_row_nash_is_ev_leader_stackelberg():
     rng = np.random.default_rng(47)
     found = 0
     while found < 1000:
-        sv_raw, ev, _ = _monotone_instance(rng, belief_low=0.0)
+        sv_raw, ev, _ = monotone_instance(rng, belief_low=0.0)
         b = float(rng.uniform(0.0, 1.0))
         belief = Belief(b, 1.0 - b)
         g = GameMatrix.from_arrays(weighted(sv_raw, belief), ev)

@@ -1,5 +1,6 @@
+import math
 import re
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import pytest
@@ -336,3 +337,53 @@ def test_shipped_configs_are_canonical(tmp_path, name):
     saved = tmp_path / "saved.yaml"
     save_scenario(load_scenario(shipped), saved)
     assert saved.read_bytes() == shipped.read_bytes()
+
+
+DELETE = object()
+WRONG_VALUES = [
+    # (path in the file, value or DELETE, the error, its whole message)
+    (("model", "gains", "kp_pos"), "abc", ValueError,
+     "model gains kp_pos must be a finite number, got 'abc'"),
+    (("vehicles", 1, "params", "length"), "4.5", ValueError,
+     "vehicles[1] params length must be a finite number, got '4.5'"),
+    (("sim", "dt"), None, ValueError, "sim dt must be a finite number, got None"),
+    (("vehicles", 1, "vehicle_id"), DELETE, TypeError, "vehicles[1]: missing key 'vehicle_id'"),
+    *[(path, value, ValueError, f"{where} must be a finite number, got {value!r}")
+      for path, where in ((("vehicles", 3, "x"), "vehicle 'sv2' x"),
+                          (("vehicles", 3, "v_des"), "vehicle 'sv2' v_des"),
+                          (("weights", "w_info"), "weights w_info"))
+      for value in (math.inf, -math.inf)]]
+
+
+@pytest.mark.parametrize("path, value, error, message", WRONG_VALUES,
+                         ids=[f"{'.'.join(map(str, p))}={'del' if v is DELETE else repr(v)}"
+                              for p, v, _, _ in WRONG_VALUES])
+def test_yaml_rejects_wrong_values_naming_the_field(tmp_path, path, value, error, message):
+    # the first three used to raise a bare TypeError from a comparison, and
+    # the missing id one naming VehicleSpec.__init__; x = .inf on sv2 ran a
+    # "successful" episode, v_des = .inf failed mid-run on a non-finite
+    # matrix, and w_info = -.inf passed its ">= -inf" check
+    data = merge_yaml_dict(tmp_path)
+    section = data
+    for key in path[:-1]:
+        section = section[key]
+    if value is DELETE:
+        del section[path[-1]]
+    else:
+        section[path[-1]] = value
+    with pytest.raises(error, match=rf"^{re.escape(message)}$"):
+        load_dict(tmp_path, data)
+
+
+REQUIRED = {VehicleSpec: {"vehicle_id": "sv"},
+            ScenarioConfig: {"vehicles": default_merge_scenario(5.0).vehicles}}
+
+
+@pytest.mark.parametrize("cls", [*SETTINGS, ScenarioConfig], ids=lambda cls: cls.__name__)
+def test_settings_are_frozen(cls):
+    # a field assigned after its check used to stick: episode max_cycles =
+    # 2.5 then failed in range() mid-run, and planner = "magic" at the first cycle
+    obj = cls(**REQUIRED.get(cls, {}))
+    name = fields(cls)[0].name
+    with pytest.raises(FrozenInstanceError):
+        setattr(obj, name, getattr(obj, name))
