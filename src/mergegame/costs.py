@@ -7,19 +7,16 @@ of the resulting matrix is scaled by one minus the belief assigned to that
 row's group action.
 
 Scoring reads the rollout's trajectory table. Speed error, jerk and lateral
-offset are computed once per table row. The pairwise safety band works from
-the table's vehicle blocks: a vehicle pair's (row, row) combinations are the
-other vehicle's block rows where one vehicle has a single row, and only pairs
-of two multi-row vehicles group their combinations over the tuples. It is
-computed once per decision period for each distinct pair of the two vehicles'
-period segments, over all near vehicle pairs at once, and summed in the order
-of a plain per-tuple loop, so the matrices do not depend on how the work is
-shared.
+offset are computed once per table row, and the pairwise safety band
+(_pair_band_penalties) in named phases over the near vehicle pairs, summed in
+the order of a plain per-tuple loop, so the matrices do not depend on how the
+work is shared.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -99,135 +96,152 @@ class GameMatrix:
         if not (np.isfinite(self.sv_weighted).all() and np.isfinite(self.ev).all()):
             raise ValueError("matrix entries must be finite")
 
-    @property
-    def shape(self):
-        return self.sv_weighted.shape
-
     @classmethod
     def from_arrays(cls, sv, ev) -> "GameMatrix":
         return cls(tuple(range(np.shape(sv)[1])), sv, ev)
 
 
-# --- per-trajectory cost terms ----------------------------------------------
+# --- pairwise safety band ----------------------------------------------------
 
-# Widens the reach of the bounding-box cull in _pair_band_penalties (m), so
-# that no rounding in the box bound can cull a pair the exact per-entry test keeps.
+# Widens the reach of the bounding-box cull in _near_pairs (m), so that no
+# rounding in the box bound can cull a pair the exact per-entry test keeps.
 CULL_MARGIN = 1.0
 
 
 def _pair_band_penalties(traj_states, rows, block_start, period_rows, half_len, half_wid,
                          weights: CostWeights):
-    """Per-vehicle safety penalty sums of a trajectory table.
+    """Per-vehicle safety penalty sums (K, V) of a trajectory table.
 
     traj_states (R, T+1, 4) holds distinct vehicle trajectories, vehicle v's in
     rows block_start[v]:block_start[v + 1]; rows (K, V) picks each stacked
     rollout's row of each vehicle, and period_rows (R, H) each row's segment
-    of each decision period, as BatchRollout documents them. Returns (K, V).
-    For every vehicle pair i < j, only the (row, step) entries where the two
-    centers lie within reach = d_hi plus the two circumradii get an exact
-    rectangle distance. Every other entry adds exactly 0.0, since its
-    rectangles are farther apart than d_hi. The same entries as an all-pairs,
-    all-rollouts loop are scored, found with less work, in one pass over all
-    pairs:
-
-    - a pair whose per-step bounding boxes over the two vehicles' blocks lie
-      farther apart than reach + CULL_MARGIN at every step is skipped outright;
-    - each other pair gets its (row of i, row of j) combinations from the
-      vehicle blocks. Where one side has a single row, they are the other
-      side's block rows, and a rollout's combination is numbered by its row
-      of that side. Only pairs with two multi-row sides group their K
-      rollouts' combinations. A block row that no rollout picks only adds a
-      combination that no rollout reads;
-    - in each period, the combinations that agree on (segment of i, segment
-      of j) are scored once: each period reach-tests its distinct segment
-      pairs, and one rect_distance_arrays call covers the near entries of
-      all periods.
-
-    The sums keep the all-pairs loop's order, so they are bit-identical for
-    any weights: each combination adds its steps in step order, and each
-    vehicle adds its pairs' sums from 0.0 in the i < j pair order.
+    of each decision period, as BatchRollout documents them. The sums are
+    those of a loop over all vehicle pairs i < j of all rollouts, bit for bit
+    and for any weights, found with less work in four phases: _near_pairs
+    forms the vehicle pairs, _combinations their (row, row) combinations,
+    _units the (segment pair, step) units that the combinations share and
+    which of them need an exact rectangle distance, and _sums scores those
+    and adds everything up in the loop's order.
     """
-    K, V = rows.shape
-    n_steps = traj_states.shape[1]
-    H = period_rows.shape[1]
-    S = (n_steps - 1) // H
-    radius = np.hypot(half_len, half_wid)
+    pairs = _near_pairs(traj_states, block_start, half_len, half_wid, weights.d_hi)
+    combos = _combinations(rows, block_start, pairs)
+    units = _units(traj_states, period_rows, pairs, combos)
+    return _sums(traj_states, half_len, half_wid, weights, pairs, combos, units)
+
+
+_Pairs = namedtuple("_Pairs", "iu ju reach")
+
+
+def _near_pairs(traj_states, block_start, half_len, half_wid, d_hi) -> _Pairs:
+    """The one place that forms vehicle pairs: _Pairs of iu < ju (P,), in
+    i < j order, with each pair's reach (P,), d_hi plus the two vehicles'
+    circumradii. Where two centers lie farther apart than reach, the
+    rectangles lie farther apart than d_hi. Every pair of the V vehicles is
+    kept unless its per-step bounding boxes over the two vehicles' blocks
+    lie farther apart than reach + CULL_MARGIN at every step, so a culled
+    pair would add exactly 0.0 to every sum."""
     lo = np.minimum.reduceat(traj_states, block_start[:-1], axis=0)[..., :3]   # (V, T+1, 3)
     hi = np.maximum.reduceat(traj_states, block_start[:-1], axis=0)[..., :3]
-    iu, ju = np.triu_indices(V, 1)
+    radius = np.hypot(half_len, half_wid)
+    iu, ju = np.triu_indices(len(radius), 1)
     gx = np.maximum(np.maximum(lo[ju, :, 0] - hi[iu, :, 0], lo[iu, :, 0] - hi[ju, :, 0]), 0.0)
     gy = np.maximum(np.maximum(lo[ju, :, 1] - hi[iu, :, 1], lo[iu, :, 1] - hi[ju, :, 1]), 0.0)
-    box_reach = weights.d_hi + radius[iu] + radius[ju] + CULL_MARGIN
+    reach = d_hi + radius[iu] + radius[ju]
+    box_reach = reach + CULL_MARGIN
     within = (gx * gx + gy * gy <= (box_reach * box_reach)[:, None]).any(axis=1)
-    iu, ju = iu[within], ju[within]
+    return _Pairs(iu[within], ju[within], reach[within])
 
-    # (row of i, row of j) combinations; combo (P, K) numbers each rollout's
-    # combination of pair p. Where one side of a pair has a single row, the
-    # other side's block rows are its combinations, numbered from offset.
-    R, P = len(traj_states), len(iu)
+
+_Combos = namedtuple("_Combos", "combo pair ri rj")
+
+
+def _combinations(rows, block_start, pairs) -> _Combos:
+    """The (row of i, row of j) combinations of the near pairs: _Combos of
+    combo (P, K), each rollout's combination of each pair, and per
+    combination (C,) its pair and its two table rows ri and rj.
+
+    Where one side of a pair has a single row, its combinations are the
+    other side's block rows in block order, and a rollout's combination is
+    numbered by its row of that side; they come first. Only pairs with two
+    multi-row sides group their K rollouts' combinations. A block row that
+    no rollout picks only adds a combination that no rollout reads."""
+    (K, _), R, iu, ju = rows.shape, block_start[-1], pairs.iu, pairs.ju
     n_rows = np.diff(block_start)
     single = (n_rows[iu] == 1) | (n_rows[ju] == 1)
+    multi = np.flatnonzero(~single)
+    code = (rows.T[iu[multi]] * R + rows.T[ju[multi]]).ravel()
+    first, group = _group_codes(code)
     other = np.where(n_rows[iu] == 1, ju, iu)[single]
     count = n_rows[other]
     offset = np.cumsum(count) - count
     s_pair = np.repeat(np.flatnonzero(single), count)
-    local = np.arange(len(s_pair)) - np.repeat(offset, count)
-    si, sj = iu[s_pair], ju[s_pair]
-    # only pairs with two multi-row sides group their combinations over the K rollouts
-    multi = np.flatnonzero(~single)
-    code = (rows.T[iu[multi]] * R + rows.T[ju[multi]]).ravel()
-    first, group = _group_codes(code)
-    m_ri, m_rj = np.divmod(code[first], R)
-    combo = np.empty((P, K), dtype=np.intp)
+    combo = np.empty((len(iu), K), dtype=np.intp)
     combo[single] = (offset - block_start[other])[:, None] + rows.T[other]
     combo[multi] = len(s_pair) + group.reshape(len(multi), K)
-    pair = np.concatenate((s_pair, multi[first // K]))
-    ci, cj = iu[pair], ju[pair]
     # a single-row side keeps its one row while the other side counts through its block
-    ri = np.concatenate((block_start[si] + np.minimum(local, n_rows[si] - 1), m_ri))
-    rj = np.concatenate((block_start[sj] + np.minimum(local, n_rows[sj] - 1), m_rj))
-    reach = weights.d_hi + radius[ci] + radius[cj]
+    local = np.arange(len(s_pair)) - np.repeat(offset, count)
+    si, sj = iu[s_pair], ju[s_pair]
+    m_ri, m_rj = np.divmod(code[first], R)
+    return _Combos(combo, np.concatenate((s_pair, multi[first // K])),
+                   np.concatenate((block_start[si] + np.minimum(local, n_rows[si] - 1), m_ri)),
+                   np.concatenate((block_start[sj] + np.minimum(local, n_rows[sj] - 1), m_rj)))
 
-    # period d covers steps d*S .. d*S + S - 1 (the last one through step T);
-    # units number the distinct (segment pair, step)s, and at (T+1,
-    # combinations) gives each combination's unit at each step
-    at = np.empty((n_steps, len(pair)), dtype=np.intp)
-    near_unit, near_combo, a, b = [], [], [], []
-    n_units = 0
+
+_Units = namedtuple("_Units", "at near")
+
+
+def _units(traj_states, period_rows, pairs, combos) -> _Units:
+    """The band's units, the distinct (segment pair, step)s: _Units of at
+    (T+1, C), each combination's unit at each step, and near (N,), one
+    entry of at for each unit whose two centers lie within the pair's
+    reach, as a flat position: t * C + c is combination c at step t. Every
+    other unit adds 0.0.
+
+    Period d covers steps d*S .. d*S + S - 1, the last one through step T.
+    In each period, the combinations that agree on (segment of i, segment of
+    j) share their units: each distinct segment pair g is reach-tested once,
+    through the first combination c that has it, and its unit at step t is
+    t * C + g, so units lie in [0, (T+1) C)."""
+    (R, n_steps, _), H = traj_states.shape, period_rows.shape[1]
+    S, ri, rj = (n_steps - 1) // H, combos.ri, combos.rj
+    reach = pairs.reach[combos.pair]
+    at = np.empty((n_steps, len(ri)), dtype=np.intp)
+    near = []
     for d in range(H):
         t0, t1 = d * S, n_steps if d == H - 1 else (d + 1) * S
         rep, seg = _group_codes(period_rows[ri, d] * R + period_rows[rj, d])
-        steps = np.arange(t1 - t0)
-        at[t0:t1] = n_units + seg * len(steps) + steps[:, None]
+        at[t0:t1] = np.arange(t0, t1)[:, None] * len(ri) + seg
         sa, sb = traj_states[ri[rep], t0:t1], traj_states[rj[rep], t0:t1]
         dx = sa[:, :, 0] - sb[:, :, 0]
         dy = sa[:, :, 1] - sb[:, :, 1]
         g, t = np.nonzero(dx * dx + dy * dy <= (reach[rep] * reach[rep])[:, None])
-        unit = g * len(steps) + t
-        near_unit.append(n_units + unit)
-        near_combo.append(rep[g])
-        a.append(sa.reshape(-1, 4).take(unit, axis=0))
-        b.append(sb.reshape(-1, 4).take(unit, axis=0))
-        n_units += len(rep) * len(steps)
-    c = np.concatenate(near_combo)
-    a, b = np.concatenate(a), np.concatenate(b)
-    dist = rect_distance_arrays(a[:, 0], a[:, 1], a[:, 2], half_len[ci[c]], half_wid[ci[c]],
-                                b[:, 0], b[:, 1], b[:, 2], half_len[cj[c]], half_wid[cj[c]])
-    unit_pen = np.zeros(n_units)
-    unit_pen[np.concatenate(near_unit)] = np.where(
-        dist < weights.d_lo, weights.w_saf1, np.where(dist <= weights.d_hi, weights.w_saf2, 0.0))
-    # each combination sums its steps in step order, zeros included (adding
-    # 0.0 to a penalty sum is exact)
-    per_combo = np.zeros(len(pair))
-    for step_pen in unit_pen[at]:
-        per_combo += step_pen
+        near.append((t0 + t) * len(ri) + rep[g])
+    return _Units(at, np.concatenate(near))
 
-    # each vehicle adds its pairs' sums from 0.0 in i < j pair order
-    per_pair = per_combo.take(combo)
-    out = np.zeros((V, K))
-    for p in range(P):
-        out[iu[p]] += per_pair[p]
-        out[ju[p]] += per_pair[p]
+
+def _sums(traj_states, half_len, half_wid, weights, pairs, combos, units):
+    """(K, V) penalty sums. One rect_distance_arrays call scores the near
+    entries, from their states (N, 4) gathered here. Each combination adds
+    its units' penalties in step order, zeros included (adding 0.0 is
+    exact), and each vehicle adds its pairs' sums from 0.0 in i < j pair
+    order."""
+    step, c = np.divmod(units.near, len(combos.pair))
+    vi, vj = pairs.iu[combos.pair[c]], pairs.ju[combos.pair[c]]
+    # step t of table row r is row r * (T+1) + t of the table's (R * (T+1), 4) view
+    a, b = (traj_states.reshape(-1, 4).take(r[c] * traj_states.shape[1] + step, axis=0)
+            for r in (combos.ri, combos.rj))
+    dist = rect_distance_arrays(a[:, 0], a[:, 1], a[:, 2], half_len[vi], half_wid[vi],
+                                b[:, 0], b[:, 1], b[:, 2], half_len[vj], half_wid[vj])
+    unit_pen = np.zeros(units.at.size)
+    unit_pen[units.at.take(units.near)] = np.where(
+        dist < weights.d_lo, weights.w_saf1, np.where(dist <= weights.d_hi, weights.w_saf2, 0.0))
+    per_combo = np.zeros(len(combos.pair))
+    for step_pen in unit_pen[units.at]:
+        per_combo += step_pen
+    out = np.zeros((len(half_len), combos.combo.shape[1]))
+    for i, j, pair_pen in zip(pairs.iu, pairs.ju, per_combo.take(combos.combo)):
+        out[i] += pair_pen
+        out[j] += pair_pen
     return out.T.copy()
 
 
@@ -271,9 +285,9 @@ def build_game_from_batch(rollout: BatchRollout, world: WorldSnapshot,
                                   axis=1))[rollout.rows]
 
     total = safety + eff + com + nav
-    sv_mask = np.ones(world.n_vehicles, dtype=bool)
-    sv_mask[e] = False
-    sv_agg = total[:, sv_mask].sum(axis=1)
+    # the boolean index gives an F-ordered copy, which sum adds in roster
+    # order; a C-ordered copy (np.delete) would be added pairwise, other bits
+    sv_agg = total[:, np.arange(world.n_vehicles) != e].sum(axis=1)
     ev_flat = total[:, e]
     if ev_extra is not None:
         ev_flat = ev_flat + ev_extra

@@ -2,7 +2,8 @@
 
 A scenario file is ScenarioConfig as YAML, one top-level section per field:
   lanes       LaneGeometry: lane centers, lane width, merge_end
-  vehicles    list of VehicleSpec, each with its VehicleParams under params;
+  vehicles    list of VehicleSpec (a tuple in ScenarioConfig), each with a
+              non-empty string vehicle_id and its VehicleParams under params;
               a value that no law reads for the vehicle's role must keep its
               default: params.wheelbase and params.delta_max of a traffic
               vehicle, and the mode of the ego
@@ -162,7 +163,7 @@ class MonteCarloSettings:
 @dataclass(frozen=True)
 class ScenarioConfig:
     lanes: LaneGeometry = field(default_factory=LaneGeometry)
-    vehicles: list[VehicleSpec] = field(default_factory=list)
+    vehicles: tuple[VehicleSpec, ...] = ()
     sim: SimConfig = field(default_factory=SimConfig)
     weights: CostWeights = field(default_factory=CostWeights)
     model: PlannerModel = field(default_factory=PlannerModel)
@@ -174,6 +175,8 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # a tuple, so that the roster cannot change after these checks
+        object.__setattr__(self, "vehicles", tuple(self.vehicles))
         _check_choice("planner", self.planner, PLANNER_KINDS)
         check("scenario", self, ">=", 0, "seed")   # numpy's generators take no negative seed
         check_integer("scenario", seed=self.seed)
@@ -183,6 +186,9 @@ class ScenarioConfig:
         if len(self.vehicles) < 2:
             raise ValueError("need the ego plus at least one surrounding vehicle")
         ids = [v.vehicle_id for v in self.vehicles]
+        for i, vid in enumerate(ids):
+            if not (isinstance(vid, str) and vid):
+                raise ValueError(f"vehicles[{i}] vehicle_id must be a non-empty string, got {vid!r}")
         if len(set(ids)) != len(ids):
             raise ValueError("vehicle ids must be unique")
 

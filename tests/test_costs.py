@@ -541,7 +541,7 @@ def test_build_game_rejects_mismatched_sets():
 
 def test_matrix_requires_finite_entries():
     finite = np.array([[0.0, 1.0], [2.0, 3.0]])
-    assert GameMatrix.from_arrays(finite, finite).shape == (2, 2)
+    assert GameMatrix.from_arrays(finite, finite).sv_weighted.shape == (2, 2)
     for bad in (np.inf, -np.inf, np.nan):
         for k in range(finite.size):
             entries = finite.copy()

@@ -103,6 +103,15 @@ def test_belief_settings_reject_nonpositive_sigma(sigma_accel):
         BeliefSettings(sigma_accel=sigma_accel)
 
 
+def test_roster_cannot_change_after_its_checks():
+    # a list let cfg.vehicles.append() add a second ego past the checks, and
+    # initial_world() then built a six-vehicle world from it
+    cfg = default_merge_scenario(5.0)
+    with pytest.raises(AttributeError):
+        cfg.vehicles.append(VehicleSpec("ego2", role="ego", x=50.0))
+    assert cfg.vehicles == ScenarioConfig(vehicles=list(cfg.vehicles)).vehicles
+
+
 def merge_yaml_dict(tmp_path):
     path = tmp_path / "scenario.yaml"
     save_scenario(default_merge_scenario(5.0), path)
@@ -348,6 +357,9 @@ WRONG_VALUES = [
      "vehicles[1] params length must be a finite number, got '4.5'"),
     (("sim", "dt"), None, ValueError, "sim dt must be a finite number, got None"),
     (("vehicles", 1, "vehicle_id"), DELETE, TypeError, "vehicles[1]: missing key 'vehicle_id'"),
+    *[(("vehicles", 1, "vehicle_id"), value, ValueError,
+       f"vehicles[1] vehicle_id must be a non-empty string, got {value!r}")
+      for value in (5, [1], "")],
     *[(path, value, ValueError, f"{where} must be a finite number, got {value!r}")
       for path, where in ((("vehicles", 3, "x"), "vehicle 'sv2' x"),
                           (("vehicles", 3, "v_des"), "vehicle 'sv2' v_des"),
@@ -360,9 +372,10 @@ WRONG_VALUES = [
                               for p, v, _, _ in WRONG_VALUES])
 def test_yaml_rejects_wrong_values_naming_the_field(tmp_path, path, value, error, message):
     # the first three used to raise a bare TypeError from a comparison, and
-    # the missing id one naming VehicleSpec.__init__; x = .inf on sv2 ran a
-    # "successful" episode, v_des = .inf failed mid-run on a non-finite
-    # matrix, and w_info = -.inf passed its ">= -inf" check
+    # the missing id one naming VehicleSpec.__init__; an id of 5 or "" used
+    # to load, and [1] to raise a bare TypeError (unhashable); x = .inf on
+    # sv2 ran a "successful" episode, v_des = .inf failed mid-run on a
+    # non-finite matrix, and w_info = -.inf passed its ">= -inf" check
     data = merge_yaml_dict(tmp_path)
     section = data
     for key in path[:-1]:
