@@ -285,9 +285,11 @@ def build_game_from_batch(rollout: BatchRollout, world: WorldSnapshot,
                                   axis=1))[rollout.rows]
 
     total = safety + eff + com + nav
-    # the boolean index gives an F-ordered copy, which sum adds in roster
-    # order; a C-ordered copy (np.delete) would be added pairwise, other bits
-    sv_agg = total[:, np.arange(world.n_vehicles) != e].sum(axis=1)
+    # added from 0.0 in roster order, so the bits do not rest on the memory
+    # layout numpy picks for a vectorized sum (pairwise on a C-ordered copy)
+    sv_agg = np.zeros(len(total))
+    for cost in np.delete(total, e, axis=1).T:
+        sv_agg += cost
     ev_flat = total[:, e]
     if ev_extra is not None:
         ev_flat = ev_flat + ev_extra

@@ -8,12 +8,14 @@ modified IDM with zero heading and steering, and the tuple's group action
 sets the interaction partner's willingness to yield.
 
 The tuples form a search tree over the ego's decisions, and simulate_batch
-walks it one decision period per depth, in named phases: _layout once; per
-period _columns, which builds the column key, then per substep _ego_pass,
-_partner_pass, _sv_pass and _step, then _period_end; and _table at the end.
-Vehicle states are entities, each stepped once per distinct input rather
-than once per tuple, and the result is a table of distinct vehicle
-trajectories in tree order.
+walks it one decision period per depth, with the duplicate-state check of a
+graph search: decision prefixes that end a period in the same world state,
+under the same group action and partner, share one column from there on. It
+goes in named phases: _layout once; per period _columns, which builds the
+column key, then per substep _ego_pass, _partner_pass, _sv_pass and _step,
+then _period_end; and _table at the end. Vehicle states are entities, each
+stepped once per distinct input rather than once per tuple, and the result
+is a table of distinct vehicle trajectories in tree order.
 """
 
 from __future__ import annotations
@@ -176,8 +178,9 @@ def simulate_batch(world: WorldSnapshot, seqs, cfg: SimConfig,
 @dataclass(frozen=True)
 class _Layout:
     """What the walk reads and never changes. Per tuple (K,): its group
-    action sv_code, its decision codes dec (K, H), and its partner's vehicle
-    index partner and id partner_ids. bounds (2, 3) is resolve_gaps' table
+    action sv_code, its decision codes dec (K, H), its partner's vehicle
+    index partner and id partner_ids, and its root column root, the rank of
+    its (group action, partner). bounds (2, 3) is resolve_gaps' table
     transposed: row 0 the front and row 1 the rear bound of each gap choice,
     as vehicle indices. line (3,) is the ego's lane line of each lateral
     decision. Per vehicle (V,): lead_row, its leader's row of an entity
@@ -193,6 +196,7 @@ class _Layout:
     dec: np.ndarray
     partner: np.ndarray
     partner_ids: tuple[str | None, ...]
+    root: np.ndarray
     bounds: np.ndarray
     line: np.ndarray
     lead_row: np.ndarray
@@ -224,9 +228,11 @@ def _layout(world, seqs, cfg, model) -> _Layout:
     rear, ids = np.append(bounds[1], -1)[gap], (*world.ids, None)
     lanes, idm = world.lanes, model.idm
     kappa = [lateral_discount(beta, lanes.width) for beta in (idm.beta_assert, idm.beta_yield)]
+    partner = rear[seq_index]
     return _Layout(
-        world, seqs, cfg, model, sv_code, dec, rear[seq_index],
-        tuple(ids[p] for p in rear.tolist()) * len(SvAction), bounds,
+        world, seqs, cfg, model, sv_code, dec, partner,
+        tuple(ids[p] for p in rear.tolist()) * len(SvAction),
+        _group_codes(sv_code * (V + 1) + partner + 1)[1], bounds,
         # indexed by LateralDecision value: LANE_KEEP, LEFT_CHANGE, LEFT_PROBE
         np.array([lanes.nearest_center(float(world.states[e, 1])), lanes.target_center,
                   lanes.probe_line]),
@@ -259,25 +265,38 @@ class _Period:
 
 
 def _columns(lay, d, key, start_ent):
-    """Period d's columns: one per distinct key (group action, partner,
-    decisions 0..d). Tuples with equal keys have had equal inputs up to the
-    end of period d, so they share a column until their decisions part. The
-    partner is in the key from the root on, because it is fixed by the whole
-    sequence and acts from t = 0: it gets the yield discount under the YIELD
-    action and watches a probing ego as a virtual leader.
+    """Period d's columns: one per distinct key (group action, partner, the
+    table rows its vehicles start period d in, its decision in period d).
+    Tuples with equal keys step equal inputs from equal states over period
+    d, so they share a column; prefixes that reach the same states merge
+    there, and stay merged until their decisions part. The merge is exact:
+    _period_end numbers rows by (row of period d-1, input bits), whatever
+    the number of columns, so the table is the one a column per decision
+    prefix would give, byte for byte. The partner is in the key from the
+    root on, because it is fixed by the whole sequence and acts from t = 0:
+    it gets the yield discount under the YIELD action and watches a probing
+    ego as a virtual leader.
 
     key (K,) is each tuple's column of period d-1 and start_ent (V + 1, .)
-    the entity index those columns end with; for d = 0 both are None, and
-    the parents are the root columns, keyed (group action, partner), each
-    starting from the vehicles themselves. Returns the period's _Period,
+    the entity index those columns end with, whose entities are table rows.
+    For d = 0 both are None, and the parents are the root columns lay.root,
+    each starting from the vehicles themselves; from d = 1 on, the parents
+    with equal root and start rows are grouped first, with one _group_codes
+    call on a record per parent. Returns the period's _Period,
     key (K,) of period d, each column's start entity index (V + 1, n),
     whose last row is -1, the entity of "no leader", and const (V + 1,),
     whether a row has the same entity in every column.
     """
     V = lay.world.n_vehicles
     if d == 0:
-        key = _group_codes(lay.sv_code * (V + 1) + lay.partner + 1)[1]
+        key = lay.root
         start_ent = np.repeat(np.append(np.arange(V), -1)[:, None], key.max() + 1, axis=1)
+    else:
+        record = np.empty((start_ent.shape[1], V + 1), dtype=np.intp)
+        record[key, 0] = lay.root
+        record[:, 1:] = start_ent[:V].T
+        first, merged = _group_codes(record.view(np.dtype((np.void, record.strides[0]))).ravel())
+        key, start_ent = merged[key], start_ent.take(first, axis=1)
     rep, key_d = _group_codes(key * 9 + lay.dec[:, d])   # rep: a tuple of each column
 
     n = len(rep)

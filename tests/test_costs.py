@@ -497,6 +497,26 @@ def test_build_game_matches_batch_path():
     assert partners == rollout.partner_ids[:len(SEQS)]
 
 
+def test_group_cost_adds_vehicles_in_roster_order():
+    # with only the fractional safety weights on, each vehicle's cost is its
+    # safety sum, and the group cost adds those from 0.0 in roster order, bit
+    # for bit; a pairwise sum of the same values gives other bits here
+    cfg = packed_lane_scenario(6.0)
+    weights = replace(cfg.weights, w_saf1=1000.3, w_saf2=0.7, w_eff=0.0, w_com=0.0, w_nav=0.0)
+    world = cfg.initial_world()
+    rollout = planner_rollout(cfg, world)
+    game = build_game_from_batch(rollout, world, priors_of(rollout, {}), weights)
+    safety = np.delete(_pair_band_penalties(rollout.traj_states, rollout.rows,
+                                            rollout.block_start, rollout.period_rows,
+                                            world.half_len, world.half_wid, weights),
+                       world.ego_index, axis=1)
+    in_roster_order = np.zeros(len(safety))
+    for cost in safety.T:
+        in_roster_order += cost
+    assert np.array_equal(game.sv_raw.ravel(), in_roster_order)
+    assert not np.array_equal(safety.sum(axis=1), in_roster_order)
+
+
 def test_belief_weighting_rule():
     cfg, world, _ = planning_setup()
     rollout = simulate_batch(world, SEQS, SimConfig(), PlannerModel())

@@ -776,11 +776,8 @@ def test_group_codes_matches_unique(codes):
     assert np.array_equal(first, first_at)
 
 
-def test_tree_shares_each_prefix_once(monkeypatch):
-    # from the root 0LK the default merge has 30 / 122 / 282 / 510 / 742 distinct
-    # (group action, partner, decision prefix) columns in periods 0..4, and
-    # the ego gets one entry per column in each substep
-    cfg = default_merge_scenario(5.0)
+def ego_widths(monkeypatch, cfg, seqs):
+    """The ego's entries in each substep of simulate_batch on cfg's initial world."""
     widths = []
 
     def counting_pursuit(y, *args):
@@ -788,8 +785,33 @@ def test_tree_shares_each_prefix_once(monkeypatch):
         return pure_pursuit(y, *args)
 
     monkeypatch.setattr(forward_sim, "pure_pursuit", counting_pursuit)
-    simulate_batch(cfg.initial_world(), root_seqs(EgoDecision(G0, LK)), cfg.sim, cfg.model)
-    assert widths == [w for w in (30, 122, 282, 510, 742) for _ in range(cfg.sim.substeps)]
+    simulate_batch(cfg.initial_world(), seqs, cfg.sim, cfg.model)
+    return widths
+
+
+def test_tree_shares_each_prefix_once(monkeypatch):
+    # from the root 0LK the search tree has 30 / 122 / 282 / 510 / 742
+    # (group action, partner, decision prefix) nodes in periods 0..4; columns
+    # whose vehicles start a period in the same rows, under the same group
+    # action and partner, merge when they take the same decision, and the ego
+    # gets one entry per column in each substep. At 10 m/s the keep-lane
+    # governor binds, so 0LK and 1LK reach the same states
+    for speed, per_period in [(5.0, (30, 122, 282, 486, 638)), (10.0, (30, 70, 134, 230, 314))]:
+        cfg = default_merge_scenario(speed)
+        widths = ego_widths(monkeypatch, cfg, root_seqs(EgoDecision(G0, LK)))
+        assert widths == [w for w in per_period for _ in range(cfg.sim.substeps)]
+
+
+def test_columns_that_reach_the_same_state_merge(monkeypatch):
+    # 0LK then 1LK steps the same states as 1LK throughout on the 10 m/s
+    # merge, so after period 0 the two columns of each group action are one
+    cfg = default_merge_scenario(10.0)
+    seqs = [DecisionSequence((EgoDecision(first, LK),) + (EgoDecision(G1, LK),) * 4)
+            for first in (G0, G1)]
+    widths = ego_widths(monkeypatch, cfg, seqs)
+    assert widths == [w for w in (4, 2, 2, 2, 2) for _ in range(cfg.sim.substeps)]
+    monkeypatch.undo()
+    assert_matches_reference(cfg.initial_world(), seqs, cfg.sim, cfg.model)
 
 
 def test_packed_cycle_steps_each_vehicle_state_once(monkeypatch):

@@ -52,3 +52,20 @@ def test_packed_fractional_set_is_packed_with_fractional_safety_weights(monkeypa
     for plain, cfg in zip(packed, fractional):
         assert (cfg.weights.w_saf1, cfg.weights.w_saf2) == (1000.3, 0.7)
         assert replace(cfg, weights=plain.weights) == plain
+
+
+def test_one_ulp_in_one_table_state_changes_the_rollouts_hash(monkeypatch):
+    digest, cycles = result_hashes.rollouts_hash(one_episode())
+    assert re.fullmatch("[0-9a-f]{64}", digest) and cycles > 0
+    plan_cycle, nudged = closed_loop.plan_cycle, []
+
+    def nudging(*args, **kwargs):
+        res = plan_cycle(*args, **kwargs)
+        if not nudged:
+            states = res.rollout.traj_states
+            states[-1, -1, 0] = np.nextafter(states[-1, -1, 0], np.inf)
+            nudged.append(True)
+        return res
+
+    monkeypatch.setattr(closed_loop, "plan_cycle", nudging)
+    assert result_hashes.rollouts_hash(one_episode())[0] != digest

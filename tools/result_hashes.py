@@ -7,7 +7,8 @@ the Nash cells with their social costs, both Stackelberg cells, the selection
 (row, col, kind, fallback flag) and the column partners; and, for every
 episode, each cycle record's start time, beliefs, partner, sequence and
 social cost, its recorded steps and its outcome. The Monte Carlo set also
-covers the returned statistics.
+covers the returned statistics. The rollouts set covers only the planner's
+trajectory tables, which the rollout must build byte for byte alike.
 
 The sets:
   merge       20 closed-loop episodes of default_merge_scenario, at 5 and
@@ -19,6 +20,9 @@ The sets:
               their terms are added in another order
   montecarlo  run_monte_carlo(n=200, seed=101) on default_merge_scenario(5.0)
               with weights.w_info = 20, in one process
+  rollouts    every cycle's trajectory table (traj_states, traj_inputs,
+              rows, block_start, period_rows, partner_ids) over the merge
+              and packed episodes
 
 Run from a checkout, with its sources on the path:
 
@@ -73,19 +77,25 @@ def _feed_cycle(h, res) -> None:
     _feed(h, (res.row, res.col, res.kind, res.fallback_used))
 
 
+def _feed_table(h, res) -> None:
+    r = res.rollout
+    _feed(h, [r.traj_states, r.traj_inputs, r.rows, r.block_start, r.period_rows,
+              r.partner_ids])
+
+
 class _Recorder:
-    """Feeds every plan_cycle result into h while installed as
+    """Feeds every plan_cycle result into h, by feed, while installed as
     closed_loop.plan_cycle."""
 
-    def __init__(self, h):
-        self.h, self.cycles = h, 0
+    def __init__(self, h, feed=_feed_cycle):
+        self.h, self.feed, self.cycles = h, feed, 0
 
     def __enter__(self):
         self.plan_cycle = closed_loop.plan_cycle
 
         def recording(*args, **kwargs):
             res = self.plan_cycle(*args, **kwargs)
-            _feed_cycle(self.h, res)
+            self.feed(self.h, res)
             self.cycles += 1
             return res
 
@@ -108,6 +118,16 @@ def episodes_hash(cfgs: list[ScenarioConfig]) -> tuple[str, int]:
     return h.hexdigest(), rec.cycles
 
 
+def rollouts_hash(cfgs: list[ScenarioConfig]) -> tuple[str, int]:
+    """(hex digest, cycles planned) over the trajectory table of every cycle
+    of closed-loop episodes of cfgs, in order."""
+    h = hashlib.sha256()
+    with _Recorder(h, _feed_table) as rec:
+        for cfg in cfgs:
+            closed_loop.run_episode(cfg)
+    return h.hexdigest(), rec.cycles
+
+
 def monte_carlo_hash(cfg: ScenarioConfig, n: int, seed: int) -> tuple[str, int]:
     """(hex digest, cycles planned) over run_monte_carlo's instances and statistics."""
     h = hashlib.sha256()
@@ -126,13 +146,21 @@ def _fractional(cfg: ScenarioConfig) -> ScenarioConfig:
     return replace(cfg, weights=replace(cfg.weights, w_saf1=1000.3, w_saf2=0.7))
 
 
+def _merge_configs() -> list[ScenarioConfig]:
+    return [default_merge_scenario(speed, seed=seed)
+            for speed in (5.0, 10.0) for seed in range(1, 11)]
+
+
+def _packed_configs() -> list[ScenarioConfig]:
+    return [packed_lane_scenario(seed=seed) for seed in (0, 5)]
+
+
 SETS = {
-    "merge": lambda: episodes_hash([default_merge_scenario(speed, seed=seed)
-                                    for speed in (5.0, 10.0) for seed in range(1, 11)]),
-    "packed": lambda: episodes_hash([packed_lane_scenario(seed=seed) for seed in (0, 5)]),
-    "packed-fractional": lambda: episodes_hash([_fractional(packed_lane_scenario(seed=seed))
-                                                for seed in (0, 5)]),
+    "merge": lambda: episodes_hash(_merge_configs()),
+    "packed": lambda: episodes_hash(_packed_configs()),
+    "packed-fractional": lambda: episodes_hash([_fractional(cfg) for cfg in _packed_configs()]),
     "montecarlo": lambda: monte_carlo_hash(_open_loop_config(), n=200, seed=101),
+    "rollouts": lambda: rollouts_hash(_merge_configs() + _packed_configs()),
 }
 
 
