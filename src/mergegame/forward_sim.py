@@ -293,7 +293,7 @@ def _columns(lay, d, key, start_ent):
         start_ent = np.repeat(np.append(np.arange(V), -1)[:, None], key.max() + 1, axis=1)
     else:
         record = np.empty((start_ent.shape[1], V + 1), dtype=np.intp)
-        record[key, 0] = lay.root
+        record[key, 0] = lay.root   # the same for every tuple of a column
         record[:, 1:] = start_ent[:V].T
         first, merged = _group_codes(record.view(np.dtype((np.void, record.strides[0]))).ravel())
         key, start_ent = merged[key], start_ent.take(first, axis=1)
