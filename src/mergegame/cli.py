@@ -15,7 +15,7 @@ from .closed_loop import (
     run_episode,
     run_episode_batch,
     run_monte_carlo,
-    write_trace_csv,
+    write_trace_jsonl,
 )
 from .planner import plan_cycle
 from .scenario import PLANNER_KINDS, ScenarioConfig, default_merge_scenario, load_scenario
@@ -84,8 +84,8 @@ def cmd_plan(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     trace = run_episode(cfg)
-    out = args.out or "episode_trace.csv"
-    write_trace_csv(trace, out)
+    out = args.out or "episode_trace.jsonl"
+    write_trace_jsonl(trace, out)
     ttm = f"{trace.time_to_merge:.2f}s" if trace.time_to_merge is not None else "-"
     print(f"outcome={trace.outcome.value} time_to_merge={ttm} "
           f"cycles={len(trace.cycles)} planner={trace.planner} seed={trace.seed}")
@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_plan)
 
     ss = sub.add_parser("simulate", parents=[common],
-                        help="run one closed-loop episode and write the trace file")
+                        help="run one closed-loop episode and write its trace as JSON lines")
     ss.set_defaults(func=cmd_simulate)
 
     sm = sub.add_parser("montecarlo", parents=[common],

@@ -11,6 +11,15 @@ Each cycle of run_episode runs in one pass:
      updated from its column of that array against the two traces that its
      column of the game predicted.
 
+The episode's record is an EpisodeTrace: a CycleRecord per planning cycle, a
+step row per vehicle and substep (the state it starts the substep in and the
+command it is issued, fields named by STEP_FIELDS), and the states of every
+vehicle after the substep that ended the episode. write_trace_jsonl writes it
+as JSON lines, one record per line, each naming its kind in its "record"
+field: "cycle", "step", and one closing "end" record with the outcome and
+those end states. Floats are written in their shortest round-trip form, so
+reading the file back gives the trace's values bit for bit.
+
 The truth model differs from the planner's rollout model on purpose: real
 surrounding vehicles anticipate the ego with a constant-velocity projection and
 react only once it comes laterally close, with the reaction range set by their
@@ -44,7 +53,8 @@ __all__ = [
     "run_episode_batch",
     "aggregate_episodes",
     "run_monte_carlo",
-    "write_trace_csv",
+    "STEP_FIELDS",
+    "write_trace_jsonl",
 ]
 
 
@@ -78,6 +88,11 @@ def truth_sv_accel(states: np.ndarray, sv: np.ndarray, leader_idx: np.ndarray, e
     return np.where(reacts, np.minimum(a, a_ego), a)
 
 
+# The fields of a step row, in order: the vehicle's state at the start of the
+# substep and its command, as issued, for that substep
+STEP_FIELDS = ("cycle", "t", "vehicle_id", "x", "y", "theta", "v", "a", "delta")
+
+
 @dataclass
 class CycleRecord:
     cycle: int
@@ -96,12 +111,18 @@ class CycleRecord:
 
 @dataclass
 class EpisodeTrace:
+    """One episode: its outcome, a CycleRecord per planning cycle, its step
+    rows (tuples of STEP_FIELDS; empty unless recorded), and end_states, each
+    vehicle's (x, y, theta, v) after the substep that ended the episode, as
+    plain floats keyed by vehicle id in roster order."""
+
     outcome: Outcome
     time_to_merge: float | None
     cycles: list[CycleRecord]
-    steps: list[tuple]  # (cycle, t, vehicle_id, x, y, theta, v, a, delta)
+    steps: list[tuple]
     seed: int
     planner: str
+    end_states: dict[str, list[float]]
 
 
 def _ego_hits_anyone(states: np.ndarray, ego: int, half_len: np.ndarray,
@@ -211,7 +232,8 @@ def run_episode(cfg: ScenarioConfig, planner: str | None = None,
             beliefs[pid] = Belief(float(pa), float(py))
 
     return EpisodeTrace(outcome=outcome or Outcome.TIMEOUT, time_to_merge=ttm, cycles=cycles,
-                        steps=rows, seed=cfg.seed, planner=cfg.planner)
+                        steps=rows, seed=cfg.seed, planner=cfg.planner,
+                        end_states=dict(zip(ids, states.tolist())))
 
 
 # --- batches -------------------------------------------------------------------
@@ -359,23 +381,21 @@ def run_monte_carlo(cfg: ScenarioConfig, n: int | None = None,
 
 # --- trace output -----------------------------------------------------------------
 
-def write_trace_csv(trace: EpisodeTrace, path) -> None:
-    """Delimiter-separated episode record: per-step vehicle rows plus, at each
-    cycle boundary, belief rows and the selected (row, column, kind)."""
-    by_cycle: dict[int, list[tuple]] = {}
-    for row in trace.steps:
-        by_cycle.setdefault(row[0], []).append(row)
+def write_trace_jsonl(trace: EpisodeTrace, path) -> None:
+    """Write trace as JSON lines: a "cycle" record per CycleRecord (every
+    field but game), a "step" record per step row, and one "end" record with
+    the outcome, time to merge, planner, seed and the end states."""
+    import json   # only a trace file needs it
+
+    state_fields = STEP_FIELDS[3:7]
     with open(path, "w") as fh:
-        fh.write("cycle,t,vehicle_id,x,y,theta,v,a,delta\n")
         for rec in trace.cycles:
-            for vid, (pa, py) in rec.beliefs.items():
-                fh.write(f"{rec.cycle},{rec.t0:.2f},belief:{vid},{pa:.6f},{py:.6f},,,,\n")
-            fh.write(f"{rec.cycle},{rec.t0:.2f},selection,{rec.row},{rec.col},"
-                     f"{rec.kind},{rec.social_cost:.6f},{int(rec.fallback_used)},"
-                     f"{rec.sequence}\n")
-            for row in by_cycle.get(rec.cycle, []):
-                fh.write(f"{row[0]},{row[1]:.2f},{row[2]},"
-                         + ",".join(f"{x:.6f}" for x in row[3:]) + "\n")
-        fh.write(f"# outcome={trace.outcome.value}"
-                 + (f" time_to_merge={trace.time_to_merge:.2f}" if trace.time_to_merge else "")
-                 + f" planner={trace.planner} seed={trace.seed}\n")
+            fields = {k: v for k, v in vars(rec).items() if k != "game"}
+            fh.write(json.dumps({"record": "cycle", **fields}) + "\n")
+        for row in trace.steps:
+            fh.write(json.dumps({"record": "step", **dict(zip(STEP_FIELDS, row))}) + "\n")
+        fh.write(json.dumps({
+            "record": "end", "outcome": trace.outcome.value, "time_to_merge": trace.time_to_merge,
+            "planner": trace.planner, "seed": trace.seed,
+            "states": {vid: dict(zip(state_fields, x)) for vid, x in trace.end_states.items()},
+        }) + "\n")

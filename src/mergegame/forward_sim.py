@@ -160,7 +160,10 @@ def simulate_batch(world: WorldSnapshot, seqs, cfg: SimConfig,
     table of the tuples, with seqs as its cols.
     """
     lay = _layout(world, tuple(seqs), cfg, model)
-    P, start_ent, key, segments = np.array(world.states.T), None, None, []
+    # the root columns, each starting from the vehicles themselves
+    key, V = lay.root, world.n_vehicles
+    start_ent = np.repeat(np.append(np.arange(V), -1)[:, None], key.max() + 1, axis=1)
+    P, segments = np.array(world.states.T), []
     for d in range(cfg.horizon):
         per, key, ent, const = _columns(lay, d, key, start_ent)
         steps = []
@@ -277,26 +280,21 @@ def _columns(lay, d, key, start_ent):
     it gets the yield discount under the YIELD action and watches a probing
     ego as a virtual leader.
 
-    key (K,) is each tuple's column of period d-1 and start_ent (V + 1, .)
-    the entity index those columns end with, whose entities are table rows.
-    For d = 0 both are None, and the parents are the root columns lay.root,
-    each starting from the vehicles themselves; from d = 1 on, the parents
-    with equal root and start rows are grouped first, with one _group_codes
-    call on a record per parent. Returns the period's _Period,
-    key (K,) of period d, each column's start entity index (V + 1, n),
-    whose last row is -1, the entity of "no leader", and const (V + 1,),
-    whether a row has the same entity in every column.
+    key (K,) is each tuple's column of period d-1 (for d = 0, its root
+    column lay.root) and start_ent (V + 1, .) the entity index those
+    columns end with. The parents with equal root and start rows are
+    grouped first, with one _group_codes call on a record per parent.
+    Returns the period's _Period, key (K,) of period d, each column's
+    start entity index (V + 1, n), whose last row is -1, the entity of "no
+    leader", and const (V + 1,), whether a row has the same entity in every
+    column.
     """
     V = lay.world.n_vehicles
-    if d == 0:
-        key = lay.root
-        start_ent = np.repeat(np.append(np.arange(V), -1)[:, None], key.max() + 1, axis=1)
-    else:
-        record = np.empty((start_ent.shape[1], V + 1), dtype=np.intp)
-        record[key, 0] = lay.root   # the same for every tuple of a column
-        record[:, 1:] = start_ent[:V].T
-        first, merged = _group_codes(record.view(np.dtype((np.void, record.strides[0]))).ravel())
-        key, start_ent = merged[key], start_ent.take(first, axis=1)
+    record = np.empty((start_ent.shape[1], V + 1), dtype=np.intp)
+    record[key, 0] = lay.root   # the same for every tuple of a column
+    record[:, 1:] = start_ent[:V].T
+    first, merged = _group_codes(record.view(np.dtype((np.void, record.strides[0]))).ravel())
+    key, start_ent = merged[key], start_ent.take(first, axis=1)
     rep, key_d = _group_codes(key * 9 + lay.dec[:, d])   # rep: a tuple of each column
 
     n = len(rep)

@@ -233,8 +233,9 @@ def save_scenario(cfg: ScenarioConfig, path) -> None:
 
 
 def _section(where: str, data, kind=dict):
-    """A new kind (dict or list) from section where of a scenario file; None is empty."""
-    if isinstance(data, (kind, type(None))):
+    """A new kind (dict or list) from section where of a scenario file; None
+    is empty, and a list may be a tuple, as asdict(cfg) gives the vehicles."""
+    if isinstance(data, (kind, type(None))) or kind is list and isinstance(data, tuple):
         return kind() if data is None else kind(data)
     raise ValueError(f"{where} must be a {'mapping' if kind is dict else 'list'}, got {data!r}")
 

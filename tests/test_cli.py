@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import replace
 
@@ -28,13 +29,14 @@ def test_plan_prints_matrix_and_selection(tmp_path, capsys):
 
 def test_simulate_writes_trace(tmp_path, capsys):
     cfg = write_cfg(tmp_path, seed=4)
-    out = tmp_path / "trace.csv"
+    out = tmp_path / "trace.jsonl"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "cycle,t,vehicle_id,x,y,theta,v,a,delta"
-    assert any(",selection," in ln for ln in lines)
-    assert any(",belief:sv2," in ln for ln in lines)
-    assert "outcome=" in capsys.readouterr().out
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert records[0]["record"] == "cycle" and "sv2" in records[0]["beliefs"]
+    assert {"row", "col", "kind", "sequence"} <= set(records[0])
+    assert any(r["record"] == "step" and r["vehicle_id"] == "sv2" for r in records)
+    assert records[-1]["record"] == "end"
+    assert f"outcome={records[-1]['outcome']}" in capsys.readouterr().out
 
 
 def test_montecarlo_open_loop_stats(tmp_path):

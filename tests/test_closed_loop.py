@@ -1,5 +1,9 @@
+import json
 import math
+import os
 import signal
+import subprocess
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
@@ -9,6 +13,7 @@ import pytest
 from mergegame.actions import DecisionSequence, EgoDecision, GapChoice, LateralDecision, SvAction
 from mergegame import closed_loop
 from mergegame.closed_loop import (
+    STEP_FIELDS,
     Outcome,
     _ego_hits_anyone,
     aggregate_episodes,
@@ -16,7 +21,7 @@ from mergegame.closed_loop import (
     run_episode_batch,
     run_monte_carlo,
     truth_sv_accel,
-    write_trace_csv,
+    write_trace_jsonl,
 )
 from mergegame.control import IdmSettings, idm_accel
 from mergegame.costs import update_belief
@@ -151,10 +156,12 @@ def assert_close(got, want, what):
 
 def assert_trace_matches_reference(cfg, trace):
     """Every recorded truth command, and every recorded step from one state to
-    the next, equals the scalar truth model within 1e-12 relative."""
+    the next, the last one to the end states, equals the scalar truth model
+    within 1e-12 relative."""
     base = cfg.initial_world()
     V, e = base.n_vehicles, base.ego_index
     rows = np.array([r[3:] for r in trace.steps], dtype=float).reshape(-1, V, 6)
+    after = np.concatenate([rows[1:, :, :4], [list(trace.end_states.values())]])
     cycle_of = [r[0] for r in trace.steps[::V]]
     idm = cfg.model.idm
     params = {v.vehicle_id: IdmParams(v.v_des, idm.time_headway, idm.s0, idm.a_acc,
@@ -176,11 +183,10 @@ def assert_trace_matches_reference(cfg, trace):
                 cfg.lane_center(spec.lane), leader,
                 cfg.episode.polite_lateral_frac, cfg.episode.selfish_lateral_frac)
             assert_close(rows[n, i, 4], want, f"step {n} {spec.vehicle_id} command")
-        if n + 1 < len(rows):
-            for i in range(V):
-                want = reference_step(State(*states[i]), rows[n, i, 4], rows[n, i, 5],
-                                      cfg.sim.dt, base.params[i])
-                assert_close(rows[n + 1, i, :4], want, f"step {n} {base.ids[i]} state")
+        for i in range(V):
+            want = reference_step(State(*states[i]), rows[n, i, 4], rows[n, i, 5],
+                                  cfg.sim.dt, base.params[i])
+            assert_close(after[n, i], want, f"step {n} {base.ids[i]} state")
     return rows
 
 
@@ -289,10 +295,96 @@ def test_episode_deterministic(tmp_path):
     cfg = default_merge_scenario(5.0, seed=77)
     t1 = run_episode(cfg)
     t2 = run_episode(cfg)
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_trace_csv(t1, p1)
-    write_trace_csv(t2, p2)
+    p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    write_trace_jsonl(t1, p1)
+    write_trace_jsonl(t2, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# --- the trace file ---------------------------------------------------------------
+
+def read_records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def exact(value):
+    """value with each float as its hex form and each tuple as a list, so that
+    == compares floats bit for bit (-0.0 and NaN payloads included)."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [exact(v) for v in value]
+    if isinstance(value, dict):
+        return {k: exact(v) for k, v in value.items()}
+    return value
+
+
+@pytest.mark.parametrize("case", ["merge5-seed3", "packed-seed0"])
+def test_trace_file_reads_back_bit_for_bit(case, tmp_path):
+    cfg = default_merge_scenario(5.0, seed=3) if case == "merge5-seed3" \
+        else packed_lane_scenario(seed=0)
+    trace = run_episode(cfg)
+    path = tmp_path / "trace.jsonl"
+    write_trace_jsonl(trace, path)
+    records = read_records(path)
+    kinds = [r.pop("record") for r in records]
+    n_cycles, n_steps = len(trace.cycles), len(trace.steps)
+    assert kinds == ["cycle"] * n_cycles + ["step"] * n_steps + ["end"]
+    for rec, got in zip(trace.cycles, records):
+        want = {k: v for k, v in vars(rec).items() if k != "game"}
+        assert exact(got) == exact(want)
+    steps = records[n_cycles:-1]
+    assert exact([[r[f] for f in STEP_FIELDS] for r in steps]) == exact(trace.steps)
+    end = records[-1]
+    assert (end["outcome"], end["planner"], end["seed"]) == \
+        (trace.outcome.value, trace.planner, trace.seed)
+    assert exact(end["time_to_merge"]) == exact(trace.time_to_merge)
+    assert exact({vid: list(s.values()) for vid, s in end["states"].items()}) == \
+        exact(trace.end_states)
+    assert all(list(s) == ["x", "y", "theta", "v"] for s in end["states"].values())
+
+
+def test_collision_shows_in_the_trace_file_alone(tmp_path):
+    # the episode ends in a collision that no step record holds: every step
+    # record is the state a substep starts from, and only the end record
+    # holds the state that ended the episode
+    cfg = default_merge_scenario(10.0, seed=234448712)
+    path = tmp_path / "trace.jsonl"
+    write_trace_jsonl(run_episode(cfg), path)
+    records = read_records(path)
+
+    world = cfg.initial_world()   # the footprints
+    half = {vid: (world.half_len[i], world.half_wid[i]) for i, vid in enumerate(world.ids)}
+    ego = world.ids[world.ego_index]
+
+    def penetrated(poses):
+        """The vehicles whose footprint the ego's penetrates, of poses {id: record}."""
+        p = poses[ego]
+        return [vid for vid, q in poses.items() if vid != ego and rects_penetrate(
+            p["x"], p["y"], p["theta"], *half[ego], q["x"], q["y"], q["theta"], *half[vid])]
+
+    end = records[-1]
+    assert end["record"] == "end" and end["outcome"] == "collision"
+    by_substep = {}
+    for r in records:
+        if r["record"] == "step":
+            by_substep.setdefault((r["cycle"], r["t"]), {})[r["vehicle_id"]] = r
+    assert len(by_substep) == 19
+    assert all(penetrated(poses) == [] for poses in by_substep.values())
+    states = end["states"]
+    assert penetrated(states) == ["sv2"]
+    assert (states[ego]["x"], states[ego]["y"]) == pytest.approx((34.62, 1.95), abs=0.005)
+    assert (states["sv2"]["x"], states["sv2"]["y"]) == pytest.approx((30.20, 3.5), abs=0.005)
+
+
+def test_importing_the_closed_loop_loads_neither_json_nor_yaml():
+    # the trace writer and the scenario loader import them when called, so
+    # that an import, which the benchmark's setup time counts, stays lean
+    src = os.path.dirname(os.path.dirname(closed_loop.__file__))
+    code = "import sys, mergegame.closed_loop; print(sorted({'json', 'yaml'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_success_trace_has_no_overlap_steps():

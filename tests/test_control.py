@@ -15,6 +15,8 @@ from mergegame.control import (
     virtual_gap_distance,
 )
 
+from helpers import bits
+
 IDM = IdmSettings()
 HALF_PI = 0.5 * math.pi
 
@@ -254,10 +256,6 @@ def clip_idm(v, v_lead, d, has_lead, v0, idm):
     a = np.where(has_lead, a_follow, idm.a_acc * free)
     a = np.where(has_lead & (d <= 0.0), -idm.b_emergency, a)
     return np.clip(a, -idm.b_emergency, idm.a_acc)
-
-
-def bits(value):
-    return np.asarray(value, dtype=float).view(np.uint64)
 
 
 def special_values(rng, n, bounds):

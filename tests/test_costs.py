@@ -17,7 +17,6 @@ from mergegame.actions import (
     enumerate_ego_sequences,
 )
 from mergegame import costs
-from mergegame.closed_loop import run_episode
 from mergegame.costs import (
     Belief,
     CostWeights,
@@ -36,6 +35,7 @@ from mergegame.scenario import BeliefSettings, default_merge_scenario, packed_la
 from mergegame.world import LaneGeometry, WorldSnapshot
 
 from gap_table import gap_ids
+from helpers import mid_episode_world, planner_rollout
 
 W = CostWeights(w_saf1=400.0, w_saf2=4.0, d_lo=1.0, d_hi=3.0,
                 w_eff=1.0, w_com=1.0, w_nav=1.0)
@@ -270,22 +270,6 @@ def assert_matches_reference(traj_states, rows, block_start, period_rows, half_l
     want = reference_pair_band_penalties(traj_states[rows], half_len, half_wid, weights)
     assert np.array_equal(got, want)
     return got
-
-
-def mid_episode_world(cfg, cycles):
-    """The world as the closed loop leaves it after `cycles` planning cycles."""
-    cfg = replace(cfg, episode=replace(cfg.episode, max_cycles=cycles))
-    trace = run_episode(cfg)
-    base = cfg.initial_world()
-    last = {row[2]: row[3:7] for row in trace.steps[-base.n_vehicles:]}
-    states = np.array([last[vid] for vid in base.ids])
-    return WorldSnapshot(base.ids, states, base.params, base.v_des, base.lanes, base.ego_index)
-
-
-def planner_rollout(cfg, world):
-    beliefs = {vid: Belief.uniform() for vid in cfg.sv_ids}
-    root = EgoDecision(GapChoice.GAP_0, LateralDecision.LANE_KEEP)
-    return plan_cycle(world, beliefs, cfg, root).rollout
 
 
 @pytest.mark.parametrize("case", ["packed", "packed-mid", "merge5", "merge10",

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from game_oracles import rk4_reference
+from helpers import bits
 from mergegame.dynamics import VehicleParams, rect_distance_arrays, rects_penetrate, step_bicycle
 
 PARAMS = VehicleParams()
@@ -97,10 +98,6 @@ def kutta_rk3_reference(x, y, theta, v, a, delta, dt, wheelbase):
             y + sixth * (k1[1] + 4.0 * k2[1] + k3[1]),
             wrap(theta + sixth * (k1[2] + 4.0 * k2[2] + k3[2])),
             np.maximum(v + sixth * (k1[3] + 4.0 * k2[3] + k3[3]), 0.0))
-
-
-def bits(value):
-    return np.asarray(value, dtype=float).view(np.uint64)
 
 
 PI_EDGES = [np.pi, -np.pi, np.nextafter(np.pi, 4.0), np.nextafter(-np.pi, -4.0),

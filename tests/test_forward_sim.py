@@ -26,12 +26,13 @@ from mergegame.forward_sim import (
     _group_codes,
     simulate_batch,
 )
-from mergegame.costs import Belief, CostWeights, _pair_band_penalties
+from mergegame.costs import CostWeights, _pair_band_penalties
 from mergegame.planner import plan_cycle
 from mergegame.scenario import default_merge_scenario, empty_lane_scenario, packed_lane_scenario
 from mergegame.world import LaneGeometry, WorldSnapshot
 
 from gap_table import gap_ids
+from helpers import mid_episode_world, planner_rollout
 
 G0, G1, G2 = GapChoice.GAP_0, GapChoice.GAP_1, GapChoice.GAP_2
 LK, LC, LP = LateralDecision.LANE_KEEP, LateralDecision.LEFT_CHANGE, LateralDecision.LEFT_PROBE
@@ -209,12 +210,6 @@ def test_too_many_vehicle_states_rejected():
 
 
 # --- vehicles shared by every rollout -----------------------------------------------
-
-def planner_rollout(cfg):
-    """The rollout of the planner's first cycle: every tuple from the root 0LK."""
-    beliefs = {vid: Belief.uniform() for vid in cfg.sv_ids}
-    return plan_cycle(cfg.initial_world(), beliefs, cfg, EgoDecision(G0, LK)).rollout
-
 
 def seq_partners(gaps, seqs):
     """Each sequence's interaction partner, as a vehicle index: the rear
@@ -476,16 +471,6 @@ def assert_matches_reference(world, seqs, cfg, model):
 
 def root_seqs(root, horizon=5):
     return enumerate_ego_sequences(root, 2, horizon)
-
-
-def mid_episode_world(cfg, cycles):
-    """The world as the closed loop leaves it after `cycles` planning cycles."""
-    cfg = replace(cfg, episode=replace(cfg.episode, max_cycles=cycles))
-    trace = run_episode(cfg)
-    base = cfg.initial_world()
-    last = {row[2]: row[3:7] for row in trace.steps[-base.n_vehicles:]}
-    states = np.array([last[vid] for vid in base.ids])
-    return WorldSnapshot(base.ids, states, base.params, base.v_des, base.lanes, base.ego_index)
 
 
 @lru_cache(maxsize=None)

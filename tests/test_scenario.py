@@ -1,16 +1,21 @@
+import copy
 import math
 import re
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, asdict, fields
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mergegame.control import IdmSettings, PdGains, PurePursuitParams
 from mergegame.costs import CostWeights
 from mergegame.dynamics import VehicleParams
 from mergegame.forward_sim import PlannerModel, SimConfig
 from mergegame.scenario import (
+    MONTE_CARLO_MODES,
+    PLANNER_KINDS,
     BeliefSettings,
     EpisodeSettings,
     MonteCarloSettings,
@@ -19,6 +24,7 @@ from mergegame.scenario import (
     VehicleSpec,
     default_merge_scenario,
     empty_lane_scenario,
+    from_dict,
     load_scenario,
     packed_lane_scenario,
     save_scenario,
@@ -400,3 +406,86 @@ def test_settings_are_frozen(cls):
     name = fields(cls)[0].name
     with pytest.raises(FrozenInstanceError):
         setattr(obj, name, getattr(obj, name))
+
+
+# --- the settings layer as one property ------------------------------------------
+
+def file_dict(cfg):
+    """cfg as a scenario file holds it: asdict, with the vehicles as a list."""
+    data = asdict(cfg)
+    data["vehicles"] = list(data["vehicles"])
+    return data
+
+
+def leaves(data, path=()):
+    """The (path, value) of every leaf of a scenario dict, as a file holds it."""
+    items = enumerate(data) if isinstance(data, list) else data.items()
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from leaves(value, (*path, key))
+        else:
+            yield (*path, key), value
+
+
+def section_of(data, path):
+    """A leaf's path as an error names it: "sim dt", "model idm s0",
+    "vehicles[1] params length", and a vehicle's own fields by its id."""
+    if path[0] != "vehicles":
+        return " ".join(path)
+    i, rest = path[1], path[2:]
+    if rest[0] in ("params", "vehicle_id"):
+        return " ".join((f"vehicles[{i}]", *rest))
+    return f"vehicle {data['vehicles'][i]['vehicle_id']!r} {rest[0]}"
+
+
+def with_leaf(data, path, value):
+    data = copy.deepcopy(data)
+    section = data
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    return data
+
+
+@st.composite
+def valid_configs(draw):
+    """A canonical scenario with a few numbers scaled or recounted, and any
+    planner, seed and Monte Carlo mode."""
+    data = file_dict(draw(st.sampled_from([
+        default_merge_scenario(5.0), default_merge_scenario(10.0, truth_modes="polite"),
+        empty_lane_scenario(8.0)])))
+    numbers = [(p, v) for p, v in leaves(data)
+               if isinstance(v, (int, float)) and not isinstance(v, bool)]
+    for path, value in draw(st.lists(st.sampled_from(numbers), max_size=6)):
+        new = draw(st.integers(1, 12)) if isinstance(value, int) \
+            else value * draw(st.floats(0.5, 2.0))
+        data = with_leaf(data, path, new)
+    data["planner"] = draw(st.sampled_from(PLANNER_KINDS))
+    data["seed"] = draw(st.integers(0, 2 ** 32 - 1))
+    data["montecarlo"]["mode"] = draw(st.sampled_from(MONTE_CARLO_MODES))
+    try:
+        return from_dict(data)
+    except ValueError:   # a scaled number broke a bound, such as d_lo < d_hi
+        assume(False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=valid_configs(), data=st.data())
+def test_settings_round_trip_and_reject_any_wrong_kind_leaf(tmp_path_factory, cfg, data):
+    assert from_dict(asdict(cfg)) == cfg
+    path = tmp_path_factory.mktemp("scenario") / "scenario.yaml"
+    save_scenario(cfg, path)
+    assert load_scenario(path) == cfg
+
+    # any one leaf of the wrong kind is rejected, naming the leaf's section
+    as_dict = file_dict(cfg)
+    leaf, value = data.draw(st.sampled_from(list(leaves(as_dict))), label="leaf")
+    wrong = [None, [1.0], math.inf, -math.inf]
+    if leaf[-1] == "y":
+        wrong.remove(None)   # the lane center
+    if not isinstance(value, str):
+        wrong.append("fast")
+    bad = data.draw(st.sampled_from(wrong), label="value")
+    with pytest.raises((ValueError, TypeError)) as exc:
+        from_dict(with_leaf(as_dict, leaf, bad))
+    assert section_of(as_dict, leaf) in str(exc.value)
