@@ -309,7 +309,7 @@ def read_records(path):
 
 def exact(value):
     """value with each float as its hex form and each tuple as a list, so that
-    == compares floats bit for bit (-0.0 and NaN payloads included)."""
+    == compares floats bit for bit (-0.0 against 0.0 included)."""
     if isinstance(value, float):
         return value.hex()
     if isinstance(value, (list, tuple)):
@@ -358,7 +358,7 @@ def test_collision_shows_in_the_trace_file_alone(tmp_path):
     ego = world.ids[world.ego_index]
 
     def penetrated(poses):
-        """The vehicles whose footprint the ego's penetrates, of poses {id: record}."""
+        """The ids of the vehicles the ego penetrates, in poses {id: record}."""
         p = poses[ego]
         return [vid for vid, q in poses.items() if vid != ego and rects_penetrate(
             p["x"], p["y"], p["theta"], *half[ego], q["x"], q["y"], q["theta"], *half[vid])]
