@@ -1,26 +1,25 @@
-"""Semantic decision vocabulary and pruned enumeration of ego decision sequences."""
+"""Ego decision vocabulary and the pruned enumeration of decision sequences.
+
+Each decision period the ego picks a target gap and a lateral move. Two rules
+prune the picks, each stated once:
+- the current-lane gap GAP_0 allows lane keeping only (`_available`, which
+  EgoDecision enforces);
+- a lane change under way never switches gap (`_forbidden`, a rule on
+  adjacent steps).
+enumerate_ego_sequences lists every sequence of a horizon's length that keeps
+both rules and a budget on the number of step-to-step changes.
+"""
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from enum import IntEnum
 
 from .bounds import check_integer
 
-__all__ = [
-    "GapChoice",
-    "LateralDecision",
-    "SvAction",
-    "EgoDecision",
-    "ROOT",
-    "DecisionSequence",
-    "ALL_EGO_DECISIONS",
-    "FORBIDDEN_TRANSITIONS",
-    "lateral_decision_set",
-    "enumerate_ego_sequences",
-]
+__all__ = ["GapChoice", "LateralDecision", "SvAction", "EgoDecision", "ROOT", "DecisionSequence",
+           "ALL_EGO_DECISIONS", "enumerate_ego_sequences"]
 
 
 class GapChoice(IntEnum):
@@ -44,28 +43,22 @@ class SvAction(IntEnum):
     YIELD = 1
 
 
-_LATERAL_SETS = {
-    GapChoice.GAP_0: frozenset({LateralDecision.LANE_KEEP}),
-    GapChoice.GAP_1: frozenset(LateralDecision),
-    GapChoice.GAP_2: frozenset(LateralDecision),
-}
-
-
-def lateral_decision_set(gap: GapChoice) -> frozenset[LateralDecision]:
-    """Lateral decisions available for a gap: the current-lane gap only allows lane keeping."""
-    return _LATERAL_SETS[GapChoice(gap)]
+def _available(gap: GapChoice, lateral: LateralDecision) -> bool:
+    """The current-lane gap allows lane keeping only."""
+    return gap != GapChoice.GAP_0 or lateral == LateralDecision.LANE_KEEP
 
 
 @dataclass(frozen=True, order=True)
 class EgoDecision:
-    """One semantic step: a gap choice plus a lateral decision valid for that gap."""
+    """One semantic step: a gap choice plus a lateral decision available for that gap."""
 
     gap: GapChoice
     lateral: LateralDecision
 
     def __post_init__(self):
-        if self.lateral not in lateral_decision_set(self.gap):
-            raise ValueError(f"{self.lateral.name} not available for {self.gap.name}")
+        gap, lateral = GapChoice(self.gap), LateralDecision(self.lateral)
+        if not _available(gap, lateral):
+            raise ValueError(f"{lateral.name} not available for {gap.name}")
 
     def __str__(self):
         code = {LateralDecision.LANE_KEEP: "LK",
@@ -78,36 +71,32 @@ class EgoDecision:
 ROOT = EgoDecision(GapChoice.GAP_0, LateralDecision.LANE_KEEP)
 
 ALL_EGO_DECISIONS: tuple[EgoDecision, ...] = tuple(
-    EgoDecision(g, d) for g in GapChoice for d in sorted(lateral_decision_set(g))
-)
+    EgoDecision(g, d) for g in GapChoice for d in LateralDecision if _available(g, d))
 
 
-@dataclass(frozen=True, order=True)
-class DecisionSequence:
-    """A length-H sequence of ego decisions."""
+def _forbidden(a: EgoDecision, b: EgoDecision) -> bool:
+    """Switching gap while committed to a lane change, which a human driver
+    would not do mid-maneuver."""
+    return a.lateral == b.lateral == LateralDecision.LEFT_CHANGE and a.gap != b.gap
 
-    steps: tuple[EgoDecision, ...]
 
-    def __post_init__(self):
-        if not self.steps:
+class DecisionSequence(tuple):
+    """A length-H sequence of ego decisions: a tuple of EgoDecision, so it
+    compares, orders, indexes and iterates as one."""
+
+    def __new__(cls, steps):
+        self = super().__new__(cls, steps)
+        if not self:
             raise ValueError("DecisionSequence must contain at least one step")
-
-    def __len__(self):
-        return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
-
-    def __getitem__(self, k):
-        return self.steps[k]
+        return self
 
     def __str__(self):
-        return ">".join(str(s) for s in self.steps)
+        return ">".join(str(s) for s in self)
 
     @functools.cached_property
     def codes(self) -> tuple[int, ...]:
         """Each step's decision code 3 * gap + lateral, a dense index in [0, 9)."""
-        return tuple(3 * int(s.gap) + int(s.lateral) for s in self.steps)
+        return tuple(3 * int(s.gap) + int(s.lateral) for s in self)
 
     @functools.cached_property
     def partner_gap(self) -> GapChoice | None:
@@ -115,19 +104,10 @@ class DecisionSequence:
         last step targeting a lane-change gap; None if it never leaves the
         current lane. Row partner_gap, column 1 of WorldSnapshot.resolve_gaps'
         table is that vehicle's index."""
-        for step in reversed(self.steps):
+        for step in reversed(self):
             if step.gap != GapChoice.GAP_0:
                 return step.gap
         return None
-
-
-# Adjacent pairs that switch gap while committed to a lane change, which a
-# human driver would not do mid-maneuver
-FORBIDDEN_TRANSITIONS: frozenset[tuple[EgoDecision, EgoDecision]] = frozenset(
-    (a, b)
-    for a, b in itertools.product(ALL_EGO_DECISIONS, repeat=2)
-    if a.lateral == b.lateral == LateralDecision.LEFT_CHANGE and a.gap != b.gap
-)
 
 
 # typed: a cached answer for 2 would otherwise also answer 2.0 or True unchecked
@@ -137,14 +117,14 @@ def enumerate_ego_sequences(root: EgoDecision, max_decision_changes: int,
     """Enumerate all decision sequences of length `horizon` reachable from root.
 
     root is the decision executed in the previous planning cycle. A sequence
-    is kept when every adjacent pair (including root -> first step) avoids
-    FORBIDDEN_TRANSITIONS and the total number of step-to-step changes stays
-    within max_decision_changes. Output order is deterministic: lexicographic
-    over step index with decisions in (gap, lateral) enum order. The result
-    depends only on the arguments, so it is cached; it is a tuple because
-    every caller shares it.
+    is kept when no adjacent pair (root -> first step included) is
+    `_forbidden` and the number of step-to-step changes stays within
+    max_decision_changes. The chains grow one step per level, each extended
+    by the decisions in (gap, lateral) enum order, so the output is
+    lexicographic over step index. The result depends only on the arguments,
+    so it is cached; it is a tuple because every caller shares it.
     """
-    # a depth of 2.5 is never reached, so a non-integer would recurse without end
+    # both come from a scenario file, and the cache keys on their exact type
     check_integer("enumerate_ego_sequences", horizon=horizon,
                   max_decision_changes=max_decision_changes)
     if horizon < 1:
@@ -152,24 +132,10 @@ def enumerate_ego_sequences(root: EgoDecision, max_decision_changes: int,
     if max_decision_changes < 0:
         raise ValueError("max_decision_changes must be >= 0")
 
-    out: list[DecisionSequence] = []
-    prefix: list[EgoDecision] = []
-
-    def walk(prev: EgoDecision, changes: int):
-        depth = len(prefix)
-        if depth == horizon:
-            out.append(DecisionSequence(tuple(prefix)))
-            return
-        for cand in ALL_EGO_DECISIONS:
-            changed = cand != prev
-            if changes + changed > max_decision_changes:
-                continue
-            if (prev, cand) in FORBIDDEN_TRANSITIONS:
-                continue
-            prefix.append(cand)
-            walk(cand, changes + changed)
-            prefix.pop()
-
-    walk(root, 0)
-    return tuple(out)
-
+    # (root and the steps so far, changes so far)
+    level = [((root,), 0)]
+    for _ in range(horizon):
+        level = [(chain + (cand,), n) for chain, changes in level for cand in ALL_EGO_DECISIONS
+                 if (n := changes + (cand != chain[-1])) <= max_decision_changes
+                 and not _forbidden(chain[-1], cand)]
+    return tuple(DecisionSequence(chain[1:]) for chain, _ in level)

@@ -4,47 +4,61 @@ import pytest
 
 from mergegame.actions import (
     ALL_EGO_DECISIONS,
-    FORBIDDEN_TRANSITIONS,
     DecisionSequence,
     EgoDecision,
     GapChoice,
     LateralDecision,
     enumerate_ego_sequences,
-    lateral_decision_set,
 )
 
 G0, G1, G2 = GapChoice.GAP_0, GapChoice.GAP_1, GapChoice.GAP_2
 LK, LC, LP = LateralDecision.LANE_KEEP, LateralDecision.LEFT_CHANGE, LateralDecision.LEFT_PROBE
 
 
+# The two rules, stated here apart from src. The current lane (gap 0) only
+# keeps lane, so these are the seven decisions, in (gap, lateral) order:
+UNIVERSE = [(G0, LK)] + [(g, lat) for g in (G1, G2) for lat in (LK, LC, LP)]
+
+
+def forbidden(a: EgoDecision, b: EgoDecision) -> bool:
+    """A lane change into one gap followed by a lane change into the other."""
+    return {(a.gap, a.lateral), (b.gap, b.lateral)} == {(G1, LC), (G2, LC)}
+
+
 def brute_sequences(root: EgoDecision, max_decision_changes: int, horizon: int):
     """Independent enumeration oracle: filter the full product of decisions."""
     out = []
-    for cand in itertools.product(ALL_EGO_DECISIONS, repeat=horizon):
+    for cand in itertools.product([EgoDecision(g, lat) for g, lat in UNIVERSE], repeat=horizon):
         chain = (root,) + cand
         changes = sum(chain[k] != chain[k - 1] for k in range(1, len(chain)))
         if changes > max_decision_changes:
             continue
-        if any((chain[k - 1], chain[k]) in FORBIDDEN_TRANSITIONS
-               for k in range(1, len(chain))):
+        if any(forbidden(chain[k - 1], chain[k]) for k in range(1, len(chain))):
             continue
         out.append(DecisionSequence(cand))
     return out
 
 
-def test_lateral_sets():
-    assert lateral_decision_set(G0) == {LK}
-    assert lateral_decision_set(G1) == {LK, LP, LC}
-    assert lateral_decision_set(G2) == {LK, LP, LC}
+@pytest.mark.parametrize("gap, lateral", [pytest.param(g, lat, id=f"{g.name}-{lat.name}")
+                                          for g in GapChoice for lat in LateralDecision])
+def test_lateral_sets(gap, lateral):
+    if (gap, lateral) in {(G0, LC), (G0, LP)}:
+        with pytest.raises(ValueError, match=f"{lateral.name} not available for GAP_0"):
+            EgoDecision(gap, lateral)
+    else:
+        decision = EgoDecision(gap, lateral)
+        assert (decision.gap, decision.lateral) == (gap, lateral)
 
 
 def test_invalid_decision_rejected():
-    with pytest.raises(ValueError):
-        EgoDecision(G0, LC)
+    for gap, lateral in [(G0, LC), (3, LK), (G1, 3)]:
+        with pytest.raises(ValueError):
+            EgoDecision(gap, lateral)
 
 
 def test_universe_size():
     assert len(ALL_EGO_DECISIONS) == 7
+    assert [(d.gap, d.lateral) for d in ALL_EGO_DECISIONS] == UNIVERSE
 
 
 def test_zero_change_budget_keeps_only_root():
@@ -57,12 +71,14 @@ def test_single_step_horizon_counts_every_decision():
 
 
 def test_forbidden_transition_never_appears():
-    root = EgoDecision(G0, LK)
-    assert (EgoDecision(G1, LC), EgoDecision(G2, LC)) in FORBIDDEN_TRANSITIONS
-    for seq in enumerate_ego_sequences(root, 4, horizon=5):
-        chain = (root,) + tuple(seq)
-        for a, b in zip(chain, chain[1:]):
-            assert (a, b) not in FORBIDDEN_TRANSITIONS
+    root = EgoDecision(G1, LC)
+    seqs = enumerate_ego_sequences(root, 4, horizon=5)
+    # the other gap's lane change is reached through a step that is not one
+    assert DecisionSequence((EgoDecision(G1, LK),) + (EgoDecision(G2, LC),) * 4) in seqs
+    for seq in seqs:
+        chain = (root,) + seq
+        assert not any(forbidden(a, b) for a, b in zip(chain, chain[1:]))
+    assert not any(s[0] == EgoDecision(G2, LC) for s in seqs)
 
 
 def test_enumeration_is_deterministic():
@@ -82,16 +98,16 @@ def test_enumeration_is_cached_and_immutable():
 def test_first_step_reachable_and_budget_respected():
     root = EgoDecision(G2, LP)
     for seq in enumerate_ego_sequences(root, 2, horizon=5):
-        chain = (root,) + tuple(seq)
+        chain = (root,) + seq
         changes = sum(chain[k] != chain[k - 1] for k in range(1, len(chain)))
         assert changes <= 2
-        assert (root, seq[0]) not in FORBIDDEN_TRANSITIONS
+        assert not forbidden(root, seq[0])
 
 
 def test_matches_brute_force_oracle():
-    for root, budget in [(EgoDecision(G0, LK), 2), (EgoDecision(G1, LC), 3),
-                         (EgoDecision(G2, LK), 1)]:
-        assert list(enumerate_ego_sequences(root, budget, 4)) == brute_sequences(root, budget, 4)
+    for root in ALL_EGO_DECISIONS:
+        for budget in range(5):
+            assert list(enumerate_ego_sequences(root, budget, 4)) == brute_sequences(root, budget, 4)
 
 
 def test_count_monotone_in_change_budget():
@@ -100,10 +116,9 @@ def test_count_monotone_in_change_budget():
     assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
-
 @pytest.mark.parametrize("budget, horizon, message", [
     (2, 0, "horizon must be >= 1"), (-1, 5, "max_decision_changes must be >= 0"),
-    # the walk never reaches depth 2.5, so these recursed without end
+    # a scenario file can hold a non-integer
     (2, 2.5, "horizon must be an integer, got 2.5"), (2, True, "horizon must be an integer"),
     (1.5, 5, "max_decision_changes must be an integer, got 1.5")])
 def test_enumeration_rejects_bad_arguments(budget, horizon, message):
