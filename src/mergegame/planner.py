@@ -106,14 +106,12 @@ def plan_cycle(world: WorldSnapshot, beliefs: Mapping[str, Belief],
         row, col = se_ev.row, se_ev.col
         kind = EquilibriumKind.STACKELBERG_EV_LEADER.value
         fallback = False
-    elif cfg.planner == "lowest-cost":
+    else:   # "lowest-cost"; ScenarioConfig rejects any kind outside PLANNER_KINDS
         expected = (prior * game.ev).sum(axis=0)
         col = int(np.argmin(expected))
         row = 0 if prior[0, col] >= 0.5 else 1
         kind = "lowest-cost"
         fallback = False
-    else:
-        raise ValueError(f"unknown planner kind: {cfg.planner}")
 
     return CycleResult(game=game, rollout=rollout, row=row, col=col, kind=kind,
                        fallback_used=fallback, nash_cells=nash_cells,
