@@ -205,8 +205,9 @@ def run_episode(cfg: ScenarioConfig, planner: str | None = None,
             # the commands are recorded as issued, and saturated to the actuation limits here
             states = np.column_stack(step_bicycle(
                 states[:, 0], states[:, 1], states[:, 2], states[:, 3],
-                np.clip(cmd[s, :, 0], -base.a_max, base.a_max),
-                np.clip(cmd[s, :, 1], -base.delta_max, base.delta_max), dt, base.wheelbase))
+                np.minimum(np.maximum(cmd[s, :, 0], -base.a_max), base.a_max),
+                np.minimum(np.maximum(cmd[s, :, 1], -base.delta_max), base.delta_max),
+                dt, base.wheelbase))
             t += dt
             if _ego_hits_anyone(states, e, base.half_len, base.half_wid):
                 outcome = Outcome.COLLISION
