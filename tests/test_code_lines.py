@@ -48,3 +48,15 @@ def test_prints_a_total_per_directory(tmp_path, capsys):
     assert out == [["7", str(tmp_path / "a" / "one.py")],
                    ["1", str(tmp_path / "a" / "sub" / "two.py")],
                    ["8", str(tmp_path / "a"), "(total)"]]
+
+
+def test_no_directory_counts_the_repository_src_tests_and_tools(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)   # the default directories do not depend on where it runs
+    code_lines.main([])
+    out = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [(name, tag) for _, name, tag in out] == [("src", "(total)"), ("tests", "(total)"),
+                                                      ("tools", "(total)")]
+    repo = Path(__file__).resolve().parents[1]
+    code_lines.main([str(repo / "src")])
+    assert capsys.readouterr().out.split()[0] == out[0][0]
+    assert all(int(n) > 0 for n, _, _ in out)

@@ -3,8 +3,12 @@ so not blank, not comment-only and not inside a module, class or function
 docstring. A string that spans lines counts on every line it covers, unless
 it is a docstring.
 
+    python3 tools/code_lines.py                               # src, tests and tools
     python3 tools/code_lines.py src/mergegame tests tools     # a total per directory
     python3 tools/code_lines.py --files src/mergegame         # and each file's count
+
+With no directory it counts the repository's src, tests and tools, wherever
+it is run from: the totals that change reports give.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import io
 import tokenize
 from pathlib import Path
 
+REPO = Path(__file__).resolve().parents[1]
+DEFAULT_DIRS = ("src", "tests", "tools")
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -43,17 +49,21 @@ def code_lines(source: str) -> int:
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("dirs", nargs="+", type=Path, help="directories to count, recursively")
+    parser.add_argument("dirs", nargs="*", type=Path,
+                        help="directories to count, recursively (default: the repository's "
+                             + ", ".join(DEFAULT_DIRS) + ")")
     parser.add_argument("--files", action="store_true", help="also print each file's count")
     args = parser.parse_args(argv)
-    for root in args.dirs:
+    # each directory by the name it is printed under
+    named = {d: d for d in args.dirs} or {Path(d): REPO / d for d in DEFAULT_DIRS}
+    for name, root in named.items():
         total = 0
         for path in sorted(root.rglob("*.py")):
             n = code_lines(path.read_text())
             total += n
             if args.files:
-                print(f"{n:>7}  {path}")
-        print(f"{total:>7}  {root}  (total)")
+                print(f"{n:>7}  {name / path.relative_to(root)}")
+        print(f"{total:>7}  {name}  (total)")
 
 
 if __name__ == "__main__":
