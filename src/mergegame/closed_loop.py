@@ -160,7 +160,7 @@ def run_episode(cfg: ScenarioConfig, planner: str | None = None,
     states[:, 3] = np.maximum(states[:, 3] + jitter, 0.0)
 
     ids, e, V = base.ids, base.ego_index, base.n_vehicles
-    dt, substeps = cfg.sim.dt, cfg.sim.substeps
+    dt, substeps, period = cfg.sim.dt, cfg.sim.substeps, cfg.sim.decision_period
     lanes = cfg.lanes
     sv = np.flatnonzero(np.arange(V) != e)
     v0 = base.v_des[sv]
@@ -173,7 +173,7 @@ def run_episode(cfg: ScenarioConfig, planner: str | None = None,
 
     root = ROOT
     outcome, ttm = None, None   # running out of cycles is a timeout
-    t = 0.0
+    t = 0.0   # from the substep count, never a running sum of dt, which drifts
     cycles: list[CycleRecord] = []
     rows: list[tuple] = []
 
@@ -208,7 +208,7 @@ def run_episode(cfg: ScenarioConfig, planner: str | None = None,
                 np.minimum(np.maximum(cmd[s, :, 0], -base.a_max), base.a_max),
                 np.minimum(np.maximum(cmd[s, :, 1], -base.delta_max), base.delta_max),
                 dt, base.wheelbase))
-            t += dt
+            t = (cycle * substeps + s + 1) / substeps * period
             if _ego_hits_anyone(states, e, base.half_len, base.half_wid):
                 outcome = Outcome.COLLISION
             elif abs(states[e, 1] - lanes.target_center) <= cfg.episode.success_lateral_tol \

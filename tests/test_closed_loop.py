@@ -377,6 +377,18 @@ def test_collision_shows_in_the_trace_file_alone(tmp_path):
     assert (states["sv2"]["x"], states["sv2"]["y"]) == pytest.approx((30.20, 3.5), abs=0.005)
 
 
+def test_cycles_start_on_whole_decision_periods():
+    # time counts substeps: a running sum of dt drifts off the decimal times,
+    # here to 1.9999999999999998 for cycle 2 and 3.0000000000000004 for cycle 3
+    cfg = default_merge_scenario(10.0, seed=234448712)
+    trace = run_episode(cfg)
+    assert len(trace.cycles) == 4
+    assert [c.t0 for c in trace.cycles] == [c.cycle * cfg.sim.decision_period
+                                            for c in trace.cycles]
+    # and every substep starts on the float nearest its decimal time
+    assert all(t == round(t, 9) for _, t, *_ in trace.steps)
+
+
 def test_importing_the_closed_loop_loads_neither_json_nor_yaml():
     # the trace writer and the scenario loader import them when called, so
     # that an import, which the benchmark's setup time counts, stays lean
