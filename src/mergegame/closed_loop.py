@@ -13,7 +13,7 @@ Each cycle of run_episode runs in one pass:
 
 The episode's record is an EpisodeTrace: a CycleRecord per planning cycle, a
 step row per vehicle and substep (the state it starts the substep in and the
-command it is issued, fields named by STEP_FIELDS), and the states of every
+command it executes, fields named by STEP_FIELDS), and the states of every
 vehicle after the substep that ended the episode. write_trace_jsonl writes it
 as JSON lines, one record per line, each naming its kind in its "record"
 field: "cycle", "step", and one closing "end" record with the outcome and
@@ -40,7 +40,7 @@ from .control import IdmSettings, idm_accel, leader_inputs, virtual_gap_distance
 from .costs import Belief, GameMatrix, update_belief
 from .dynamics import rects_penetrate, step_bicycle
 from .planner import CycleResult, plan_cycle
-from .scenario import BehaviorMode, ScenarioConfig
+from .scenario import ScenarioConfig
 from .world import WorldSnapshot
 
 __all__ = [
@@ -66,30 +66,31 @@ class Outcome(Enum):
 
 def truth_sv_accel(states: np.ndarray, sv: np.ndarray, leader_idx: np.ndarray, ego: int,
                    v0: np.ndarray, lane_y: np.ndarray, reach: np.ndarray,
-                   idm: IdmSettings) -> np.ndarray:
+                   idm: IdmSettings, a_max: np.ndarray) -> np.ndarray:
     """Ground-truth accelerations of the surrounding vehicles sv, all at once.
 
     states (V, 4) holds every vehicle; leader_idx (V,) each vehicle's physical
-    leader (-1 for none); v0, lane_y and reach (n,) each vehicle's desired
-    speed, lane center and lateral reaction range (its mode's fraction of the
-    lane width). Plain car following against the physical leader, with
-    kappa = 0; when the ego is level or ahead and within the reaction range of
-    a vehicle's lane center, that vehicle also brakes for the ego's
-    constant-velocity projection onto its lane and the more cautious of the
-    two commands wins.
+    leader (-1 for none); v0, lane_y, reach and a_max (n,) each vehicle's
+    desired speed, lane center, lateral reaction range (its mode's fraction of
+    the lane width) and actuation limit. Plain car following against the
+    physical leader, with kappa = 0; when the ego is level or ahead and within
+    the reaction range of a vehicle's lane center, that vehicle also brakes
+    for the ego's constant-velocity projection onto its lane and the more
+    cautious of the two commands wins. Both are saturated by idm_accel, so
+    the result lies within each vehicle's limits.
     """
     x, y, v = states[sv, 0], states[sv, 1], states[sv, 3]
     d_lead, v_lead, has_lead = leader_inputs(states.T, x, y, leader_idx[sv], 0.0)
-    a = idm_accel(v, v_lead, d_lead, has_lead, v0, idm)
+    a = idm_accel(v, v_lead, d_lead, has_lead, v0, idm, a_max)
     ex, ey, eth, ev = states[ego]
     d_ego = virtual_gap_distance(ex, lane_y, x, y, 0.0)
-    a_ego = idm_accel(v, ev * np.cos(eth), d_ego, True, v0, idm)
+    a_ego = idm_accel(v, ev * np.cos(eth), d_ego, True, v0, idm, a_max)
     reacts = (np.abs(ey - lane_y) <= reach) & (ex >= x)
     return np.where(reacts, np.minimum(a, a_ego), a)
 
 
 # The fields of a step row, in order: the vehicle's state at the start of the
-# substep and its command, as issued, for that substep
+# substep and its command, as executed, for that substep
 STEP_FIELDS = ("cycle", "t", "vehicle_id", "x", "y", "theta", "v", "a", "delta")
 
 
@@ -163,12 +164,12 @@ def run_episode(cfg: ScenarioConfig, planner: str | None = None,
     dt, substeps, period = cfg.sim.dt, cfg.sim.substeps, cfg.sim.decision_period
     lanes = cfg.lanes
     sv = np.flatnonzero(np.arange(V) != e)
-    v0 = base.v_des[sv]
+    v0, sv_a_max = base.v_des[sv], base.a_max[sv]
     svs = [cfg.vehicles[i] for i in sv]
     sv_lane_y = np.array([cfg.lane_center(v.lane) for v in svs])
-    frac = {BehaviorMode.POLITE: cfg.episode.polite_lateral_frac,
-            BehaviorMode.SELFISH: cfg.episode.selfish_lateral_frac}
-    sv_reach = np.array([frac[BehaviorMode(v.mode)] for v in svs]) * lanes.width
+    frac = {"polite": cfg.episode.polite_lateral_frac,
+            "selfish": cfg.episode.selfish_lateral_frac}
+    sv_reach = np.array([frac[v.mode] for v in svs]) * lanes.width
     beliefs = cfg.initial_beliefs()
 
     root = ROOT
@@ -198,16 +199,11 @@ def run_episode(cfg: ScenarioConfig, planner: str | None = None,
 
         for s in range(substeps):
             cmd[s, sv, 0] = truth_sv_accel(states, sv, leader_idx, e, v0, sv_lane_y, sv_reach,
-                                           cfg.model.idm)
+                                           cfg.model.idm, sv_a_max)
             if record_steps:
                 rows.extend((cycle, t, vid, *x, *u)
                             for vid, x, u in zip(ids, states.tolist(), cmd[s].tolist()))
-            # the commands are recorded as issued, and saturated to the actuation limits here
-            states = np.column_stack(step_bicycle(
-                states[:, 0], states[:, 1], states[:, 2], states[:, 3],
-                np.minimum(np.maximum(cmd[s, :, 0], -base.a_max), base.a_max),
-                np.minimum(np.maximum(cmd[s, :, 1], -base.delta_max), base.delta_max),
-                dt, base.wheelbase))
+            states = np.column_stack(step_bicycle(*states.T, *cmd[s].T, dt, base.wheelbase))
             t = (cycle * substeps + s + 1) / substeps * period
             if _ego_hits_anyone(states, e, base.half_len, base.half_wid):
                 outcome = Outcome.COLLISION

@@ -14,6 +14,9 @@ kappa = 0 (beta = 1, no lateral discount), plus its reaction gate: a vehicle
 also brakes for the ego's projection onto its lane once the ego is level or
 ahead and laterally within the vehicle's reaction range.
 
+Every law returns a command within its vehicle's actuation limits (a_max,
+delta_max), so the rollouts and the truth world execute, record and observe
+the laws' outputs as they are; nothing downstream saturates again.
 Saturation is np.minimum(np.maximum(x, lo), hi): for bounds lo < 0 < hi it
 gives np.clip's bits (NaN and -0.0 included) at about half np.clip's cost
 per call, which the rollouts pay many times per cycle.
@@ -147,12 +150,15 @@ def leader_inputs(P, x, y, lead, kappa):
     return np.where(has, d, np.inf), np.where(has, v_l, 0.0), has
 
 
-def idm_accel(v, v_lead, d, has_lead, v0, idm: IdmSettings):
+def idm_accel(v, v_lead, d, has_lead, v0, idm: IdmSettings, a_max):
     """Intelligent-driver-model acceleration with the (virtual) distance d as spacing input.
 
     Free-road term only where has_lead is false; a vanishing spacing returns
     full emergency braking (imminent collision, not a fault). Output saturated
-    to [-b_emergency, a_acc].
+    to [-b_emergency, a_acc] and to the follower's actuation limit
+    [-a_max, a_max] in one step, to their intersection
+    [max(-b_emergency, -a_max), min(a_acc, a_max)]: both intervals contain 0,
+    so this gives the bits of saturating to one and then the other.
     """
     free = 1.0 - (v / v0) ** 4
     safe_d = np.where(d > 0.0, d, 1.0)
@@ -161,4 +167,5 @@ def idm_accel(v, v_lead, d, has_lead, v0, idm: IdmSettings):
     a_follow = idm.a_acc * (free - (s_star / safe_d) ** 2)
     a = np.where(has_lead, a_follow, idm.a_acc * free)
     a = np.where(has_lead & (d <= 0.0), -idm.b_emergency, a)
-    return np.minimum(np.maximum(a, -idm.b_emergency), idm.a_acc)
+    return np.minimum(np.maximum(a, np.maximum(-idm.b_emergency, -a_max)),
+                      np.minimum(idm.a_acc, a_max))

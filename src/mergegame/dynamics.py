@@ -57,7 +57,8 @@ def step_bicycle(x, y, theta, v, a, delta, dt, wheelbase):
 
     Stages at 0, 1/2, 1 with weights 1/6, 2/3, 1/6. Returns (x, y, theta, v)
     with v clamped at zero and theta wrapped to (-pi, pi]. The inputs are
-    used as given: callers saturate them to the actuation limits.
+    used as given, as executed: the control laws (control.py) already
+    saturate them to the actuation limits.
     """
     tan_delta = np.tan(delta)
     k1 = _bicycle_rhs(theta, v, tan_delta, wheelbase)

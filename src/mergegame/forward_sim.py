@@ -40,7 +40,7 @@ __all__ = ["SimConfig", "PlannerModel", "BatchRollout", "simulate_batch"]
 @dataclass(frozen=True)
 class SimConfig:
     """Horizon discretization: horizon decision slots of decision_period
-    each, stepped every dt, so steps * dt of trajectory time."""
+    each, stepped every dt, so horizon * substeps steps of trajectory."""
 
     dt: float = 0.2
     horizon: int = 5
@@ -57,10 +57,6 @@ class SimConfig:
     @property
     def substeps(self) -> int:
         return int(round(self.decision_period / self.dt))
-
-    @property
-    def steps(self) -> int:
-        return self.horizon * self.substeps
 
 
 @dataclass(frozen=True)
@@ -402,8 +398,8 @@ def _sv_pass(lay, per, P, ent, const, p_inputs, extra):
     mine = (per.partner[sc] == sv).nonzero()[0]
     p_i = per.p_pos[sc[mine]]
     d_lead[mine], v_lead[mine], has_l[mine] = (q[p_i] for q in p_inputs)
-    a_sv = idm_accel(v, v_lead, d_lead, has_l, lay.world.v_des[sv], lay.model.idm)
-    lim = lay.world.a_max[sv]
+    a_sv = idm_accel(v, v_lead, d_lead, has_l, lay.world.v_des[sv], lay.model.idm,
+                     lay.world.a_max[sv])
 
     nxt = np.empty_like(ent)
     nxt[e] = np.arange(n)
@@ -413,7 +409,7 @@ def _sv_pass(lay, per, P, ent, const, p_inputs, extra):
     const[single] = True
     const[keyed] = np.bincount(k_row, minlength=len(keyed)) == 1
     const[e] = n == 1
-    return np.concatenate((ent[e], own_e)), np.minimum(np.maximum(a_sv, -lim), lim), nxt
+    return np.concatenate((ent[e], own_e)), a_sv, nxt
 
 
 def _step(lay, P, parent, a_e, delta_e, a_sv):

@@ -32,7 +32,6 @@ length ..." (a vehicle's own fields name it by id).
 from __future__ import annotations
 
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -43,7 +42,6 @@ from .forward_sim import PlannerModel, SimConfig
 from .world import LaneGeometry, WorldSnapshot
 
 __all__ = [
-    "BehaviorMode",
     "VehicleSpec",
     "BeliefSettings",
     "PruneSettings",
@@ -60,14 +58,8 @@ __all__ = [
 PLANNER_KINDS = ("nash", "stackelberg-ev", "lowest-cost")
 ROLES = ("ego", "traffic")
 LANES = ("current", "target")
+MODES = ("polite", "selfish")   # truth behavior (closed_loop.truth_sv_accel)
 MONTE_CARLO_MODES = ("open-loop", "closed-loop")
-
-
-class BehaviorMode(Enum):
-    """Truth behavior of a surrounding vehicle (closed_loop.truth_sv_accel)."""
-
-    POLITE = "polite"
-    SELFISH = "selfish"
 
 
 def _check_choice(name: str, value, allowed: tuple) -> None:
@@ -85,14 +77,14 @@ class VehicleSpec:
     theta: float = 0.0
     v: float = 0.0
     v_des: float = 10.0
-    mode: str = "selfish"        # truth behavior, a BehaviorMode value
+    mode: str = "selfish"        # one of MODES
     params: VehicleParams = field(default_factory=VehicleParams)
 
     def __post_init__(self):
         where = f"vehicle {self.vehicle_id!r}"
         _check_choice(f"{where} role", self.role, ROLES)
         _check_choice(f"{where} lane", self.lane, LANES)
-        _check_choice(f"{where} mode", self.mode, tuple(m.value for m in BehaviorMode))
+        _check_choice(f"{where} mode", self.mode, MODES)
         check_finite(where, self, "x", "theta")
         if self.y is not None:   # None is the lane center
             check_finite(where, self, "y")

@@ -53,7 +53,7 @@ class WorldSnapshot:
     v_des: np.ndarray   # (V,)
     lanes: LaneGeometry
     ego_index: int = 0
-    _index: dict = field(default_factory=dict, repr=False)
+    _index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.states = np.asarray(self.states, dtype=float)

@@ -29,7 +29,6 @@ from mergegame.dynamics import VehicleParams, rects_penetrate, step_bicycle
 from mergegame.forward_sim import SimConfig, simulate_batch
 from mergegame.planner import plan_cycle
 from mergegame.scenario import (
-    BehaviorMode,
     EpisodeSettings,
     MonteCarloSettings,
     ScenarioConfig,
@@ -40,7 +39,10 @@ from mergegame.scenario import (
 )
 from mergegame.world import WorldSnapshot
 
+from helpers import bits
+
 IDM = IdmSettings()
+A_MAX = VehicleParams().a_max
 POLITE_REACH, SELFISH_REACH = 0.75 * 3.5, 0.25 * 3.5
 
 
@@ -49,14 +51,15 @@ def truth_of_sv(ego, sv, reach, leader=None):
     rows = [ego, sv] + ([leader] if leader is not None else [])
     leader_idx = np.array([-1, 2 if leader is not None else -1, -1][:len(rows)])
     return truth_sv_accel(np.array(rows, dtype=float), np.array([1]), leader_idx, 0,
-                          np.array([10.0]), np.array([3.5]), np.array([reach]), IDM)[0]
+                          np.array([10.0]), np.array([3.5]), np.array([reach]), IDM,
+                          np.array([A_MAX]))[0]
 
 
 def plain_idm(sv, leader=None):
     """Car following alone: no leader, or a same-lane physical leader."""
     if leader is None:
-        return idm_accel(sv[3], 0.0, np.inf, False, 10.0, IDM)
-    return idm_accel(sv[3], leader[3], abs(leader[0] - sv[0]), True, 10.0, IDM)
+        return idm_accel(sv[3], 0.0, np.inf, False, 10.0, IDM, A_MAX)
+    return idm_accel(sv[3], leader[3], abs(leader[0] - sv[0]), True, 10.0, IDM, A_MAX)
 
 
 def test_truth_sv_ignores_distant_ego():
@@ -99,7 +102,8 @@ State = namedtuple("State", "x y theta v")
 
 @dataclass(frozen=True)
 class IdmParams:
-    """Modified-IDM parameters of one follower, as the scalar truth model takes them."""
+    """Modified-IDM parameters and actuation limit of one follower, as the
+    scalar truth model takes them."""
 
     v0: float
     time_headway: float
@@ -109,6 +113,7 @@ class IdmParams:
     beta: float
     w_lane: float
     b_emergency: float
+    a_max: float
 
 
 def reference_idm_accel(follower, virtual_leader, params):
@@ -119,20 +124,20 @@ def reference_idm_accel(follower, virtual_leader, params):
     else:
         kappa = 2.0 * math.log(params.beta) / params.w_lane
         d = abs(virtual_leader.x - follower.x) * math.exp(kappa * abs(virtual_leader.y - follower.y))
-        if d <= 0.0:
-            return -params.b_emergency
         dv = v - virtual_leader.v
         s_star = params.s0 + v * params.time_headway \
             + v * dv / (2.0 * math.sqrt(params.a_acc * params.b_dec))
-        a = params.a_acc * (free - (s_star / d) ** 2)
-    return float(np.clip(a, -params.b_emergency, params.a_acc))
+        a = params.a_acc * (free - (s_star / d) ** 2) if d > 0.0 else -params.b_emergency
+    # the IDM's own bounds, then the follower's actuation limit
+    a = float(np.clip(a, -params.b_emergency, params.a_acc))
+    return float(np.clip(a, -params.a_max, params.a_max))
 
 
 def reference_truth_sv_accel(sv, ego, mode, params, lane_center_y, leader,
                              polite_frac, selfish_frac):
     """One surrounding vehicle: car following, and braking for the ego's
     projection once the ego is level or ahead and within the mode's range."""
-    frac = polite_frac if mode == BehaviorMode.POLITE else selfish_frac
+    frac = polite_frac if mode == "polite" else selfish_frac
     a = reference_idm_accel(sv, leader, params)
     if abs(ego.y - lane_center_y) <= frac * params.w_lane and ego.x >= sv.x:
         projected = State(ego.x, lane_center_y, 0.0, ego.v * math.cos(ego.theta))
@@ -141,9 +146,7 @@ def reference_truth_sv_accel(sv, ego, mode, params, lane_center_y, leader,
 
 
 def reference_step(state, a, delta, dt, params: VehicleParams):
-    """One vehicle, inputs saturated to its actuation limits."""
-    a = float(np.clip(a, -params.a_max, params.a_max))
-    delta = float(np.clip(delta, -params.delta_max, params.delta_max))
+    """One vehicle, stepped with its command as recorded."""
     return np.array([float(c) for c in step_bicycle(
         np.float64(state.x), np.float64(state.y), np.float64(state.theta), np.float64(state.v),
         np.float64(a), np.float64(delta), np.float64(dt), np.float64(params.wheelbase))])
@@ -165,7 +168,8 @@ def assert_trace_matches_reference(cfg, trace):
     cycle_of = [r[0] for r in trace.steps[::V]]
     idm = cfg.model.idm
     params = {v.vehicle_id: IdmParams(v.v_des, idm.time_headway, idm.s0, idm.a_acc,
-                                      idm.b_dec, 1.0, cfg.lanes.width, idm.b_emergency)
+                                      idm.b_dec, 1.0, cfg.lanes.width, idm.b_emergency,
+                                      v.params.a_max)
               for v in cfg.vehicles if v.role != "ego"}
     for n in range(len(rows)):
         states = rows[n, :, :4]
@@ -179,7 +183,7 @@ def assert_trace_matches_reference(cfg, trace):
                 continue
             leader = State(*states[leader_idx[i]]) if leader_idx[i] >= 0 else None
             want = reference_truth_sv_accel(
-                State(*states[i]), ego, BehaviorMode(spec.mode), params[spec.vehicle_id],
+                State(*states[i]), ego, spec.mode, params[spec.vehicle_id],
                 cfg.lane_center(spec.lane), leader,
                 cfg.episode.polite_lateral_frac, cfg.episode.selfish_lateral_frac)
             assert_close(rows[n, i, 4], want, f"step {n} {spec.vehicle_id} command")
@@ -201,9 +205,9 @@ def test_truth_step_matches_scalar_reference_on_episodes(case):
     rows = assert_trace_matches_reference(cfg, run_episode(cfg))
     assert len(rows) > 10
     if case == "packed":
-        # bumper-to-bumper followers brake at b_emergency, beyond a_max, and the
-        # step saturates that command
-        assert rows[0, :, 4].min() == -IDM.b_emergency < -VehicleParams().a_max
+        # bumper-to-bumper followers brake as hard as they can: the IDM's
+        # b_emergency, saturated to their a_max
+        assert rows[0, :, 4].min() == -A_MAX > -IDM.b_emergency
 
 
 def hand_world(ego_x, ego_y, svs):
@@ -254,8 +258,8 @@ def test_truth_step_matches_scalar_reference_cases(case):
             assert a < plain
         else:
             a_max = world.params[i].a_max
-            assert a == -IDM.b_emergency < -a_max
-            # the step applied -a_max: the speed fell by a_max * dt
+            assert a == -a_max > -IDM.b_emergency
+            # the step executed the recorded -a_max: the speed fell by a_max * dt
             assert rows[1, i, 3] == pytest.approx(rows[0, i, 3] - a_max * cfg.sim.dt, abs=1e-12)
 
 
@@ -533,6 +537,56 @@ def test_belief_update_reads_the_window(monkeypatch):
             updated += 1
         assert trace.cycles[c + 1].beliefs == after
     assert updated >= 3
+
+
+@pytest.mark.parametrize("case", ["merge5-seed3", "packed-seed5"])
+def test_belief_observes_the_executed_and_recorded_command(case, monkeypatch):
+    # the partner's accelerations that update_belief observes are, bit for
+    # bit, those step_bicycle executed and those its step rows record; both
+    # cases have a partner that brakes at its a_max (merge in cycle 3,
+    # packed in cycle 0)
+    executed, observed = [], []
+
+    def stepping(*args):
+        executed.append(np.array(args[4]))
+        return step_bicycle(*args)
+
+    def updating(p_assert, p_yield, obs, *rest):
+        observed.append((len(executed), np.array(obs)))
+        return update_belief(p_assert, p_yield, obs, *rest)
+
+    monkeypatch.setattr(closed_loop, "step_bicycle", stepping)
+    monkeypatch.setattr(closed_loop, "update_belief", updating)
+    if case == "packed-seed5":
+        cfg = packed_lane_scenario(seed=5)
+    else:
+        cfg = default_merge_scenario(5.0, seed=3)
+    trace = run_episode(cfg)
+    world, substeps = cfg.initial_world(), cfg.sim.substeps
+    assert len(observed) >= 3
+    for n, obs in observed:
+        c = n // substeps - 1   # the cycle whose window was just executed
+        pid = trace.cycles[c].partner_id
+        recorded = [row[7] for row in trace.steps if row[0] == c and row[2] == pid]
+        p = world.index_of(pid)
+        assert np.array_equal(bits(obs), bits(recorded)), c
+        assert np.array_equal(bits(obs), bits([a[p] for a in executed[n - substeps:n]])), c
+
+
+@pytest.mark.parametrize("case", ["merge10-seeds1-10", "packed-seed0"])
+def test_recorded_commands_lie_within_each_vehicles_limits(case):
+    # every law saturates its command in control.py and nothing downstream
+    # clips, so each step row records a command its vehicle can execute
+    if case == "packed-seed0":
+        cfgs = [packed_lane_scenario(seed=0)]
+    else:
+        cfgs = [default_merge_scenario(10.0, seed=seed) for seed in range(1, 11)]
+    for cfg in cfgs:
+        world = cfg.initial_world()
+        cmd = np.array([row[7:] for row in run_episode(cfg).steps])
+        cmd = cmd.reshape(-1, world.n_vehicles, 2)
+        assert np.all(np.abs(cmd[:, :, 0]) <= world.a_max), cfg.seed
+        assert np.all(np.abs(cmd[:, :, 1]) <= world.delta_max), cfg.seed
 
 
 def test_politeness_monotonicity():

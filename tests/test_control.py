@@ -151,26 +151,29 @@ def test_assert_sees_merger_farther_than_yield():
 
 
 def test_idm_free_flow_equilibrium():
-    assert idm_accel(10.0, 0.0, np.inf, False, 10.0, IDM) == 0.0
-    assert idm_accel(0.0, 0.0, np.inf, False, 10.0, IDM) == IDM.a_acc
+    assert idm_accel(10.0, 0.0, np.inf, False, 10.0, IDM, a_max=np.inf) == 0.0
+    assert idm_accel(0.0, 0.0, np.inf, False, 10.0, IDM, a_max=np.inf) == IDM.a_acc
 
 
 def test_idm_formula_value():
     idm = IdmSettings(time_headway=1.5, s0=2.0, a_acc=1.5, b_dec=2.0)
     # a_acc * (1 - 1 - (17/20)^2) = -1.08375
-    a = idm_accel(10.0, 10.0, 20.0, True, 10.0, idm)
+    a = idm_accel(10.0, 10.0, 20.0, True, 10.0, idm, a_max=np.inf)
     assert a == pytest.approx(-1.08375, abs=1e-9)
 
 
 def test_idm_zero_distance_emergency_brakes():
-    assert idm_accel(5.0, 5.0, 0.0, True, 10.0, IDM) == -IDM.b_emergency
+    assert idm_accel(5.0, 5.0, 0.0, True, 10.0, IDM, a_max=np.inf) == -IDM.b_emergency
+    # within the follower's actuation limit when that is the tighter bound
+    assert idm_accel(5.0, 5.0, 0.0, True, 10.0, IDM, a_max=4.0) == -4.0
+    assert idm_accel(0.0, 0.0, np.inf, False, 10.0, IDM, a_max=1.0) == 1.0
 
 
 def test_idm_monotone_in_speed_and_distance():
     # closing-speed regime (follower at least as fast as the leader)
-    accels = idm_accel(np.linspace(8, 16, 30), 8.0, 30.0, True, 12.0, IDM)
+    accels = idm_accel(np.linspace(8, 16, 30), 8.0, 30.0, True, 12.0, IDM, a_max=np.inf)
     assert np.all(np.diff(accels) <= 0.0)
-    gaps = idm_accel(8.0, 8.0, np.linspace(2, 40, 30), True, 12.0, IDM)
+    gaps = idm_accel(8.0, 8.0, np.linspace(2, 40, 30), True, 12.0, IDM, a_max=np.inf)
     assert np.all(np.diff(gaps) >= 0.0)
 
 
@@ -179,7 +182,8 @@ def test_idm_saturation_bounds():
     n = 200
     d = virtual_gap_distance(rng.uniform(0.1, 60, n), rng.uniform(-4, 4, n), 0.0, 0.0,
                              lateral_discount(IDM.beta_yield, 3.5))
-    a = idm_accel(rng.uniform(0, 20, n), rng.uniform(0, 20, n), d, True, 10.0, IDM)
+    a = idm_accel(rng.uniform(0, 20, n), rng.uniform(0, 20, n), d, True, 10.0, IDM,
+                  a_max=np.inf)
     assert np.all((-IDM.b_emergency <= a) & (a <= IDM.a_acc))
 
 
@@ -219,8 +223,8 @@ def test_row_vector_call_matches_scalar_calls():
                     lambda k: pure_pursuit(y[k], theta[k], v[k], line_y[k], wheelbase[k],
                                            pursuit, delta_max[k])),
         "virtual_gap": (d, lambda k: virtual_gap_distance(xl[k], yl[k], x[k], y[k], kappa[k])),
-        "idm": (idm_accel(v, vl, d, has_f, v0, IDM),
-                lambda k: idm_accel(v[k], vl[k], d[k], has_f[k], v0[k], IDM)),
+        "idm": (idm_accel(v, vl, d, has_f, v0, IDM, a_max),
+                lambda k: idm_accel(v[k], vl[k], d[k], has_f[k], v0[k], IDM, a_max[k])),
     }
     for name, (row, scalar) in laws.items():
         assert row.shape == (n,), name
@@ -247,7 +251,7 @@ def clip_pursuit(y, theta, v, line_y, wheelbase, params, delta_max):
                    -delta_max, delta_max)
 
 
-def clip_idm(v, v_lead, d, has_lead, v0, idm):
+def clip_idm(v, v_lead, d, has_lead, v0, idm, a_max):
     free = 1.0 - (v / v0) ** 4
     safe_d = np.where(d > 0.0, d, 1.0)
     sqrt_ab = 2.0 * np.sqrt(idm.a_acc * idm.b_dec)
@@ -255,7 +259,7 @@ def clip_idm(v, v_lead, d, has_lead, v0, idm):
     a_follow = idm.a_acc * (free - (s_star / safe_d) ** 2)
     a = np.where(has_lead, a_follow, idm.a_acc * free)
     a = np.where(has_lead & (d <= 0.0), -idm.b_emergency, a)
-    return np.clip(a, -idm.b_emergency, idm.a_acc)
+    return np.clip(np.clip(a, -idm.b_emergency, idm.a_acc), -a_max, a_max)
 
 
 def special_values(rng, n, bounds):
@@ -289,11 +293,12 @@ def test_saturation_matches_clip_bit_for_bit(n):
         delta_max = np.where((rng.uniform(size=n) < 0.3) & np.isfinite(raw) & (raw > 0.0),
                              raw, 0.6)
         pursuit_args = (0.0, theta, v, line_y, 2.7, pursuit, delta_max)
-        # v = 0 on a free road gives a_acc, a spacing <= 0 gives -b_emergency
+        # v = 0 on a free road gives a_acc, a spacing <= 0 gives -b_emergency;
+        # the follower's a_max cuts the first (1), the second (4) or neither
         idm_args = (np.where(rng.uniform(size=n) < 0.3, 0.0, special_values(rng, n, [])),
                     special_values(rng, n, []), special_values(rng, n, [0.0]),
                     rng.uniform(size=n) < 0.6, np.where(rng.uniform(size=n) < 0.5, 10.0, 7.5),
-                    IDM)
+                    IDM, rng.choice([1.0, a_max, np.inf], n))
         cases = {"pd": (pd_longitudinal, clip_pd, pd_args),
                  "pursuit": (pure_pursuit, clip_pursuit, pursuit_args),
                  "idm": (idm_accel, clip_idm, idm_args)}
@@ -308,7 +313,7 @@ def test_saturation_matches_clip_bit_for_bit(n):
     # the draws put every kind of special value into the saturation
     if n >= 64:
         reached = np.concatenate(reached)
-        for value in (a_max, -a_max, 0.6, -0.6, IDM.a_acc, -IDM.b_emergency):
+        for value in (a_max, -a_max, 0.6, -0.6, IDM.a_acc, -IDM.b_emergency, 1.0, -1.0):
             assert np.any(reached == value), value
         assert np.isnan(reached).any() and np.any((reached == 0.0) & np.signbit(reached))
 

@@ -140,7 +140,7 @@ def _half_dims(traj: TrajectorySet, world: WorldSnapshot):
 def safety_cost(traj, vehicle_id, weights, world):
     """Sum over steps and other vehicles of the piecewise distance penalty."""
     hl, hw = _half_dims(traj, world)
-    per_vehicle = _pair_band_penalties(*trajectory_table(traj.states[None, ...]), hl, hw, weights)
+    per_vehicle = reference_pair_band_penalties(traj.states[None], hl, hw, weights)
     return float(per_vehicle[0, traj.index_of(vehicle_id)])
 
 
@@ -205,6 +205,11 @@ def build_game(tuples, trajectory_sets, beliefs, weights, world):
     return GameMatrix(cols, weight * sv_raw, ev, sv_raw=sv_raw), partners
 
 
+def assert_production_meets(traj, world):
+    """The production pair band scores traj's table as the reference does."""
+    assert_matches_reference(*trajectory_table(traj.states[None]), *_half_dims(traj, world), W)
+
+
 def test_safety_cost_counting_oracle():
     # same-lane rectangles: separation = dx - length; steps at 0.1, 1.5, 2.5, 3.5 m
     xa = np.zeros(4)
@@ -214,11 +219,13 @@ def test_safety_cost_counting_oracle():
     expected = W.w_saf1 + 2 * W.w_saf2
     assert safety_cost(traj, "a", W, world) == pytest.approx(expected)
     assert safety_cost(traj, "b", W, world) == pytest.approx(expected)
+    assert_production_meets(traj, world)
 
 
 def test_safety_cost_zero_when_far():
     traj = make_traj(np.zeros(5), np.full(5, 50.0))
     assert safety_cost(traj, "a", W, two_vehicle_world()) == 0.0
+    assert_production_meets(traj, two_vehicle_world())
 
 
 def test_safety_band_boundaries():
@@ -230,6 +237,8 @@ def test_safety_band_boundaries():
     assert safety_cost(beyond, "a", W, world) == 0.0
     touching = make_traj(np.zeros(1), np.array([4.5]))
     assert safety_cost(touching, "a", W, world) == W.w_saf1
+    for traj in (at_hi, beyond, touching):
+        assert_production_meets(traj, world)
 
 
 # --- culled pairwise scoring against the all-pairs reference -------------------------

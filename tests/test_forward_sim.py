@@ -61,7 +61,6 @@ def test_sim_config_validation():
     with pytest.raises(ValueError, match="sim decision_period must be a finite number, got inf"):
         SimConfig(decision_period=float("inf"))
     assert CFG.substeps == 5
-    assert CFG.steps == 25
 
 
 def equilibrium_world():
@@ -124,7 +123,7 @@ def test_replay_consistency():
     states, inputs = ts.states[0], ts.inputs[0]
     for i in range(world.n_vehicles):
         state = states[i, 0]
-        for t in range(CFG.steps):
+        for t in range(CFG.horizon * CFG.substeps):
             a, delta = inputs[i, t]
             state = np.array(step_bicycle(*state, a, delta, CFG.dt, world.params[i].wheelbase))
             assert np.array_equal(state, states[i, t + 1])
@@ -185,7 +184,7 @@ def test_collision_scored_by_safety_cost():
                           params=(VehicleParams(), VehicleParams()),
                           v_des=np.array([10.0, 2.0]), lanes=LaneGeometry(), ego_index=0)
     ts = simulate_batch(world, [const_seq(G0, LK)], CFG, MODEL)
-    assert ts.states.shape == (2, 2, CFG.steps + 1, 4)
+    assert ts.states.shape == (2, 2, CFG.horizon * CFG.substeps + 1, 4)
     assert (ego_safety_cost(world, ts) >= CostWeights().w_saf1).all()
     clear = equilibrium_world()
     ts2 = simulate_batch(clear, [const_seq(G0, LK)], CFG, MODEL)
@@ -317,7 +316,7 @@ def _idm_block(X, Y, TH, VS, rows, lead, kappa, ego_watch, v_des, a_max, idm: Id
     d_lead = np.where(use_ego, d_ego, d_phys)
     v_lead = np.where(use_ego, VS[:1] * np.cos(TH[:1]), v_phys)
     has_lead = has_phys | use_ego
-    return np.clip(idm_accel(v, v_lead, d_lead, has_lead, v_des, idm), -a_max, a_max)
+    return idm_accel(v, v_lead, d_lead, has_lead, v_des, idm, a_max)
 
 
 @dataclass
@@ -333,7 +332,7 @@ def reference_simulate_batch(world, tuples, cfg, model):
     tuples = list(tuples)
     if not tuples:
         raise ValueError("need at least one action tuple")
-    K, V, T = len(tuples), world.n_vehicles, cfg.steps
+    K, V, T = len(tuples), world.n_vehicles, cfg.horizon * cfg.substeps
     e = world.ego_index
     for _, seq in tuples:
         if len(seq) != cfg.horizon:
@@ -641,7 +640,7 @@ def assert_period_rows_name_segments(rollout, sim):
     assert segments.min() >= 0 and segments.max() < n_rows
     vehicle = np.repeat(np.arange(len(rollout.block_start) - 1), np.diff(rollout.block_start))
     for d in range(H):
-        t1 = sim.steps + 1 if d == H - 1 else (d + 1) * S
+        t1 = H * S + 1 if d == H - 1 else (d + 1) * S
         bits = np.ascontiguousarray(states[:, d * S:t1]).view(np.uint64)
         _, first, inverse = np.unique(segments[:, d], return_index=True, return_inverse=True)
         assert np.array_equal(bits[first][inverse], bits)
@@ -811,5 +810,5 @@ def test_packed_cycle_steps_each_vehicle_state_once(monkeypatch):
 
     monkeypatch.setattr(forward_sim, "step_bicycle", counting_step)
     planner_rollout(cfg)
-    assert len(sizes) == cfg.sim.steps
+    assert len(sizes) == cfg.sim.horizon * cfg.sim.substeps
     assert sum(sizes) < 20_000

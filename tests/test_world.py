@@ -174,3 +174,12 @@ def test_world_validation():
     with pytest.raises(ValueError):
         WorldSnapshot(ids=("a",), states=np.zeros((2, 4)),
                       params=(VehicleParams(),), v_des=np.zeros(1), lanes=LaneGeometry())
+
+
+def test_world_index_is_not_a_constructor_argument():
+    # the id index is built from ids; a passed one would be dropped unseen
+    args = dict(ids=("a", "b"), states=np.zeros((2, 4)), params=(VehicleParams(),) * 2,
+                v_des=np.ones(2), lanes=LaneGeometry())
+    assert WorldSnapshot(**args).index_of("b") == 1
+    with pytest.raises(TypeError):
+        WorldSnapshot(**args, _index={"a": 1, "b": 0})
