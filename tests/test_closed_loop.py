@@ -129,8 +129,8 @@ def reference_idm_accel(follower, virtual_leader, params):
             + v * dv / (2.0 * math.sqrt(params.a_acc * params.b_dec))
         a = params.a_acc * (free - (s_star / d) ** 2) if d > 0.0 else -params.b_emergency
     # the IDM's own bounds, then the follower's actuation limit
-    a = float(np.clip(a, -params.b_emergency, params.a_acc))
-    return float(np.clip(a, -params.a_max, params.a_max))
+    return float(np.clip(np.clip(a, -params.b_emergency, params.a_acc), -params.a_max,
+                         params.a_max))
 
 
 def reference_truth_sv_accel(sv, ego, mode, params, lane_center_y, leader,
