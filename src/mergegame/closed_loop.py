@@ -1,8 +1,10 @@
 """Receding-horizon closed loop against a surrounding-vehicle truth model,
 plus the open-loop equilibrium statistics protocol and planner-comparison batches.
 
-Each cycle of run_episode runs in one pass:
-  1. plan: plan_cycle from the truth state and the current beliefs;
+Each cycle of an episode runs in one pass:
+  1. yield the world to the driver: the episode is a generator that yields
+     the truth state, its beliefs, cfg and its root, and is sent back the
+     CycleResult that plan_cycle gives for them;
   2. execute: one decision period of substeps against the truth world, with
      every vehicle's (a, delta) for the window in one (substeps, V, 2) array,
      the chosen rollout's ego inputs copied in and truth_sv_accel filling the
@@ -10,6 +12,9 @@ Each cycle of run_episode runs in one pass:
   3. observe: unless the window ended the episode, the partner's belief is
      updated from its column of that array against the two traces that its
      column of the game predicted.
+
+_drive runs such a job, an episode or a Monte Carlo instance, to its end and
+is the module's one caller of plan_cycle.
 
 The episode's record is an EpisodeTrace: a CycleRecord per planning cycle, a
 step row per vehicle and substep (the state it starts the substep in and the
@@ -36,6 +41,7 @@ from enum import Enum
 import numpy as np
 
 from .actions import ROOT, SvAction
+from .bounds import check_integer
 from .control import IdmSettings, idm_accel, leader_inputs, virtual_gap_distance
 from .costs import Belief, GameMatrix, update_belief
 from .dynamics import rects_penetrate, step_bicycle
@@ -142,6 +148,18 @@ def _ego_hits_anyone(states: np.ndarray, ego: int, half_len: np.ndarray,
     ).any())
 
 
+def _drive(job, cfg: ScenarioConfig, *args):
+    """Run the generator job(cfg, *args) to its end, planning every
+    (world, beliefs, cfg, root) it yields with plan_cycle and sending it the
+    result; return what the job returns."""
+    gen, res = job(cfg, *args), None
+    try:
+        while True:
+            res = plan_cycle(*gen.send(res))
+    except StopIteration as stop:
+        return stop.value
+
+
 def run_episode(cfg: ScenarioConfig, planner: str | None = None,
                 record_steps: bool = True, record_games: bool = False) -> EpisodeTrace:
     """Plan-execute-observe loop until the ego merges, collides, or runs out of road.
@@ -154,6 +172,13 @@ def run_episode(cfg: ScenarioConfig, planner: str | None = None,
     """
     if planner is not None:
         cfg = replace(cfg, planner=planner)
+    return _drive(_episode, cfg, record_steps, record_games)
+
+
+def _episode(cfg: ScenarioConfig, record_steps: bool = False, record_games: bool = False):
+    """run_episode's loop as a job for _drive: yields each cycle's
+    (world, beliefs, cfg, root), is sent its CycleResult, returns the
+    EpisodeTrace."""
     rng = np.random.default_rng(cfg.seed)
     base = cfg.initial_world()
     states = base.states.copy()
@@ -180,7 +205,7 @@ def run_episode(cfg: ScenarioConfig, planner: str | None = None,
 
     for cycle in range(cfg.episode.max_cycles):
         world = WorldSnapshot(ids, states.copy(), base.params, base.v_des, lanes, e)
-        res: CycleResult = plan_cycle(world, beliefs, cfg, root)
+        res: CycleResult = yield world, beliefs, cfg, root
         cycles.append(CycleRecord(
             cycle=cycle, t0=t,
             beliefs={vid: (b.p_assert, b.p_yield) for vid, b in beliefs.items()},
@@ -235,33 +260,29 @@ def run_episode(cfg: ScenarioConfig, planner: str | None = None,
 
 # --- batches -------------------------------------------------------------------
 
-def _map_seeded(worker, cfg: ScenarioConfig, seed: int, n: int, workers: int) -> list:
-    """worker((cfg, s)) for n seeds s spawned from seed, in seed order,
-    across worker processes when workers > 1 (0 and 1 run serially)."""
+def _map_seeded(job, cfg: ScenarioConfig, seed: int, n: int, workers: int) -> list:
+    """_drive(job, c) for cfg with each of n seeds spawned from seed, in seed
+    order, across worker processes when workers > 1 (0 and 1 run serially)."""
+    check_integer("batch", n=n, workers=workers)
     if n < 1:
         raise ValueError(f"need at least one instance, got n = {n}")
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
-    seeds = [int(s.generate_state(1)[0] % (2 ** 31)) for s in
-             np.random.SeedSequence(seed).spawn(n)]
-    jobs = [(cfg, s) for s in seeds]
+    cfgs = [replace(cfg, seed=int(s.generate_state(1)[0] % (2 ** 31))) for s in
+            np.random.SeedSequence(seed).spawn(n)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor   # only a pool needs it
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, jobs, chunksize=max(1, n // (workers * 8))))
-    return [worker(j) for j in jobs]
-
-
-def _episode_worker(args) -> EpisodeTrace:
-    cfg, seed = args
-    return run_episode(replace(cfg, seed=seed), record_steps=False)
+            return list(pool.map(_drive, [job] * n, cfgs,
+                                 chunksize=max(1, n // (workers * 8))))
+    return [_drive(job, c) for c in cfgs]
 
 
 def run_episode_batch(cfg: ScenarioConfig, n: int, workers: int = 0) -> list[EpisodeTrace]:
     """n independent episodes of cfg.planner, with per-episode seeds spawned
     from cfg.seed, each traced without its steps."""
-    return _map_seeded(_episode_worker, cfg, cfg.seed, n, workers)
+    return _map_seeded(_episode, cfg, cfg.seed, n, workers)
 
 
 def aggregate_episodes(traces: list[EpisodeTrace]) -> dict:
@@ -319,9 +340,10 @@ class MonteCarloStats:
 MAX_INSTANCE_DRAWS = 1000
 
 
-def _mc_instance(args):
-    cfg, seed = args
-    rng = np.random.default_rng(seed)
+def _mc_instance(cfg: ScenarioConfig):
+    """One open-loop instance as a job for _drive: yields the one perturbed
+    world to plan, is sent its CycleResult, returns the instance's record."""
+    rng = np.random.default_rng(cfg.seed)
     base = cfg.initial_world()
     e = base.ego_index
     for draws in range(1, MAX_INSTANCE_DRAWS + 1):
@@ -332,11 +354,11 @@ def _mc_instance(args):
         if not _ego_hits_anyone(states, e, base.half_len, base.half_wid):
             break
     else:
-        raise ValueError(f"Monte Carlo instance seed {seed}: the ego overlapped another "
+        raise ValueError(f"Monte Carlo instance seed {cfg.seed}: the ego overlapped another "
                          f"vehicle in all {MAX_INSTANCE_DRAWS} draws of its initial state")
     resampled = draws - 1
     world = WorldSnapshot(base.ids, states, base.params, base.v_des, cfg.lanes, e)
-    res = plan_cycle(world, cfg.initial_beliefs(), cfg, ROOT)
+    res = yield world, cfg.initial_beliefs(), cfg, ROOT
     has_nash = len(res.nash_cells) > 0
     sel = (res.row, res.col)
     return {

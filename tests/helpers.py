@@ -1,12 +1,11 @@
 """Helpers that several test modules share: the planner's first rollout, a
-world part way through a closed-loop episode, and the bits of a float."""
-
-from dataclasses import replace
+world part way through a closed-loop episode or at its end, and the bits of
+a float."""
 
 import numpy as np
 
 from mergegame.actions import EgoDecision, GapChoice, LateralDecision
-from mergegame.closed_loop import run_episode
+from mergegame.closed_loop import _episode, run_episode
 from mergegame.costs import Belief
 from mergegame.planner import plan_cycle
 from mergegame.world import WorldSnapshot
@@ -23,8 +22,21 @@ def planner_rollout(cfg, world=None):
 
 
 def mid_episode_world(cfg, cycles):
-    """The world as the closed loop leaves it after `cycles` planning cycles."""
-    cfg = replace(cfg, episode=replace(cfg.episode, max_cycles=cycles))
+    """The world that cycle `cycles` of cfg's closed loop plans from, after
+    `cycles` planning cycles; ValueError if the episode ends before it."""
+    job = _episode(cfg)
+    try:
+        args = next(job)
+        for _ in range(cycles):
+            args = job.send(plan_cycle(*args))
+    except StopIteration:
+        raise ValueError(f"the episode ended before cycle {cycles}") from None
+    return args[0]
+
+
+def end_world(cfg):
+    """The world as cfg's closed loop leaves it: every vehicle's state after
+    the substep that ended the episode."""
     trace = run_episode(cfg, record_steps=False)
     base = cfg.initial_world()
     states = np.array([trace.end_states[vid] for vid in base.ids])

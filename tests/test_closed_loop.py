@@ -265,6 +265,65 @@ def test_truth_step_matches_scalar_reference_cases(case):
 
 # --- episodes ---------------------------------------------------------------------
 
+def test_closed_loop_looks_up_the_patched_names_at_call_time(monkeypatch):
+    # the traced benchmark counts and times these by patching closed_loop's
+    # globals, so the episode and the Monte Carlo instance must call them there
+    calls = dict.fromkeys(["plan_cycle", "truth_sv_accel", "step_bicycle", "update_belief"], 0)
+    for name in calls:
+        def counting(*args, _name=name, _f=getattr(closed_loop, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(closed_loop, name, counting)
+    trace = run_episode(default_merge_scenario(5.0, seed=3))
+    run_monte_carlo(default_merge_scenario(5.0), n=2, workers=0)
+    substeps = len({(cycle, t) for cycle, t, *_ in trace.steps})
+    assert calls["plan_cycle"] == len(trace.cycles) + 2
+    assert calls["truth_sv_accel"] == calls["step_bicycle"] == substeps
+    assert calls["update_belief"] >= 1
+
+
+def assert_traces_equal(got, want):
+    """Field for field, each cycle's game by its arrays."""
+    assert vars(got).keys() == vars(want).keys()
+    for field in vars(want):
+        if field != "cycles":
+            assert getattr(got, field) == getattr(want, field), field
+    assert len(got.cycles) == len(want.cycles)
+    for rec, ref in zip(got.cycles, want.cycles):
+        assert {**vars(rec), "game": None} == {**vars(ref), "game": None}
+        assert rec.game.cols == ref.game.cols
+        for m in ("sv_weighted", "ev", "sv_raw"):
+            assert np.array_equal(getattr(rec.game, m), getattr(ref.game, m)), m
+
+
+def test_jobs_driven_round_robin_give_what_each_gives_alone():
+    # the contract a driver over many jobs rests on: planning one world of
+    # each live job per turn, interleaved, changes no job's result
+    packed = packed_lane_scenario(seed=0)
+    packed = replace(packed, episode=replace(packed.episode, max_cycles=4))
+    episodes = [default_merge_scenario(5.0, seed=3), default_merge_scenario(10.0, seed=234448712),
+                packed, TRUTH_CASES["polite-reacts"][0]]
+    instances = [default_merge_scenario(5.0, seed=11), default_merge_scenario(10.0, seed=12)]
+    jobs = ([closed_loop._episode(cfg, True, True) for cfg in episodes]
+            + [closed_loop._mc_instance(cfg) for cfg in instances])
+    sent, results = [None] * len(jobs), [None] * len(jobs)
+    live, turns = list(range(len(jobs))), 0
+    while live:
+        turns += 1
+        for i in list(live):
+            try:
+                sent[i] = plan_cycle(*jobs[i].send(sent[i]))
+            except StopIteration as stop:
+                results[i] = stop.value
+                live.remove(i)
+    assert turns > 4
+    for cfg, got in zip(episodes, results):
+        assert_traces_equal(got, run_episode(cfg, record_games=True))
+    for cfg, got in zip(instances, results[len(episodes):]):
+        assert got == closed_loop._drive(closed_loop._mc_instance, cfg)
+
+
 def unobstructed_change_time(cfg):
     """Kinematic oracle: force a constant lane-change policy and time the settle."""
     world = cfg.initial_world()
@@ -627,13 +686,18 @@ def test_monte_carlo_reproducible():
     lambda cfg, n, workers: run_monte_carlo(cfg, n=n, workers=workers),
 ], ids=["episodes", "montecarlo"])
 def test_batches_reject_bad_sizes(run):
-    # n = 0 used to end in a ZeroDivisionError, and workers = -1 ran serially
+    # n = 0 used to end in a ZeroDivisionError, and workers = -1 ran serially;
+    # n = True ran one instance, and a float n or workers ended in a bare TypeError
     cfg = default_merge_scenario(5.0)
     for n in (0, -3):
         with pytest.raises(ValueError, match=f"n = {n}"):
             run(cfg, n, 0)
     with pytest.raises(ValueError, match="workers must be >= 0"):
         run(cfg, 1, -1)
+    for n, workers, name in [(True, 0, "n"), (2.5, 0, "n"), (1, True, "workers"),
+                             (1, 1.5, "workers")]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            run(cfg, n, workers)
 
 
 def test_aggregate_rejects_no_episodes():

@@ -32,7 +32,7 @@ from mergegame.scenario import default_merge_scenario, empty_lane_scenario, pack
 from mergegame.world import LaneGeometry, WorldSnapshot
 
 from gap_table import gap_ids
-from helpers import mid_episode_world, planner_rollout
+from helpers import end_world, mid_episode_world, planner_rollout
 
 G0, G1, G2 = GapChoice.GAP_0, GapChoice.GAP_1, GapChoice.GAP_2
 LK, LC, LP = LateralDecision.LANE_KEEP, LateralDecision.LEFT_CHANGE, LateralDecision.LEFT_PROBE
@@ -474,8 +474,12 @@ def root_seqs(root, horizon=5):
 
 @lru_cache(maxsize=None)
 def scenario_world(scenario, when):
+    """The scenario's initial world ("start"), the world its cycle 6 plans
+    from ("after6"), or the world its episode ends in ("end")."""
     cfg = SCENARIOS[scenario]()
-    return cfg.initial_world() if when == "start" else mid_episode_world(cfg, 6)
+    if when == "start":
+        return cfg.initial_world()
+    return end_world(cfg) if when == "end" else mid_episode_world(cfg, 6)
 
 
 SCENARIOS = {
@@ -484,6 +488,16 @@ SCENARIOS = {
     "empty": lambda: empty_lane_scenario(8.0),
     "packed": lambda: packed_lane_scenario(6.0),
 }
+
+# A later world of each scenario: merge 10 and packed plan cycle 6, while the
+# ego of empty (cycle 3) and merge 5 (cycle 5) merges before it, so their
+# end states, post-merge worlds, stand in
+LATER = {"merge5": "end", "merge10": "after6", "empty": "end", "packed": "after6"}
+
+
+def scenario_times(*scenarios):
+    """(scenario, when) for each scenario at its start and its later world."""
+    return [(s, when) for s in scenarios for when in ("start", LATER[s])]
 
 
 def hand_world(rows, wheelbases=None):
@@ -565,8 +579,7 @@ def test_tree_rollout_matches_reference_on_hand_made_worlds(name):
         assert_matches_reference(HAND_WORLDS[name], root_seqs(root), CFG, MODEL)
 
 
-@pytest.mark.parametrize("when", ["start", "after6"])
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("scenario, when", scenario_times(*sorted(SCENARIOS)))
 def test_tree_rollout_matches_reference_from_every_root(scenario, when):
     cfg = SCENARIOS[scenario]()
     world = scenario_world(scenario, when)
@@ -574,8 +587,7 @@ def test_tree_rollout_matches_reference_from_every_root(scenario, when):
         assert_matches_reference(world, root_seqs(root), cfg.sim, cfg.model)
 
 
-@pytest.mark.parametrize("when", ["start", "after6"])
-@pytest.mark.parametrize("scenario", ["merge5", "merge10", "packed"])
+@pytest.mark.parametrize("scenario, when", scenario_times("merge5", "merge10", "packed"))
 def test_planner_rollout_invariants(scenario, when):
     # on every row the planner scores, from every root: speeds stay >= 0, and
     # each surrounding vehicle keeps its lane and heading with zero steering
@@ -598,8 +610,7 @@ def distinct_trajectories(rollout, v):
     return len(np.unique(flat.view(np.uint64), axis=0))
 
 
-@pytest.mark.parametrize("when", ["start", "after6"])
-@pytest.mark.parametrize("scenario", ["merge5", "merge10", "packed"])
+@pytest.mark.parametrize("scenario, when", scenario_times("merge5", "merge10", "packed"))
 def test_trajectory_table_is_exact_and_complete(scenario, when):
     # from every root: one table row per distinct vehicle trajectory, every row
     # used, each tuple's row of v inside v's block, one row per shared vehicle
@@ -735,8 +746,8 @@ def test_tree_rollout_matches_reference_on_small_tuple_sets(scenario):
 
 ROOT_SEQS = [root_seqs(root) for root in ALL_EGO_DECISIONS]
 SEQ_POOL = [seq for seqs in ROOT_SEQS for seq in seqs]
-POOL_WORLDS = [scenario_world(name, when) for name in ("merge5", "merge10", "packed")
-               for when in ("start", "after6")] + list(HAND_WORLDS.values())
+POOL_WORLDS = ([scenario_world(*case) for case in scenario_times("merge5", "merge10", "packed")]
+               + list(HAND_WORLDS.values()))
 
 
 @settings(max_examples=40, deadline=None)
