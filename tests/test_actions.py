@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from mergegame.actions import (
@@ -11,32 +9,10 @@ from mergegame.actions import (
     enumerate_ego_sequences,
 )
 
+from reference import UNIVERSE, brute_sequences, forbidden
+
 G0, G1, G2 = GapChoice.GAP_0, GapChoice.GAP_1, GapChoice.GAP_2
 LK, LC, LP = LateralDecision.LANE_KEEP, LateralDecision.LEFT_CHANGE, LateralDecision.LEFT_PROBE
-
-
-# The two rules, stated here apart from src. The current lane (gap 0) only
-# keeps lane, so these are the seven decisions, in (gap, lateral) order:
-UNIVERSE = [(G0, LK)] + [(g, lat) for g in (G1, G2) for lat in (LK, LC, LP)]
-
-
-def forbidden(a: EgoDecision, b: EgoDecision) -> bool:
-    """A lane change into one gap followed by a lane change into the other."""
-    return {(a.gap, a.lateral), (b.gap, b.lateral)} == {(G1, LC), (G2, LC)}
-
-
-def brute_sequences(root: EgoDecision, max_decision_changes: int, horizon: int):
-    """Independent enumeration oracle: filter the full product of decisions."""
-    out = []
-    for cand in itertools.product([EgoDecision(g, lat) for g, lat in UNIVERSE], repeat=horizon):
-        chain = (root,) + cand
-        changes = sum(chain[k] != chain[k - 1] for k in range(1, len(chain)))
-        if changes > max_decision_changes:
-            continue
-        if any(forbidden(chain[k - 1], chain[k]) for k in range(1, len(chain))):
-            continue
-        out.append(DecisionSequence(cand))
-    return out
 
 
 @pytest.mark.parametrize("gap, lateral", [pytest.param(g, lat, id=f"{g.name}-{lat.name}")

@@ -1,11 +1,9 @@
 import json
-import math
 import os
 import signal
 import subprocess
 import sys
-from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,7 +37,9 @@ from mergegame.scenario import (
 )
 from mergegame.world import WorldSnapshot
 
-from helpers import bits
+from helpers import bits, tuple_arrays
+from reference import (IdmParams, State, reference_ego_hits_anyone, reference_step,
+                       reference_truth_sv_accel)
 
 IDM = IdmSettings()
 A_MAX = VehicleParams().a_max
@@ -96,61 +96,6 @@ def test_truth_sv_never_rams_its_leader():
 
 
 # --- the array truth step against the per-vehicle scalar truth model -------------------
-
-State = namedtuple("State", "x y theta v")
-
-
-@dataclass(frozen=True)
-class IdmParams:
-    """Modified-IDM parameters and actuation limit of one follower, as the
-    scalar truth model takes them."""
-
-    v0: float
-    time_headway: float
-    s0: float
-    a_acc: float
-    b_dec: float
-    beta: float
-    w_lane: float
-    b_emergency: float
-    a_max: float
-
-
-def reference_idm_accel(follower, virtual_leader, params):
-    v = follower.v
-    free = 1.0 - (v / params.v0) ** 4
-    if virtual_leader is None:
-        a = params.a_acc * free
-    else:
-        kappa = 2.0 * math.log(params.beta) / params.w_lane
-        d = abs(virtual_leader.x - follower.x) * math.exp(kappa * abs(virtual_leader.y - follower.y))
-        dv = v - virtual_leader.v
-        s_star = params.s0 + v * params.time_headway \
-            + v * dv / (2.0 * math.sqrt(params.a_acc * params.b_dec))
-        a = params.a_acc * (free - (s_star / d) ** 2) if d > 0.0 else -params.b_emergency
-    # the IDM's own bounds, then the follower's actuation limit
-    return float(np.clip(np.clip(a, -params.b_emergency, params.a_acc), -params.a_max,
-                         params.a_max))
-
-
-def reference_truth_sv_accel(sv, ego, mode, params, lane_center_y, leader,
-                             polite_frac, selfish_frac):
-    """One surrounding vehicle: car following, and braking for the ego's
-    projection once the ego is level or ahead and within the mode's range."""
-    frac = polite_frac if mode == "polite" else selfish_frac
-    a = reference_idm_accel(sv, leader, params)
-    if abs(ego.y - lane_center_y) <= frac * params.w_lane and ego.x >= sv.x:
-        projected = State(ego.x, lane_center_y, 0.0, ego.v * math.cos(ego.theta))
-        a = min(a, reference_idm_accel(sv, projected, params))
-    return a
-
-
-def reference_step(state, a, delta, dt, params: VehicleParams):
-    """One vehicle, stepped with its command as recorded."""
-    return np.array([float(c) for c in step_bicycle(
-        np.float64(state.x), np.float64(state.y), np.float64(state.theta), np.float64(state.v),
-        np.float64(a), np.float64(delta), np.float64(dt), np.float64(params.wheelbase))])
-
 
 def assert_close(got, want, what):
     err = np.abs(np.asarray(got) - want) / np.maximum(np.abs(want), 1.0)
@@ -210,7 +155,7 @@ def test_truth_step_matches_scalar_reference_on_episodes(case):
         assert rows[0, :, 4].min() == -A_MAX > -IDM.b_emergency
 
 
-def hand_world(ego_x, ego_y, svs):
+def hand_scenario(ego_x, ego_y, svs):
     """The ego on the merge lane plus surrounding vehicles (id, lane, x, v, mode)."""
     vehicles = [VehicleSpec("ego", role="ego", x=ego_x, y=ego_y, v=5.0, v_des=7.0)]
     vehicles += [VehicleSpec(vid, lane=lane, x=x, v=v, v_des=10.0, mode=mode)
@@ -221,22 +166,22 @@ def hand_world(ego_x, ego_y, svs):
 
 TRUTH_CASES = {
     # no leader, the ego far behind: free road only
-    "no-leader": (hand_world(-40.0, 0.0, [("a", "target", 0.0, 8.0, "selfish")]),
+    "no-leader": (hand_scenario(-40.0, 0.0, [("a", "target", 0.0, 8.0, "selfish")]),
                   {"a": "plain"}),
     # ego half a lane from the target lane: the polite vehicle reacts, the selfish one not
-    "polite-reacts": (hand_world(12.0, 1.75, [("a", "target", 0.0, 8.0, "polite"),
-                                              ("b", "target", -25.0, 8.0, "selfish")]),
+    "polite-reacts": (hand_scenario(12.0, 1.75, [("a", "target", 0.0, 8.0, "polite"),
+                                                ("b", "target", -25.0, 8.0, "selfish")]),
                       {"a": "brakes", "b": "plain"}),
     # ego nearly on the target lane: the selfish vehicle reacts too
-    "selfish-reacts": (hand_world(12.0, 2.8, [("a", "target", 0.0, 8.0, "selfish"),
-                                              ("b", "target", 30.0, 8.0, "polite")]),
+    "selfish-reacts": (hand_scenario(12.0, 2.8, [("a", "target", 0.0, 8.0, "selfish"),
+                                                ("b", "target", 30.0, 8.0, "polite")]),
                        {"a": "brakes", "b": "plain"}),
     # ego exactly at the selfish reaction range (0.875 m from the lane center): it reacts
-    "selfish-boundary": (hand_world(12.0, 2.625, [("a", "target", 0.0, 8.0, "selfish")]),
+    "selfish-boundary": (hand_scenario(12.0, 2.625, [("a", "target", 0.0, 8.0, "selfish")]),
                          {"a": "brakes"}),
     # ego exactly level with a polite vehicle in range: zero gap, emergency braking
-    "ego-level": (hand_world(0.0, 1.2, [("a", "target", 0.0, 8.0, "polite"),
-                                        ("b", "target", -20.0, 8.0, "selfish")]),
+    "ego-level": (hand_scenario(0.0, 1.2, [("a", "target", 0.0, 8.0, "polite"),
+                                          ("b", "target", -20.0, 8.0, "selfish")]),
                   {"a": "emergency", "b": "plain"}),
 }
 
@@ -328,7 +273,7 @@ def unobstructed_change_time(cfg):
     world = cfg.initial_world()
     sim = SimConfig(dt=0.2, horizon=12, decision_period=1.0)
     seq = DecisionSequence((EgoDecision(GapChoice.GAP_1, LateralDecision.LEFT_CHANGE),) * 12)
-    states = simulate_batch(world, [seq], sim, cfg.model).states[SvAction.ASSERT]
+    states = tuple_arrays(simulate_batch(world, [seq], sim, cfg.model))[0][SvAction.ASSERT]
     e = world.ego_index
     ok = (np.abs(states[e, :, 1] - cfg.lanes.target_center) <= cfg.episode.success_lateral_tol) \
         & (np.abs(states[e, :, 2]) <= cfg.episode.success_heading_tol)
@@ -478,21 +423,6 @@ def test_success_trace_has_no_overlap_steps():
             i, j = world.index_of(e), world.index_of(vid)
             assert not rects_penetrate(ex, ey, eth, world.half_len[i], world.half_wid[i],
                                        x, y, th, world.half_len[j], world.half_wid[j])
-
-
-def reference_ego_hits_anyone(states, world):
-    """One separating-axis test per other vehicle: the truth world's check before
-    it tested all vehicles at once."""
-    e, half_len, half_wid = world.ego_index, world.half_len, world.half_wid
-    for i in range(world.n_vehicles):
-        if i == e:
-            continue
-        if rects_penetrate(
-            states[e, 0], states[e, 1], states[e, 2], half_len[e], half_wid[e],
-            states[i, 0], states[i, 1], states[i, 2], half_len[i], half_wid[i],
-        ):
-            return True
-    return False
 
 
 @pytest.mark.parametrize("scenario", ["packed", "merge5", "merge10"])

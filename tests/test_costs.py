@@ -1,6 +1,5 @@
 import logging
-import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mergegame.actions import (
+    ROOT,
     DecisionSequence,
     EgoDecision,
     GapChoice,
@@ -27,15 +27,16 @@ from mergegame.costs import (
     column_priors,
     update_belief,
 )
-from mergegame.dynamics import VehicleParams, rect_distance_arrays
+from mergegame.dynamics import VehicleParams
 from mergegame.forward_sim import PlannerModel, SimConfig, simulate_batch
-from mergegame.game import Player, find_pure_nash, select_action, stackelberg
-from mergegame.planner import _info_gain_extra, plan_cycle
+from mergegame.planner import _info_gain_extra
 from mergegame.scenario import BeliefSettings, default_merge_scenario, packed_lane_scenario
 from mergegame.world import LaneGeometry, WorldSnapshot
 
-from gap_table import gap_ids
-from helpers import mid_episode_world, planner_rollout
+from helpers import bits, mid_episode_world, planner_rollout
+from reference import (INFO_RTOL, build_game, comfort_cost, efficiency_cost, navigation_cost,
+                       reference_info_gain_extra, reference_pair_band_penalties,
+                       reference_simulate_batch, reference_update_belief)
 
 W = CostWeights(w_saf1=400.0, w_saf2=4.0, d_lo=1.0, d_hi=3.0,
                 w_eff=1.0, w_com=1.0, w_nav=1.0)
@@ -52,37 +53,14 @@ def two_vehicle_world():
     )
 
 
-@dataclass
-class TrajectorySet:
-    """One action tuple's rollout of every vehicle: what the per-tuple reference scores."""
-
-    vehicle_ids: tuple[str, ...]
-    states: np.ndarray  # (V, T+1, 4)
-    inputs: np.ndarray  # (V, T, 2)
-    action: tuple
-    dt: float
-
-    def index_of(self, vehicle_id: str) -> int:
-        return self.vehicle_ids.index(vehicle_id)
-
-
-def simulate_one(world, action, sim, model) -> TrajectorySet:
-    """The batch of the tuple's sequence alone holds it at k = group action."""
-    sv, seq = action
-    batch = simulate_batch(world, [seq], sim, model)
-    return TrajectorySet(world.ids, batch.states[sv], batch.inputs[sv], action, batch.dt)
-
-
-def make_traj(xa, xb, dt=0.2):
-    """Two same-lane vehicles at given longitudinal positions per step."""
-    n = len(xa)
-    states = np.zeros((2, n, 4))
+def make_traj(xa, xb):
+    """States (2, T+1, 4) and inputs (2, T, 2) of two same-lane vehicles at
+    given longitudinal positions per step, at 10 m/s with no command."""
+    states = np.zeros((2, len(xa), 4))
     states[0, :, 0] = xa
     states[1, :, 0] = xb
     states[:, :, 3] = 10.0
-    inputs = np.zeros((2, n - 1, 2))
-    seq = DecisionSequence((EgoDecision(GapChoice.GAP_0, LateralDecision.LANE_KEEP),))
-    return TrajectorySet(("a", "b"), states, inputs, (SvAction.ASSERT, seq), dt)
+    return states, np.zeros((2, len(xa) - 1, 2))
 
 
 def period_segments(traj_states, block_start, periods):
@@ -117,162 +95,37 @@ def trajectory_table(states):
     return traj_states, rows, start, period_segments(traj_states, start, 1)
 
 
-# --- per-tuple reference: one trajectory set and one vehicle at a time ---------------
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    safety: float
-    efficiency: float
-    comfort: float
-    navigation: float
-    info: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.safety + self.efficiency + self.comfort + self.navigation + self.info
-
-
-def _half_dims(traj: TrajectorySet, world: WorldSnapshot):
-    order = [world.index_of(v) for v in traj.vehicle_ids]
-    return world.half_len[order], world.half_wid[order]
-
-
-def safety_cost(traj, vehicle_id, weights, world):
-    """Sum over steps and other vehicles of the piecewise distance penalty."""
-    hl, hw = _half_dims(traj, world)
-    per_vehicle = reference_pair_band_penalties(traj.states[None], hl, hw, weights)
-    return float(per_vehicle[0, traj.index_of(vehicle_id)])
-
-
-def efficiency_cost(traj, vehicle_id, weights, v_des):
-    v = traj.states[traj.index_of(vehicle_id), :, 3]
-    return float(weights.w_eff * np.sum((v - v_des) ** 2))
-
-
-def comfort_cost(traj, vehicle_id, weights):
-    """Squared jerk, approximated by finite differences of the commanded acceleration."""
-    a = traj.inputs[traj.index_of(vehicle_id), :, 0]
-    return float(weights.w_com * np.sum(np.diff(a) ** 2) / traj.dt ** 2)
-
-
-def navigation_cost(traj, vehicle_id, weights, y_des):
-    y = traj.states[traj.index_of(vehicle_id), :, 1]
-    return float(weights.w_nav * np.sum((y - y_des) ** 2))
-
-
-def vehicle_cost(traj, vehicle_id, weights, world, v_des, y_des, info=0.0):
-    return CostBreakdown(
-        safety=safety_cost(traj, vehicle_id, weights, world),
-        efficiency=efficiency_cost(traj, vehicle_id, weights, v_des),
-        comfort=comfort_cost(traj, vehicle_id, weights),
-        navigation=navigation_cost(traj, vehicle_id, weights, y_des),
-        info=info,
-    )
-
-
-def build_game(tuples, trajectory_sets, beliefs, weights, world):
-    """The belief-weighted cost matrix from per-tuple trajectory sets, scored
-    vehicle by vehicle, and its column partners. Raises when a tuple is
-    missing its trajectory set."""
-    tuples = list(tuples)
-    if len(trajectory_sets) != len(tuples):
-        raise ValueError("one trajectory set per action tuple is required")
-    for tup, ts in zip(tuples, trajectory_sets):
-        if ts.action != tup:
-            raise ValueError(f"trajectory set does not match its action tuple: {tup}")
-    rows = tuple(dict.fromkeys(sv for sv, _ in tuples))
-    cols = tuple(seq for _, seq in tuples[:len(tuples) // len(rows)])
-
-    ego = world.ids[world.ego_index]
-    v_des = {vid: float(world.v_des[world.index_of(vid)]) for vid in world.ids}
-    sv_raw = np.empty((len(rows), len(cols)))
-    ev = np.empty((len(rows), len(cols)))
-    for k, ts in enumerate(trajectory_sets):
-        r, c = divmod(k, len(cols))
-        sv_raw[r, c] = sum(
-            vehicle_cost(ts, vid, weights, world, v_des=v_des[vid],
-                         y_des=world.lanes.nearest_center(ts.states[ts.index_of(vid), 0, 1])).total
-            for vid in world.ids if vid != ego)
-        ev[r, c] = vehicle_cost(ts, ego, weights, world, v_des=v_des[ego],
-                                y_des=world.lanes.target_center).total
-
-    gaps = gap_ids(world)
-    partners = tuple(None if seq.partner_gap is None else gaps[seq.partner_gap][1] for seq in cols)
-    col_beliefs = [beliefs.get(p, Belief.uniform()) if p is not None else Belief.uniform()
-                   for p in partners]
-    weight = np.array([[1.0 - (b.p_assert, b.p_yield)[row] for b in col_beliefs]
-                       for row in rows])
-    return GameMatrix(cols, weight * sv_raw, ev, sv_raw=sv_raw), partners
-
-
-def assert_production_meets(traj, world):
-    """The production pair band scores traj's table as the reference does."""
-    assert_matches_reference(*trajectory_table(traj.states[None]), *_half_dims(traj, world), W)
+def two_vehicle_safety(states):
+    """The reference safety sums (2,) of two default footprints' states
+    (2, T+1, 4), after checking that the production band scores them alike."""
+    world = two_vehicle_world()
+    assert_pair_band_matches_reference(*trajectory_table(states[None]), world.half_len,
+                                       world.half_wid, W)
+    return reference_pair_band_penalties(states[None], world.half_len, world.half_wid, W)[0]
 
 
 def test_safety_cost_counting_oracle():
     # same-lane rectangles: separation = dx - length; steps at 0.1, 1.5, 2.5, 3.5 m
     xa = np.zeros(4)
     xb = np.array([4.6, 6.0, 7.0, 8.0])
-    traj = make_traj(xa, xb)
-    world = two_vehicle_world()
     expected = W.w_saf1 + 2 * W.w_saf2
-    assert safety_cost(traj, "a", W, world) == pytest.approx(expected)
-    assert safety_cost(traj, "b", W, world) == pytest.approx(expected)
-    assert_production_meets(traj, world)
+    assert two_vehicle_safety(make_traj(xa, xb)[0]) == pytest.approx([expected, expected])
 
 
 def test_safety_cost_zero_when_far():
-    traj = make_traj(np.zeros(5), np.full(5, 50.0))
-    assert safety_cost(traj, "a", W, two_vehicle_world()) == 0.0
-    assert_production_meets(traj, two_vehicle_world())
+    assert (two_vehicle_safety(make_traj(np.zeros(5), np.full(5, 50.0))[0]) == 0.0).all()
 
 
 def test_safety_band_boundaries():
-    world = two_vehicle_world()
     # exactly at d_hi counts as band, just above does not
-    at_hi = make_traj(np.zeros(1), np.array([4.5 + W.d_hi]))
-    assert safety_cost(at_hi, "a", W, world) == W.w_saf2
-    beyond = make_traj(np.zeros(1), np.array([4.5 + W.d_hi + 1e-6]))
-    assert safety_cost(beyond, "a", W, world) == 0.0
-    touching = make_traj(np.zeros(1), np.array([4.5]))
-    assert safety_cost(touching, "a", W, world) == W.w_saf1
-    for traj in (at_hi, beyond, touching):
-        assert_production_meets(traj, world)
+    for xb, want in [(4.5 + W.d_hi, W.w_saf2), (4.5 + W.d_hi + 1e-6, 0.0), (4.5, W.w_saf1)]:
+        assert two_vehicle_safety(make_traj(np.zeros(1), np.array([xb]))[0])[0] == want
 
 
 # --- culled pairwise scoring against the all-pairs reference -------------------------
 
-def reference_pair_band_penalties(states, half_len, half_wid, weights):
-    """Every vehicle pair on every row: the scoring loop before culling."""
-    K, V, S, _ = states.shape
-    radius = np.hypot(half_len, half_wid)
-    out = np.zeros((K, V))
-    for i in range(V):
-        for j in range(i + 1, V):
-            dx = states[:, i, :, 0] - states[:, j, :, 0]
-            dy = states[:, i, :, 1] - states[:, j, :, 1]
-            reach = weights.d_hi + radius[i] + radius[j]
-            near = dx * dx + dy * dy <= reach * reach
-            if not near.any():
-                continue
-            ks, ts = np.nonzero(near)
-            d = rect_distance_arrays(
-                states[ks, i, ts, 0], states[ks, i, ts, 1], states[ks, i, ts, 2],
-                half_len[i], half_wid[i],
-                states[ks, j, ts, 0], states[ks, j, ts, 1], states[ks, j, ts, 2],
-                half_len[j], half_wid[j],
-            )
-            p = np.where(d < weights.d_lo, weights.w_saf1,
-                         np.where(d <= weights.d_hi, weights.w_saf2, 0.0))
-            per_k = np.bincount(ks, weights=p, minlength=K)
-            out[:, i] += per_k
-            out[:, j] += per_k
-    return out
-
-
-def assert_matches_reference(traj_states, rows, block_start, period_rows, half_len, half_wid,
-                             weights):
+def assert_pair_band_matches_reference(traj_states, rows, block_start, period_rows, half_len,
+                                       half_wid, weights):
     """The table's penalties against the all-pairs loop over the per-tuple arrays."""
     got = _pair_band_penalties(traj_states, rows, block_start, period_rows, half_len, half_wid,
                                weights)
@@ -296,8 +149,9 @@ def test_pair_band_penalties_match_reference_on_rollouts(case):
         # unlike the integer defaults, these weights do not sum exactly in any
         # order: a sum taken out of step order or pair order changes bits
         weights = replace(weights, w_saf1=1000.3, w_saf2=0.7)
-    got = assert_matches_reference(rollout.traj_states, rollout.rows, rollout.block_start,
-                                   rollout.period_rows, world.half_len, world.half_wid, weights)
+    got = assert_pair_band_matches_reference(rollout.traj_states, rollout.rows,
+                                             rollout.block_start, rollout.period_rows,
+                                             world.half_len, world.half_wid, weights)
     assert got.any()
     assert (got != np.round(got)).any() == case.endswith("fractional")
 
@@ -338,7 +192,7 @@ def test_pair_band_penalties_reach_boundary():
     states[0, 2, 0, 1] = 50.0
     states[0, 3, 0, :2] = np.nextafter(reach, np.inf), 50.0      # just beyond
     half_len, half_wid = np.full(4, hl), np.full(4, hw)
-    got = assert_matches_reference(*trajectory_table(states), half_len, half_wid, W)
+    got = assert_pair_band_matches_reference(*trajectory_table(states), half_len, half_wid, W)
     assert got[0, 0] == got[0, 1] == W.w_saf2
     assert got[0, 2] == got[0, 3] == 0.0
 
@@ -356,7 +210,7 @@ def test_pair_band_penalties_row_constant_and_single_row_pairs(column, step):
     half_len, half_wid = np.full(3, 2.25), np.full(3, 1.0)
     table = trajectory_table(states)
     assert np.array_equal(np.diff(table[2]), [1, 1, 2])
-    got = assert_matches_reference(*table, half_len, half_wid, W)
+    got = assert_pair_band_matches_reference(*table, half_len, half_wid, W)
     assert np.all(got[:, 0] == got[0, 0]) and got[0, 0] > 0.0
     assert got[2, 2] == got[0, 2] + W.w_saf1 - W.w_saf2
 
@@ -421,37 +275,29 @@ def test_pair_band_penalties_match_reference_on_small_tables(table):
     V = table[1].shape[1]
     # the fractional weights do not sum exactly in every order
     for weights in (W, replace(W, w_saf1=1000.3, w_saf2=0.7)):
-        assert_matches_reference(*table, np.full(V, HL), np.full(V, HW), weights)
+        assert_pair_band_matches_reference(*table, np.full(V, HL), np.full(V, HW), weights)
 
 
 def test_efficiency_cost_direct_sum():
-    traj = make_traj(np.zeros(3), np.full(3, 50.0))
-    traj.states[0, :, 3] = [10.0, 9.0, 10.0]
-    assert efficiency_cost(traj, "a", W, v_des=10.0) == pytest.approx(1.0)
-    traj.states[0, :, 3] = 10.0
-    assert efficiency_cost(traj, "a", W, v_des=10.0) == 0.0
+    states, _ = make_traj(np.zeros(3), np.full(3, 50.0))
+    states[0, :, 3] = [10.0, 9.0, 10.0]
+    assert efficiency_cost(states[0], W, v_des=10.0) == pytest.approx(1.0)
+    assert np.array_equal(efficiency_cost(states, W, v_des=10.0), [1.0, 0.0])
 
 
 def test_comfort_cost_finite_difference():
-    traj = make_traj(np.zeros(4), np.full(4, 50.0))
-    traj.inputs[0, :, 0] = [0.0, 1.0, 1.0]
-    assert comfort_cost(traj, "a", W) == pytest.approx(1.0 / 0.04)
-    traj.inputs[0, :, 0] = 2.0
-    assert comfort_cost(traj, "a", W) == 0.0
+    _, inputs = make_traj(np.zeros(4), np.full(4, 50.0))
+    inputs[0, :, 0] = [0.0, 1.0, 1.0]
+    assert comfort_cost(inputs[0], W, 0.2) == pytest.approx(1.0 / 0.04)
+    inputs[0, :, 0] = 2.0
+    assert comfort_cost(inputs[0], W, 0.2) == 0.0
 
 
 def test_navigation_cost_squared_offset():
-    traj = make_traj(np.zeros(3), np.full(3, 50.0))
-    traj.states[0, :, 1] = [0.0, 1.0, 2.0]
-    assert navigation_cost(traj, "a", W, y_des=0.0) == pytest.approx(5.0)
-    assert navigation_cost(traj, "a", W, y_des=2.0) == pytest.approx(4.0 + 1.0)
-
-
-def test_breakdown_total():
-    traj = make_traj(np.zeros(3), np.full(3, 50.0))
-    b = vehicle_cost(traj, "a", W, two_vehicle_world(), v_des=9.0, y_des=0.5, info=0.25)
-    assert b.total == pytest.approx(b.safety + b.efficiency + b.comfort + b.navigation + b.info)
-    assert b.info == 0.25
+    states, _ = make_traj(np.zeros(3), np.full(3, 50.0))
+    states[0, :, 1] = [0.0, 1.0, 2.0]
+    assert navigation_cost(states[0], W, y_des=0.0) == pytest.approx(5.0)
+    assert navigation_cost(states[0], W, y_des=2.0) == pytest.approx(4.0 + 1.0)
 
 
 # --- matrix assembly ------------------------------------------------------------
@@ -474,20 +320,6 @@ def planning_setup():
     cfg = default_merge_scenario(5.0)
     world = cfg.initial_world()
     return cfg, world, [(sv, seq) for sv in ROWS for seq in SEQS]
-
-
-def test_build_game_matches_batch_path():
-    cfg, world, tuples = planning_setup()
-    model, sim = PlannerModel(), SimConfig()
-    beliefs = {"sv2": Belief(0.7, 0.3), "sv1": Belief(0.4, 0.6)}
-    sets = [simulate_one(world, t, sim, model) for t in tuples]
-    g1, partners = build_game(tuples, sets, beliefs, cfg.weights, world)
-    rollout = simulate_batch(world, SEQS, sim, model)
-    g2 = build_game_from_batch(rollout, world, priors_of(rollout, beliefs), cfg.weights)
-    assert g2.cols is SEQS
-    assert np.allclose(g1.sv_weighted, g2.sv_weighted, atol=1e-9)
-    assert np.allclose(g1.ev, g2.ev, atol=1e-9)
-    assert partners == rollout.partner_ids[:len(SEQS)]
 
 
 def test_group_cost_adds_vehicles_in_roster_order():
@@ -528,8 +360,11 @@ def test_uniform_belief_halves_rows():
     beliefs = {vid: Belief.uniform() for vid in cfg.sv_ids}
     g = build_game_from_batch(rollout, world, priors_of(rollout, beliefs), cfg.weights)
     assert np.allclose(g.sv_weighted, 0.5 * g.sv_raw)
-    # the ego's best-response map is unchanged by the row scaling
-    assert np.array_equal(np.argmin(g.ev, axis=1), np.argmin(g.ev, axis=1))
+    # beliefs weight only the group's rows: the ego's costs are those under any belief
+    skewed = {vid: Belief(0.9, 0.1) for vid in cfg.sv_ids}
+    g2 = build_game_from_batch(rollout, world, priors_of(rollout, skewed), cfg.weights)
+    assert not np.array_equal(g2.sv_weighted, g.sv_weighted)
+    assert np.array_equal(bits(g2.ev), bits(g.ev))
 
 
 def test_degenerate_belief_zeroes_assert_row():
@@ -543,13 +378,12 @@ def test_degenerate_belief_zeroes_assert_row():
 
 
 def test_build_game_rejects_mismatched_sets():
+    # the reference game reads tuple k as (SvAction(k // M), column k % M)
     cfg, world, tuples = planning_setup()
-    model, sim = PlannerModel(), SimConfig()
-    sets = [simulate_one(world, t, sim, model) for t in tuples]
-    with pytest.raises(ValueError):
-        build_game(tuples, sets[:-1], {}, cfg.weights, world)
-    with pytest.raises(ValueError):
-        build_game(tuples, list(reversed(sets)), {}, cfg.weights, world)
+    for wrong in (tuples[:-1], tuples[::-1]):
+        flat = reference_simulate_batch(world, wrong, cfg.sim, cfg.model)
+        with pytest.raises(ValueError, match="row by row"):
+            build_game(flat, world, {}, cfg.weights)
 
 
 def test_matrix_requires_finite_entries():
@@ -570,22 +404,6 @@ def test_matrix_requires_finite_entries():
 def worked_bayes(prior, lik):
     post = np.array(prior) * np.array(lik)
     return post / post.sum()
-
-
-def reference_update_belief(prior, observed, pred_assert, pred_yield, sigma_a):
-    """Scalar Bayes rule on one (p_assert, p_yield) entry, in log space; None
-    when no mode has a finite log-posterior, so the prior must stay."""
-    with np.errstate(over="ignore"):
-        logliks = [-0.5 * float(np.sum(((observed - pred) / sigma_a) ** 2))
-                   for pred in (pred_assert, pred_yield)]
-    with np.errstate(divide="ignore"):
-        log_post = np.array(logliks) + np.log(prior)
-    finite = np.isfinite(log_post)
-    if not finite.any():
-        return None
-    post = np.exp(np.where(finite, log_post - log_post[finite].max(), -np.inf))
-    post = post / post.sum()
-    return float(post[0]), float(post[1])
 
 
 SIGMA = BeliefSettings().sigma_accel
@@ -688,40 +506,6 @@ def test_update_belief_batched_matches_scalar_rule(entries, sigma):
 
 # --- information-gain term ----------------------------------------------------------
 
-def reference_entropy(p_assert, p_yield):
-    h = 0.0
-    for p in (p_assert, p_yield):
-        if p > 0.0:
-            h -= p * math.log(p)
-    return h
-
-
-def reference_info_gain_extra(rollout, world, beliefs, cfg):
-    """The information-gain addend tuple by tuple: one scalar Bayes update of
-    the partner's belief per tuple, from its own partner trace against the
-    traces its column predicts under each group action."""
-    m = len(rollout.cols)
-    k_total = 2 * m
-    extra = np.zeros(k_total)
-    for k in range(k_total):
-        pid = rollout.partner_ids[k]
-        if pid is None:
-            continue
-        b = beliefs.get(pid, Belief.uniform())
-        prior = (b.p_assert, b.p_yield)
-        p = world.index_of(pid)
-        col = k % m
-        post = reference_update_belief(prior, rollout.inputs[k, p, :, 0],
-                                       rollout.inputs[col, p, :, 0],
-                                       rollout.inputs[m + col, p, :, 0], cfg.beliefs.sigma_accel)
-        post = prior if post is None else post
-        extra[k] = cfg.weights.w_info * (reference_entropy(*post) - reference_entropy(*prior))
-    return extra
-
-
-INFO_ROOT = EgoDecision(GapChoice.GAP_0, LateralDecision.LANE_KEEP)
-
-
 def info_gain_cfg(case):
     cfg = packed_lane_scenario() if case == "packed" else default_merge_scenario(
         {"merge5": 5.0, "merge10": 10.0}[case])
@@ -736,27 +520,23 @@ def test_info_gain_matches_per_tuple_reference(case, p):
     # alternate the skew so that a column given another partner's prior shows
     beliefs = {vid: Belief(p, 1.0 - p) if i % 2 else Belief(1.0 - p, p)
                for i, vid in enumerate(cfg.sv_ids)}
-    res = plan_cycle(world, beliefs, cfg, INFO_ROOT)
-    extra = reference_info_gain_extra(res.rollout, world, beliefs, cfg)
-    assert np.count_nonzero(extra) > 0
-    ref = build_game_from_batch(res.rollout, world, priors_of(res.rollout, beliefs),
-                                cfg.weights, ev_extra=extra)
-    np.testing.assert_allclose(res.game.ev, ref.ev, rtol=1e-12, atol=0.0)
-    assert np.array_equal(res.game.sv_weighted, ref.sv_weighted)
-    # the planner's choices are the reference game's
-    assert [eq.cell() for eq in res.nash_cells] == [eq.cell() for eq in find_pure_nash(ref)]
-    sel = select_action(ref, nash_cells=find_pure_nash(ref), se_sv=stackelberg(ref, Player.SV))
-    assert (res.row, res.col, res.fallback_used) == (sel.chosen.row, sel.chosen.col,
-                                                     sel.fallback_used)
-    assert res.se_ev.cell() == stackelberg(ref, Player.EV).cell()
-    assert res.se_sv.cell() == stackelberg(ref, Player.SV).cell()
+    # the term alone, each side on its own rollout; test_plan_cycle checks
+    # the cycle that it enters
+    seqs = enumerate_ego_sequences(ROOT, cfg.prune.max_decision_changes, cfg.sim.horizon)
+    rollout = simulate_batch(world, seqs, cfg.sim, cfg.model)
+    flat = reference_simulate_batch(world, [(sv, s) for sv in SvAction for s in seqs], cfg.sim,
+                                    cfg.model)
+    want = reference_info_gain_extra(flat, world, beliefs, cfg)
+    assert np.count_nonzero(want) > 0
+    got = _info_gain_extra(rollout, world, priors_of(rollout, beliefs), cfg)
+    np.testing.assert_allclose(got, want, rtol=INFO_RTOL, atol=0.0)
 
 
 def test_info_gain_is_zero_without_partner():
     cfg = info_gain_cfg("merge5")
     world = cfg.initial_world()
     # the current-lane gap allows lane keeping only, and has no partner
-    seqs = [s for s in enumerate_ego_sequences(INFO_ROOT, 2, cfg.sim.horizon)
+    seqs = [s for s in enumerate_ego_sequences(ROOT, 2, cfg.sim.horizon)
             if all(d.gap == GapChoice.GAP_0 for d in s)]
     rollout = simulate_batch(world, seqs, cfg.sim, cfg.model)
     assert seqs and all(pid is None for pid in rollout.partner_ids)
