@@ -138,13 +138,13 @@ HAND_WORLDS = {
 @st.composite
 def rosters(draw):
     """Valid scenarios within these bounds: the ego and 0-2 more vehicles on
-    the current lane, 0-5 on the target lane, which lies on either side, and
-at least one vehicle besides the ego;
-    each vehicle 4.5 or 7 m long, at x in [-36, 37] m, 9 m slots apart on
-    its lane, so that no two footprints touch; speeds 0-14 m/s, desired
-    speeds 1-14 m/s, either truth mode; dt 0.1-0.5 s, horizons 1-5, change
-    budgets 0-2, every planner kind, w_info 0 or 20 and an initial assert
-    belief of 0.3, 0.5 or 0.8."""
+    the current lane and 0-5 on the target lane, which lies on either side,
+    with at least one vehicle besides the ego; each vehicle 4.5 or 7 m
+    long, at x in [-36, 37] m, 9 m slots apart on its lane, so that no two
+    footprints touch; speeds 0-14 m/s, desired speeds 1-14 m/s, either
+    truth mode; dt 0.1-0.5 s, horizons 1-5, change budgets 0-2, every
+    planner kind, w_info 0 or 20 and an initial assert belief of 0.3, 0.5
+    or 0.8."""
     vehicles, current = [], draw(st.integers(1, 3))
     for lane, n in (("current", current), ("target", draw(st.integers(int(current == 1), 5)))):
         for k, slot in enumerate(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n,

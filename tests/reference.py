@@ -24,12 +24,13 @@ imports or calls that code (test_plan_cycle checks this):
 
 The references share with production only the laws that each have one
 implementation, and the data classes (EgoDecision, DecisionSequence,
-Belief, GameMatrix):
+Belief, GameMatrix, VehicleParams):
 - control.py: the gap reference, PD, pure pursuit, the lateral discount,
   the virtual gap distance and the modified IDM, saturation included;
 - dynamics.step_bicycle, rect_distance_arrays and rects_penetrate;
 - WorldSnapshot's leader and gap resolution (leader_indices, resolve_gaps)
-  and LaneGeometry.nearest_center.
+  and LaneGeometry.nearest_center;
+- forward_sim.KEEP_ENGAGE_TIME, the keep-lane governor's time headroom.
 """
 
 import itertools
