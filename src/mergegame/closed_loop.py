@@ -40,14 +40,13 @@ from enum import Enum
 
 import numpy as np
 
-from .actions import ROOT, SvAction
+from .actions import ROOT
 from .bounds import check_integer
 from .control import IdmSettings, idm_accel, leader_inputs, virtual_gap_distance
 from .costs import Belief, GameMatrix, update_belief
 from .dynamics import rects_penetrate, step_bicycle
 from .planner import CycleResult, plan_cycle
 from .scenario import ScenarioConfig
-from .world import WorldSnapshot
 
 __all__ = [
     "Outcome",
@@ -204,7 +203,7 @@ def _episode(cfg: ScenarioConfig, record_steps: bool = False, record_games: bool
     rows: list[tuple] = []
 
     for cycle in range(cfg.episode.max_cycles):
-        world = WorldSnapshot(ids, states.copy(), base.params, base.v_des, lanes, e)
+        world = replace(base, states=states.copy())
         res: CycleResult = yield world, beliefs, cfg, root
         cycles.append(CycleRecord(
             cycle=cycle, t0=t,
@@ -219,7 +218,7 @@ def _episode(cfg: ScenarioConfig, record_steps: bool = False, record_games: bool
         # (a, delta) of every vehicle at each substep of the window
         rollout = res.rollout
         cmd = np.zeros((substeps, V, 2))
-        cmd[:, e] = rollout.vehicle_inputs(rollout.tuple_index(res.row, res.col), e)[:substeps]
+        cmd[:, e] = rollout.column_inputs(res.col, e)[res.row, :substeps]
         leader_idx = world.leader_indices(include_ego=False)
 
         for s in range(substeps):
@@ -242,16 +241,14 @@ def _episode(cfg: ScenarioConfig, record_steps: bool = False, record_games: bool
         if outcome is not None:
             break
         root = res.chosen_sequence[0]
-        pid = res.partner_id
-        if pid is not None:
+        p = rollout.partners[res.col]
+        if p >= 0:
             # the partner's observed accelerations against the traces its column predicted
-            p = base.index_of(pid)
-            k = rollout.tuple_index(np.arange(len(SvAction)), res.col)
-            pred_assert, pred_yield = rollout.vehicle_inputs(k, p)[:, :substeps, 0]
-            b = beliefs[pid]
+            pred_assert, pred_yield = rollout.column_inputs(res.col, p)[:, :substeps, 0]
+            b = beliefs[ids[p]]
             pa, py = update_belief(b.p_assert, b.p_yield, cmd[:, p, 0], pred_assert, pred_yield,
                                    cfg.beliefs.sigma_accel)
-            beliefs[pid] = Belief(float(pa), float(py))
+            beliefs[ids[p]] = Belief(float(pa), float(py))
 
     return EpisodeTrace(outcome=outcome or Outcome.TIMEOUT, time_to_merge=ttm, cycles=cycles,
                         steps=rows, seed=cfg.seed, planner=cfg.planner,
@@ -357,7 +354,7 @@ def _mc_instance(cfg: ScenarioConfig):
         raise ValueError(f"Monte Carlo instance seed {cfg.seed}: the ego overlapped another "
                          f"vehicle in all {MAX_INSTANCE_DRAWS} draws of its initial state")
     resampled = draws - 1
-    world = WorldSnapshot(base.ids, states, base.params, base.v_des, cfg.lanes, e)
+    world = replace(base, states=states)
     res = yield world, cfg.initial_beliefs(), cfg, ROOT
     has_nash = len(res.nash_cells) > 0
     sel = (res.row, res.col)
@@ -370,13 +367,13 @@ def _mc_instance(cfg: ScenarioConfig):
     }
 
 
-def run_monte_carlo(cfg: ScenarioConfig, n: int | None = None,
-                    seed: int | None = None, workers: int = 0) -> MonteCarloStats:
-    """Open-loop protocol: perturb the ego's initial longitudinal position and
-    speed, build one cost matrix per instance, and compare the equilibrium
-    concepts. Every instance plans with the "nash" planner, whatever
-    cfg.planner is. Initial states that overlap are resampled and counted."""
-    n = cfg.montecarlo.n if n is None else n
+def run_monte_carlo(cfg: ScenarioConfig, n: int, seed: int | None = None,
+                    workers: int = 0) -> MonteCarloStats:
+    """Open-loop protocol over n instances: perturb the ego's initial
+    longitudinal position and speed, build one cost matrix per instance, and
+    compare the equilibrium concepts. Every instance plans with the "nash"
+    planner, whatever cfg.planner is. Initial states that overlap are
+    resampled and counted."""
     seed = cfg.seed if seed is None else seed
     results = _map_seeded(_mc_instance, replace(cfg, planner="nash"), seed, n, workers)
 

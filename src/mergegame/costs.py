@@ -262,8 +262,8 @@ def build_game_from_batch(rollout: BatchRollout, world: WorldSnapshot,
                           ev_extra: np.ndarray | None = None) -> GameMatrix:
     """Assemble the belief-weighted cost matrix from a rollout's trajectory table.
 
-    The game's columns are the rollout's sequences, and entry (r, j) scores
-    tuple rollout.tuple_index(r, j). It holds ((1 - b(SvAction(r))) * sum of
+    The game's columns are the rollout's M sequences, and entry (r, j) scores
+    tuple k = r * M + j. It holds ((1 - b(SvAction(r))) * sum of
     surrounding-vehicle costs, ego cost), where b is the belief in column j's
     interaction partner: prior is column_priors of the rollout's column
     partners. ev_extra (K,), when given, is added to the ego entries

@@ -86,8 +86,9 @@ KEEP_ENGAGE_TIME = 0.8
 class BatchRollout:
     """Rollouts of the game's action tuples, as a table of distinct vehicle trajectories.
 
-    cols holds the M ego sequences; tuple k = tuple_index(row, col), of K = 2M,
-    is (SvAction(row), cols[col]), and partner_ids[k] is its partner.
+    cols holds the M ego sequences; tuple k = row * M + col, of K = 2M, is
+    (SvAction(row), cols[col]). partners[col] is column col's partner, as a
+    vehicle index (-1: none), and partner_ids[k] is tuple k's, as an id.
     traj_states (R, T+1, 4) and traj_inputs (R, T, 2) hold each distinct
     trajectory of a vehicle once, grouped by vehicle: vehicle v owns rows
     block_start[v]:block_start[v + 1]. rows[k, v] is the row that vehicle v
@@ -108,6 +109,7 @@ class BatchRollout:
     rows: np.ndarray          # (K, V) table row of each tuple's vehicle
     block_start: np.ndarray   # (V+1,) first row of each vehicle's block
     period_rows: np.ndarray   # (R, H) segment of each row in each decision period
+    partners: np.ndarray      # (M,) partner of each column (-1: none)
     partner_ids: tuple[str | None, ...]   # (K,)
     dt: float
 
@@ -119,13 +121,10 @@ class BatchRollout:
     def inputs(self) -> np.ndarray:
         return self.traj_inputs[self.rows]
 
-    def tuple_index(self, row, col):
-        """Index k of the tuple (SvAction(row), cols[col]); elementwise on arrays."""
-        return row * len(self.cols) + col
-
-    def vehicle_inputs(self, k, v) -> np.ndarray:
-        """(..., T, 2) inputs of vehicle(s) v in tuple(s) k, read from the table."""
-        return self.traj_inputs[self.rows[k, v]]
+    def column_inputs(self, col, v) -> np.ndarray:
+        """(2, ..., T, 2) inputs (a, delta) of vehicle(s) v in column(s) col
+        under each group action, read from the table; col and v broadcast."""
+        return self.traj_inputs[self.rows.reshape(2, len(self.cols), -1)[:, col, v]]
 
 
 def _group_codes(code):
@@ -478,4 +477,4 @@ def _table(lay, segments, P, leaf_ent, key):
         row = prev_row[row]
     rows = leaf_ent[:lay.world.n_vehicles, key].T
     return BatchRollout(lay.seqs, traj_states, traj_inputs, rows, np.append(rows.min(axis=0), R),
-                        period_rows, lay.partner_ids, lay.cfg.dt)
+                        period_rows, lay.partner[:len(lay.seqs)], lay.partner_ids, lay.cfg.dt)

@@ -16,7 +16,6 @@ from .costs import GameMatrix
 
 __all__ = [
     "Player",
-    "EquilibriumKind",
     "Equilibrium",
     "Selection",
     "find_pure_nash",
@@ -30,17 +29,14 @@ class Player(Enum):
     EV = "ev"
 
 
-class EquilibriumKind(Enum):
-    NASH = "nash"
-    STACKELBERG_EV_LEADER = "stackelberg-ev-leader"
-    STACKELBERG_SV_LEADER = "stackelberg-sv-leader"
-
-
 @dataclass(frozen=True)
 class Equilibrium:
+    """A cell of the game, of kind "nash", "stackelberg-ev-leader" or
+    "stackelberg-sv-leader"."""
+
     row: int
     col: int
-    kind: EquilibriumKind
+    kind: str
     social_cost: float
 
     def cell(self) -> tuple[int, int]:
@@ -60,7 +56,7 @@ def find_pure_nash(game: GameMatrix) -> list[Equilibrium]:
     col_best = ev <= ev.min(axis=1, keepdims=True)
     cells = np.argwhere(row_best & col_best)
     return [
-        Equilibrium(int(r), int(c), EquilibriumKind.NASH, float(sv[r, c] + ev[r, c]))
+        Equilibrium(int(r), int(c), "nash", float(sv[r, c] + ev[r, c]))
         for r, c in cells
     ]
 
@@ -81,9 +77,9 @@ def stackelberg(game: GameMatrix, leader: Player) -> Equilibrium:
     mine = int(np.argmin(lead[np.arange(len(replies)), replies]))
     reply = int(replies[mine])
     if leader == Player.EV:
-        row, col, kind = reply, mine, EquilibriumKind.STACKELBERG_EV_LEADER
+        row, col, kind = reply, mine, "stackelberg-ev-leader"
     else:
-        row, col, kind = mine, reply, EquilibriumKind.STACKELBERG_SV_LEADER
+        row, col, kind = mine, reply, "stackelberg-sv-leader"
     return Equilibrium(row, col, kind, float(sv[row, col] + ev[row, col]))
 
 

@@ -7,12 +7,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .actions import (
-    DecisionSequence,
-    EgoDecision,
-    SvAction,
-    enumerate_ego_sequences,
-)
+from .actions import DecisionSequence, EgoDecision, enumerate_ego_sequences
 from .costs import (
     Belief,
     GameMatrix,
@@ -22,7 +17,7 @@ from .costs import (
     update_belief,
 )
 from .forward_sim import BatchRollout, simulate_batch
-from .game import Equilibrium, EquilibriumKind, Player, find_pure_nash, select_action, stackelberg
+from .game import Equilibrium, Player, find_pure_nash, select_action, stackelberg
 from .scenario import ScenarioConfig
 from .world import WorldSnapshot
 
@@ -52,25 +47,23 @@ class CycleResult:
         return self.rollout.partner_ids[self.col]
 
 
-def _info_gain_extra(rollout: BatchRollout, world: WorldSnapshot, prior: np.ndarray,
-                     cfg: ScenarioConfig) -> np.ndarray:
+def _info_gain_extra(rollout: BatchRollout, prior: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     """Ego cost addend rewarding rollouts expected to sharpen the belief.
 
-    Tuple (r, j) observes its partner's acceleration trace and updates the
-    column prior against the traces predicted by (assert, j) and (yield, j);
-    the addend is w_info times the change in entropy. prior is column_priors
-    of the rollout's column partners.
+    Tuple (r, j) observes its partner's acceleration trace over the whole
+    horizon, T = horizon * substeps steps, and updates the column prior
+    against the traces predicted by (assert, j) and (yield, j); the addend
+    is w_info times the change in entropy. prior is column_priors of the
+    rollout's column partners. The closed loop's update observes one
+    decision period only, so this anticipates more evidence than the next
+    update gets.
     """
-    m = len(rollout.cols)
-    partners = rollout.partner_ids[:m]
-    cols = np.array([j for j, pid in enumerate(partners) if pid is not None], dtype=int)
-    p = np.array([world.index_of(partners[j]) for j in cols], dtype=int)
-    k = rollout.tuple_index(np.arange(len(SvAction))[:, None], cols)   # (2, n)
-    pred = rollout.vehicle_inputs(k, p)[..., 0]                         # (2, n, T)
+    cols = np.flatnonzero(rollout.partners >= 0)
+    pred = rollout.column_inputs(cols, rollout.partners[cols])[..., 0]   # (2, n, T)
     pa, py = prior[:, cols]
     # row r of pred is what tuple (r, j) observes; *pred are the two modes' traces
     post_a, post_y = update_belief(pa, py, pred, *pred, cfg.beliefs.sigma_accel)
-    extra = np.zeros((len(SvAction), m))
+    extra = np.zeros_like(prior)
     extra[:, cols] = cfg.weights.w_info * (belief_entropy(post_a, post_y)
                                            - belief_entropy(pa, py))
     return extra.ravel()
@@ -80,9 +73,14 @@ def plan_cycle(world: WorldSnapshot, beliefs: Mapping[str, Belief],
                cfg: ScenarioConfig, root: EgoDecision) -> CycleResult:
     """Run the full pipeline for one cycle and select an action tuple.
 
-    cfg.planner picks the tuple: "nash" applies the equilibrium selection
-    policy, "stackelberg-ev" always plays the leader commitment, and
-    "lowest-cost" picks the column with the lowest belief-expected ego cost.
+    cfg.planner picks the cell (row, col):
+    - "nash": the Nash cell of lowest social cost, ties to the lower
+      (row, col); with no Nash cell, the group-leader Stackelberg cell,
+      flagged as the fallback;
+    - "stackelberg-ev": the ego-leader Stackelberg cell;
+    - "lowest-cost": the column of the lowest ego cost expected under its
+      partner's belief, ties to the lower column, and the assert row when
+      that belief in assert is at least 0.5, so an even prior plays assert.
     """
     seqs = enumerate_ego_sequences(root, cfg.prune.max_decision_changes, cfg.sim.horizon)
     rollout = simulate_batch(world, seqs, cfg.sim, cfg.model)
@@ -90,7 +88,7 @@ def plan_cycle(world: WorldSnapshot, beliefs: Mapping[str, Belief],
 
     extra = None
     if cfg.weights.w_info != 0.0:
-        extra = _info_gain_extra(rollout, world, prior, cfg)
+        extra = _info_gain_extra(rollout, prior, cfg)
     game = build_game_from_batch(rollout, world, prior, cfg.weights, ev_extra=extra)
 
     nash_cells = find_pure_nash(game)
@@ -100,11 +98,10 @@ def plan_cycle(world: WorldSnapshot, beliefs: Mapping[str, Belief],
     if cfg.planner == "nash":
         sel = select_action(game, nash_cells=nash_cells, se_sv=se_sv)
         row, col = sel.chosen.row, sel.chosen.col
-        kind = sel.chosen.kind.value
+        kind = sel.chosen.kind
         fallback = sel.fallback_used
     elif cfg.planner == "stackelberg-ev":
-        row, col = se_ev.row, se_ev.col
-        kind = EquilibriumKind.STACKELBERG_EV_LEADER.value
+        row, col, kind = se_ev.row, se_ev.col, se_ev.kind
         fallback = False
     else:   # "lowest-cost"; ScenarioConfig rejects any kind outside PLANNER_KINDS
         expected = (prior * game.ev).sum(axis=0)

@@ -1,14 +1,15 @@
 """Helpers that several test modules share: the planner's first rollout and
 its per-tuple arrays, the canonical and hand-made worlds, a world part way
-through a closed-loop episode or at its end, generated rosters, and the bits
-of a float."""
+through a closed-loop episode or at its end, a world's gap table by vehicle
+id, generated rosters, and the bits of a float."""
 
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 from hypothesis import strategies as st
 
-from mergegame.actions import ROOT
+from mergegame.actions import ROOT, GapChoice
 from mergegame.closed_loop import _episode, run_episode
 from mergegame.costs import Belief, CostWeights
 from mergegame.dynamics import VehicleParams
@@ -66,7 +67,7 @@ def end_world(cfg):
     trace = run_episode(cfg, record_steps=False)
     base = cfg.initial_world()
     states = np.array([trace.end_states[vid] for vid in base.ids])
-    return WorldSnapshot(base.ids, states, base.params, base.v_des, base.lanes, base.ego_index)
+    return replace(base, states=states)
 
 
 SCENARIOS = {
@@ -105,6 +106,15 @@ def world_from_rows(rows, wheelbases=None):
                          states=np.array([[x, y, 0.0, v] for _, x, y, v, _ in rows]),
                          params=tuple(VehicleParams(wheelbase=w) for w in wheelbases),
                          v_des=np.array([r[4] for r in rows]), lanes=LaneGeometry(), ego_index=0)
+
+
+def gap_ids(world):
+    """{GapChoice: (front id, rear id)} of world.resolve_gaps on the
+    planner's leader chain, None where a bound is missing; the rear id is the
+    gap's interaction partner."""
+    table = world.resolve_gaps(world.leader_indices())
+    return {g: tuple(world.ids[v] if v >= 0 else None for v in table[g].tolist())
+            for g in GapChoice}
 
 
 # Worlds that reach the corners of the rollout's surrounding-vehicle key

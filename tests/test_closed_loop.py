@@ -516,8 +516,9 @@ def test_belief_update_reads_the_window(monkeypatch):
             p = world.index_of(pid)
             observed = [row[7] for row in trace.steps if row[0] == c and row[2] == pid]
             assert len(observed) == substeps
+            rollout, M = res.rollout, len(res.rollout.cols)
             pred_assert, pred_yield = (
-                res.rollout.vehicle_inputs(res.rollout.tuple_index(r, res.col), p)[:substeps, 0]
+                rollout.traj_inputs[rollout.rows[r * M + res.col, p], :substeps, 0]
                 for r in SvAction)
             pa, py = update_belief(*rec.beliefs[pid], np.array(observed), pred_assert,
                                    pred_yield, cfg.beliefs.sigma_accel)

@@ -528,7 +528,7 @@ def test_info_gain_matches_per_tuple_reference(case, p):
                                     cfg.model)
     want = reference_info_gain_extra(flat, world, beliefs, cfg)
     assert np.count_nonzero(want) > 0
-    got = _info_gain_extra(rollout, world, priors_of(rollout, beliefs), cfg)
+    got = _info_gain_extra(rollout, priors_of(rollout, beliefs), cfg)
     np.testing.assert_allclose(got, want, rtol=INFO_RTOL, atol=0.0)
 
 
@@ -541,7 +541,7 @@ def test_info_gain_is_zero_without_partner():
     rollout = simulate_batch(world, seqs, cfg.sim, cfg.model)
     assert seqs and all(pid is None for pid in rollout.partner_ids)
     beliefs = {vid: Belief(0.8, 0.2) for vid in cfg.sv_ids}
-    extra = _info_gain_extra(rollout, world, priors_of(rollout, beliefs), cfg)
+    extra = _info_gain_extra(rollout, priors_of(rollout, beliefs), cfg)
     assert np.array_equal(extra, np.zeros(2 * len(seqs)))
 
 

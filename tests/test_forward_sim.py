@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mergegame.actions import (
@@ -29,9 +29,8 @@ from mergegame.planner import plan_cycle
 from mergegame.scenario import default_merge_scenario, packed_lane_scenario
 from mergegame.world import LaneGeometry, WorldSnapshot
 
-from gap_table import gap_ids
-from helpers import (HAND_WORLDS, SCENARIOS, planner_rollout, scenario_times, scenario_world,
-                     tuple_arrays)
+from helpers import (HAND_WORLDS, SCENARIOS, gap_ids, mid_episode, planner_rollout, rosters,
+                     scenario_times, scenario_world, tuple_arrays)
 from reference import _influence_set, reference_simulate_batch, seq_partners
 
 G0, G1, G2 = GapChoice.GAP_0, GapChoice.GAP_1, GapChoice.GAP_2
@@ -243,7 +242,7 @@ def test_packed_batch_rows_match_single_tuple_sim():
     samples += [(sv, const_seq(gap, LC)) for gap in (G1, G2)
                 for sv in (SvAction.ASSERT, SvAction.YIELD)]
     for sv, seq in samples:
-        k = batch.tuple_index(sv, batch.cols.index(seq))
+        k = sv * len(batch.cols) + batch.cols.index(seq)
         alone_states, alone_inputs = rollout_alone(world, (sv, seq), cfg.sim, cfg.model)
         assert np.array_equal(alone_states, states[k])
         assert np.array_equal(alone_inputs, inputs[k])
@@ -258,15 +257,33 @@ def test_planner_rollout_layout_is_group_action_major(scenario):
     res = plan_cycle(world, cfg.initial_beliefs(), cfg, EgoDecision(G0, LK))
     rollout = res.rollout
     M = len(rollout.cols)
-    k = np.arange(2 * M)
-    assert np.array_equal(rollout.tuple_index(k // M, k % M), k)
-    tuples = [(SvAction(j // M), rollout.cols[j % M]) for j in k]
+    tuples = [(SvAction(k // M), rollout.cols[k % M]) for k in range(2 * M)]
     want = reference_simulate_batch(world, tuples, cfg.sim, cfg.model)
     states, inputs = tuple_arrays(rollout)
     assert np.array_equal(states, want.states)
     assert np.array_equal(inputs, want.inputs)
     assert rollout.partner_ids == want.partner_ids
     assert res.game.cols is rollout.cols
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=rosters(), cycles=st.integers(1, 3))
+@example(cfg=SCENARIOS["merge10"](), cycles=0)
+@example(cfg=SCENARIOS["packed"](), cycles=0)
+def test_column_inputs_and_partners_read_the_table(cfg, cycles):
+    # column_inputs(j, v)[r] is vehicle v's row of tuple r * M + j, and each
+    # tuple's partner id names its column's partner index (-1: None)
+    (world, beliefs, cfg, root), _ = mid_episode(cfg, cycles)
+    rollout = plan_cycle(world, beliefs, cfg, root).rollout
+    M, V = len(rollout.cols), world.n_vehicles
+    r, j, v = np.ix_(range(2), range(M), range(V))
+    want = rollout.traj_inputs[rollout.rows[r * M + j, v]]   # (2, M, V, T, 2)
+    assert np.array_equal(rollout.column_inputs(j[0], v[0]), want)
+    for col, veh in [(0, 0), (M - 1, V - 1), (M // 2, world.ego_index)]:
+        assert np.array_equal(rollout.column_inputs(col, veh), want[:, col, veh])
+    assert rollout.partners.shape == (M,) and set(rollout.partners) <= set(range(-1, V))
+    assert rollout.partner_ids == tuple(world.ids[p] if p >= 0 else None
+                                        for p in rollout.partners[np.arange(2 * M) % M])
 
 
 # --- the tree rollout against the flat reference loop ---------------------------------
@@ -420,7 +437,7 @@ def test_plan_cycle_builds_no_per_tuple_arrays(case):
         cfg = replace(cfg, weights=replace(cfg.weights, w_info=20.0))
     world = cfg.initial_world()
     res = plan_cycle(world, cfg.initial_beliefs(), cfg, EgoDecision(G0, LK))
-    res.rollout.vehicle_inputs(res.rollout.tuple_index(res.row, res.col), world.ego_index)
+    res.rollout.column_inputs(res.col, world.ego_index)
     assert_not_materialized(res.rollout)
     assert res.rollout.states is res.rollout.states
     assert "states" in vars(res.rollout)

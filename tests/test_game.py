@@ -17,7 +17,6 @@ from mergegame import planner
 from mergegame.actions import EgoDecision, GapChoice, LateralDecision
 from mergegame.costs import Belief, GameMatrix
 from mergegame.game import (
-    EquilibriumKind,
     Player,
     find_pure_nash,
     select_action,
@@ -60,7 +59,7 @@ def test_anti_coordination_has_no_pure_nash():
 def test_stackelberg_ev_leader_worked_example():
     eq = stackelberg(game(EX_SV, EX_EV), Player.EV)
     assert eq.cell() == (0, 0)
-    assert eq.kind == EquilibriumKind.STACKELBERG_EV_LEADER
+    assert eq.kind == "stackelberg-ev-leader"
 
 
 def test_stackelberg_single_row_degenerates():
@@ -87,7 +86,7 @@ def test_selection_policy():
     g2 = game([[0, 1], [1, 0]], [[1, 0], [0, 1]])
     sel2 = select(g2)
     assert sel2.fallback_used
-    assert sel2.chosen.kind == EquilibriumKind.STACKELBERG_SV_LEADER
+    assert sel2.chosen.kind == "stackelberg-sv-leader"
 
     sel3 = select(game(EX_SV, EX_EV))
     assert sel3.chosen.cell() == (0, 0) and not sel3.fallback_used

@@ -6,7 +6,7 @@ from mergegame.dynamics import VehicleParams
 from mergegame.scenario import packed_lane_scenario
 from mergegame.world import LaneGeometry, WorldSnapshot
 
-from gap_table import gap_ids
+from helpers import gap_ids
 
 G0, G1, G2 = GapChoice.GAP_0, GapChoice.GAP_1, GapChoice.GAP_2
 LK, LC = LateralDecision.LANE_KEEP, LateralDecision.LEFT_CHANGE

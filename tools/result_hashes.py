@@ -71,9 +71,9 @@ def _feed(h, value) -> None:
 def _feed_cycle(h, res) -> None:
     game = res.game
     _feed(h, [game.sv_weighted, game.ev, game.sv_raw, res.rollout.partner_ids[:len(game.cols)]])
-    _feed(h, [(c.row, c.col, c.kind.value, c.social_cost) for c in res.nash_cells])
+    _feed(h, [(c.row, c.col, c.kind, c.social_cost) for c in res.nash_cells])
     for se in (res.se_ev, res.se_sv):
-        _feed(h, (se.row, se.col, se.kind.value, se.social_cost))
+        _feed(h, (se.row, se.col, se.kind, se.social_cost))
     _feed(h, (res.row, res.col, res.kind, res.fallback_used))
 
 
