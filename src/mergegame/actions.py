@@ -13,10 +13,11 @@ both rules and a budget on the number of step-to-step changes.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .bounds import check_integer
+from .bounds import MAX_STATES, check_integer
 
 __all__ = ["GapChoice", "LateralDecision", "SvAction", "EgoDecision", "ROOT", "DecisionSequence",
            "ALL_EGO_DECISIONS", "enumerate_ego_sequences"]
@@ -123,6 +124,10 @@ def enumerate_ego_sequences(root: EgoDecision, max_decision_changes: int,
     by the decisions in (gap, lateral) enum order, so the output is
     lexicographic over step index. The result depends only on the arguments,
     so it is cached; it is a tuple because every caller shares it.
+
+    ValueError once a level reaches MAX_STATES // len(SvAction) chains: the
+    levels only grow, and simulate_batch takes fewer sequences even for a
+    lone ego, so the tree is cut off before it fills memory.
     """
     # both come from a scenario file, and the cache keys on their exact type
     check_integer("enumerate_ego_sequences", horizon=horizon,
@@ -133,9 +138,14 @@ def enumerate_ego_sequences(root: EgoDecision, max_decision_changes: int,
         raise ValueError("max_decision_changes must be >= 0")
 
     # (root and the steps so far, changes so far)
-    level = [((root,), 0)]
+    level, cap = [((root,), 0)], MAX_STATES // len(SvAction)
     for _ in range(horizon):
-        level = [(chain + (cand,), n) for chain, changes in level for cand in ALL_EGO_DECISIONS
-                 if (n := changes + (cand != chain[-1])) <= max_decision_changes
-                 and not _forbidden(chain[-1], cand)]
+        level = list(itertools.islice(
+            ((chain + (cand,), n) for chain, changes in level for cand in ALL_EGO_DECISIONS
+             if (n := changes + (cand != chain[-1])) <= max_decision_changes
+             and not _forbidden(chain[-1], cand)), cap))
+        if len(level) == cap:
+            raise ValueError(f"horizon {horizon} with max_decision_changes {max_decision_changes} "
+                             f"gives {cap} or more sequences, more than any roster can roll "
+                             f"out within {MAX_STATES} vehicle states")
     return tuple(DecisionSequence(chain[1:]) for chain, _ in level)

@@ -1,4 +1,5 @@
-"""The number, range and integer checks that settings dataclasses run on their fields."""
+"""The number, range and integer checks that settings dataclasses run on their
+fields, and MAX_STATES, the bound on the vehicle states of one rollout."""
 
 from __future__ import annotations
 
@@ -6,7 +7,14 @@ import math
 import operator
 from numbers import Integral, Real
 
-__all__ = ["check", "check_finite", "check_integer"]
+__all__ = ["MAX_STATES", "check", "check_finite", "check_integer"]
+
+# The bound on K * V, the vehicle states of one rollout substep for K action
+# tuples of V vehicles: it keeps forward_sim's packed surrounding-vehicle keys
+# (below 2 n^3 for n states) inside int64. simulate_batch rejects a batch at
+# or above it, and enumerate_ego_sequences a decision tree that no roster
+# could roll out below it
+MAX_STATES = 2 ** 20
 
 _RULES = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
 

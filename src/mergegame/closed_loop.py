@@ -189,11 +189,10 @@ def _episode(cfg: ScenarioConfig, record_steps: bool = False, record_games: bool
     lanes = cfg.lanes
     sv = np.flatnonzero(np.arange(V) != e)
     v0, sv_a_max = base.v_des[sv], base.a_max[sv]
-    svs = [cfg.vehicles[i] for i in sv]
-    sv_lane_y = np.array([cfg.lane_center(v.lane) for v in svs])
+    sv_lane_y = lanes.nearest_center(base.states[sv, 1])
     frac = {"polite": cfg.episode.polite_lateral_frac,
             "selfish": cfg.episode.selfish_lateral_frac}
-    sv_reach = np.array([frac[v.mode] for v in svs]) * lanes.width
+    sv_reach = np.array([frac[cfg.vehicles[i].mode] for i in sv]) * lanes.width
     beliefs = cfg.initial_beliefs()
 
     root = ROOT

@@ -30,7 +30,7 @@ from .actions import DecisionSequence, LateralDecision, SvAction
 from .control import (IdmSettings, PdGains, PurePursuitParams, gap_reference, idm_accel,
                       lateral_discount, leader_inputs, pd_longitudinal, pure_pursuit,
                       virtual_gap_distance)
-from .bounds import check, check_finite, check_integer
+from .bounds import MAX_STATES, check, check_finite, check_integer
 from .dynamics import step_bicycle
 from .world import WorldSnapshot
 
@@ -71,11 +71,6 @@ class PlannerModel:
     def __post_init__(self):
         check_finite("model", self, "follow_distance")
 
-
-# simulate_batch's bound on K * V, which bounds the vehicle states of one
-# substep: it keeps the packed surrounding-vehicle keys (below 2 n^3 for n
-# states) inside int64
-_MAX_STATES = 2 ** 20
 
 # Time headroom (s) of the ego's keep-lane governor: it engages once the gap
 # beyond the follow point is within this many seconds of ego travel
@@ -209,8 +204,8 @@ def _layout(world, seqs, cfg, model) -> _Layout:
         raise ValueError("need at least one decision sequence")
     M, V, H, e = len(seqs), world.n_vehicles, cfg.horizon, world.ego_index
     K = len(SvAction) * M
-    if K * V >= _MAX_STATES:
-        raise ValueError(f"{K} tuples of {V} vehicles exceed {_MAX_STATES} vehicle states")
+    if K * V >= MAX_STATES:
+        raise ValueError(f"{K} tuples of {V} vehicles exceed {MAX_STATES} vehicle states")
     codes = [seq.codes for seq in seqs]   # cached on each sequence
     if set(map(len, codes)) != {H}:
         raise ValueError("decision sequence length must equal the decision horizon")

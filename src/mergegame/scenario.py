@@ -6,7 +6,8 @@ A scenario file is ScenarioConfig as YAML, one top-level section per field:
               non-empty string vehicle_id and its VehicleParams under params;
               a value that no law reads for the vehicle's role must keep its
               default: params.wheelbase and params.delta_max of a traffic
-              vehicle, and the mode of the ego
+              vehicle, and the mode of the ego; a traffic vehicle's y lies
+              nearest the center of its lane
   sim         SimConfig: dt, horizon, decision_period
   weights     CostWeights
   model       PlannerModel, the planner's rollout model: gains (PdGains),
@@ -183,6 +184,14 @@ class ScenarioConfig:
                 raise ValueError(f"vehicles[{i}] vehicle_id must be a non-empty string, got {vid!r}")
         if len(set(ids)) != len(ids):
             raise ValueError("vehicle ids must be unique")
+        # the planner and the truth world place traffic by the lane center
+        # nearest its y, which must be its lane's; the ego may start anywhere,
+        # mid-change included
+        for v in self.vehicles:
+            if v.role == "traffic" and v.y is not None \
+                    and self.lanes.nearest_center(v.y) != self.lane_center(v.lane):
+                raise ValueError(f"vehicle {v.vehicle_id!r} y {v.y!r} lies nearer the other "
+                                 f"lane's center than its lane {v.lane!r}")
 
     @property
     def ego(self) -> VehicleSpec:

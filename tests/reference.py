@@ -6,9 +6,9 @@ Each reference stands in for the production code it checks, and none
 imports or calls that code (test_plan_cycle checks this):
 
 - brute_sequences: actions.enumerate_ego_sequences.
-- reference_simulate_batch, with _influence_set and _idm_block:
-  forward_sim.simulate_batch. It returns a FlatRollout, every tuple's own
-  (K, V, ...) arrays.
+- reference_simulate_batch, with seq_partners: forward_sim.simulate_batch.
+  It steps every vehicle of every tuple in one (V, K) loop and returns a
+  FlatRollout, every tuple's own (K, V, ...) arrays.
 - reference_pair_band_penalties: costs._pair_band_penalties.
 - efficiency_cost, comfort_cost, navigation_cost and build_game, which
   scores a FlatRollout: costs.build_game_from_batch.
@@ -88,48 +88,6 @@ def seq_partners(gaps, seqs):
     return np.array([-1 if g is None else gaps[g, 1] for g in last], dtype=np.intp)
 
 
-def _influence_set(leader_idx, ego, partner_idx) -> np.ndarray:
-    """Vehicles whose trajectory can differ between the rollouts of one cycle.
-
-    The ego, every interaction partner, and every vehicle whose leader is in
-    the set: a fixed point reached within V rounds. Any other vehicle always
-    takes kappa_assert, never has the ego as a leader, and follows only
-    vehicles outside the set, so it moves identically in every rollout.
-    """
-    influenced = np.zeros(len(leader_idx), dtype=bool)
-    influenced[ego] = True
-    influenced[partner_idx[partner_idx >= 0]] = True
-    has_leader = leader_idx >= 0
-    for _ in range(len(leader_idx)):
-        grown = influenced | (has_leader & influenced[leader_idx])
-        if np.array_equal(grown, influenced):
-            break
-        influenced = grown
-    return influenced
-
-
-def _idm_block(X, Y, TH, VS, rows, lead, kappa, ego_watch, v_des, a_max, idm):
-    """Modified-IDM accelerations of the surrounding vehicles in row slice rows.
-
-    X, Y, TH, VS (V, R) hold R rollouts of every vehicle, the ego in row 0.
-    lead (n,) is each vehicle's leader row (-1 for none) and kappa its lateral
-    discount, a scalar or (n, R); v_des and a_max are (n, 1). Where ego_watch
-    holds and the ego is level or ahead, the ego is a second, virtual leader,
-    and the nearer of the two governs. The law itself is control.idm_accel.
-    """
-    x, y, v = X[rows], Y[rows], VS[rows]
-    has_phys = (lead >= 0)[:, None]
-    li = np.where(lead >= 0, lead, 0)
-    d_phys = np.where(has_phys, virtual_gap_distance(X[li], Y[li], x, y, kappa), np.inf)
-    v_phys = np.where(has_phys, VS[li], 0.0)
-    d_ego = virtual_gap_distance(X[:1], Y[:1], x, y, kappa)
-    use_ego = ego_watch & (X[:1] >= x) & (d_ego < d_phys)
-    d_lead = np.where(use_ego, d_ego, d_phys)
-    v_lead = np.where(use_ego, VS[:1] * np.cos(TH[:1]), v_phys)
-    has_lead = has_phys | use_ego
-    return idm_accel(v, v_lead, d_lead, has_lead, v_des, idm, a_max)
-
-
 @dataclass
 class FlatRollout:
     """The flat loop's rollout of K (group action, sequence) tuples, each in
@@ -144,132 +102,93 @@ class FlatRollout:
 
 
 def reference_simulate_batch(world, tuples, cfg, model) -> FlatRollout:
-    """The flat rollout loop: every tuple stepped over the whole horizon, one
-    row each, with no prefix shared between tuples."""
+    """The flat rollout loop: every vehicle of every tuple stepped over the
+    whole horizon in (V, K) arrays, tuple k in column k, with nothing shared
+    between tuples."""
     tuples = list(tuples)
     if not tuples:
         raise ValueError("need at least one action tuple")
     K, V, T = len(tuples), world.n_vehicles, cfg.horizon * cfg.substeps
     e = world.ego_index
-    for _, seq in tuples:
-        if len(seq) != cfg.horizon:
-            raise ValueError("decision sequence length must equal the decision horizon")
-
-    leader_idx = world.leader_indices(include_ego=True)
-    gaps = world.resolve_gaps(leader_idx)
-    partner_idx = seq_partners(gaps, [seq for _, seq in tuples])
-    partner_ids = tuple(world.ids[p] if p >= 0 else None for p in partner_idx)
-    sv_is_yield = np.array([sv == SvAction.YIELD for sv, _ in tuples])
-
-    gap_seq = np.array([[int(s.gap) for s in seq] for _, seq in tuples])       # (K, H)
-    lat_seq = np.array([[int(s.lateral) for s in seq] for _, seq in tuples])   # (K, H)
-
-    wheelbase, a_max, delta_max = world.wheelbase, world.a_max, world.delta_max
-    lanes = world.lanes
-    w_lane = lanes.width
-    idm = model.idm
-    kappa_assert = lateral_discount(idm.beta_assert, w_lane)
-    kappa_yield = lateral_discount(idm.beta_yield, w_lane)
-
-    # working rows, one per vehicle: [ego | other influenced vehicles | shared
-    # vehicles], so that each block is a slice; each row holds the K rollouts
-    influenced = _influence_set(leader_idx, e, partner_idx)
-    order = np.concatenate(([e], np.flatnonzero(influenced & (np.arange(V) != e)),
-                            np.flatnonzero(~influenced)))
-    n_inf = int(influenced.sum())
-    row_of = np.empty(V + 1, dtype=int)  # vehicle index -> working row; the extra -1 keeps "none"
-    row_of[order] = np.arange(V)
-    row_of[-1] = -1
+    if any(len(seq) != cfg.horizon for _, seq in tuples):
+        raise ValueError("decision sequence length must equal the decision horizon")
 
     # gap bounds and leader chain resolved once per cycle; positions stay live
-    front_by_gap, rear_by_gap = row_of[gaps.T]
-    lead = row_of[leader_idx[order]]
-    lead_cur = lead[0]
-    wb, a_lim, v_des = wheelbase[order, None], a_max[order, None], world.v_des[order, None]
+    leader_idx = world.leader_indices(include_ego=True)
+    gaps = world.resolve_gaps(leader_idx)
+    front_by_gap, rear_by_gap = gaps.T
+    lead_cur = leader_idx[e]
+    has_phys = (leader_idx >= 0)[:, None]
+    li = np.where(leader_idx >= 0, leader_idx, 0)
+    partner_idx = seq_partners(gaps, [seq for _, seq in tuples])
+    partner_ids = tuple(world.ids[p] if p >= 0 else None for p in partner_idx)
 
-    ego_lane_center = lanes.nearest_center(float(world.states[e, 1]))
+    dec = np.array([[(s.gap, s.lateral) for s in seq] for _, seq in tuples])   # (K, H, 2)
+
+    lanes, idm = world.lanes, model.idm
+    v_des, a_max = world.v_des[:, None], world.a_max[:, None]
     # indexed by LateralDecision value: LANE_KEEP, LEFT_CHANGE, LEFT_PROBE
-    line_by_lat = np.array([ego_lane_center, lanes.target_center, lanes.probe_line])
+    line_by_lat = np.array([lanes.nearest_center(float(world.states[e, 1])), lanes.target_center,
+                            lanes.probe_line])
+    # the partner's beta is set by the group action, every other vehicle asserts
+    is_partner = np.arange(V)[:, None] == partner_idx[None, :]   # (V, K)
+    sv_is_yield = np.array([sv == SvAction.YIELD for sv, _ in tuples])
+    kappa = np.where(is_partner & sv_is_yield, lateral_discount(idm.beta_yield, lanes.width),
+                     lateral_discount(idm.beta_assert, lanes.width))
 
-    sv_inf = slice(1, n_inf)
-    is_partner = np.arange(1, n_inf)[:, None] == row_of[partner_idx][None, :]   # (n_inf - 1, K)
-    kappa_inf = np.where(is_partner & sv_is_yield[None, :], kappa_yield, kappa_assert)
-
-    # shared vehicles are written into every rollout once, after the loop
-    inf_ids, shared_ids = order[:n_inf], order[n_inf:]
     states = np.empty((K, V, T + 1, 4))
     inputs = np.zeros((K, V, T, 2))
-    shared_states = np.empty((V - n_inf, T + 1, 4))
-    shared_inputs = np.zeros((V - n_inf, T, 2))
-    X, Y, TH, VS = (np.repeat(world.states[order, c, None], K, axis=1) for c in range(4))
+    X, Y, TH, VS = (np.repeat(world.states[:, c, None], K, axis=1) for c in range(4))
     cols = np.arange(K)
 
     for t in range(T + 1):
-        for c, arr in enumerate((X, Y, TH, VS)):
-            states[:, inf_ids, t, c] = arr[:n_inf].T
-            shared_states[:, t, c] = arr[n_inf:, 0]
+        states[:, :, t] = np.stack((X, Y, TH, VS), axis=-1).swapaxes(0, 1)
         if t == T:
             break
 
-        d = t // cfg.substeps
-        gap_t = gap_seq[:, d]
-        lat_t = lat_seq[:, d]
+        gap_t, lat_t = dec[:, t // cfg.substeps].T
 
         # --- ego lateral: pure pursuit onto the decision's target line
-        delta_e = pure_pursuit(Y[0], TH[0], VS[0], line_by_lat[lat_t], wheelbase[e],
-                               model.pursuit, delta_max[e])
+        delta_e = pure_pursuit(Y[e], TH[e], VS[e], line_by_lat[lat_t], world.wheelbase[e],
+                               model.pursuit, world.delta_max[e])
 
         # --- ego longitudinal: PD on the rule-based gap reference
-        fi = front_by_gap[gap_t]
-        ri = rear_by_gap[gap_t]
+        fi, ri = front_by_gap[gap_t], rear_by_gap[gap_t]
         has_f, has_r = fi >= 0, ri >= 0
         x_tgt, v_tgt = gap_reference(X[np.where(has_f, fi, 0), cols],
                                      VS[np.where(has_f, fi, 0), cols], has_f,
                                      X[np.where(has_r, ri, 0), cols], has_r,
                                      world.v_des[e], model.follow_distance)
-        a_e = pd_longitudinal(X[0], VS[0], x_tgt, v_tgt, has_f, model.gains, a_max[e])
+        a_e = pd_longitudinal(X[e], VS[e], x_tgt, v_tgt, has_f, model.gains, a_max[e])
 
         # until the ego has mostly crossed, its command may not drive it into
         # the leader of the lane it is still occupying; the governor engages
         # once that leader is within the follow point plus a time headroom
         if lead_cur >= 0:
-            still_on_lane = np.abs(lanes.target_center - Y[0]) > 0.25 * w_lane
-            slack = X[lead_cur] - X[0] - model.follow_distance
-            engaged = still_on_lane & (slack <= KEEP_ENGAGE_TIME * np.maximum(VS[0], 1.0))
-            a_keep = pd_longitudinal(X[0], VS[0], X[lead_cur] - model.follow_distance,
+            still_on_lane = np.abs(lanes.target_center - Y[e]) > 0.25 * lanes.width
+            slack = X[lead_cur] - X[e] - model.follow_distance
+            engaged = still_on_lane & (slack <= KEEP_ENGAGE_TIME * np.maximum(VS[e], 1.0))
+            a_keep = pd_longitudinal(X[e], VS[e], X[lead_cur] - model.follow_distance,
                                      np.minimum(VS[lead_cur], world.v_des[e]), True,
                                      model.gains, a_max[e])
             a_e = np.where(engaged, np.minimum(a_e, a_keep), a_e)
 
-        # --- surrounding vehicles: modified IDM, partner beta set by the group
-        # action; the shared block is evaluated on one rollout
-        ego_probing = (lat_t == int(LateralDecision.LEFT_CHANGE)) | \
-                      (lat_t == int(LateralDecision.LEFT_PROBE))
-        A = np.empty((n_inf, K))
-        A[0] = a_e
-        A[sv_inf] = _idm_block(X, Y, TH, VS, sv_inf, lead[sv_inf], kappa_inf,
-                               is_partner & ego_probing[None, :], v_des[sv_inf], a_lim[sv_inf],
-                               idm)
-        a_shared = _idm_block(X[:, :1], Y[:, :1], TH[:, :1], VS[:, :1], slice(n_inf, V),
-                              lead[n_inf:], kappa_assert, False, v_des[n_inf:], a_lim[n_inf:],
-                              idm)
-        inputs[:, inf_ids, t, 0] = A.T
-        inputs[:, e, t, 1] = delta_e
-        shared_inputs[:, t, 0] = a_shared[:, 0]
-
-        D = np.zeros((n_inf, K))
-        D[0] = delta_e
-        stepped_inf = step_bicycle(X[:n_inf], Y[:n_inf], TH[:n_inf], VS[:n_inf],
-                                   A, D, cfg.dt, wb[:n_inf])
-        stepped_shared = step_bicycle(X[n_inf:, :1], Y[n_inf:, :1], TH[n_inf:, :1],
-                                      VS[n_inf:, :1], a_shared, 0.0, cfg.dt, wb[n_inf:])
-        X, Y, TH, VS = (np.empty((V, K)) for _ in range(4))
-        for arr, a_inf, a_sh in zip((X, Y, TH, VS), stepped_inf, stepped_shared):
-            arr[:n_inf] = a_inf
-            arr[n_inf:] = a_sh
-
-    states[:, shared_ids] = shared_states
-    inputs[:, shared_ids] = shared_inputs
+        # --- surrounding vehicles: modified IDM behind the physical leader;
+        # where a vehicle is the tuple's partner, the ego changes lanes or
+        # probes and is level or ahead, it is a second, virtual leader, and
+        # the nearer of the two governs
+        d_phys = np.where(has_phys, virtual_gap_distance(X[li], Y[li], X, Y, kappa), np.inf)
+        v_phys = np.where(has_phys, VS[li], 0.0)
+        d_ego = virtual_gap_distance(X[e], Y[e], X, Y, kappa)
+        use_ego = is_partner & (lat_t != LK) & (X[e] >= X) & (d_ego < d_phys)
+        A = idm_accel(VS, np.where(use_ego, VS[e] * np.cos(TH[e]), v_phys),
+                      np.where(use_ego, d_ego, d_phys), has_phys | use_ego, v_des, idm, a_max)
+        A[e] = a_e
+        D = np.zeros((V, K))
+        D[e] = delta_e
+        inputs[:, :, t, 0] = A.T
+        inputs[:, :, t, 1] = D.T
+        X, Y, TH, VS = step_bicycle(X, Y, TH, VS, A, D, cfg.dt, world.wheelbase[:, None])
 
     return FlatRollout(tuples, states, inputs, partner_ids, cfg.dt)
 

@@ -96,7 +96,9 @@ def test_count_monotone_in_change_budget():
     (2, 0, "horizon must be >= 1"), (-1, 5, "max_decision_changes must be >= 0"),
     # a scenario file can hold a non-integer
     (2, 2.5, "horizon must be an integer, got 2.5"), (2, True, "horizon must be an integer"),
-    (1.5, 5, "max_decision_changes must be an integer, got 1.5")])
+    (1.5, 5, "max_decision_changes must be an integer, got 1.5"),
+    # cut off at the first level too large for any roster, not after 2e8 chains
+    (10, 10, "horizon 10 with max_decision_changes 10 gives 524288 or more")])
 def test_enumeration_rejects_bad_arguments(budget, horizon, message):
     with pytest.raises(ValueError, match=message):
         enumerate_ego_sequences(EgoDecision(G0, LK), budget, horizon)

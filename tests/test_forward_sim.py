@@ -31,7 +31,7 @@ from mergegame.world import LaneGeometry, WorldSnapshot
 
 from helpers import (HAND_WORLDS, SCENARIOS, gap_ids, mid_episode, planner_rollout, rosters,
                      scenario_times, scenario_world, tuple_arrays)
-from reference import _influence_set, reference_simulate_batch, seq_partners
+from reference import reference_simulate_batch, seq_partners
 
 G0, G1, G2 = GapChoice.GAP_0, GapChoice.GAP_1, GapChoice.GAP_2
 LK, LC, LP = LateralDecision.LANE_KEEP, LateralDecision.LEFT_CHANGE, LateralDecision.LEFT_PROBE
@@ -208,6 +208,26 @@ def test_too_many_vehicle_states_rejected():
 
 # --- vehicles shared by every rollout -----------------------------------------------
 
+def _influence_set(leader_idx, ego, partner_idx) -> np.ndarray:
+    """Vehicles whose trajectory can differ between the rollouts of one cycle.
+
+    The ego, every interaction partner, and every vehicle whose leader is in
+    the set: a fixed point reached within V rounds. Any other vehicle always
+    takes kappa_assert, never has the ego as a leader, and follows only
+    vehicles outside the set, so it moves identically in every rollout.
+    """
+    influenced = np.zeros(len(leader_idx), dtype=bool)
+    influenced[ego] = True
+    influenced[partner_idx[partner_idx >= 0]] = True
+    has_leader = leader_idx >= 0
+    for _ in range(len(leader_idx)):
+        grown = influenced | (has_leader & influenced[leader_idx])
+        if np.array_equal(grown, influenced):
+            break
+        influenced = grown
+    return influenced
+
+
 def shared_ids(world, seqs):
     partners = seq_partners(world.resolve_gaps(world.leader_indices()), seqs)
     shared = ~_influence_set(world.leader_indices(), world.ego_index, partners)
@@ -369,13 +389,6 @@ def test_planner_rollout_invariants(scenario, when):
         assert not inputs[:, sv][..., 1].any()
 
 
-def distinct_trajectories(rollout, v):
-    """Number of bit-distinct (states, inputs) trajectories of vehicle v over the tuples."""
-    K, (states, inputs) = len(rollout.rows), tuple_arrays(rollout)
-    flat = np.concatenate([states[:, v].reshape(K, -1), inputs[:, v].reshape(K, -1)], axis=1)
-    return len(np.unique(flat.view(np.uint64), axis=0))
-
-
 @pytest.mark.parametrize("scenario, when", scenario_times("merge5", "merge10", "packed"))
 def test_trajectory_table_is_exact_and_complete(scenario, when):
     # from every root: one table row per distinct vehicle trajectory, every row
@@ -390,7 +403,11 @@ def test_trajectory_table_is_exact_and_complete(scenario, when):
         assert start[0] == 0 and start[-1] == n_rows == len(rollout.traj_inputs)
         assert np.array_equal(np.unique(rows), np.arange(n_rows))
         assert ((rows >= start[:-1]) & (rows < start[1:])).all()
-        per_vehicle = [distinct_trajectories(rollout, v) for v in range(world.n_vehicles)]
+        # every row is used and in its vehicle's block, so the bit-distinct
+        # rows of a block are that vehicle's distinct (states, inputs) trajectories
+        flat = np.concatenate([rollout.traj_states.reshape(n_rows, -1),
+                               rollout.traj_inputs.reshape(n_rows, -1)], axis=1).view(np.uint64)
+        per_vehicle = [len(np.unique(flat[a:b], axis=0)) for a, b in zip(start[:-1], start[1:])]
         assert np.array_equal(np.diff(start), per_vehicle)
         shared, _ = shared_ids(world, rollout.cols)
         assert all(per_vehicle[world.index_of(vid)] == 1 for vid in shared)

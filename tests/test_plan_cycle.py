@@ -117,8 +117,9 @@ def test_open_loop_instances_match_reference():
 
 # The production code that the references stand in for
 CHECKED = {"enumerate_ego_sequences", "simulate_batch", "build_game_from_batch",
-           "_pair_band_penalties", "update_belief", "_info_gain_extra", "find_pure_nash",
-           "stackelberg", "select_action", "plan_cycle"}
+           "_pair_band_penalties", "update_belief", "belief_entropy", "_info_gain_extra",
+           "find_pure_nash", "stackelberg", "select_action", "plan_cycle", "truth_sv_accel",
+           "_ego_hits_anyone"}
 
 
 @pytest.mark.parametrize("module", [reference, game_oracles], ids=["reference", "game_oracles"])

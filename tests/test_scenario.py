@@ -246,6 +246,23 @@ def test_values_nothing_reads_are_rejected(tmp_path, via, vehicle, name, value):
             VehicleSpec(**{**spec, "params": VehicleParams(**spec["params"])})
 
 
+@pytest.mark.parametrize("via", ["constructor", "yaml"])
+def test_traffic_must_lie_nearest_its_own_lane(tmp_path, via):
+    # the planner places traffic by its nearest lane center and the truth
+    # world by its lane, so such a vehicle used to brake for an ego a lane
+    # away; the ego may start anywhere, mid-change included
+    data = merge_yaml_dict(tmp_path)
+    data["vehicles"][0]["y"] = 2.8
+    assert load_dict(tmp_path, data).ego.y == 2.8
+    data["vehicles"][2]["y"] = 1.0   # sv1, on the target lane
+    with pytest.raises(ValueError, match="vehicle 'sv1' y 1.0 lies nearer the other lane's"):
+        if via == "yaml":
+            load_dict(tmp_path, data)
+        else:
+            ScenarioConfig(vehicles=[VehicleSpec(**{**vd, "params": VehicleParams(**vd["params"])})
+                                     for vd in data["vehicles"]])
+
+
 def test_steering_geometry_stays_settable_on_the_ego():
     ego = VehicleSpec("ego", role="ego", params=VehicleParams(wheelbase=3.1, delta_max=0.4))
     assert ego.params.wheelbase == 3.1 and ego.params.delta_max == 0.4
